@@ -25,7 +25,7 @@ from .errors import (
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
 from .states import Model, StateSpace, Weight, constructed_model
-from .testspace import PredicateResult, TestSpace, event_key
+from .testspace import PredicateResult, TestSpace, event_key, mask_event
 
 
 def set_partitions(members: list) -> Iterable[list[list]]:
@@ -323,8 +323,8 @@ def classify_projectivity(
     projective = bool(space.projective())
     algebraic = bool(space.algebraic(cap))
     constant = True
-    for evs in space._complement_buckets(cap).values():
-        vals = {checked.table[a] for a in evs if a}
+    for evs in space._complement_index(cap)[0].values():
+        vals = {checked.table[mask_event(a)] for a in evs if a}
         if len(vals) > 1:
             constant = False
             break

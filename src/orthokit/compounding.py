@@ -357,7 +357,7 @@ def truncated_compound(
         prefixes = [s for s in strings if len(s) < depth]
         total = len(gens) ** len(prefixes) if prefixes else 1
         if total > generator_cap:
-            raise EnumerationCapExceeded("compound generators", generator_cap)
+            raise EnumerationCapExceeded("compound generators", generator_cap, total)
         out = []
         for assign in iproduct(range(len(gens)), repeat=len(prefixes)):
             row = {p: gens[g] for p, g in zip(prefixes, assign)}
@@ -928,9 +928,6 @@ def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None)
     wit = wit or _BaseWitnesses(base)
     space = tc.model.space
 
-    def rows_for(pins: dict) -> dict:
-        return pins
-
     def evaluate(rows: dict, s: tuple) -> object:
         v = 1
         for i in range(len(s)):
@@ -949,7 +946,8 @@ def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None)
                 break
             pins[s[:i]] = w
         if ok:
-            assert base._eq(evaluate(pins, s), 1)
+            if not base._eq(evaluate(pins, s), 1):
+                raise LawViolation(f"certainty witness fails on string {s}")
         else:
             unital_ok = False
     su_ok = True
@@ -988,8 +986,10 @@ def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None)
                 for idx in range(k, len(t)):
                     if t[:idx] not in pins:
                         pins[t[:idx]] = wit.positive[t[idx]]
-                assert base._eq(evaluate(pins, s), 1)
-                assert evaluate(pins, t) > 0
+                if not (base._eq(evaluate(pins, s), 1) and evaluate(pins, t) > 0):
+                    raise LawViolation(
+                        f"strong-unitality witness fails on strings {s}, {t}"
+                    )
             else:
                 su_ok = False
     # with diagonal pairs included, strong unitality subsumes unitality
@@ -1024,7 +1024,10 @@ def forward_unitality(fp: ForwardProduct, left_wit=None, right_wit=None):
             if not ok:
                 su_ok = False
                 continue
-            assert fp.left._eq(state[i], 1) and state[j] > 0
+            if not (fp.left._eq(state[i], 1) and state[j] > 0):
+                raise LawViolation(
+                    f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
+                )
     return unital_ok, su_ok and unital_ok
 
 

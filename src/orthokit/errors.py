@@ -23,10 +23,17 @@ class UsageError(OrthokitError):
 
 
 class EnumerationCapExceeded(OrthokitError):
-    def __init__(self, what: str, cap: int):
-        super().__init__(f"{what}: enumeration exceeds cap {cap}")
+    """An enumeration would exceed its cap.
+
+    ``bound`` is the computed quantity that tripped the cap: the work the
+    enumeration needs is at least that much.
+    """
+
+    def __init__(self, what: str, cap: int, bound: int):
+        super().__init__(f"{what}: needs ≥ {bound}, enumeration exceeds cap {cap}")
         self.what = what
         self.cap = cap
+        self.bound = bound
 
 
 # -- test-space construction -------------------------------------------------
@@ -162,9 +169,12 @@ def resolve_cap(cap: int | None = None) -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError as exc:
             raise UsageError(f"bad {CAP_ENV_VAR} value: {raw!r}") from exc
+        if cap < 0:
+            raise UsageError(f"{CAP_ENV_VAR} must be nonnegative, got {raw!r}")
+        return cap
     return DEFAULT_CAP
 
 
@@ -181,4 +191,4 @@ class CapCounter:
     def tick(self, k: int = 1) -> None:
         self.count += k
         if self.count > self.cap:
-            raise EnumerationCapExceeded(self.what, self.cap)
+            raise EnumerationCapExceeded(self.what, self.cap, self.count)

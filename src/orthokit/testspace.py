@@ -13,21 +13,29 @@ ids.  All objects are immutable after construction and every operation is a
 pure function, so concurrent use is safe.  Witness-producing predicates
 break ties lexicographically on sorted id sequences so results are
 reproducible.
+
+Internally the predicates work on ``int`` bitmasks (bit x set when outcome
+x is in the event) and turn a witness back into frozensets only when a
+check fails.  Each predicate checks its cap bound before it enumerates.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapCounter,
     EmptyTest,
+    EnumerationCapExceeded,
     LabelCollision,
     RedundantTests,
     UncoveredOutcome,
     UnknownLabel,
+    resolve_cap,
 )
 
 Event = frozenset  # events are frozensets of outcome ids
@@ -36,6 +44,39 @@ Event = frozenset  # events are frozensets of outcome ids
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
     """Deterministic sort key for events: the sorted id sequence."""
     return tuple(sorted(a))
+
+
+def _ids(m: int) -> list[int]:
+    """The outcome ids of a mask, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _mask(a: Iterable[int]) -> int:
+    m = 0
+    for x in a:
+        m |= 1 << x
+    return m
+
+
+def mask_event(m: int) -> frozenset:
+    """The event (frozenset of outcome ids) of a mask."""
+    return frozenset(_ids(m))
+
+
+def _submasks(test: int) -> Iterator[int]:
+    """Every submask of a test mask, by size and then lexicographically on ids.
+
+    This is the order of ``itertools.combinations`` over the sorted members,
+    which fixes the event order and hence which witness is found first.
+    """
+    bits = [1 << x for x in _ids(test)]
+    for r in range(len(bits) + 1):
+        yield from map(sum, combinations(bits, r))
 
 
 @dataclass(frozen=True)
@@ -56,12 +97,7 @@ def _is_antichain(sets: Iterable[frozenset]) -> tuple[frozenset, frozenset] | No
     sets can be proper subsets, so equal-size pairs are never compared.
     """
     family = sorted(set(sets), key=lambda s: (len(s), event_key(s)))
-    masks = []
-    for s in family:
-        m = 0
-        for i in s:
-            m |= 1 << i
-        masks.append(m)
+    masks = [_mask(s) for s in family]
     for i, small in enumerate(masks):
         for j in range(i + 1, len(masks)):
             large = masks[j]
@@ -83,9 +119,14 @@ class TestSpace:
         "label_id",
         "test_set",
         "orth",
+        "_test_masks",
+        "_orth_masks",
         "_comp_cache",
         "_perp_cache",
         "_events_cache",
+        "_event_masks",
+        "_perp_masks",
+        "_comp_index",
     )
 
     def __init__(self, labels: Sequence[str], tests: Sequence[frozenset]):
@@ -107,16 +148,19 @@ class TestSpace:
         self.tests = tests
         self.label_id = {lab: i for i, lab in enumerate(labels)}
         self.test_set = frozenset(tests)
-        orth = [set() for _ in labels]
-        for t in tests:
+        self._test_masks = tuple(_mask(t) for t in tests)
+        orth = [0] * len(labels)
+        for t, m in zip(tests, self._test_masks):
             for x in t:
-                orth[x] |= t
-        for x, s in enumerate(orth):
-            s.discard(x)
-        self.orth = tuple(frozenset(s) for s in orth)
+                orth[x] |= m
+        self._orth_masks = tuple(m & ~(1 << x) for x, m in enumerate(orth))
+        self.orth = tuple(mask_event(m) for m in self._orth_masks)
         self._comp_cache: dict[frozenset, tuple] = {}
         self._perp_cache: dict[frozenset, frozenset] = {}
         self._events_cache: list[frozenset] | None = None
+        self._event_masks: list[int] | None = None
+        self._perp_masks: dict[int, int] = {}
+        self._comp_index: tuple[dict[int, list[int]], dict[int, set[int]]] | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -151,30 +195,43 @@ class TestSpace:
 
     def events(self, cap: int | None = None) -> Iterator[frozenset]:
         """All events, each exactly once, the empty event included."""
-        counter = CapCounter("events", cap)
-        if self.tests and 2 ** max(len(t) for t in self.tests) > counter.cap:
-            # The largest single test already yields more distinct subsets
-            # than the cap allows; fail before enumerating.
-            counter.tick(counter.cap + 1)
-        seen: set[frozenset] = set()
-        for t in self.tests:
-            members = sorted(t)
-            for r in range(len(members) + 1):
-                for combo in combinations(members, r):
-                    a = frozenset(combo)
-                    if a in seen:
-                        continue
-                    counter.tick()
-                    seen.add(a)
-                    yield a
+        yield from self.events_list(cap)
 
     def events_list(self, cap: int | None = None) -> list[frozenset]:
-        if cap is None and self._events_cache is not None:
-            return self._events_cache
-        out = list(self.events(cap))
-        if cap is None:
-            self._events_cache = out
-        return out
+        """All events as a list; computed once per space whatever the cap.
+
+        Raises ``EnumerationCapExceeded`` when the largest test alone has
+        more than ``cap`` subsets, or when there are more than ``cap`` events.
+        """
+        cap = resolve_cap(cap)
+        if self.tests:
+            top = 2 ** max(len(t) for t in self.tests)
+            if top > cap:
+                raise EnumerationCapExceeded("events", cap, top)
+        masks = self._event_mask_list(cap)
+        if len(masks) > cap:
+            raise EnumerationCapExceeded("events", cap, len(masks))
+        if self._events_cache is None:
+            self._events_cache = [mask_event(m) for m in masks]
+        return self._events_cache
+
+    def _event_mask_list(self, limit: int) -> list[int]:
+        """All event masks in enumeration order, or the first ``limit + 1``.
+
+        A list longer than ``limit`` means there are more than ``limit``
+        events; only a complete list is cached.
+        """
+        if self._event_masks is not None:
+            return self._event_masks
+        seen: dict[int, None] = {}
+        for test in self._test_masks:
+            for a in _submasks(test):
+                if a not in seen:
+                    seen[a] = None
+                    if len(seen) > limit:
+                        return list(seen)
+        self._event_masks = list(seen)
+        return self._event_masks
 
     # -- orthogonality, complements, perspectivity -------------------------------
 
@@ -211,27 +268,42 @@ class TestSpace:
         a = frozenset(a)
         got = self._perp_cache.get(a)
         if got is None:
-            got = frozenset(range(self.n_outcomes))
-            for x in a:
-                got &= self.orth[x]
+            got = mask_event(self._perp_mask(_mask(a)))
             self._perp_cache[a] = got
         return got
 
-    def _complement_buckets(self, cap: int | None = None) -> dict[frozenset, list[frozenset]]:
-        """Map each complement event to the list of events it complements."""
-        counter = CapCounter("complement buckets", cap)
+    def _perp_mask(self, a: int) -> int:
+        """Mask form of :meth:`orthocomplement`."""
+        got = self._perp_masks.get(a)
+        if got is None:
+            got = (1 << self.n_outcomes) - 1
+            for x in _ids(a):
+                got &= self._orth_masks[x]
+            self._perp_masks[a] = got
+        return got
+
+    def _complement_index(
+        self, cap: int | None = None
+    ) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
+        """Complement mask -> event masks it complements, and event mask -> its complements.
+
+        Built by one submask pass per test and cached.  Buckets and their
+        members appear in event enumeration order, which fixes the witness a
+        predicate reports.  The cap bounds the pass length, sum of 2^|t|.
+        """
+        cap = resolve_cap(cap)
         total = sum(2 ** len(t) for t in self.tests)
-        if total > counter.cap:
-            counter.tick(total)
-        buckets: dict[frozenset, list[frozenset]] = {}
-        for t in self.tests:
-            members = sorted(t)
-            for r in range(len(members) + 1):
-                for combo in combinations(members, r):
-                    counter.tick()
-                    a = frozenset(combo)
-                    buckets.setdefault(t - a, []).append(a)
-        return buckets
+        if total > cap:
+            raise EnumerationCapExceeded("complement buckets", cap, total)
+        if self._comp_index is None:
+            buckets: dict[int, list[int]] = defaultdict(list)
+            comps: dict[int, set[int]] = defaultdict(set)
+            for test in self._test_masks:
+                for a in _submasks(test):
+                    buckets[test ^ a].append(a)
+                    comps[a].add(test ^ a)
+            self._comp_index = (buckets, comps)
+        return self._comp_index
 
     # -- structural predicates ----------------------------------------------------
 
@@ -242,45 +314,54 @@ class TestSpace:
         complement sets.  Witness on failure is a triple (a, b, c) with
         a ~ b, b oc c but not a oc c.
         """
-        for evs in self._complement_buckets(cap).values():
-            key0 = None
-            for b in evs:
-                kb = frozenset(self.complements(b))
-                if key0 is None:
-                    key0 = kb
-                    first = b
-                elif kb != key0:
+        buckets, comps = self._complement_index(cap)
+        for evs in buckets.values():
+            first = evs[0]
+            key0 = comps[first]
+            for i in range(1, len(evs)):
+                b = evs[i]
+                kb = comps[b]
+                if kb != key0:
                     if kb - key0:
                         a, bb, extra = first, b, kb - key0
                     else:
                         a, bb, extra = b, first, key0 - kb
-                    return PredicateResult(False, (a, bb, min(extra, key=event_key)))
+                    c = min(map(mask_event, extra), key=event_key)
+                    return PredicateResult(False, (mask_event(a), mask_event(bb), c))
         return PredicateResult(True)
 
     def coherent(self, cap: int | None = None) -> PredicateResult:
-        """Events inside an event's orthocomplement are orthogonal to it."""
-        evs = self.events_list(cap)
-        counter = CapCounter("coherence pairs", cap)
-        counter.tick(len(evs) * len(evs))
-        for b in sorted(evs, key=event_key):
-            if not b:
-                continue
-            perp = self.orthocomplement(b)
-            for a in sorted(evs, key=event_key):
-                if a and a <= perp and not self.events_orthogonal(a, b):
-                    return PredicateResult(False, (a, b))
+        """Events inside an event's orthocomplement are orthogonal to it.
+
+        The scan compares every pair of events, so it needs E^2 <= cap for E
+        events; enumeration stops as soon as isqrt(cap) + 1 events are seen.
+        """
+        cap = resolve_cap(cap)
+        limit = isqrt(cap)
+        masks = self._event_mask_list(limit)
+        if len(masks) > limit:
+            raise EnumerationCapExceeded("coherence pairs", cap, (limit + 1) ** 2)
+        is_event = set(masks)
+        evs = sorted(filter(None, masks), key=_ids)
+        for b in evs:
+            perp = self._perp_mask(b)
+            for a in evs:
+                # a inside b's orthocomplement is disjoint from b, so a and b
+                # are orthogonal exactly when their union is an event
+                if a & perp == a and a | b not in is_event:
+                    return PredicateResult(False, (mask_event(a), mask_event(b)))
         return PredicateResult(True)
 
     def regular(self, cap: int | None = None) -> PredicateResult:
         """Perspective events have equal orthocomplements."""
-        for evs in self._complement_buckets(cap).values():
-            p0 = None
-            for b in evs:
-                pb = self.orthocomplement(b)
-                if p0 is None:
-                    p0, first = pb, b
-                elif pb != p0:
-                    return PredicateResult(False, (first, b))
+        buckets, _ = self._complement_index(cap)
+        for evs in buckets.values():
+            if len(evs) == 1:
+                continue
+            p0 = self._perp_mask(evs[0])
+            for i in range(1, len(evs)):
+                if self._perp_mask(evs[i]) != p0:
+                    return PredicateResult(False, (mask_event(evs[0]), mask_event(evs[i])))
         return PredicateResult(True)
 
     def projective(self) -> PredicateResult:
@@ -314,8 +395,9 @@ class TestSpace:
         """
         if sum(2 ** len(t) for t in self.tests) > work_cap:
             return None
-        for evs in self._complement_buckets(cap=work_cap).values():
-            hit = [bool(a & s) for a in evs]
+        sm = _mask(s)
+        for evs in self._complement_index(work_cap)[0].values():
+            hit = [bool(a & sm) for a in evs]
             if any(hit) and not all(hit):
                 return False
         return True
@@ -400,10 +482,6 @@ class ClosedSetLattice:
 
     def leq(self, a: frozenset, b: frozenset) -> bool:
         return a <= b
-
-    @property
-    def bottom(self) -> frozenset:
-        return self.closure(frozenset())
 
     @property
     def top(self) -> frozenset:

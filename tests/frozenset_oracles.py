@@ -1,0 +1,103 @@
+"""Frozenset reference implementations of the test-space predicates.
+
+These are the straightforward event-by-event versions of ``events``,
+the complement buckets, ``algebraic``, ``regular`` and ``coherent``.  The
+library decides the same questions on integer bitmasks; the oracle tests
+require both to agree on verdict, witness and whether the cap is exceeded.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from orthokit.errors import CapCounter
+from orthokit.testspace import PredicateResult, event_key
+
+
+def events(space, cap=None):
+    """All events, each exactly once, the empty event included."""
+    counter = CapCounter("events", cap)
+    if space.tests and 2 ** max(len(t) for t in space.tests) > counter.cap:
+        counter.tick(counter.cap + 1)
+    seen = set()
+    for t in space.tests:
+        members = sorted(t)
+        for r in range(len(members) + 1):
+            for combo in combinations(members, r):
+                a = frozenset(combo)
+                if a in seen:
+                    continue
+                counter.tick()
+                seen.add(a)
+                yield a
+
+
+def complements(space, a):
+    return tuple(sorted((t - a for t in space.tests if a <= t), key=event_key))
+
+
+def orthocomplement(space, a):
+    got = frozenset(range(space.n_outcomes))
+    for x in a:
+        got &= space.orth[x]
+    return got
+
+
+def complement_buckets(space, cap=None):
+    """Map each complement event to the list of events it complements."""
+    counter = CapCounter("complement buckets", cap)
+    total = sum(2 ** len(t) for t in space.tests)
+    if total > counter.cap:
+        counter.tick(total)
+    buckets = {}
+    for t in space.tests:
+        members = sorted(t)
+        for r in range(len(members) + 1):
+            for combo in combinations(members, r):
+                counter.tick()
+                a = frozenset(combo)
+                buckets.setdefault(t - a, []).append(a)
+    return buckets
+
+
+def algebraic(space, cap=None):
+    for evs in complement_buckets(space, cap).values():
+        key0 = None
+        for b in evs:
+            kb = frozenset(complements(space, b))
+            if key0 is None:
+                key0 = kb
+                first = b
+            elif kb != key0:
+                if kb - key0:
+                    a, bb, extra = first, b, kb - key0
+                else:
+                    a, bb, extra = b, first, key0 - kb
+                return PredicateResult(False, (a, bb, min(extra, key=event_key)))
+    return PredicateResult(True)
+
+
+def coherent(space, cap=None):
+    evs = list(events(space, cap))
+    counter = CapCounter("coherence pairs", cap)
+    counter.tick(len(evs) * len(evs))
+    for b in sorted(evs, key=event_key):
+        if not b:
+            continue
+        perp = orthocomplement(space, b)
+        for a in sorted(evs, key=event_key):
+            if a and a <= perp and not space.events_orthogonal(a, b):
+                return PredicateResult(False, (a, b))
+    return PredicateResult(True)
+
+
+def regular(space, cap=None):
+    for evs in complement_buckets(space, cap).values():
+        p0 = None
+        for b in evs:
+            pb = orthocomplement(space, b)
+            if p0 is None:
+                p0, first = pb, b
+            elif pb != p0:
+                return PredicateResult(False, (first, b))
+    return PredicateResult(True)

@@ -1,9 +1,15 @@
 """Forward products and truncated compounding: structure, states, algebras."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import orthokit
 from orthokit.errors import (
     HypothesisUnmet,
     NotAMorphism,
@@ -41,6 +47,24 @@ from orthokit.morphisms import identity_morphism, validate_morphism
 from orthokit.quantum import classical_model
 from orthokit.states import Weight, full_model, generator_model
 from orthokit.testspace import build_test_space
+
+# Corpus models whose compound and forward square cover every property
+# checked, one skipped over the cap, and failed premises.
+PRESERVATION_SAMPLE = (14, 35, 42)
+OPTIMIZED_REPORTS = """
+import json
+from orthokit.compounding import preservation_compound, preservation_forward
+from orthokit.corpus import corpus_models
+
+assert False, "this script must run with asserts stripped"
+models = list(corpus_models(6, 3))
+out = []
+for i in {sample}:
+    for rep in (preservation_compound(models[i], 2, cap=100_000),
+                preservation_forward(models[i], models[i], cap=100_000)):
+        out.append([rep.construction, rep.properties, rep.skipped])
+print(json.dumps(out))
+"""
 
 
 def tree_tests(base_tests, depth):
@@ -424,6 +448,25 @@ class TestPreservation:
             unital, su = forward_unitality(fp)
             assert unital == _pool_unital(fp.model, pool)
             assert su == _pool_strongly_unital(fp.model, pool)
+
+    def test_reports_identical_under_optimize(self):
+        """Witness re-verification raises instead of asserting, so -O changes nothing."""
+        script = OPTIMIZED_REPORTS.format(sample=list(PRESERVATION_SAMPLE))
+        src = str(Path(orthokit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        models = list(corpus_models(6, 3))
+        want = []
+        for i in PRESERVATION_SAMPLE:
+            for rep in (
+                preservation_compound(models[i], 2, cap=100_000),
+                preservation_forward(models[i], models[i], cap=100_000),
+            ):
+                want.append([rep.construction, rep.properties, rep.skipped])
+        assert json.loads(proc.stdout) == json.loads(json.dumps(want))
 
 
 class TestMoreTransport:

@@ -285,3 +285,13 @@ def test_cap_env_override(tmp_path):
 
 def test_main_entry_usage_error():
     assert main(["transform", wright_path(), "product"]) == 2
+
+
+def test_negative_env_cap_is_a_usage_error(monkeypatch):
+    from orthokit.errors import UsageError, resolve_cap
+
+    monkeypatch.setenv("ORTHOKIT_CAP", "-5")
+    with pytest.raises(UsageError):
+        resolve_cap()
+    assert resolve_cap(7) == 7  # an explicit cap still wins
+    assert main(["check", wright_path(), "--coherent"]) == 2

@@ -96,8 +96,17 @@ class TestEvents:
 
     def test_cap(self):
         s = build_test_space([[f"o{i}" for i in range(20)]])
-        with pytest.raises(EnumerationCapExceeded):
+        with pytest.raises(EnumerationCapExceeded) as err:
             list(s.events(cap=1000))
+        assert (err.value.what, err.value.bound, err.value.cap) == ("events", 2**20, 1000)
+        assert str(err.value) == "events: needs ≥ 1048576, enumeration exceeds cap 1000"
+
+    def test_cached_list_still_honours_cap(self, wright):
+        assert len(wright.events_list(cap=10)) == 10
+        with pytest.raises(EnumerationCapExceeded) as err:
+            wright.events_list(cap=9)
+        assert err.value.bound == 10
+        assert wright.events_list(cap=None) is wright.events_list(cap=10)
 
     def test_orthogonal_events(self, wright):
         assert wright.events_orthogonal(ev(wright, "x"), ev(wright, "y"))
@@ -176,6 +185,25 @@ class TestPredicates:
             assert s.is_perspective(a, b)
             assert s.complementary(b, c)
             assert not s.complementary(a, c)
+
+    def test_bounds_fail_before_enumeration(self):
+        # 10 events: the coherence scan needs 100 pairs, the complement
+        # index 2^3 + 2^2 = 12 subsets
+        wright = build_test_space([["x", "y", "z"], ["q", "z"]])
+        with pytest.raises(EnumerationCapExceeded) as err:
+            wright.coherent(cap=99)
+        assert (err.value.what, err.value.bound) == ("coherence pairs", 100)
+        assert wright._event_masks is None  # stopped at isqrt(99) + 1 = 10 events
+        assert wright.coherent(cap=100)
+        with pytest.raises(EnumerationCapExceeded) as err:
+            wright.coherent(cap=81)
+        assert err.value.bound == 100  # (isqrt(81) + 1)^2, from the cached list
+        for name in ("algebraic", "regular"):
+            with pytest.raises(EnumerationCapExceeded) as err:
+                getattr(wright, name)(cap=11)
+            assert (err.value.what, err.value.bound) == ("complement buckets", 12)
+        assert wright._comp_index is None
+        assert wright.algebraic(cap=12) and wright.regular(cap=12)
 
     def test_coherent_regular_iff_algebraic_on_corpus(self):
         for space in enumerate_test_spaces(6, 3):

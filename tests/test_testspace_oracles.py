@@ -1,0 +1,155 @@
+"""The bitmask predicates agree with the frozenset oracles in ``frozenset_oracles``.
+
+For every input the two sides must give the same verdict, the same witness
+and the same raise-or-not at the caps that sit on each side of the bounds:
+E^2 - 1 and E^2 (the coherence pair bound, E the number of events) and
+sum(2^|t|) - 1 (the complement-index bound).  ``events_list`` is compared at
+E - 1, E and 2^max|t| - 1.  Inputs are the whole corpus, the depth-2
+compounds and forward squares of the corpus whose oracle run stays under
+the work budgets below, and random small spaces.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import frozenset_oracles as oracle
+from orthokit.compounding import forward_product, truncated_compound
+from orthokit.corpus import corpus_models, enumerate_test_spaces
+from orthokit.errors import EnumerationCapExceeded
+from orthokit import testspace
+
+PREDICATES = ("algebraic", "regular", "coherent")
+# Work budgets for the frozenset oracles on constructed spaces: the
+# complement-index pass (sum of 2^|t|) and the coherence pair scan (E^2).
+INDEX_BUDGET = 20_000
+PAIR_BUDGET = 1_000_000
+BUILD_CAP = 100_000
+
+
+def outcome(call, cap):
+    try:
+        got = call(cap)
+        return (got.holds, got.witness) if hasattr(got, "holds") else list(got)
+    except EnumerationCapExceeded:
+        return "cap exceeded"
+
+
+def bounds(space):
+    n_events = len(list(oracle.events(space, 10**12)))
+    index = sum(2 ** len(t) for t in space.tests)
+    return n_events, index
+
+
+def predicate_caps(n_events, index):
+    return (n_events**2 - 1, n_events**2, index - 1)
+
+
+def oracle_outcomes(space, name, caps):
+    """The oracle at each cap, ascending.
+
+    The oracle raises only when a count exceeds the cap and otherwise does
+    not read it, so once it answers at one cap it answers the same at every
+    larger cap; that saves repeating a full run.
+    """
+    fn = getattr(oracle, name)
+    out, answer = {}, None
+    for cap in sorted(set(caps)):
+        if answer is None:
+            got = outcome(lambda c: fn(space, c), cap)
+            if got != "cap exceeded":
+                answer = got
+            out[cap] = got
+        else:
+            out[cap] = answer
+    return out
+
+
+def assert_agrees(space, name, caps):
+    want = oracle_outcomes(space, name, caps)
+    # a fresh copy sees ascending caps (uncached, then cached), then the same
+    # copy sees them descending, so a cached result must still raise
+    fresh = testspace.TestSpace(space.labels, space.tests)
+    method = getattr(fresh, name if name != "events" else "events_list")
+    for cap in sorted(want) + sorted(want, reverse=True):
+        assert outcome(method, cap) == want[cap], (repr(space), name, cap)
+
+
+def check_space(space, predicates=PREDICATES):
+    n_events, index = bounds(space)
+    top = 2 ** max(len(t) for t in space.tests)
+    assert_agrees(space, "events", (n_events - 1, n_events, top - 1))
+    for name in predicates:
+        assert_agrees(space, name, predicate_caps(n_events, index))
+
+
+CORPUS = list(enumerate_test_spaces(6, 3))
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_space_matches_oracle(index):
+    check_space(CORPUS[index])
+
+
+@lru_cache(maxsize=None)
+def constructed_spaces():
+    """Depth-2 compounds and forward squares of the corpus within the index budget."""
+    out = []
+    for model in corpus_models(6, 3):
+        for built in (truncated_compound(model, 2, BUILD_CAP), forward_product(model, model, BUILD_CAP)):
+            space = built.model.space
+            if sum(2 ** len(t) for t in space.tests) <= INDEX_BUDGET:
+                out.append(space)
+    return out
+
+
+def test_constructed_spaces_match_oracle():
+    checked = {name: 0 for name in PREDICATES}
+    for space in constructed_spaces():
+        n_events, _ = bounds(space)
+        names = [n for n in PREDICATES if n != "coherent" or n_events**2 <= PAIR_BUDGET]
+        check_space(space, names)
+        for n in names:
+            checked[n] += 1
+    assert len(constructed_spaces()) >= 70
+    assert checked["coherent"] >= 25
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_constructed_spaces_any_cap(data):
+    """Raise-or-not and the answer agree at arbitrary caps, not just at the bounds."""
+    space = data.draw(st.sampled_from(constructed_spaces()))
+    n_events, index = bounds(space)
+    names = [n for n in PREDICATES if n != "coherent" or n_events <= 400]
+    name = data.draw(st.sampled_from(names))
+    top = n_events**2 if name == "coherent" else index
+    cap = data.draw(st.integers(min_value=0, max_value=top + 2))
+    assert_agrees(space, name, (cap,))
+
+
+@st.composite
+def random_spaces(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    masks = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=5)
+    )
+    family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
+    used = sorted({x for m in family for x in range(n) if m >> x & 1})
+    new_id = {x: i for i, x in enumerate(used)}
+    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
+    return testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
+
+
+@given(random_spaces())
+@settings(max_examples=150, deadline=None)
+def test_random_space_matches_oracle(space):
+    check_space(space)
+
+
+@given(random_spaces(), st.integers(min_value=0, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_random_space_any_cap(space, cap):
+    for name in ("events",) + PREDICATES:
+        assert_agrees(space, name, (cap,))
