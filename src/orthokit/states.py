@@ -108,7 +108,7 @@ class Model:
     by a construction that preserves it, and cached.
     """
 
-    __slots__ = ("space", "states", "exact", "tol", "_rows")
+    __slots__ = ("space", "states", "exact", "tol", "_rows", "_witnesses")
 
     def __init__(
         self,
@@ -123,6 +123,8 @@ class Model:
         self.exact = exact
         self.tol = DEFAULT_FLOAT_TOL if (tol is None and not exact) else (tol or 0.0)
         self._rows = None
+        # witness states of the predicates below, in insertion order
+        self._witnesses: dict[tuple[Fraction, ...], None] = {}
         if states.kind == GENERATORS:
             for g in states.generators:
                 self._validate_weight(g)
@@ -300,17 +302,42 @@ class Model:
         return True
 
     # -- state-dependent predicates ---------------------------------------------------
+    #
+    # Every optimal point of these LPs is kept on the model as a witness
+    # state (its exact outcome weights).  A witness is a feasible point of
+    # each later query's LP, so it bounds that optimum from below: a scan hit
+    # says "holds" only where the LP would, and every failure comes from an LP.
+
+    def _indicator(self, x: int) -> list[Fraction]:
+        obj = [ZERO] * self.space.n_outcomes
+        obj[x] = Fraction(1)
+        return obj
+
+    def _solve_keeping_witness(self, objective, fix=()) -> tuple[LPResult, tuple | None]:
+        res = self.optimize_over_states(objective, fix=fix)
+        if not res.optimal:
+            return res, None
+        if self.states.is_full:
+            w = tuple(res.x[: self.space.n_outcomes])
+        else:
+            gens = self.states.generators
+            w = tuple(
+                sum((lam * self._rationalize(g[x]) for lam, g in zip(res.x, gens) if lam), ZERO)
+                for x in range(self.space.n_outcomes)
+            )
+        self._witnesses[w] = None
+        return res, w
 
     def positivity_failures(self) -> list[int]:
         dead = []
         for x in range(self.space.n_outcomes):
-            if self.states.is_full:
-                obj = [ZERO] * self.space.n_outcomes
-                obj[x] = Fraction(1)
-                res = self.optimize_over_states(obj)
-                ok = res.optimal and res.value > 0
-            else:
+            if not self.states.is_full:
                 ok = any(float(g[x]) > 0 for g in self.states.generators)
+            elif any(w[x] > 0 for w in self._witnesses):
+                ok = True
+            else:
+                res, _ = self._solve_keeping_witness(self._indicator(x))
+                ok = res.optimal and res.value > 0
             if not ok:
                 dead.append(x)
         return dead
@@ -322,15 +349,14 @@ class Model:
     def check_unital(self) -> StateReport:
         """Every outcome is certain under some state."""
         failures = []
-        n = self.space.n_outcomes
-        for x in range(n):
-            if self.states.is_full:
-                obj = [ZERO] * n
-                obj[x] = Fraction(1)
-                res = self.optimize_over_states(obj)
-                ok = res.optimal and self._eq_float_ok(res.value, 1)
-            else:
+        for x in range(self.space.n_outcomes):
+            if not self.states.is_full:
                 ok = any(self._eq(g[x], 1) for g in self.states.generators)
+            elif any(self._eq_float_ok(w[x], 1) for w in self._witnesses):
+                ok = True
+            else:
+                res, _ = self._solve_keeping_witness(self._indicator(x))
+                ok = res.optimal and self._eq_float_ok(res.value, 1)
             if not ok:
                 failures.append(x)
         return StateReport("unital", not failures, tuple(failures))
@@ -344,14 +370,30 @@ class Model:
         """
         failures = []
         n = self.space.n_outcomes
+        floor = 0 if self.exact else self.tol
+        slack = Fraction(self.tol)
+
+        def pinned(v) -> bool:
+            return v == 1 if self.exact else abs(v - 1) <= slack
+
         for x in range(n):
+            certain = [w for w in self._witnesses if pinned(w[x])]
+            pin_infeasible = False
             for y in range(n):
                 if x != y and self.space.orthogonal(x, y):
                     continue
-                obj = [ZERO] * n
-                obj[y] = Fraction(1)
-                res = self.optimize_over_states(obj, fix=[(x, 1)])
-                ok = res.optimal and float(res.value) > (0 if self.exact else self.tol)
+                if any(float(w[y]) > floor for w in certain):
+                    continue
+                ok = False
+                # Phase 1 never reads the objective, so once the pin on x is
+                # infeasible every remaining pair of x fails without an LP.
+                if not pin_infeasible:
+                    res, w = self._solve_keeping_witness(self._indicator(y), fix=[(x, 1)])
+                    pin_infeasible = res.status == "infeasible"
+                    if w is not None:
+                        if pinned(w[x]):
+                            certain.append(w)
+                        ok = float(res.value) > floor
                 if not ok:
                     failures.append((x, y))
         return StateReport("strongly_unital", not failures, tuple(failures))
