@@ -93,16 +93,25 @@ class PredicateResult:
 def _is_antichain(sets: Iterable[frozenset]) -> tuple[frozenset, frozenset] | None:
     """Return a violating (small, large) pair, or None if an antichain.
 
-    Works on bitmasks so large families stay cheap; only strictly smaller
-    sets can be proper subsets, so equal-size pairs are never compared.
+    Sets are sorted by size, then lexicographically; the pair is the first
+    set with a proper superset and the lowest such superset after it.  The
+    supersets of a set are the AND of its members' bitsets of set indices
+    (every index for the empty set); only later indices can be proper
+    supersets, because equal sets are merged and equal sizes cannot nest.
     """
     family = sorted(set(sets), key=lambda s: (len(s), event_key(s)))
-    masks = [_mask(s) for s in family]
-    for i, small in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            large = masks[j]
-            if small != large and small & large == small:
-                return family[i], family[j]
+    holders: dict[int, int] = {}
+    for j, s in enumerate(family):
+        for x in s:
+            holders[x] = holders.get(x, 0) | 1 << j
+    everything = (1 << len(family)) - 1
+    for i, s in enumerate(family):
+        sup = everything
+        for x in s:
+            sup &= holders[x]
+        sup >>= i + 1
+        if sup:
+            return family[i], family[i + (sup & -sup).bit_length()]
     return None
 
 

@@ -1,9 +1,10 @@
 """Frozenset reference implementations of the test-space predicates.
 
 These are the straightforward event-by-event versions of ``events``,
-the complement buckets, ``algebraic``, ``regular`` and ``coherent``.  The
-library decides the same questions on integer bitmasks; the oracle tests
-require both to agree on verdict, witness and whether the cap is exceeded.
+the complement buckets, ``algebraic``, ``regular`` and ``coherent``, and the
+pairwise antichain scan.  The library decides the same questions on integer
+bitmasks; the oracle tests require both to agree on verdict, witness and
+whether the cap is exceeded.
 """
 
 from __future__ import annotations
@@ -101,3 +102,13 @@ def regular(space, cap=None):
             elif pb != p0:
                 return PredicateResult(False, (first, b))
     return PredicateResult(True)
+
+
+def is_antichain(sets):
+    """The first (small, large) proper-subset pair in size-then-lexicographic order."""
+    family = sorted(set(sets), key=lambda s: (len(s), event_key(s)))
+    for i, small in enumerate(family):
+        for large in family[i + 1 :]:
+            if small < large:
+                return small, large
+    return None

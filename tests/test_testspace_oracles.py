@@ -6,7 +6,9 @@ E^2 - 1 and E^2 (the coherence pair bound, E the number of events) and
 sum(2^|t|) - 1 (the complement-index bound).  ``events_list`` is compared at
 E - 1, E and 2^max|t| - 1.  Inputs are the whole corpus, the depth-2
 compounds and forward squares of the corpus whose oracle run stays under
-the work budgets below, and random small spaces.
+the work budgets below, and random small spaces.  ``_is_antichain`` must
+return the oracle's (small, large) pair on test families, their traces on
+outcome subsets, and random set families.
 """
 
 from functools import lru_cache
@@ -153,3 +155,43 @@ def test_random_space_matches_oracle(space):
 def test_random_space_any_cap(space, cap):
     for name in ("events",) + PREDICATES:
         assert_agrees(space, name, (cap,))
+
+
+# -- the antichain scan -------------------------------------------------------------
+
+
+def trace_families(space):
+    """The test family itself, then the traces {t & S} for every outcome subset S."""
+    yield space.tests
+    n = space.n_outcomes
+    for m in range(1 << n):
+        s = frozenset(x for x in range(n) if m >> x & 1)
+        yield [t & s for t in space.tests]
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_antichain_matches_oracle(index):
+    for family in trace_families(CORPUS[index]):
+        assert testspace._is_antichain(family) == oracle.is_antichain(family)
+
+
+def test_constructed_antichain_matches_oracle():
+    violations = 0
+    for space in constructed_spaces():
+        tests = space.tests
+        half = frozenset(range(0, space.n_outcomes, 2))
+        for family in (tests, [t & half for t in tests], tests + (tests[-1] & half,)):
+            want = oracle.is_antichain(family)
+            assert testspace._is_antichain(family) == want, repr(space)
+            violations += want is not None
+    assert violations >= len(constructed_spaces())
+
+
+@given(
+    st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=7), max_size=6), max_size=12
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_random_family_antichain_matches_oracle(family):
+    assert testspace._is_antichain(family) == oracle.is_antichain(family)
