@@ -1031,8 +1031,9 @@ def forward_unitality(fp: ForwardProduct, left_wit=None, right_wit=None):
     return unital_ok, su_ok and unital_ok
 
 
-def _preservation(construction, inputs: list[Model], output: Model, cap, unitality):
-    in_props = [_model_properties(m, cap) for m in inputs]
+def _preservation(construction, inputs: list[_BaseWitnesses], output: Model, cap, unitality):
+    # a square passes the same witnesses twice; its properties are read once
+    in_props = [_model_properties(w.model, cap, w) for w in dict.fromkeys(inputs)]
     unital_got, su_got = unitality
     props = {}
     skipped = []
@@ -1065,8 +1066,10 @@ def preservation_forward(
     left: Model, right: Model, cap: int | None = None
 ) -> PreservationReport:
     fp = forward_product(left, right, cap)
+    lw = _BaseWitnesses(left)
+    rw = lw if right is left else _BaseWitnesses(right)
     return _preservation(
-        "forward product", [left, right], fp.model, cap, forward_unitality(fp)
+        "forward product", [lw, rw], fp.model, cap, forward_unitality(fp, lw, rw)
     )
 
 
@@ -1074,6 +1077,7 @@ def preservation_compound(
     model: Model, depth: int, cap: int | None = None
 ) -> PreservationReport:
     tc = truncated_compound(model, depth, cap)
+    wit = _BaseWitnesses(model)
     return _preservation(
-        f"compound depth {depth}", [model], tc.model, cap, compound_unitality(tc)
+        f"compound depth {depth}", [wit], tc.model, cap, compound_unitality(tc, wit)
     )

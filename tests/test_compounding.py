@@ -424,6 +424,27 @@ class TestPreservation:
         rep = preservation_compound(binary, 2)
         assert rep.verified("unital") and rep.verified("algebraic")
 
+    def test_base_witnesses_built_once_per_call(self, binary, monkeypatch):
+        from orthokit import compounding
+
+        built = []
+
+        class Counting(compounding._BaseWitnesses):
+            def __init__(self, model, *args, **kwargs):
+                built.append(model)
+                super().__init__(model, *args, **kwargs)
+
+        monkeypatch.setattr(compounding, "_BaseWitnesses", Counting)
+        wright = named("wright")
+        preservation_forward(binary, binary)
+        assert built == [binary]  # one set of witnesses serves both sides
+        built.clear()
+        preservation_forward(binary, wright)
+        assert built == [binary, wright]
+        built.clear()
+        preservation_compound(wright, 2)
+        assert built == [wright]
+
     def test_vacuous_strong_unitality_gated(self):
         loops = full_model(build_test_space([["a", "b"], ["a", "c"], ["b", "c"]]))
         rep = preservation_compound(loops, 2)
