@@ -342,10 +342,6 @@ class Model:
                 dead.append(x)
         return dead
 
-    def check_positive(self) -> StateReport:
-        dead = self.positivity_failures()
-        return StateReport("positive", not dead, tuple(dead))
-
     def check_unital(self) -> StateReport:
         """Every outcome is certain under some state."""
         failures = []
