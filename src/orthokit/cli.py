@@ -280,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Workbench for finite test spaces and probabilistic models.",
     )
     parser.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker count (reserved; current build is serial)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="evaluate structural predicates")
