@@ -38,7 +38,7 @@ from .interference import (
 from .logic import atomic_outcomes, build_logic
 from .states import Model
 
-PRESETS = {"qubit-mz": "qubit-mz", "spin1": "spin1", "spin32": "spin32"}
+PRESETS = ("qubit-mz", "spin1", "spin32")
 
 CHECK_FLAGS = ("algebraic", "coherent", "regular", "projective", "unital", "strongly_unital")
 
@@ -50,7 +50,7 @@ def _emit(report: dict, summary: str) -> None:
 
 def _load(path: str) -> DocumentBundle:
     if path in PRESETS:
-        ref = resources.files("orthokit").joinpath("fixtures", f"{PRESETS[path]}.json")
+        ref = resources.files("orthokit").joinpath("fixtures", f"{path}.json")
         with resources.as_file(ref) as real:
             return load_document(str(real))
     return load_document(path)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.set_defaults(fn=cmd_laws)
 
     p_int = sub.add_parser("interference", help="scan for interference witnesses")
-    p_int.add_argument("path", help=f"document path or preset: {sorted(PRESETS)}")
+    p_int.add_argument("path", help=f"document path or preset: {list(PRESETS)}")
     p_int.add_argument("--tolerance", type=float, default=None)
     p_int.set_defaults(fn=cmd_interference)
     return parser
