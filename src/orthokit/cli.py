@@ -23,11 +23,9 @@ from .document import (
     load_document,
 )
 from .errors import (
-    EnumerationCapExceeded,
     MissingStructure,
     NotSequential,
     OrthokitError,
-    ParseError,
     UsageError,
 )
 from .interference import (
@@ -322,9 +320,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, MissingStructure, EnumerationCapExceeded, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OrthokitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
