@@ -23,7 +23,9 @@ from .document import (
     load_document,
 )
 from .errors import (
+    LawViolation,
     MissingStructure,
+    NotGAlgebra,
     NotSequential,
     OrthokitError,
     UsageError,
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (LawViolation, NotGAlgebra) as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 1
     except OrthokitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

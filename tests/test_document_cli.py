@@ -17,9 +17,10 @@ from orthokit.document import (
     load_document,
     save_document,
 )
-from orthokit.errors import MissingStructure, ParseError
+from orthokit import cli
+from orthokit.errors import LawViolation, MissingStructure, NotGAlgebra, ParseError
 from orthokit.cli import main
-from orthokit.corpus import named
+from orthokit.corpus import corpus_models, named
 
 
 def fixture_paths():
@@ -268,6 +269,53 @@ class TestInterferenceCommand:
             code, out, _ = run_cli(["interference", preset])
             assert code == 0
             assert json.loads(out)
+
+
+class TestExitCodes:
+    """The README contract: 1 for a violated law; 2 for usage, parse, cap and
+    structural errors such as asking for the logic of a non-algebraic space."""
+
+    @pytest.mark.parametrize(
+        "suite, entry, error",
+        [
+            ("sharp-monad", "check_monad_laws_sharp", LawViolation("left unit triangle fails")),
+            ("distributive", "check_distributive_diagrams", LawViolation("coarse unit triangle fails")),
+            ("g-algebra", "validate_g_algebra", NotGAlgebra("collapse is not multiplicative over the product")),
+        ],
+    )
+    def test_law_violation_exits_one(self, suite, entry, error, monkeypatch, capsys):
+        def violated(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, entry, violated)
+        assert main(["laws", classical_path(), suite]) == 1
+        assert str(error) in capsys.readouterr().err
+
+    def test_sequential_violation_exits_one(self, tmp_path, capsys):
+        doc = json.loads(Path(classical_path()).read_text(encoding="utf-8"))
+        del doc["product"]["table"][0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["laws", str(broken), "sequential"]) == 1
+        assert json.loads(capsys.readouterr().out)["holds"] is False
+
+    def test_logic_of_non_algebraic_space_exits_two(self, tmp_path):
+        model = next(m for m in corpus_models(6, 3) if not m.space.algebraic())
+        path = tmp_path / "non-algebraic.json"
+        save_document(DocumentBundle(model), str(path))
+        assert main(["transform", str(path), "logic"]) == 2
+
+    def test_cap_exceeded_exits_two_and_names_the_cap(self, capsys):
+        single3 = next(p for p in FIXTURES if p.endswith("single3.json"))
+        assert main(["--cap", "2", "laws", single3, "sharp-monad"]) == 2
+        # perfbench's cli-cold workload counts cap skips by this phrase
+        assert "enumeration exceeds cap" in capsys.readouterr().err
+
+    def test_parse_and_usage_errors_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["check", str(bad)]) == 2
+        assert main(["laws", classical_path(), "no-such-suite"]) == 2
 
 
 def test_cap_env_override(tmp_path):
