@@ -386,10 +386,9 @@ class Model:
                 if not pin_infeasible:
                     res, w = self._solve_keeping_witness(self._indicator(y), fix=[(x, 1)])
                     pin_infeasible = res.status == "infeasible"
+                    ok = res.optimal and float(res.value) > floor
                     if w is not None:
-                        if pinned(w[x]):
-                            certain.append(w)
-                        ok = float(res.value) > floor
+                        certain.append(w)  # the LP enforced the pin
                 if not ok:
                     failures.append((x, y))
         return StateReport("strongly_unital", not failures, tuple(failures))
