@@ -1,5 +1,6 @@
 """Document round trips and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -343,3 +344,33 @@ def test_negative_env_cap_is_a_usage_error(monkeypatch):
         resolve_cap()
     assert resolve_cap(7) == 7  # an explicit cap still wins
     assert main(["check", wright_path(), "--coherent"]) == 2
+
+
+def fixture_path(name):
+    return next(p for p in FIXTURES if Path(p).stem == name)
+
+
+# SHA-256 of the transform output, recorded before compounds were built by the
+# tower recursion; any change in tests, order, labels or generators shows here.
+TRANSFORM_DIGESTS = [
+    (("wright", "compound", "--depth", "2"),
+     "0552733bafad8998b27dc200c5b80f92fcb42d9b8496fecf9321873b25da41e5"),
+    (("classical3", "compound", "--depth", "2"),
+     "0a8e8357e31bd3b44aceb48e9333f0f58827d4e4dbcd67ebda9858ddf3f09bbc"),
+    (("qubit-zx", "compound", "--depth", "2"),
+     "044da9f686c2cc4eb6e89a5375939638633ecc8d54909095ab78d21363aac699"),
+    (("wright", "product", "wright"),
+     "4464ec20a5b04f8f29d92e37c419a58f2a64929b9a985b6764fa785d58d74ad1"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", TRANSFORM_DIGESTS, ids=["-".join(a[:2]) for a, _ in TRANSFORM_DIGESTS]
+)
+def test_transform_output_is_byte_stable(args, digest, capsys):
+    name, kind, *rest = args
+    if kind == "product":
+        rest = [fixture_path(rest[0])]
+    assert main(["transform", fixture_path(name), kind, *rest]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
