@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 import random
 
 from .errors import (
-    CapCounter,
     EnumerationCapExceeded,
     HypothesisUnmet,
     LawViolation,
@@ -32,6 +31,7 @@ from .errors import (
     NotSequential,
     UsageError,
     ZeroMarginal,
+    resolve_cap,
 )
 from .morphisms import Morphism, validate_morphism
 from .states import (
@@ -76,56 +76,59 @@ class ForwardProduct:
 
     def state(self, alpha: Weight, beta: Callable[[int], Weight] | Weight) -> Weight:
         """The state running ``alpha`` first and the ``beta`` family after."""
-        if isinstance(beta, Weight):
-            fixed = beta
-            beta = lambda _x: fixed  # noqa: E731
-        vals = []
-        for (x, y) in self.outcome_pair:
-            vals.append(alpha[x] * beta(x)[y])
-        return Weight(vals)
+        beta_of = (lambda _x: beta) if isinstance(beta, Weight) else beta
+        return _pair_weight(self.outcome_pair, alpha, beta_of)
+
+
+def _pair_weight(outcome_pair, alpha: Weight, beta_of: Callable[[int], Weight]) -> Weight:
+    return Weight(tuple(alpha[x] * beta_of(x)[y] for x, y in outcome_pair))
+
+
+def _branch(first_tests, follow_ups, join) -> Iterable[frozenset]:
+    """Each first test with one follow-up per member, as the union of joins.
+
+    ``join(x, y)`` names outcome y of the follow-up run after outcome x.  The
+    count is sum_e len(follow_ups)^|e|; see ``_branch_count``.
+    """
+    for e in first_tests:
+        members = sorted(e)
+        for choice in iproduct(follow_ups, repeat=len(members)):
+            yield frozenset(join(x, y) for x, f in zip(members, choice) for y in f)
+
+
+def _branch_count(first_tests, n_follow_ups: int) -> int:
+    return sum(n_follow_ups ** len(e) for e in first_tests)
+
+
+def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
+    """The hull of the weights, each repeat dropped after its first occurrence."""
+    return StateSpace.hull(dict.fromkeys(weights))
 
 
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome."""
     ls, rs = left.space, right.space
+    cap = resolve_cap(cap)
+    bound = _branch_count(ls.tests, len(rs.tests))
+    if bound > cap:
+        raise EnumerationCapExceeded("forward-product tests", cap, bound)
     pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
     pair_id = {p: i for i, p in enumerate(pairs)}
     labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
-    counter = CapCounter("forward-product tests", cap)
-    tests = []
-    for e in ls.tests:
-        members = sorted(e)
-        for choice in iproduct(range(len(rs.tests)), repeat=len(members)):
-            counter.tick()
-            t = frozenset(
-                pair_id[(x, y)]
-                for x, fi in zip(members, choice)
-                for y in rs.tests[fi]
-            )
-            tests.append(t)
-    space = TestSpace(tuple(labels), tests)
+    space = TestSpace(labels, _branch(ls.tests, rs.tests, lambda x, y: pair_id[x, y]))
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:
         lgens = left.states.generators or tuple(left.state_vertices(cap))
         rgens = right.states.generators or tuple(right.state_vertices(cap))
-        gens = []
-        counter2 = CapCounter("forward-product generators", cap)
-        for alpha in lgens:
-            for assign in iproduct(range(len(rgens)), repeat=ls.n_outcomes):
-                counter2.tick()
-                gens.append(
-                    Weight(
-                        tuple(alpha[x] * rgens[assign[x]][y] for x, y in pairs)
-                    )
-                )
-        seen = set()
-        uniq = []
-        for g in gens:
-            if g.values not in seen:
-                seen.add(g.values)
-                uniq.append(g)
-        states = StateSpace.hull(uniq)
+        bound = len(lgens) * len(rgens) ** ls.n_outcomes
+        if bound > cap:
+            raise EnumerationCapExceeded("forward-product generators", cap, bound)
+        states = _unique_hull(
+            _pair_weight(pairs, alpha, rows.__getitem__)
+            for alpha in lgens
+            for rows in iproduct(rgens, repeat=ls.n_outcomes)
+        )
     model = constructed_model(space, states, left)
     return ForwardProduct(left, right, model, tuple(pairs), pair_id)
 
@@ -293,84 +296,77 @@ def string_label(base: TestSpace, string: tuple[int, ...]) -> str:
     return JOIN.join(parts)
 
 
-def truncated_compound(
-    model: Model, depth: int, cap: int | None = None, generator_cap: int = 4096
-) -> TruncatedCompound:
-    """Close the one-stage tests under branch-and-stop up to the given depth.
+# Generator models: all assignments of generator rows to proper prefixes.
+COMPOUND_GENERATOR_CAP = 4096
 
-    Tests are grown from the root: each outcome string of a test may either
-    stop or branch into a one-stage test, and only tests whose strings all
-    fit the depth survive.  States are the depth-limited transition states;
-    for generator models the generators are all assignments of generator
-    rows to proper prefixes, capped at ``generator_cap``.
+
+def _compound_test_bound(base_tests, depth: int, cap: int) -> int:
+    """The non-root tests at ``depth``, or a lower bound once it exceeds ``cap``.
+
+    With n_0 = 1 and n_k = 1 + sum_e n_{k-1}^|e| tests at depth k, the
+    non-root count is sum_e n_{depth-1}^|e|.  The counts grow with k, so the
+    first level over the cap already bounds the answer; stopping there keeps
+    the integers small.
+    """
+    n, branched = 1, 0
+    for _ in range(depth):
+        branched = _branch_count(base_tests, n)
+        if branched > cap:
+            break
+        n = 1 + branched
+    return branched
+
+
+def _prefix_product(row_of: Callable[[tuple], Weight], s: tuple, one):
+    """Weight of string s when ``row_of(p)`` is the state run after prefix p."""
+    v = one
+    for i, x in enumerate(s):
+        v = v * row_of(s[:i])[x]
+    return v
+
+
+def truncated_compound(model: Model, depth: int, cap: int | None = None) -> TruncatedCompound:
+    """The branch-and-stop tests up to the given depth, by the tower recursion.
+
+    T_0 = {{ε}} and T_k = {{ε}} ∪ {⋃_{x∈e} x·t_x : e a base test, t_x ∈
+    T_{k-1}}, which yields every test once; ``check_tower_recursion`` checks
+    the same identity through forward products.  The cap bounds the non-root
+    tests and is checked before any is built.  States are the depth-limited
+    transition states; for generator models the generators are all
+    assignments of generator rows to proper prefixes, at most
+    ``COMPOUND_GENERATOR_CAP`` of them.
     """
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     base = model.space
-    strings: list[tuple[int, ...]] = [()]
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            for x in range(base.n_outcomes):
-                nxt.append(s + (x,))
-        strings.extend(nxt)
-        frontier = nxt
-    strings.sort(key=lambda s: (len(s), s))
+    cap = resolve_cap(cap)
+    bound = _compound_test_bound(base.tests, depth, cap)
+    if bound > cap:
+        raise EnumerationCapExceeded("compound tests", cap, bound)
+    strings = [
+        s for k in range(depth + 1) for s in iproduct(range(base.n_outcomes), repeat=k)
+    ]
     string_id = {s: i for i, s in enumerate(strings)}
-    counter = CapCounter("compound tests", cap)
-    root = frozenset([string_id[()]])
-    tests = {root}
-    work = [root]
-    while work:
-        t = work.pop()
-        members = sorted(t)
-        options = []
-        for sid in members:
-            s = strings[sid]
-            opts = [None]
-            if len(s) < depth:
-                opts.extend(range(len(base.tests)))
-            options.append(opts)
-        for choice in iproduct(*options):
-            if all(c is None for c in choice):
-                continue
-            counter.tick()
-            new = set()
-            for sid, c in zip(members, choice):
-                if c is None:
-                    new.add(sid)
-                else:
-                    s = strings[sid]
-                    for x in base.tests[c]:
-                        new.add(string_id[s + (x,)])
-            ft = frozenset(new)
-            if ft not in tests:
-                tests.add(ft)
-                work.append(ft)
+    root = frozenset([()])
+    level = [root]
+    for _ in range(depth):
+        level = [root, *_branch(base.tests, level, lambda x, s: (x,) + s)]
     labels = tuple(string_label(base, s) for s in strings)
-    space = TestSpace(labels, sorted(tests, key=event_key))
+    space = TestSpace(labels, [frozenset(string_id[s] for s in t) for t in level])
     if model.states.is_full:
         states = StateSpace.full()
     else:
         gens = model.states.generators
         prefixes = [s for s in strings if len(s) < depth]
-        total = len(gens) ** len(prefixes) if prefixes else 1
-        if total > generator_cap:
-            raise EnumerationCapExceeded("compound generators", generator_cap, total)
-        out = []
-        for assign in iproduct(range(len(gens)), repeat=len(prefixes)):
-            row = {p: gens[g] for p, g in zip(prefixes, assign)}
-            vals = []
-            for s in strings:
-                v = Fraction(1) if model.exact else 1.0
-                for i in range(len(s)):
-                    v = v * row[s[:i]][s[i]]
-                vals.append(v)
-            out.append(Weight(tuple(vals)))
-        seen = set()
-        uniq = [g for g in out if not (g.values in seen or seen.add(g.values))]
-        states = StateSpace.hull(uniq)
+        total = len(gens) ** len(prefixes)
+        if total > COMPOUND_GENERATOR_CAP:
+            raise EnumerationCapExceeded("compound generators", COMPOUND_GENERATOR_CAP, total)
+        one = Fraction(1) if model.exact else 1.0
+        assignments = (dict(zip(prefixes, rows)) for rows in iproduct(gens, repeat=len(prefixes)))
+        states = _unique_hull(
+            Weight(tuple(_prefix_product(row.__getitem__, s, one) for s in strings))
+            for row in assignments
+        )
     compound_model = constructed_model(space, states, model)
     return TruncatedCompound(model, depth, compound_model, tuple(strings), string_id)
 
@@ -380,13 +376,8 @@ def transition_state(
 ) -> Weight:
     """The state of the compound induced by per-prefix transition rows."""
     get = rows if callable(rows) else rows.__getitem__
-    vals = []
-    for s in tc.strings:
-        v = Fraction(1) if tc.base.exact else 1.0
-        for i in range(len(s)):
-            v = v * get(s[:i])[s[i]]
-        vals.append(v)
-    return Weight(vals)
+    one = Fraction(1) if tc.base.exact else 1.0
+    return Weight(tuple(_prefix_product(get, s, one) for s in tc.strings))
 
 
 def check_unit_level(model: Model, cap: int | None = None) -> None:
@@ -840,59 +831,6 @@ def _vertex_or_generator_pool(model: Model, pool_cap: int) -> list[Weight]:
     return list(model.states.generators)
 
 
-def transition_vertex_pool(
-    tc: TruncatedCompound, pool_cap: int = 20_000
-) -> list[Weight] | None:
-    """Spanning weights of a compound's state space, via extreme rows.
-
-    Every state is a transition state, mixtures of rows mix the induced
-    states multilinearly, so assigning extreme base states to the proper
-    prefixes spans the whole state space.  Returns None when the assignment
-    count would exceed the cap.
-    """
-    base_pool = _vertex_or_generator_pool(tc.base, pool_cap)
-    prefixes = [s for s in tc.strings if len(s) < tc.depth]
-    if len(base_pool) ** max(len(prefixes), 1) > pool_cap:
-        return None
-    out = []
-    for assign in iproduct(range(len(base_pool)), repeat=len(prefixes)):
-        rows = {p: base_pool[g] for p, g in zip(prefixes, assign)}
-        out.append(transition_state(tc, rows))
-    return out
-
-
-def forward_vertex_pool(fp: ForwardProduct, pool_cap: int = 20_000) -> list[Weight] | None:
-    """Spanning weights of a forward product's state space."""
-    left_pool = _vertex_or_generator_pool(fp.left, pool_cap)
-    right_pool = _vertex_or_generator_pool(fp.right, pool_cap)
-    n = fp.left.space.n_outcomes
-    if len(left_pool) * len(right_pool) ** n > pool_cap:
-        return None
-    out = []
-    for alpha in left_pool:
-        for assign in iproduct(range(len(right_pool)), repeat=n):
-            out.append(fp.state(alpha, lambda x: right_pool[assign[x]]))
-    return out
-
-
-def _pool_unital(model: Model, pool) -> bool:
-    return all(
-        any(model._eq(w[x], 1) for w in pool) for x in range(model.space.n_outcomes)
-    )
-
-
-def _pool_strongly_unital(model: Model, pool) -> bool:
-    space = model.space
-    for x in range(space.n_outcomes):
-        ones = [w for w in pool if model._eq(w[x], 1)]
-        for y in range(space.n_outcomes):
-            if x != y and space.orthogonal(x, y):
-                continue
-            if not any(w[y] > 0 for w in ones):
-                return False
-    return True
-
-
 class _BaseWitnesses:
     """Certainty and positivity witness states of a base model, by scan."""
 
@@ -929,11 +867,7 @@ def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None)
     space = tc.model.space
 
     def evaluate(rows: dict, s: tuple) -> object:
-        v = 1
-        for i in range(len(s)):
-            row = rows.get(s[:i], wit.any_state)
-            v = v * row[s[i]]
-        return v
+        return _prefix_product(lambda p: rows.get(p, wit.any_state), s, 1)
 
     unital_ok = True
     for s in tc.strings:

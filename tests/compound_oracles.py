@@ -1,0 +1,226 @@
+"""Reference constructions and pool scans for forward products and compounds.
+
+``worklist_compound`` grows the tests of a truncated compound as a fixed
+point: starting from the root test, every test branches each of its strings
+that is shorter than the depth into a base test (or lets it stop), and every
+new union is queued until nothing new appears.  ``enumerated_forward_product``
+lists the two-stage tests one follow-up choice at a time and de-duplicates
+the product generators with a seen set.  The library builds both by the tower
+recursion on one branching kernel; the oracle tests require the two sides to
+agree on strings, labels, tests (in order) and generators (in order), and on
+where the test caps raise.
+
+The pool scans decide unitality and strong unitality by enumerating spanning
+weights of the state space; the library decides them from witness states.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product as iproduct
+
+from orthokit.compounding import (
+    ForwardProduct,
+    JOIN,
+    TruncatedCompound,
+    _vertex_or_generator_pool,
+    string_label,
+    transition_state,
+)
+from orthokit.errors import CapCounter, EnumerationCapExceeded, UsageError
+from orthokit.states import Model, StateSpace, Weight, constructed_model
+from orthokit.testspace import TestSpace, event_key
+
+
+def worklist_compound(
+    model: Model, depth: int, cap: int | None = None, generator_cap: int = 4096
+) -> TruncatedCompound:
+    """Close the one-stage tests under branch-and-stop up to the given depth."""
+    if depth < 0:
+        raise UsageError("depth must be nonnegative")
+    base = model.space
+    strings: list[tuple[int, ...]] = [()]
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for x in range(base.n_outcomes):
+                nxt.append(s + (x,))
+        strings.extend(nxt)
+        frontier = nxt
+    strings.sort(key=lambda s: (len(s), s))
+    string_id = {s: i for i, s in enumerate(strings)}
+    counter = CapCounter("compound tests", cap)
+    root = frozenset([string_id[()]])
+    tests = {root}
+    work = [root]
+    while work:
+        t = work.pop()
+        members = sorted(t)
+        options = []
+        for sid in members:
+            s = strings[sid]
+            opts = [None]
+            if len(s) < depth:
+                opts.extend(range(len(base.tests)))
+            options.append(opts)
+        for choice in iproduct(*options):
+            if all(c is None for c in choice):
+                continue
+            counter.tick()
+            new = set()
+            for sid, c in zip(members, choice):
+                if c is None:
+                    new.add(sid)
+                else:
+                    s = strings[sid]
+                    for x in base.tests[c]:
+                        new.add(string_id[s + (x,)])
+            ft = frozenset(new)
+            if ft not in tests:
+                tests.add(ft)
+                work.append(ft)
+    labels = tuple(string_label(base, s) for s in strings)
+    space = TestSpace(labels, sorted(tests, key=event_key))
+    if model.states.is_full:
+        states = StateSpace.full()
+    else:
+        gens = model.states.generators
+        prefixes = [s for s in strings if len(s) < depth]
+        total = len(gens) ** len(prefixes) if prefixes else 1
+        if total > generator_cap:
+            raise EnumerationCapExceeded("compound generators", generator_cap, total)
+        out = []
+        for assign in iproduct(range(len(gens)), repeat=len(prefixes)):
+            row = {p: gens[g] for p, g in zip(prefixes, assign)}
+            vals = []
+            for s in strings:
+                v = Fraction(1) if model.exact else 1.0
+                for i in range(len(s)):
+                    v = v * row[s[:i]][s[i]]
+                vals.append(v)
+            out.append(Weight(tuple(vals)))
+        seen = set()
+        uniq = [g for g in out if not (g.values in seen or seen.add(g.values))]
+        states = StateSpace.hull(uniq)
+    compound_model = constructed_model(space, states, model)
+    return TruncatedCompound(model, depth, compound_model, tuple(strings), string_id)
+
+
+def worklist_choices(space: TestSpace, depth: int) -> int:
+    """The candidate choices ``worklist_compound`` makes, without running it.
+
+    Each test is popped once and makes (N + 1)^short - 1 choices, N the
+    number of base tests and ``short`` its strings below the depth.  With
+    g_0 = 1, g_k = (N + 1) + sum_e g_{k-1}^|e| (the tests weighted by
+    (N + 1)^short) and n_k the same with 1 for N + 1 (the test count), the
+    total is g_depth - n_depth.
+    """
+    weight, count = 1, 1
+    for _ in range(depth):
+        weight = len(space.tests) + 1 + sum(weight ** len(e) for e in space.tests)
+        count = 1 + sum(count ** len(e) for e in space.tests)
+    return weight - count
+
+
+def enumerated_forward_product(
+    left: Model, right: Model, cap: int | None = None
+) -> ForwardProduct:
+    """All two-stage tests: a first test, then a chosen follow-up per outcome."""
+    ls, rs = left.space, right.space
+    pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
+    counter = CapCounter("forward-product tests", cap)
+    tests = []
+    for e in ls.tests:
+        members = sorted(e)
+        for choice in iproduct(range(len(rs.tests)), repeat=len(members)):
+            counter.tick()
+            t = frozenset(
+                pair_id[(x, y)]
+                for x, fi in zip(members, choice)
+                for y in rs.tests[fi]
+            )
+            tests.append(t)
+    space = TestSpace(tuple(labels), tests)
+    if left.states.is_full and right.states.is_full:
+        states = StateSpace.full()
+    else:
+        lgens = left.states.generators or tuple(left.state_vertices(cap))
+        rgens = right.states.generators or tuple(right.state_vertices(cap))
+        gens = []
+        counter2 = CapCounter("forward-product generators", cap)
+        for alpha in lgens:
+            for assign in iproduct(range(len(rgens)), repeat=ls.n_outcomes):
+                counter2.tick()
+                gens.append(
+                    Weight(
+                        tuple(alpha[x] * rgens[assign[x]][y] for x, y in pairs)
+                    )
+                )
+        seen = set()
+        uniq = []
+        for g in gens:
+            if g.values not in seen:
+                seen.add(g.values)
+                uniq.append(g)
+        states = StateSpace.hull(uniq)
+    model = constructed_model(space, states, left)
+    return ForwardProduct(left, right, model, tuple(pairs), pair_id)
+
+
+# -- pool scans ----------------------------------------------------------------------
+
+
+def transition_vertex_pool(
+    tc: TruncatedCompound, pool_cap: int = 20_000
+) -> list[Weight] | None:
+    """Spanning weights of a compound's state space, via extreme rows.
+
+    Every state is a transition state, mixtures of rows mix the induced
+    states multilinearly, so assigning extreme base states to the proper
+    prefixes spans the whole state space.  Returns None when the assignment
+    count would exceed the cap.
+    """
+    base_pool = _vertex_or_generator_pool(tc.base, pool_cap)
+    prefixes = [s for s in tc.strings if len(s) < tc.depth]
+    if len(base_pool) ** max(len(prefixes), 1) > pool_cap:
+        return None
+    out = []
+    for assign in iproduct(range(len(base_pool)), repeat=len(prefixes)):
+        rows = {p: base_pool[g] for p, g in zip(prefixes, assign)}
+        out.append(transition_state(tc, rows))
+    return out
+
+
+def forward_vertex_pool(fp: ForwardProduct, pool_cap: int = 20_000) -> list[Weight] | None:
+    """Spanning weights of a forward product's state space."""
+    left_pool = _vertex_or_generator_pool(fp.left, pool_cap)
+    right_pool = _vertex_or_generator_pool(fp.right, pool_cap)
+    n = fp.left.space.n_outcomes
+    if len(left_pool) * len(right_pool) ** n > pool_cap:
+        return None
+    out = []
+    for alpha in left_pool:
+        for assign in iproduct(range(len(right_pool)), repeat=n):
+            out.append(fp.state(alpha, lambda x: right_pool[assign[x]]))
+    return out
+
+
+def _pool_unital(model: Model, pool) -> bool:
+    return all(
+        any(model._eq(w[x], 1) for w in pool) for x in range(model.space.n_outcomes)
+    )
+
+
+def _pool_strongly_unital(model: Model, pool) -> bool:
+    space = model.space
+    for x in range(space.n_outcomes):
+        ones = [w for w in pool if model._eq(w[x], 1)]
+        for y in range(space.n_outcomes):
+            if x != y and space.orthogonal(x, y):
+                continue
+            if not any(w[y] > 0 for w in ones):
+                return False
+    return True

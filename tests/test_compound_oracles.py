@@ -1,0 +1,327 @@
+"""Compounds and forward products agree with the enumerating oracles.
+
+``truncated_compound`` builds tests by the tower recursion and
+``forward_product`` by the same branching kernel; ``compound_oracles`` keeps
+the worklist fixed point and the one-choice-at-a-time enumeration they
+replaced.  Both sides must give the same strings, labels, tests (in order)
+and generators (in order, scalar types included), and must raise on the
+same caps: the library bounds the tests before building any, by
+n_0 = 1, n_k = 1 + sum_e n_{k-1}^|e| for compounds (the non-root tests,
+never more than the worklist's choices) and sum_e |R|^|e| for forward
+products (exactly the oracle's count).  Inputs are the whole corpus at
+depths 0-2 (and 3 where the worklist stays under ``DEPTH3_CHOICES``),
+generator models (the quantum presets, exact and float hulls of corpus
+vertices) and hypothesis-random spaces.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import compound_oracles as oracle
+from orthokit import compounding, quantum
+from orthokit.compounding import forward_product, truncated_compound
+from orthokit.corpus import corpus_models
+from orthokit.errors import EnumerationCapExceeded, OrthokitError
+from orthokit.states import Model, StateSpace, Weight
+from orthokit import testspace
+
+DEPTH3_CHOICES = 300_000
+# Cap for generator-model forward products: past it both sides must raise,
+# the oracle after ticking that far.
+GENERATOR_CAP = 50_000
+HULL_PRODUCT_CAP = 2_000
+
+
+@lru_cache(maxsize=None)
+def corpus():
+    return list(corpus_models(6, 3))
+
+
+def compound_snapshot(tc):
+    return (
+        tc.depth,
+        tc.strings,
+        tc.string_id,
+        tc.model.space.labels,
+        tc.model.space.tests,
+        generators(tc.model),
+    )
+
+
+def forward_snapshot(fp):
+    return (
+        fp.outcome_pair,
+        dict(fp.pair_id),
+        fp.model.space.labels,
+        fp.model.space.tests,
+        generators(fp.model),
+    )
+
+
+def generators(model):
+    """The generator tuple in order, each scalar with its type."""
+    if model.states.is_full:
+        return "full"
+    return tuple(tuple(map(repr, g.values)) for g in model.states.generators)
+
+
+def outcome(build, snapshot):
+    """A snapshot of the built object, or the error it raised.
+
+    For a cap error only what and cap count: the oracles count as they go and
+    report cap + 1 as the bound, so the bound is compared separately.
+    """
+    try:
+        return snapshot(build())
+    except EnumerationCapExceeded as exc:
+        return ("cap exceeded", exc.what, exc.cap)
+    except OrthokitError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_compound_agrees(model, depth, cap=None):
+    got = outcome(lambda: truncated_compound(model, depth, cap), compound_snapshot)
+    want = outcome(lambda: oracle.worklist_compound(model, depth, cap), compound_snapshot)
+    assert got == want
+    return got
+
+
+def assert_forward_agrees(left, right, cap=None):
+    got = outcome(lambda: forward_product(left, right, cap), forward_snapshot)
+    want = outcome(lambda: oracle.enumerated_forward_product(left, right, cap), forward_snapshot)
+    assert got == want
+    return got
+
+
+# -- corpus ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", range(112))
+def test_corpus_compounds_match_worklist(index):
+    model = corpus()[index]
+    depths = [0, 1, 2]
+    if oracle.worklist_choices(model.space, 3) <= DEPTH3_CHOICES:
+        depths.append(3)
+    for depth in depths:
+        assert_compound_agrees(model, depth)
+
+
+def test_corpus_has_depth3_cases():
+    """The depth-3 comparison is not vacuous."""
+    cases = [m for m in corpus() if oracle.worklist_choices(m.space, 3) <= DEPTH3_CHOICES]
+    assert len(cases) >= 10
+
+
+@pytest.mark.parametrize("index", range(112))
+def test_corpus_forward_products_match_enumeration(index):
+    models = corpus()
+    model = models[index]
+    assert_forward_agrees(model, model)
+    assert_forward_agrees(model, models[(index + 1) % len(models)])
+
+
+def test_worklist_choices_match_the_oracle_counter():
+    """``worklist_choices`` is the oracle's tick count: it raises one below."""
+    for model in corpus()[::5]:
+        for depth in (1, 2):
+            choices = oracle.worklist_choices(model.space, depth)
+            if choices > 20_000:
+                continue
+            with pytest.raises(EnumerationCapExceeded):
+                oracle.worklist_compound(model, depth, cap=choices - 1)
+            oracle.worklist_compound(model, depth, cap=choices)
+    assert oracle.worklist_choices(corpus()[111].space, 2) == 47_352
+
+
+# -- generator models --------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def preset_models():
+    presets = (
+        quantum.preset_qubit_interferometer,
+        quantum.preset_spin1,
+        quantum.preset_spin32,
+    )
+    return [p().model for p in presets]
+
+
+def hull(space, gens, exact=True):
+    if not exact:
+        gens = [Weight(tuple(float(v) for v in g.values)) for g in gens]
+    return Model(space, StateSpace.hull(gens), exact=exact, _check_positivity=False)
+
+
+@lru_cache(maxsize=None)
+def hull_models():
+    """Exact and float hulls of two, and of every other, corpus vertex."""
+    out = []
+    for model in corpus()[::8]:
+        vertices = model.state_vertices()
+        for gens in (vertices[:2], vertices[::2]):
+            out.append(hull(model.space, gens))
+            out.append(hull(model.space, gens, exact=False))
+    return out
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_preset_compounds_and_products_match(index):
+    """Depth 2 builds for the qubit preset; spin-1 and spin-3/2 trip the caps."""
+    model = preset_models()[index]
+    assert not model.states.is_full and not model.exact
+    outcomes = [assert_compound_agrees(model, depth, cap=GENERATOR_CAP) for depth in (0, 1, 2)]
+    outcomes.append(assert_forward_agrees(model, model, cap=GENERATOR_CAP))
+    assert len(outcomes[1][-1]) == len(model.states.generators)
+    assert (outcomes[2][0] == "cap exceeded") == (index > 0)
+
+
+def test_hull_compounds_and_products_match():
+    outcomes = []
+    for model in hull_models():
+        for depth in (0, 1, 2):
+            outcomes.append(assert_compound_agrees(model, depth))
+        outcomes.append(assert_forward_agrees(model, model, cap=HULL_PRODUCT_CAP))
+    built = [o for o in outcomes if o[0] != "cap exceeded"]
+    assert len(built) > len(outcomes) // 2
+
+
+def test_generator_cap_is_fixed():
+    """The 4096 generator limit is a constant, not a parameter."""
+    model = hull(corpus()[111].space, corpus()[111].state_vertices())
+    bound = len(model.states.generators) ** (1 + model.space.n_outcomes)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        truncated_compound(model, 2, cap=10**9)
+    assert (err.value.what, err.value.cap, err.value.bound) == ("compound generators", 4096, bound)
+    assert compounding.COMPOUND_GENERATOR_CAP == 4096
+
+
+# -- random spaces -----------------------------------------------------------------
+
+
+@st.composite
+def random_spaces(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    masks = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=4)
+    )
+    family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
+    used = sorted({x for m in family for x in range(n) if m >> x & 1})
+    new_id = {x: i for i, x in enumerate(used)}
+    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
+    return testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
+
+
+def full(space, exact=True):
+    return Model(space, StateSpace.full(), exact=exact, _check_positivity=False)
+
+
+@st.composite
+def random_models(draw, exact):
+    """A full model, or the hull of a few of its vertices, of one scalar kind."""
+    space = draw(random_spaces())
+    if draw(st.booleans()):
+        return full(space, exact)
+    vertices = full(space).state_vertices()
+    return hull(space, draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3)), exact)
+
+
+model_pairs = st.booleans().flatmap(lambda exact: st.tuples(random_models(exact), random_models(exact)))
+
+
+@given(model_pairs, st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_random_compounds_and_products_match(models, depth):
+    model, other = models
+    assume(oracle.worklist_choices(model.space, depth) <= 20_000)
+    assert_compound_agrees(model, depth)
+    assert_forward_agrees(model, other, cap=GENERATOR_CAP)
+
+
+# -- caps --------------------------------------------------------------------------
+
+
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = compounding._branch
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(compounding, "_branch", counted)
+    return calls
+
+
+def assert_compound_cap_edge(model, depth, monkeypatch):
+    """At the bound B, cap B - 1 raises before the kernel runs and cap B builds."""
+    built = truncated_compound(model, depth)
+    bound = len(built.model.space.tests) - 1  # every non-root test, each once
+    assert bound <= oracle.worklist_choices(model.space, depth)
+    calls = kernel_calls(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        truncated_compound(model, depth, cap=bound - 1)
+    assert (err.value.what, err.value.cap, err.value.bound) == (
+        "compound tests",
+        bound - 1,
+        bound,
+    )
+    assert calls == []
+    # the library raises only where the oracle raises
+    with pytest.raises(EnumerationCapExceeded):
+        oracle.worklist_compound(model, depth, cap=bound - 1)
+    assert compound_snapshot(truncated_compound(model, depth, cap=bound)) == compound_snapshot(built)
+    assert len(calls) == depth
+    monkeypatch.undo()
+
+
+def assert_forward_cap_edge(left, right, monkeypatch):
+    """The forward bound is exactly the oracle's count: both raise one below it."""
+    built = forward_product(left, right)
+    bound = len(built.model.space.tests)
+    assert bound == sum(len(right.space.tests) ** len(e) for e in left.space.tests)
+    calls = kernel_calls(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        forward_product(left, right, cap=bound - 1)
+    assert (err.value.what, err.value.bound) == ("forward-product tests", bound)
+    assert calls == []
+    with pytest.raises(EnumerationCapExceeded):
+        oracle.enumerated_forward_product(left, right, cap=bound - 1)
+    oracle.enumerated_forward_product(left, right, cap=bound)
+    assert forward_snapshot(forward_product(left, right, cap=bound)) == forward_snapshot(built)
+    monkeypatch.undo()
+
+
+def test_cap_edges_on_the_corpus(monkeypatch):
+    models = corpus()
+    for i, model in enumerate(models[::3]):
+        for depth in (1, 2):
+            if oracle.worklist_choices(model.space, depth) <= 20_000:
+                assert_compound_cap_edge(model, depth, monkeypatch)
+        assert_forward_cap_edge(model, models[(3 * i + 1) % len(models)], monkeypatch)
+
+
+@given(random_spaces(), random_spaces(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_cap_edges_on_random_spaces(space, other, depth):
+    assume(oracle.worklist_choices(space, depth) <= 20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_compound_cap_edge(full(space), depth, mp)
+        assert_forward_cap_edge(full(space), full(other), mp)
+
+
+def test_compound_bound_without_enumeration(monkeypatch):
+    """spin-1 at depth 2 needs 893,790,300 non-root tests; nothing is built."""
+    spin1 = preset_models()[1]
+    calls = kernel_calls(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        truncated_compound(spin1, 2, cap=2_000_000)
+    assert err.value.bound == 893_790_300
+    assert calls == []
+    # a deep truncation stops at the first level over the cap
+    with pytest.raises(EnumerationCapExceeded) as err:
+        truncated_compound(spin1, 50, cap=2_000_000)
+    assert err.value.bound == 893_790_300
+    assert calls == []
+

@@ -16,10 +16,14 @@ from orthokit.errors import (
     NotSequential,
     ZeroMarginal,
 )
-from orthokit.compounding import (
-    SequentialProduct,
+from compound_oracles import (
     _pool_strongly_unital,
     _pool_unital,
+    forward_vertex_pool,
+    transition_vertex_pool,
+)
+from orthokit.compounding import (
+    SequentialProduct,
     check_chain_rule,
     check_tower_recursion,
     check_unit_level,
@@ -27,7 +31,6 @@ from orthokit.compounding import (
     concatenation_product,
     forward_product,
     forward_unitality,
-    forward_vertex_pool,
     fp_perspective_by_parts,
     functor_compound,
     marginal_and_conditional,
@@ -38,7 +41,6 @@ from orthokit.compounding import (
     preservation_forward,
     retrodictive_marginal,
     transition_state,
-    transition_vertex_pool,
     truncated_compound,
     validate_sequential,
 )

@@ -124,7 +124,7 @@ class TestCombinedAlgebras:
     def test_free_window_structure(self, binary):
         """Union collapse over concatenation on a compounded coarsening."""
         from orthokit.coarsening import lift_weight
-        from orthokit.compounding import transition_vertex_pool
+        from compound_oracles import transition_vertex_pool
 
         tc = truncated_compound(binary, 2)
         coarse = coarsen(tc.model)
@@ -145,7 +145,7 @@ class TestCombinedAlgebras:
 
     def test_boolean_gate_on_noncommutative(self, binary):
         from orthokit.coarsening import lift_weight
-        from orthokit.compounding import transition_vertex_pool
+        from compound_oracles import transition_vertex_pool
 
         tc = truncated_compound(binary, 2)
         coarse = coarsen(tc.model)
