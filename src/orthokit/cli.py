@@ -25,6 +25,7 @@ from .document import (
 from .errors import (
     LawViolation,
     MissingStructure,
+    NotCoherence,
     NotGAlgebra,
     NotSequential,
     OrthokitError,
@@ -177,6 +178,12 @@ def _write_doc(bundle: DocumentBundle, args) -> int:
     return 0
 
 
+def _violated(suite: str, exc: Exception) -> int:
+    """Report a law suite whose input structure fails validation: exit 1."""
+    _emit({"holds": False, "violation": str(exc)}, f"{suite}: {exc}")
+    return 1
+
+
 def cmd_laws(args) -> int:
     bundle = _load(args.path)
     model = bundle.model
@@ -209,8 +216,7 @@ def cmd_laws(args) -> int:
         try:
             checked = validate_sequential(model, sp, cap=args.cap)
         except NotSequential as exc:
-            _emit({"holds": False, "violation": str(exc)}, f"sequential: {exc}")
-            return 1
+            return _violated(args.suite, exc)
         rep = checked.report
         _emit(
             {
@@ -226,7 +232,10 @@ def cmd_laws(args) -> int:
     if args.suite == "g-algebra":
         sigma = bundle.require_coherence()
         sp = bundle.require_product()
-        galg = validate_g_algebra(model, sigma, sp, cap=args.cap)
+        try:
+            galg = validate_g_algebra(model, sigma, sp, cap=args.cap)
+        except (NotSequential, NotCoherence) as exc:
+            return _violated(args.suite, exc)
         _emit(
             {
                 "holds": True,

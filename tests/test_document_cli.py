@@ -300,6 +300,22 @@ class TestExitCodes:
         assert main(["laws", str(broken), "sequential"]) == 1
         assert json.loads(capsys.readouterr().out)["holds"] is False
 
+    @pytest.mark.parametrize("corrupt", ["product", "coherence"])
+    def test_g_algebra_on_invalid_structure_exits_one(self, corrupt, tmp_path, capsys):
+        """A product that is not sequential, or a collapse that is not a
+        coherence, violates the g-algebra suite just as it does the others."""
+        doc = json.loads(Path(classical_path()).read_text(encoding="utf-8"))
+        if corrupt == "product":
+            del doc["product"]["table"][0]
+        else:
+            assert doc["coherence"][1] == [["{1,2}"], "{1,2}"]
+            doc["coherence"][1][1] = "{1,3}"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["laws", str(broken), "g-algebra"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["holds"] is False and report["violation"]
+
     def test_logic_of_non_algebraic_space_exits_two(self, tmp_path):
         model = next(m for m in corpus_models(6, 3) if not m.space.algebraic())
         path = tmp_path / "non-algebraic.json"
