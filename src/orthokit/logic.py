@@ -246,10 +246,6 @@ def outcome_is_atomic(space: TestSpace, x: int, cap: int | None = None) -> bool:
     return True
 
 
-def is_atomic_space(space: TestSpace, cap: int | None = None) -> bool:
-    return len(atomic_outcomes(space, cap)) == space.n_outcomes
-
-
 def is_totally_nonatomic(space: TestSpace, cap: int | None = None) -> bool:
     return not atomic_outcomes(space, cap)
 
