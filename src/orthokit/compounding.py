@@ -276,9 +276,6 @@ class TruncatedCompound:
     def id_of(self, string: Sequence[int]) -> int:
         return self.string_id[tuple(string)]
 
-    def string_of(self, sid: int) -> tuple[int, ...]:
-        return self.strings[sid]
-
     def tests_as_strings(self) -> set[frozenset]:
         return {
             frozenset(self.strings[i] for i in t) for t in self.model.space.tests
