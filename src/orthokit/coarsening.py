@@ -137,10 +137,6 @@ class MonadLawReport:
     associativity_points: int
     unit_points: int
 
-    @property
-    def holds(self) -> bool:
-        return True  # construction raises on any failure
-
 
 def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawReport:
     """Pointwise commutation of the associativity square and unit triangles.
