@@ -87,8 +87,8 @@ def _pair_weight(outcome_pair, alpha: Weight, beta_of: Callable[[int], Weight]) 
 def _branch(first_tests, follow_ups, join) -> Iterable[frozenset]:
     """Each first test with one follow-up per member, as the union of joins.
 
-    ``join(x, y)`` names outcome y of the follow-up run after outcome x.  The
-    count is sum_e len(follow_ups)^|e|; see ``_branch_count``.
+    ``join(x, y)`` names outcome y of the follow-up run after outcome x.  It
+    yields ``_branch_count(first_tests, len(follow_ups))`` tests.
     """
     for e in first_tests:
         members = sorted(e)
@@ -293,7 +293,8 @@ def string_label(base: TestSpace, string: tuple[int, ...]) -> str:
     return JOIN.join(parts)
 
 
-# Generator models: all assignments of generator rows to proper prefixes.
+# Most generators a compound of a generator model may have: one per
+# assignment of generator rows to the proper prefixes, whatever the cap.
 COMPOUND_GENERATOR_CAP = 4096
 
 
@@ -325,7 +326,7 @@ def _prefix_product(row_of: Callable[[tuple], Weight], s: tuple, one):
 def truncated_compound(model: Model, depth: int, cap: int | None = None) -> TruncatedCompound:
     """The branch-and-stop tests up to the given depth, by the tower recursion.
 
-    T_0 = {{ε}} and T_k = {{ε}} ∪ {⋃_{x∈e} x·t_x : e a base test, t_x ∈
+    T_0 = {ε} and T_k = {ε} ∪ {⋃_{x∈e} x·t_x : e a base test, t_x ∈
     T_{k-1}}, which yields every test once; ``check_tower_recursion`` checks
     the same identity through forward products.  The cap bounds the non-root
     tests and is checked before any is built.  States are the depth-limited

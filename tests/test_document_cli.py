@@ -328,6 +328,13 @@ class TestExitCodes:
         # perfbench's cli-cold workload counts cap skips by this phrase
         assert "enumeration exceeds cap" in capsys.readouterr().err
 
+    def test_compound_cap_names_the_bound(self, capsys):
+        """spin-1 at depth 2 needs 893,790,300 tests; the cap says so up front."""
+        spin1 = fixture_path("spin1")
+        assert main(["transform", spin1, "compound", "--depth", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "needs ≥ 893790300, enumeration exceeds cap 2000000" in err
+
     def test_parse_and_usage_errors_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
