@@ -12,15 +12,18 @@ refinement.  Coherences satisfying the stronger substitution property
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CapCounter,
+    EnumerationCapExceeded,
     HypothesisUnmet,
     LawViolation,
     MorphismError,
     NotCoherence,
     UsageError,
+    resolve_cap,
 )
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
@@ -38,6 +41,15 @@ def set_partitions(members: list) -> Iterable[list[list]]:
         for i in range(len(sub)):
             yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
         yield [[first]] + sub
+
+
+def _bell_numbers(n: int) -> list[int]:
+    """B(0), ..., B(n): the number of set partitions of each size, by the Bell triangle."""
+    bells, row = [1], [1]
+    for _ in range(n):
+        row = list(accumulate(row, initial=row[-1]))
+        bells.append(row[0])
+    return bells
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,10 @@ class Coarsening:
     def to_event(self, outcome: int) -> frozenset:
         return self.outcome_event[outcome]
 
+    def collapse(self, outcomes: Iterable[int]) -> int:
+        """The monad multiplication: the outcome whose event is the union of theirs."""
+        return self.to_coarse(frozenset().union(*(self.outcome_event[i] for i in outcomes)))
+
 
 def coarse_label(space: TestSpace, event: frozenset) -> str:
     return "{" + ",".join(space.labels_of(event)) + "}"
@@ -70,14 +86,17 @@ def lift_weight(coarse: "Coarsening", w: Weight) -> Weight:
 def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     """The coarsened model: outcomes are nonempty events, tests are partitions."""
     space = model.space
+    cap = resolve_cap(cap)
     events = sorted((a for a in space.events_list(cap) if a), key=event_key)
+    bell = _bell_numbers(max((len(t) for t in space.tests), default=0))
+    bound = sum(bell[len(t)] for t in space.tests)  # the set partitions to enumerate
+    if bound > cap:
+        raise EnumerationCapExceeded("coarsened tests", cap, bound)
     event_outcome = {a: i for i, a in enumerate(events)}
     labels = [coarse_label(space, a) for a in events]
-    counter = CapCounter("coarsened tests", cap)
     tests = set()
     for t in space.tests:
         for blocks in set_partitions(sorted(t)):
-            counter.tick()
             tests.add(frozenset(event_outcome[frozenset(b)] for b in blocks))
     coarse_space = TestSpace(tuple(labels), sorted(tests, key=event_key))
     if model.states.is_full:
@@ -122,11 +141,8 @@ def mult_mu(
     """Union collapse of the double coarsening onto the single one."""
     if double.base is not coarse.model:
         raise UsageError("second argument must be the coarsening of the first's model")
-    mapping = []
-    for ev in double.outcome_event:  # an event of the coarse model: a set of blocks
-        union = frozenset().union(*(coarse.to_event(i) for i in ev))
-        mapping.append(coarse.to_coarse(union))
-    mu = validate_morphism(double.model, coarse.model, tuple(mapping), cap)
+    mapping = tuple(coarse.collapse(ev) for ev in double.outcome_event)
+    mu = validate_morphism(double.model, coarse.model, mapping, cap)
     if not mu.test_preserving:
         raise LawViolation("the union collapse must be test-preserving")
     return mu
@@ -147,31 +163,20 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     """
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
-    # mu at the two levels, as outcome tables.
-    mu1 = [coarse.to_coarse(frozenset().union(*(coarse.to_event(i) for i in ev)))
-           for ev in double.outcome_event]
+    mu = [coarse.collapse(ev) for ev in double.outcome_event]
     counter = CapCounter("triple-coarsening outcomes", cap)
     points = 0
     for t in double.model.space.tests:
-        members = sorted(t)
-        for sub in _nonempty_subsets(members):
+        for sub in _nonempty_subsets(sorted(t)):
             counter.tick()
             points += 1
-            # sharp(mu): apply mu to each member, then collapse; vs collapse twice.
-            via_functor = frozenset(mu1[b] for b in sub)
-            union1 = frozenset().union(*(coarse.to_event(i) for i in via_functor))
-            left = coarse.to_coarse(union1)
-            merged = frozenset().union(*(double.to_event(b) for b in sub))
-            union2 = frozenset().union(*(coarse.to_event(i) for i in merged))
-            right = coarse.to_coarse(union2)
-            if left != right:
+            # mu after sharp(mu) against mu after mu at the double level.
+            if coarse.collapse(mu[b] for b in sub) != mu[double.collapse(sub)]:
                 raise LawViolation(f"associativity square fails at {sorted(sub)}")
     unit_points = 0
     for i, ev in enumerate(coarse.outcome_event):
         # mu after sharp(eta): split into singletons, then union.
-        singletons = frozenset(coarse.to_coarse(frozenset([x])) for x in ev)
-        union = frozenset().union(*(coarse.to_event(j) for j in singletons))
-        if coarse.to_coarse(union) != i:
+        if coarse.collapse(coarse.to_coarse(frozenset([x])) for x in ev) != i:
             raise LawViolation("left unit triangle fails")
         # mu after eta of the coarsening: wrap as one block, then union.
         if coarse.to_coarse(frozenset(ev)) != i:
@@ -251,16 +256,14 @@ def validate_coherence(
     for t in coarse.model.space.tests:
         for fam in _nonempty_subsets(sorted(t)):
             counter.tick()
-            blocks = [coarse.to_event(i) for i in fam]
-            union = frozenset().union(*blocks)
-            inner = frozenset(table[b] for b in blocks)
-            if inner not in coarse.event_outcome and len(inner) > 1:
+            union = coarse.to_event(coarse.collapse(fam))
+            inner = frozenset(table[coarse.to_event(i)] for i in fam)
+            if inner not in table:
                 raise NotCoherence(
                     "member-wise collapse of a jointly orthogonal family is not an event",
                     witness=fam,
                 )
-            rhs = table[inner] if len(inner) > 1 else next(iter(inner))
-            if table[union] != rhs:
+            if table[union] != table[inner]:
                 raise NotCoherence(
                     "grouped refinement identity fails", witness=(union, inner)
                 )
@@ -362,19 +365,16 @@ def check_sharp_algebra_laws(checked: CheckedCoherence, cap: int | None = None) 
 
     The unit law is singleton fixing; the associativity law compares
     member-wise collapse with union collapse on every outcome of the double
-    coarsening.  Returns the number of points checked.
+    coarsening, i.e. every nonempty event of the coarse space.  Returns the
+    number of points checked.
     """
-    coarse = checked.coarse
-    double = coarsen(coarse.model, cap)
+    coarse, table = checked.coarse, checked.table
     points = 0
-    for ev in double.outcome_event:
-        blocks = [coarse.to_event(i) for i in ev]
-        union = frozenset().union(*blocks)
-        inner = frozenset(checked.table[b] for b in blocks)
-        via_member = (
-            checked.table[inner] if len(inner) > 1 else next(iter(inner))
-        )
-        if checked.table[union] != via_member:
+    for ev in coarse.model.space.events_list(cap):
+        if not ev:
+            continue
+        inner = frozenset(table[coarse.to_event(i)] for i in ev)
+        if table[coarse.to_event(coarse.collapse(ev))] != table[inner]:
             raise LawViolation("coarsening-algebra associativity fails")
         points += 1
     return points

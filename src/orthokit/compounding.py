@@ -33,7 +33,7 @@ from .errors import (
     ZeroMarginal,
     resolve_cap,
 )
-from .morphisms import Morphism, validate_morphism
+from .morphisms import Morphism, image_core, validate_morphism
 from .states import (
     Model,
     StateSpace,
@@ -168,14 +168,6 @@ def fp_perspective_by_parts(fp: ForwardProduct, a, b) -> bool:
     return verdict
 
 
-def image_family_core(phi: Morphism) -> frozenset:
-    images = [phi.image(t) for t in phi.source.space.tests]
-    out = images[0]
-    for img in images[1:]:
-        out &= img
-    return out
-
-
 def pair_morphism(
     fp_src: ForwardProduct,
     fp_dst: ForwardProduct,
@@ -192,7 +184,7 @@ def pair_morphism(
     if phi.source is not fp_src.left or phi.target is not fp_dst.left:
         raise UsageError("first-stage morphism endpoints do not match the products")
     get_psi = psi if callable(psi) else psi.__getitem__
-    core = image_family_core(phi)
+    core = image_core(phi)
     for x in range(fp_src.left.space.n_outcomes):
         if phi.mapping[x] not in core and not get_psi(x).test_preserving:
             raise NotAMorphism(
@@ -529,15 +521,19 @@ class CheckedSequential:
     report: SequentialReport
 
 
+# validate_sequential tries every branch assignment only on families within
+# these sizes, else 64 seeded ones; it samples unenumerable state spaces too.
+SEQUENTIAL_SEED = 0
+SEQUENTIAL_EXHAUSTIVE_TEST_SIZE = 6
+SEQUENTIAL_EXHAUSTIVE_FAMILY_SIZE = 8
+SEQUENTIAL_STATE_CANDIDATES = 64
+
+
 def validate_sequential(
     model: Model,
     sp: SequentialProduct,
     probe_depth: int = 2,
     cap: int | None = None,
-    seed: int = 0,
-    exhaustive_test_size: int = 6,
-    exhaustive_family_size: int = 8,
-    state_candidate_cap: int = 64,
     states: Sequence[Weight] | None = None,
 ) -> CheckedSequential:
     """Validate a sequential structure on a model, within its defined window.
@@ -600,9 +596,9 @@ def validate_sequential(
         raise NotSequential("the unit must carry its own test", witness=e)
 
     # Inductivity: branch assignments keep us inside the test family.
-    rng = random.Random(seed)
-    exhaustive = all(len(t) <= exhaustive_test_size for t in space.tests) and (
-        len(space.tests) <= exhaustive_family_size
+    rng = random.Random(SEQUENTIAL_SEED)
+    exhaustive = all(len(t) <= SEQUENTIAL_EXHAUSTIVE_TEST_SIZE for t in space.tests) and (
+        len(space.tests) <= SEQUENTIAL_EXHAUSTIVE_FAMILY_SIZE
     )
     ind_checked = ind_skipped = 0
     for t in space.tests:
@@ -647,7 +643,9 @@ def validate_sequential(
             candidates = model.state_vertices(cap=50_000)
             states_exhaustive = True
         except EnumerationCapExceeded:
-            candidates = sample_polytope_vertices(model, state_candidate_cap, seed)
+            candidates = sample_polytope_vertices(
+                model, SEQUENTIAL_STATE_CANDIDATES, SEQUENTIAL_SEED
+            )
             states_exhaustive = False
     else:
         candidates = list(model.states.generators)
@@ -829,12 +827,15 @@ def _vertex_or_generator_pool(model: Model, pool_cap: int) -> list[Weight]:
     return list(model.states.generators)
 
 
+BASE_WITNESS_POOL_CAP = 20_000  # state vertices enumerated for a full base model
+
+
 class _BaseWitnesses:
     """Certainty and positivity witness states of a base model, by scan."""
 
-    def __init__(self, model: Model, pool_cap: int = 20_000):
+    def __init__(self, model: Model):
         self.model = model
-        pool = _vertex_or_generator_pool(model, pool_cap)
+        pool = _vertex_or_generator_pool(model, BASE_WITNESS_POOL_CAP)
         n = model.space.n_outcomes
         self.any_state = pool[0]
         self.unital = {}
@@ -943,20 +944,15 @@ def forward_unitality(fp: ForwardProduct, left_wit=None, right_wit=None):
             if i == j or space.orthogonal(i, j):
                 continue
             if x == u:
-                alpha, beta = lw.unital[x], rw.strong.get((y, v))
-                ok = alpha is not None and beta is not None
-                if ok:
-                    state = fp.state(alpha, beta)
+                alpha, rows = lw.unital[x], {x: rw.strong.get((y, v))}
             else:
-                alpha, betas = lw.strong.get((x, u)), (rw.unital[y], rw.positive[v])
-                ok = alpha is not None and all(b is not None for b in betas)
-                if ok:
-                    table = {x: betas[0], u: betas[1]}
-                    state = fp.state(alpha, lambda z: table.get(z, rw.any_state))
-            if not ok:
+                alpha, rows = lw.strong.get((x, u)), {x: rw.unital[y], u: rw.positive[v]}
+            if alpha is None or any(b is None for b in rows.values()):
                 su_ok = False
                 continue
-            if not (fp.left._eq(state[i], 1) and state[j] > 0):
+            # entries i and j of the pair state running alpha, then rows
+            at_i, at_j = _pair_weight(((x, y), (u, v)), alpha, rows.__getitem__).values
+            if not (fp.left._eq(at_i, 1) and at_j > 0):
                 raise LawViolation(
                     f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
                 )

@@ -78,9 +78,10 @@ def check_distributive_diagrams(
     """
     counter = CapCounter("distributive diagrams", cap)
     coarse = coarsen(model, cap)
-    double = coarsen(coarse.model, cap)
     double_outcomes = [
-        frozenset(coarse.to_event(i) for i in ev) for ev in double.outcome_event
+        frozenset(coarse.to_event(i) for i in ev)
+        for ev in coarse.model.space.events_list(cap)
+        if ev
     ]
 
     # Square 1: strings of double-coarse outcomes; collapse inner unions
@@ -98,7 +99,7 @@ def check_distributive_diagrams(
             sq1 += 1
 
     # Square 2: strings of strings of events; flatten before or after.
-    events = sorted((ev for ev in coarse.outcome_event), key=event_key)
+    events = coarse.outcome_event  # sorted by event_key
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
@@ -291,14 +292,11 @@ def validate_g_algebra(
             strings = concat_product(word)
             evaluated = frozenset(prod.prod_string(s) for s in strings)
             if None not in evaluated:
-                via_ell = table.get(frozenset(evaluated))
-                if via_ell is None and len(evaluated) > 1:
+                via_ell = table.get(evaluated)
+                if via_ell is None:
                     raise NotGAlgebra(
                         "evaluated string set is not an event", witness=word
                     )
-                via_ell = (
-                    next(iter(evaluated)) if len(evaluated) == 1 else via_ell
-                )
                 if via_ell != lhs:
                     raise NotGAlgebra(
                         "interchange route disagrees with direct collapse",

@@ -28,6 +28,7 @@ from .states import GENERATORS, Model, Weight, sample_polytope_vertices, transve
 
 VERTEX_CAP = 10_000
 SAMPLE_POINTS = 256
+SAMPLE_SEED = 0
 
 D_IMPLIED = "implied"  # full source: pullbacks are multiples of states by perspectivity
 D_EXACT = "exact"  # checked against generators or enumerated vertices
@@ -65,7 +66,6 @@ def validate_morphism(
     target: Model,
     mapping: Sequence[int] | Callable[[int], int] | dict,
     cap: int | None = None,
-    sample_seed: int = 0,
 ) -> Morphism:
     """Check the four morphism conditions and compute the derived flags.
 
@@ -119,7 +119,7 @@ def validate_morphism(
                     )
 
     # (d) state pullbacks are multiples of source states.
-    d_status = _check_state_condition(source, target, mapping, cap, sample_seed)
+    d_status = _check_state_condition(source, target, mapping, cap)
 
     injective = len(set(mapping)) == len(mapping)
     return Morphism(
@@ -132,7 +132,7 @@ def validate_morphism(
     )
 
 
-def _check_state_condition(source, target, mapping, cap, sample_seed) -> str:
+def _check_state_condition(source, target, mapping, cap) -> str:
     def pull(beta: Weight) -> Weight:
         return Weight(tuple(beta[mapping[x]] for x in range(source.space.n_outcomes)))
 
@@ -158,7 +158,7 @@ def _check_state_condition(source, target, mapping, cap, sample_seed) -> str:
         candidates = target.state_vertices(cap=VERTEX_CAP if cap is None else cap)
         status = D_EXACT
     except EnumerationCapExceeded:
-        candidates = sample_polytope_vertices(target, SAMPLE_POINTS, seed=sample_seed)
+        candidates = sample_polytope_vertices(target, SAMPLE_POINTS, seed=SAMPLE_SEED)
         candidates.extend(transversal_weights(target.space, cap=VERTEX_CAP))
         status = D_SAMPLED
     for beta in candidates:

@@ -34,6 +34,7 @@ Vec = tuple[complex, ...]
 Matrix = tuple[tuple[complex, ...], ...]
 
 DEFAULT_QTOL = 1e-9
+MAX_PLAN_DEPTH = 3  # deepest splitter plan ``beam_model`` builds
 
 
 # -- classical (partition) models -------------------------------------------------
@@ -299,7 +300,6 @@ def beam_model(
     plan: SplitterPlan,
     initial: Vec,
     tol: float = DEFAULT_QTOL,
-    max_depth: int = 3,
 ) -> BeamModel:
     """Build the compound model of an iterated splitter experiment.
 
@@ -311,8 +311,8 @@ def beam_model(
     background, so every operationally live path is positive; dead paths
     are pruned.
     """
-    if plan.depth() > max_depth:
-        raise DepthCapExceeded(f"plan depth {plan.depth()} exceeds {max_depth}")
+    if plan.depth() > MAX_PLAN_DEPTH:
+        raise DepthCapExceeded(f"plan depth {plan.depth()} exceeds {MAX_PLAN_DEPTH}")
     _validate_plan(plan, tol)
     dim = len(initial)
     if abs(vnorm2(initial) - 1.0) > tol:

@@ -40,6 +40,8 @@ from .errors import (
 
 Event = frozenset  # events are frozensets of outcome ids
 
+SUPPORT_CHECK_WORK_CAP = 50_000  # see ``TestSpace._support_by_perspectivity``
+
 
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
     """Deterministic sort key for events: the sorted id sequence."""
@@ -396,16 +398,16 @@ class TestSpace:
                 assert alt == direct, "support criteria disagree"
         return direct
 
-    def _support_by_perspectivity(self, s: frozenset, work_cap: int = 50_000) -> bool | None:
+    def _support_by_perspectivity(self, s: frozenset) -> bool | None:
         """Alternate criterion: a ~ b and a disjoint from S force b disjoint from S.
 
         Returns None when the event enumeration would exceed the debug work
         cap; used only as a cross-check.
         """
-        if sum(2 ** len(t) for t in self.tests) > work_cap:
+        if sum(2 ** len(t) for t in self.tests) > SUPPORT_CHECK_WORK_CAP:
             return None
         sm = _mask(s)
-        for evs in self._complement_index(work_cap)[0].values():
+        for evs in self._complement_index(SUPPORT_CHECK_WORK_CAP)[0].values():
             hit = [bool(a & sm) for a in evs]
             if any(hit) and not all(hit):
                 return False

@@ -12,6 +12,8 @@ where the test caps raise.
 
 The pool scans decide unitality and strong unitality by enumerating spanning
 weights of the state space; the library decides them from witness states.
+``pair_state_forward_unitality`` reads the two entries it checks off a whole
+pair state; the library evaluates only those two.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from orthokit.compounding import (
     string_label,
     transition_state,
 )
-from orthokit.errors import CapCounter, EnumerationCapExceeded, UsageError
+from orthokit.errors import CapCounter, EnumerationCapExceeded, LawViolation, UsageError
 from orthokit.states import Model, StateSpace, Weight, constructed_model
 from orthokit.testspace import TestSpace, event_key
 
@@ -224,3 +226,36 @@ def _pool_strongly_unital(model: Model, pool) -> bool:
             if not any(w[y] > 0 for w in ones):
                 return False
     return True
+
+
+def pair_state_forward_unitality(fp: ForwardProduct, lw, rw):
+    """``forward_unitality`` building the whole pair state for every checked pair."""
+    space = fp.model.space
+    unital_ok = all(
+        lw.unital[x] is not None and rw.unital[y] is not None
+        for (x, y) in fp.outcome_pair
+    )
+    su_ok = True
+    for i, (x, y) in enumerate(fp.outcome_pair):
+        for j, (u, v) in enumerate(fp.outcome_pair):
+            if i == j or space.orthogonal(i, j):
+                continue
+            if x == u:
+                alpha, beta = lw.unital[x], rw.strong.get((y, v))
+                ok = alpha is not None and beta is not None
+                if ok:
+                    state = fp.state(alpha, beta)
+            else:
+                alpha, betas = lw.strong.get((x, u)), (rw.unital[y], rw.positive[v])
+                ok = alpha is not None and all(b is not None for b in betas)
+                if ok:
+                    table = {x: betas[0], u: betas[1]}
+                    state = fp.state(alpha, lambda z: table.get(z, rw.any_state))
+            if not ok:
+                su_ok = False
+                continue
+            if not (fp.left._eq(state[i], 1) and state[j] > 0):
+                raise LawViolation(
+                    f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
+                )
+    return unital_ok, su_ok and unital_ok

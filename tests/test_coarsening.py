@@ -1,11 +1,14 @@
 """Coarse-graining: construction, functor and monad laws, coherences, cohesions."""
 
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
-from orthokit.errors import HypothesisUnmet, NotCoherence
+from orthokit import coarsening
+from orthokit.errors import EnumerationCapExceeded, HypothesisUnmet, NotCoherence
 from orthokit.coarsening import (
+    _bell_numbers,
     CheckedCoherence,
     check_monad_laws_sharp,
     check_sharp_algebra_laws,
@@ -22,6 +25,7 @@ from orthokit.coarsening import (
     validate_coherence,
 )
 from orthokit.corpus import corpus_models, named
+from orthokit.document import load_document
 from orthokit.morphisms import (
     check_retraction_test_preserving,
     compose,
@@ -85,6 +89,49 @@ class TestConstruction:
             assert bool(m.space.algebraic()) == bool(
                 coarsen(m).model.space.algebraic()
             ), repr(m.space)
+
+
+class TestCoarsenCap:
+    """``coarsen`` bounds the set partitions it would enumerate, B(|t|) summed
+    over tests t, after the event-list check and before enumerating any."""
+
+    def test_bell_numbers_count_set_partitions(self):
+        assert _bell_numbers(7) == [len(list(set_partitions(list(range(n))))) for n in range(8)]
+
+    def test_cap_at_the_bound(self, monkeypatch):
+        cases = []
+        for m in corpus_models(6, 3):
+            bound = sum(len(list(set_partitions(sorted(t)))) for t in m.space.tests)
+            # below the bound, the event-list check must not fire first
+            if max(len(m.space.events_list()), 2 ** max(map(len, m.space.tests))) < bound:
+                cases.append((m, bound))
+        assert len(cases) == 46
+        calls = []
+
+        def counting(members):
+            calls.append(members)
+            return set_partitions(members)
+
+        monkeypatch.setattr(coarsening, "set_partitions", counting)
+        for m, bound in cases:
+            with pytest.raises(EnumerationCapExceeded) as info:
+                coarsen(m, bound - 1)
+            assert (info.value.what, info.value.bound) == ("coarsened tests", bound)
+            assert calls == []
+            assert coarsen(m, bound).model.space.tests == coarsen(m).model.space.tests
+            calls.clear()
+
+    def test_spin32_bound_without_enumerating(self, monkeypatch):
+        path = resources.files("orthokit").joinpath("fixtures", "spin32.json")
+        model = load_document(str(path)).model
+        calls = []
+        monkeypatch.setattr(coarsening, "set_partitions", lambda members: calls.append(members))
+        with pytest.raises(EnumerationCapExceeded) as info:
+            coarsen(model, 2_000_000)
+        assert str(info.value) == (
+            "coarsened tests: needs ≥ 4281898, enumeration exceeds cap 2000000"
+        )
+        assert calls == []
 
 
 class TestFunctor:

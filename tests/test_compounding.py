@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import orthokit
+from orthokit import compounding
 from orthokit.errors import (
     HypothesisUnmet,
+    LawViolation,
     NotAMorphism,
     NotSequential,
     ZeroMarginal,
@@ -20,6 +22,7 @@ from compound_oracles import (
     _pool_strongly_unital,
     _pool_unital,
     forward_vertex_pool,
+    pair_state_forward_unitality,
     transition_vertex_pool,
 )
 from orthokit.compounding import (
@@ -471,6 +474,26 @@ class TestPreservation:
             unital, su = forward_unitality(fp)
             assert unital == _pool_unital(fp.model, pool)
             assert su == _pool_strongly_unital(fp.model, pool)
+
+    def test_forward_unitality_matches_whole_pair_states(self):
+        for m in list(corpus_models(6, 3))[::4]:
+            fp = forward_product(m, m, cap=100_000)
+            wit = compounding._BaseWitnesses(m)
+            assert forward_unitality(fp, wit, wit) == pair_state_forward_unitality(fp, wit, wit)
+
+    def test_forward_unitality_violation_matches_whole_pair_states(self):
+        """Witnesses that are not certain at their outcome fail the same pair."""
+        wright = named("wright")
+        fp = forward_product(wright, wright)
+        lw, rw = compounding._BaseWitnesses(wright), compounding._BaseWitnesses(wright)
+        lw.unital = dict.fromkeys(lw.unital, lw.any_state)
+        lw.strong = dict.fromkeys(lw.strong, lw.any_state)
+        messages = []
+        for check in (forward_unitality, pair_state_forward_unitality):
+            with pytest.raises(LawViolation) as info:
+                check(fp, lw, rw)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_reports_identical_under_optimize(self):
         """Witness re-verification raises instead of asserting, so -O changes nothing."""

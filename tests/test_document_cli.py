@@ -335,6 +335,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "needs ≥ 893790300, enumeration exceeds cap 2000000" in err
 
+    def test_coarsen_cap_names_the_bound(self, capsys):
+        """spin-3/2 has 4,281,898 set partitions of tests; the cap says so up front."""
+        spin32 = fixture_path("spin32")
+        assert main(["transform", spin32, "coarsen"]) == 2
+        err = capsys.readouterr().err
+        assert "needs ≥ 4281898, enumeration exceeds cap 2000000" in err
+
     def test_parse_and_usage_errors_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -395,5 +402,29 @@ def test_transform_output_is_byte_stable(args, digest, capsys):
     if kind == "product":
         rest = [fixture_path(rest[0])]
     assert main(["transform", fixture_path(name), kind, *rest]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the law-suite reports, recorded before the coarsening monad's
+# multiplication got its single definition; point counts and key order show here.
+LAWS_DIGESTS = [
+    (("wright", "sharp-monad"),
+     "fc3860d49bfebfd296ffb47539d99ff95b23d5d326ee2caffddd62ba45fa568c"),
+    (("classical3", "sharp-monad"),
+     "f1e9f64cf4d4e9e2e79aa54f4f2e150e5d0359c0664eede6b81481cd95305112"),
+    (("wright", "distributive", "--depth", "2"),
+     "a9253c8aad04c503a40434012ff7bb1e9fd5935aa69c60e1c4d0ecfd0e2f7f5e"),
+    (("classical3", "g-algebra"),
+     "af72d34598ace25d78b9af7fb72eeb28ef7e34a48b04b35796288383b074cc36"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", LAWS_DIGESTS, ids=["-".join(a[:2]) for a, _ in LAWS_DIGESTS]
+)
+def test_laws_output_is_byte_stable(args, digest, capsys):
+    name, *rest = args
+    assert main(["laws", fixture_path(name), *rest]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
