@@ -258,11 +258,6 @@ def validate_coherence(
             counter.tick()
             union = coarse.to_event(coarse.collapse(fam))
             inner = frozenset(table[coarse.to_event(i)] for i in fam)
-            if inner not in table:
-                raise NotCoherence(
-                    "member-wise collapse of a jointly orthogonal family is not an event",
-                    witness=fam,
-                )
             if table[union] != table[inner]:
                 raise NotCoherence(
                     "grouped refinement identity fails", witness=(union, inner)
