@@ -79,8 +79,9 @@ def coarse_label(space: TestSpace, event: frozenset) -> str:
     return "{" + ",".join(space.labels_of(event)) + "}"
 
 
-def lift_weight(coarse: "Coarsening", w: Weight) -> Weight:
-    return Weight(tuple(w.of(ev) for ev in coarse.outcome_event))
+def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
+    """The weight each event gets from ``w``, in order: a state lifted to a coarsening."""
+    return Weight(tuple(w.of(ev) for ev in events))
 
 
 def coarsen(model: Model, cap: int | None = None) -> Coarsening:
@@ -102,10 +103,7 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     if model.states.is_full:
         states = StateSpace.full()
     else:
-        lifted = [
-            Weight(tuple(g.of(ev) for ev in events)) for g in model.states.generators
-        ]
-        states = StateSpace.hull(lifted)
+        states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = constructed_model(coarse_space, states, model)
     return Coarsening(model, coarse_model, tuple(events), event_outcome)
 

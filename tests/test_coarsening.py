@@ -80,7 +80,7 @@ class TestConstruction:
         g = Weight([F(1, 3), F(2, 3)])
         m = generator_model(s, [g, Weight([F(1), F(0)])])
         c = coarsen(m)
-        lifted = lift_weight(c, g)
+        lifted = lift_weight(c.outcome_event, g)
         assert lifted[c.to_coarse(frozenset([0, 1]))] == 1
         assert lifted in c.model.states.generators
 

@@ -130,7 +130,7 @@ class TestCombinedAlgebras:
         coarse = coarsen(tc.model)
         sigma = union_collapse_table(coarse)
         pi = coarse_setwise_product(coarse, concatenation_product(tc))
-        spanning = [lift_weight(coarse, w) for w in transition_vertex_pool(tc)]
+        spanning = [lift_weight(coarse.outcome_event, w) for w in transition_vertex_pool(tc)]
         g = validate_g_algebra(coarse.model, sigma, pi, probe_depth=1, states=spanning)
         assert not g.commutative
         assert find_interference(
@@ -151,7 +151,7 @@ class TestCombinedAlgebras:
         coarse = coarsen(tc.model)
         sigma = union_collapse_table(coarse)
         pi = coarse_setwise_product(coarse, concatenation_product(tc))
-        spanning = [lift_weight(coarse, w) for w in transition_vertex_pool(tc)]
+        spanning = [lift_weight(coarse.outcome_event, w) for w in transition_vertex_pool(tc)]
         g = validate_g_algebra(coarse.model, sigma, pi, probe_depth=1, states=spanning)
         with pytest.raises(HypothesisUnmet):
             check_commutative_boolean(g)
