@@ -249,10 +249,3 @@ def image_core(phi: Morphism) -> frozenset:
     for img in images[1:]:
         out &= img
     return out
-
-
-def corrupt_mapping(phi: Morphism, x: int, new_target: int) -> tuple[int, ...]:
-    """A deliberately corrupted copy of the outcome map, for negative tests."""
-    mapping = list(phi.mapping)
-    mapping[x] = new_target
-    return tuple(mapping)

@@ -17,7 +17,6 @@ from orthokit.morphisms import (
     check_preserves_perspectivity,
     check_retraction_test_preserving,
     compose,
-    corrupt_mapping,
     identity_morphism,
     image_core,
     morphisms_equal,
@@ -37,6 +36,13 @@ def all_morphisms(src, dst):
         except MorphismError:
             pass
     return found
+
+
+def corrupt_mapping(phi, x: int, new_target: int) -> tuple[int, ...]:
+    """A deliberately corrupted copy of the outcome map, for negative tests."""
+    mapping = list(phi.mapping)
+    mapping[x] = new_target
+    return tuple(mapping)
 
 
 @pytest.fixture(scope="module")
