@@ -27,7 +27,7 @@ from .errors import (
 )
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
-from .states import Model, StateSpace, Weight, constructed_model
+from .states import Model, StateSpace, Weight
 from .testspace import PredicateResult, TestSpace, event_key, mask_event
 
 
@@ -104,7 +104,7 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
         states = StateSpace.full()
     else:
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
-    coarse_model = constructed_model(coarse_space, states, model)
+    coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
     return Coarsening(model, coarse_model, tuple(events), event_outcome)
 
 

@@ -29,6 +29,7 @@ from .errors import (
     LawViolation,
     NotAMorphism,
     NotSequential,
+    NumericKindMismatch,
     UsageError,
     ZeroMarginal,
     resolve_cap,
@@ -38,7 +39,6 @@ from .states import (
     Model,
     StateSpace,
     Weight,
-    constructed_model,
     sample_polytope_vertices,
 )
 from .testspace import PredicateResult, TestSpace, event_key
@@ -119,6 +119,12 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:
+        # Full models contribute exact vertices, so the rows are float exactly
+        # when some factor is a float generator model.
+        float_rows = any(not m.exact and not m.states.is_full for m in (left, right))
+        if float_rows == left.exact:
+            kind = "float" if float_rows else "exact"
+            raise NumericKindMismatch(f"forward-product rows are {kind}, the first factor is not")
         lgens = left.states.generators or tuple(left.state_vertices(cap))
         rgens = right.states.generators or tuple(right.state_vertices(cap))
         bound = len(lgens) * len(rgens) ** ls.n_outcomes
@@ -129,7 +135,7 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
             for alpha in lgens
             for rows in iproduct(rgens, repeat=ls.n_outcomes)
         )
-    model = constructed_model(space, states, left)
+    model = Model(space, states, exact=left.exact, tol=left.tol)
     return ForwardProduct(left, right, model, tuple(pairs), pair_id)
 
 
@@ -249,7 +255,7 @@ def adjoin_unit_model(model: Model, label: str = "e") -> tuple[Model, int]:
         states = StateSpace.hull(
             [Weight(tuple(g.values) + (one,)) for g in model.states.generators]
         )
-    return constructed_model(space, states, model), new_id
+    return Model(space, states, exact=model.exact, tol=model.tol), new_id
 
 
 # -- truncated compounding ----------------------------------------------------------
@@ -357,7 +363,7 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
             Weight(tuple(_prefix_product(row.__getitem__, s, one) for s in strings))
             for row in assignments
         )
-    compound_model = constructed_model(space, states, model)
+    compound_model = Model(space, states, exact=model.exact, tol=model.tol)
     return TruncatedCompound(model, depth, compound_model, tuple(strings), string_id)
 
 

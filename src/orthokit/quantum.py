@@ -27,7 +27,7 @@ from .errors import (
     NotOrthonormal,
     UsageError,
 )
-from .states import Model, StateSpace, Weight, generator_model
+from .states import Model, Weight, full_model, generator_model
 from .testspace import TestSpace, event_key
 
 Vec = tuple[complex, ...]
@@ -81,7 +81,7 @@ def classical_model(n: int, cap: int | None = None) -> ClassicalModel:
         counter.tick()
         tests.append(frozenset(subset_id[frozenset(b)] for b in blocks))
     space = TestSpace(tuple(labels), tests)
-    model = Model(space, StateSpace.full(), exact=True)
+    model = full_model(space)
     # Union collapse on all nonempty events (pairwise disjoint families).
     sigma: dict[frozenset, int] = {}
     for ev in space.events_list(cap):

@@ -103,9 +103,12 @@ class StateReport:
 class Model:
     """A test space together with a designated state space.
 
-    The standing positivity assumption (every outcome gets positive weight
-    from some state) is checked at construction unless the model was built
-    by a construction that preserves it, and cached.
+    Direct construction trusts its arguments: every generator is a
+    probability weight of the model's scalar kind, and every outcome gets
+    positive weight from some state (the standing positivity assumption).
+    ``full_model`` and ``generator_model`` check both for data from outside;
+    the constructions (coarsening, products, compounding, adjunctions) build
+    models that satisfy them whenever their inputs do.
     """
 
     __slots__ = ("space", "states", "exact", "tol", "_rows", "_witnesses")
@@ -116,7 +119,6 @@ class Model:
         states: StateSpace,
         exact: bool = True,
         tol: float | None = None,
-        _check_positivity: bool = True,
     ):
         self.space = space
         self.states = states
@@ -125,14 +127,6 @@ class Model:
         self._rows = None
         # witness states of the predicates below, in insertion order
         self._witnesses: dict[tuple[Fraction, ...], None] = {}
-        if states.kind == GENERATORS:
-            for g in states.generators:
-                self._validate_weight(g)
-        if _check_positivity:
-            dead = self.positivity_failures()
-            if dead:
-                labels = [space.labels[x] for x in dead]
-                raise PositivityViolation(f"no state is positive at {labels}")
 
     # -- scalar plumbing -------------------------------------------------------
 
@@ -500,8 +494,17 @@ def sample_polytope_vertices(model: Model, k: int, seed: int = 0) -> list[Weight
     return out
 
 
+def _require_positive(model: Model) -> Model:
+    dead = model.positivity_failures()
+    if dead:
+        labels = [model.space.labels[x] for x in dead]
+        raise PositivityViolation(f"no state is positive at {labels}")
+    return model
+
+
 def full_model(space: TestSpace, exact: bool = True, tol: float | None = None) -> Model:
-    return Model(space, StateSpace.full(), exact=exact, tol=tol)
+    """The model of all probability weights on ``space``, checked for positivity."""
+    return _require_positive(Model(space, StateSpace.full(), exact=exact, tol=tol))
 
 
 def generator_model(
@@ -510,21 +513,16 @@ def generator_model(
     exact: bool = True,
     tol: float | None = None,
 ) -> Model:
-    return Model(space, StateSpace.hull(weights), exact=exact, tol=tol)
+    """The hull of ``weights``, validated as input from outside.
 
-
-def constructed_model(
-    space: TestSpace, states: StateSpace, template: Model
-) -> Model:
-    """Internal: build a model inheriting scalar kind, skipping the positivity LP.
-
-    Used by constructions (coarsening, products, compounding, adjunctions)
-    whose outputs are positive whenever their inputs are.
+    Each weight must be a probability weight of the model's scalar kind
+    (``NotAState``, ``NumericKindMismatch``), and the hull must be positive
+    (``PositivityViolation``).
     """
-    return Model(
-        space, states, exact=template.exact,
-        tol=(template.tol or None), _check_positivity=False,
-    )
+    model = Model(space, StateSpace.hull(weights), exact=exact, tol=tol)
+    for g in model.states.generators:
+        model._validate_weight(g)
+    return _require_positive(model)
 
 
 def adjoin_failure_outcome(model: Model, label: str = "*") -> Model:
@@ -545,4 +543,4 @@ def adjoin_failure_outcome(model: Model, label: str = "*") -> Model:
         gens = [Weight(tuple(g.values) + (zero,)) for g in model.states.generators]
         delta = Weight((zero,) * space.n_outcomes + (one,))
         states = StateSpace.hull(gens + [delta])
-    return constructed_model(new_space, states, model)
+    return Model(new_space, states, exact=model.exact, tol=model.tol)

@@ -30,7 +30,7 @@ from orthokit.compounding import (
     transition_state,
 )
 from orthokit.errors import CapCounter, EnumerationCapExceeded, LawViolation, UsageError
-from orthokit.states import Model, StateSpace, Weight, constructed_model
+from orthokit.states import Model, StateSpace, Weight
 from orthokit.testspace import TestSpace, event_key
 
 
@@ -105,7 +105,7 @@ def worklist_compound(
         seen = set()
         uniq = [g for g in out if not (g.values in seen or seen.add(g.values))]
         states = StateSpace.hull(uniq)
-    compound_model = constructed_model(space, states, model)
+    compound_model = Model(space, states, exact=model.exact, tol=model.tol)
     return TruncatedCompound(model, depth, compound_model, tuple(strings), string_id)
 
 
@@ -168,7 +168,7 @@ def enumerated_forward_product(
                 seen.add(g.values)
                 uniq.append(g)
         states = StateSpace.hull(uniq)
-    model = constructed_model(space, states, left)
+    model = Model(space, states, exact=left.exact, tol=left.tol)
     return ForwardProduct(left, right, model, tuple(pairs), pair_id)
 
 

@@ -151,7 +151,7 @@ def preset_models():
 def hull(space, gens, exact=True):
     if not exact:
         gens = [Weight(tuple(float(v) for v in g.values)) for g in gens]
-    return Model(space, StateSpace.hull(gens), exact=exact, _check_positivity=False)
+    return Model(space, StateSpace.hull(gens), exact=exact)
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +214,7 @@ def random_spaces(draw):
 
 
 def full(space, exact=True):
-    return Model(space, StateSpace.full(), exact=exact, _check_positivity=False)
+    return Model(space, StateSpace.full(), exact=exact)
 
 
 @st.composite

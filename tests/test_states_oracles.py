@@ -30,7 +30,7 @@ def cold_copy(model, states=None):
     """The same model with an empty witness cache (no positivity LPs at build)."""
     return Model(
         model.space, states or model.states, exact=model.exact,
-        tol=(model.tol or None), _check_positivity=False,
+        tol=(model.tol or None),
     )
 
 
@@ -55,7 +55,7 @@ CORPUS = list(corpus_models(6, 3))
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_corpus_model_matches_oracle_in_every_order(index):
     model = CORPUS[index]
-    twin = Model(model.space, model.states, exact=False, _check_positivity=False)
+    twin = Model(model.space, model.states, exact=False)
     for m in (model, twin):
         assert_agrees(m, orders=tuple(permutations(PREDICATES)))
 
@@ -67,7 +67,7 @@ def test_non_positive_model_matches_oracle(dead):
     tests = [{a, b}, {c, d}, {b, d}, {a, c, dead}]
     space = testspace.TestSpace([f"o{i}" for i in range(5)], [frozenset(t) for t in tests])
     for exact in (True, False):
-        model = Model(space, StateSpace.full(), exact=exact, _check_positivity=False)
+        model = Model(space, StateSpace.full(), exact=exact)
         want = assert_agrees(model, orders=tuple(permutations(PREDICATES)))
         assert want["positivity_failures"] == [dead]
 
@@ -129,10 +129,10 @@ def random_models(draw):
     new_id = {x: i for i, x in enumerate(used)}
     tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
     space = testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
-    full = Model(space, StateSpace.full(), _check_positivity=False)
+    full = Model(space, StateSpace.full())
     kind = draw(st.sampled_from(("exact", "float", "hull")))
     if kind == "float":
-        return Model(space, StateSpace.full(), exact=False, _check_positivity=False)
+        return Model(space, StateSpace.full(), exact=False)
     if kind == "hull":
         vertices = full.state_vertices()
         picked = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=4))
