@@ -19,7 +19,14 @@ from orthokit.document import (
     save_document,
 )
 from orthokit import cli
-from orthokit.errors import LawViolation, MissingStructure, NotGAlgebra, ParseError
+from orthokit.errors import (
+    LawViolation,
+    MissingStructure,
+    NotAState,
+    NotGAlgebra,
+    ParseError,
+    PositivityViolation,
+)
 from orthokit.cli import main
 from orthokit.corpus import corpus_models, named
 
@@ -347,6 +354,47 @@ class TestExitCodes:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["check", str(bad)]) == 2
         assert main(["laws", classical_path(), "no-such-suite"]) == 2
+
+
+class TestOutsideInput:
+    """Models are validated where they enter: at document load, whatever the
+    command.  Constructions downstream trust what they are given."""
+
+    @staticmethod
+    def generator_document(generators):
+        return {
+            "format_version": "1",
+            "outcomes": ["a", "b", "c"],
+            "tests": [["a", "b"], ["b", "c"]],
+            "states": {"kind": "generators", "scalar": "rational", "generators": generators},
+        }
+
+    @pytest.mark.parametrize(
+        "generators, error",
+        [
+            ([{"a": "1/3", "b": "1/2", "c": "1/2"}, {"b": "1"}], NotAState),
+            ([{"a": "3/2", "b": "-1/2", "c": "3/2"}, {"b": "1"}], NotAState),
+            ([{"b": "1"}], PositivityViolation),
+        ],
+        ids=["sum-not-one", "outside-unit-interval", "dead-outcome"],
+    )
+    def test_bad_generator_document_exits_two(self, generators, error, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.generator_document(generators)), encoding="utf-8")
+        with pytest.raises(error):
+            load_document(str(path))
+        assert main(["check", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_good_generator_document_loads(self, tmp_path):
+        path = tmp_path / "good.json"
+        doc = self.generator_document([{"a": "1/2", "b": "1/2", "c": "1/2"}, {"b": "1"}])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert len(load_document(str(path)).model.states.generators) == 2
+
+    def test_exact_full_product_with_float_generators_exits_two(self, capsys):
+        assert main(["transform", wright_path(), "product", fixture_path("qubit-zx")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_cap_env_override(tmp_path):
