@@ -288,7 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="orthokit",
         description="Workbench for finite test spaces and probabilistic models.",
     )
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap override")
+    parser.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="enumeration cap override; check --unital/--strongly-unital are LPs and ignore it",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="evaluate structural predicates")
