@@ -31,6 +31,7 @@ from orthokit.compounding import adjoin_unit_model, forward_product, truncated_c
 from orthokit.corpus import corpus_models
 from orthokit.errors import EnumerationCapExceeded, NumericKindMismatch, PositivityViolation
 from orthokit.states import Weight, adjoin_failure_outcome, full_model, generator_model
+from test_compound_oracles import random_spaces
 
 CAP = 2_000
 PRESET_CAP = 50_000
@@ -150,19 +151,6 @@ def test_classical_hull_constructions_validate(n):
 
 
 # -- random pairs ------------------------------------------------------------------
-
-
-@st.composite
-def random_spaces(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    masks = draw(
-        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=4)
-    )
-    family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
-    used = sorted({x for m in family for x in range(n) if m >> x & 1})
-    new_id = {x: i for i, x in enumerate(used)}
-    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
-    return testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
 
 
 @st.composite
