@@ -144,34 +144,21 @@ def fp_perspective_by_parts(fp: ForwardProduct, a, b) -> bool:
 
     Two product events are perspective exactly when their first-stage events
     are, their shared fibers are pairwise perspective, and every unshared
-    fiber is a whole follow-up test.  In debug mode the verdict is checked
-    against the direct common-complement search.
+    fiber is a whole follow-up test.  This is the same relation as
+    ``fp.model.space.is_perspective``, the direct common-complement search;
+    acceptance criterion 2 compares the two.
     """
     a, b = frozenset(a), frozenset(b)
     ao, afib = fp.decompose(a)
     bo, bfib = fp.decompose(b)
     ls, rs = fp.left.space, fp.right.space
-    verdict = ls.is_perspective(ao, bo)
-    if verdict:
-        for z in ao & bo:
-            if not rs.is_perspective(afib[z], bfib[z]):
-                verdict = False
-                break
-    if verdict:
-        for x in ao - bo:
-            if afib[x] not in rs.test_set:
-                verdict = False
-                break
-    if verdict:
-        for y in bo - ao:
-            if bfib[y] not in rs.test_set:
-                verdict = False
-                break
-    if __debug__:
-        assert verdict == fp.model.space.is_perspective(a, b), (
-            "componentwise perspectivity disagrees with the complement search"
-        )
-    return verdict
+    if not ls.is_perspective(ao, bo):
+        return False
+    if not all(rs.is_perspective(afib[z], bfib[z]) for z in ao & bo):
+        return False
+    return all(afib[x] in rs.test_set for x in ao - bo) and all(
+        bfib[y] in rs.test_set for y in bo - ao
+    )
 
 
 def pair_morphism(
@@ -208,7 +195,7 @@ def marginal_and_conditional(fp: ForwardProduct, w: Weight, x: int):
     """First-stage marginal and the conditional state after outcome x.
 
     The marginal at an outcome must not depend on which follow-up test is
-    summed over; that independence is asserted across all tests.
+    summed over; a dependence raises LawViolation.
     """
     model = fp.model
     rs = fp.right.space

@@ -82,7 +82,7 @@ class Orthoalgebra:
     def _validate_laws(self) -> None:
         n = len(self.reps)
         op = self.oplus
-        # commutativity (built in by construction, asserted for synthetic input)
+        # commutativity (built in by construction, checked for synthetic input)
         for (p, q), s in op.items():
             if op.get((q, p)) != s:
                 raise LawViolation("partial sum is not commutative")

@@ -10,7 +10,7 @@ full weight polytope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
@@ -105,7 +105,7 @@ def validate_morphism(
                 f"image of test {src.labels_of(t)} is not an event", witness=t
             )
 
-    test_preserving = all(img in dst.test_set for img in images)
+    test_preserving, embedding = _flags(source, target, mapping)
 
     # (c) images of tests are mutually perspective (automatic when each image
     # is itself a test: any two tests share the empty complement).
@@ -121,15 +121,23 @@ def validate_morphism(
     # (d) state pullbacks are multiples of source states.
     d_status = _check_state_condition(source, target, mapping, cap)
 
-    injective = len(set(mapping)) == len(mapping)
     return Morphism(
         source=source,
         target=target,
         mapping=mapping,
         test_preserving=test_preserving,
-        embedding=test_preserving and injective,
+        embedding=embedding,
         d_status=d_status,
     )
+
+
+def _flags(source: Model, target: Model, mapping: tuple[int, ...]) -> tuple[bool, bool]:
+    """The derived flags of an outcome map: (test_preserving, embedding)."""
+    test_set = target.space.test_set
+    test_preserving = all(
+        frozenset(mapping[x] for x in t) in test_set for t in source.space.tests
+    )
+    return test_preserving, test_preserving and len(set(mapping)) == len(mapping)
 
 
 def _check_state_condition(source, target, mapping, cap) -> str:
@@ -176,27 +184,26 @@ def identity_morphism(model: Model) -> Morphism:
 
 
 def compose(psi: Morphism, phi: Morphism) -> Morphism:
-    """psi after phi; revalidates the composite in debug mode."""
+    """psi after phi.
+
+    Morphisms compose, so the composite needs no revalidation.  Its
+    ``test_preserving`` and ``embedding`` flags are read off the composite
+    mapping, as ``validate_morphism`` reads them, because neither follows
+    from the factors' flags: an embedding followed by a fold can still be
+    an embedding.  ``d_status`` is the weaker of the two factors'.
+    """
     if phi.target is not psi.source:
         raise DomainMismatch("codomain of the first factor must be the domain of the second")
     mapping = tuple(psi.mapping[fx] for fx in phi.mapping)
-    composite = Morphism(
+    test_preserving, embedding = _flags(phi.source, psi.target, mapping)
+    return Morphism(
         source=phi.source,
         target=psi.target,
         mapping=mapping,
-        test_preserving=phi.test_preserving and psi.test_preserving,
-        embedding=phi.embedding and psi.embedding,
+        test_preserving=test_preserving,
+        embedding=embedding,
         d_status=min(phi.d_status, psi.d_status, key=_d_rank),
     )
-    if __debug__:
-        revalidated = validate_morphism(phi.source, psi.target, mapping)
-        assert revalidated.mapping == composite.mapping
-        composite = replace(
-            composite,
-            test_preserving=revalidated.test_preserving,
-            embedding=revalidated.embedding,
-        )
-    return composite
 
 
 def _d_rank(status: str) -> int:

@@ -40,8 +40,6 @@ from .errors import (
 
 Event = frozenset  # events are frozensets of outcome ids
 
-SUPPORT_CHECK_WORK_CAP = 50_000  # see ``TestSpace._support_by_perspectivity``
-
 
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
     """Deterministic sort key for events: the sorted id sequence."""
@@ -386,32 +384,15 @@ class TestSpace:
     # -- supports, core, adjunctions -----------------------------------------------
 
     def is_support(self, s: Iterable[int]) -> bool:
-        """True when the test traces {E & S} stay an antichain."""
+        """True when the test traces {t & S} stay an antichain.
+
+        Equivalently, perspective events meet S together or not at all;
+        the tests check that second criterion against this one.
+        """
         s = frozenset(s)
         if not s <= frozenset(range(self.n_outcomes)):
             raise UnknownLabel("support candidates must be outcome subsets")
-        traces = {t & s for t in self.tests}
-        direct = _is_antichain(traces) is None
-        if __debug__:
-            alt = self._support_by_perspectivity(s)
-            if alt is not None:
-                assert alt == direct, "support criteria disagree"
-        return direct
-
-    def _support_by_perspectivity(self, s: frozenset) -> bool | None:
-        """Alternate criterion: a ~ b and a disjoint from S force b disjoint from S.
-
-        Returns None when the event enumeration would exceed the debug work
-        cap; used only as a cross-check.
-        """
-        if sum(2 ** len(t) for t in self.tests) > SUPPORT_CHECK_WORK_CAP:
-            return None
-        sm = _mask(s)
-        for evs in self._complement_index(SUPPORT_CHECK_WORK_CAP)[0].values():
-            hit = [bool(a & sm) for a in evs]
-            if any(hit) and not all(hit):
-                return False
-        return True
+        return _is_antichain({t & s for t in self.tests}) is None
 
     def core(self) -> frozenset:
         """Intersection of all tests."""

@@ -4,7 +4,8 @@ These are the straightforward event-by-event versions of ``events``,
 the complement buckets, ``algebraic``, ``regular`` and ``coherent``, and the
 pairwise antichain scan.  The library decides the same questions on integer
 bitmasks; the oracle tests require both to agree on verdict, witness and
-whether the cap is exceeded.
+whether the cap is exceeded.  ``support_by_perspectivity`` is a second
+criterion for ``TestSpace.is_support``, which decides supports by traces.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from itertools import combinations
 
 from orthokit.errors import CapCounter
 from orthokit.testspace import PredicateResult, event_key
+
+# Work cap of ``support_by_perspectivity``: the complement-bucket pass
+# (sum of 2^|t| over tests t) it will run.
+SUPPORT_WORK_CAP = 50_000
 
 
 def events(space, cap=None):
@@ -112,3 +117,22 @@ def is_antichain(sets):
             if small < large:
                 return small, large
     return None
+
+
+def support_by_perspectivity(space, s, buckets=None):
+    """Support by perspectivity: a ~ b and a disjoint from S force b disjoint from S.
+
+    Perspective events are the events of one complement bucket.  Returns
+    None when the bucket pass would exceed ``SUPPORT_WORK_CAP``.  Pass the
+    space's ``complement_buckets`` to reuse them across subsets.
+    """
+    if sum(2 ** len(t) for t in space.tests) > SUPPORT_WORK_CAP:
+        return None
+    if buckets is None:
+        buckets = complement_buckets(space, SUPPORT_WORK_CAP)
+    s = frozenset(s)
+    for evs in buckets.values():
+        hit = [bool(a & s) for a in evs]
+        if any(hit) and not all(hit):
+            return False
+    return True

@@ -164,7 +164,7 @@ class TestForwardPerspectivity:
         pairs = 0
         for i, a in enumerate(events):
             for b in events[i + 1 :: 7]:
-                fp_perspective_by_parts(fp, a, b)  # debug assert inside
+                assert fp_perspective_by_parts(fp, a, b) == fp.model.space.is_perspective(a, b)
                 pairs += 1
         assert pairs > 200
 

@@ -45,6 +45,19 @@ def corrupt_mapping(phi, x: int, new_target: int) -> tuple[int, ...]:
     return tuple(mapping)
 
 
+def flags(phi):
+    return phi.test_preserving, phi.embedding
+
+
+@pytest.fixture(scope="module")
+def fold_models():
+    """A = [[a,b]], B = [[a,b],[c,d]] and C = [[x,y]], all full."""
+    return tuple(
+        full_model(build_test_space(tests))
+        for tests in ([["a", "b"]], [["a", "b"], ["c", "d"]], [["x", "y"]])
+    )
+
+
 @pytest.fixture(scope="module")
 def disjoint_pair():
     """Inclusion of two disjoint tests into their one-point pasting."""
@@ -142,6 +155,41 @@ class TestComposition:
         m1, m2 = named("wright"), named("single-2")
         with pytest.raises(DomainMismatch):
             compose(identity_morphism(m1), identity_morphism(m2))
+
+    def test_embedding_then_fold_is_an_embedding(self, fold_models):
+        """The flags of the factors do not decide the composite's."""
+        a, b, c = fold_models
+        phi = validate_morphism(a, b, (0, 1))  # the inclusion of the first test
+        psi = validate_morphism(b, c, (0, 1, 0, 1))  # both tests onto one
+        assert phi.embedding and not psi.embedding
+        composite = compose(psi, phi)
+        assert composite.mapping == (0, 1)
+        assert composite.test_preserving and composite.embedding
+        assert flags(composite) == flags(validate_morphism(a, c, composite.mapping))
+
+    def test_composites_match_validation(self, fold_models):
+        """Every composable pair of maps among A, B, C and wright (all but
+        wright to itself, 7^7 candidate maps): the composite is a morphism
+        whose mapping and flags are those ``validate_morphism`` gives it."""
+        a, b, c = fold_models
+        models = (a, b, c, named("wright"))
+        maps = {
+            (i, j): all_morphisms(x, y)
+            for i, x in enumerate(models)
+            for j, y in enumerate(models)
+            if x.space.n_outcomes < 7 or y.space.n_outcomes < 7
+        }
+        composites = 0
+        for (i, j), firsts in maps.items():
+            for k in range(len(models)):
+                for phi in firsts:
+                    for psi in maps.get((j, k), ()):
+                        composite = compose(psi, phi)
+                        direct = validate_morphism(models[i], models[k], composite.mapping)
+                        assert composite.mapping == direct.mapping
+                        assert flags(composite) == flags(direct), (phi, psi)
+                        composites += 1
+        assert composites > 1_000
 
 
 class TestPerspectivityTransport:

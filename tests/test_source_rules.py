@@ -1,6 +1,15 @@
-"""Rules on the library source itself, checked by parsing it."""
+"""Rules on the library source itself: it means the same under ``python -O``.
+
+``python -O`` strips every ``assert`` and sets ``__debug__`` to False, so a
+check written with either runs in one mode only.  The source may use
+neither, and a subprocess under ``-O`` must report what this process does.
+"""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orthokit
@@ -8,31 +17,112 @@ import orthokit
 SRC = Path(orthokit.__file__).resolve().parent
 
 
-def _debug_only_asserts(node, guarded=False):
-    """Yield (assert node, guarded) for every assert below ``node``.
-
-    An assert is guarded when some enclosing ``if`` tests exactly
-    ``__debug__`` and the assert sits in that ``if``'s body.
-    """
-    if isinstance(node, ast.Assert):
-        yield node, guarded
-    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "__debug__":
-        for child in node.body:
-            yield from _debug_only_asserts(child, True)
-        for child in node.orelse:
-            yield from _debug_only_asserts(child, guarded)
-        return
-    for child in ast.iter_child_nodes(node):
-        yield from _debug_only_asserts(child, guarded)
-
-
-def test_every_assert_is_debug_only():
-    """No correctness check may rely on assert: ``python -O`` strips them."""
+def debug_only_nodes(source, filename="<string>"):
+    """(line, kind) of every ``assert`` statement and every use of ``__debug__``."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node, guarded in _debug_only_asserts(tree):
-            found.append((path.name, node.lineno, guarded))
-    unguarded = [(name, line) for name, line, guarded in found if not guarded]
-    assert not unguarded, f"assert outside `if __debug__:` at {unguarded}"
-    assert found  # the scan sees the debug-only cross-checks
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+        elif isinstance(node, ast.Attribute) and node.attr == "__debug__":
+            found.append((node.lineno, "__debug__"))
+    return sorted(found)
+
+
+def test_scanner_flags_assert_and_debug():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "import builtins\n"
+        "def f(x):\n"
+        "    if __debug__:\n"
+        "        assert x, 'x'\n"
+        "    return builtins.__debug__\n"
+    )
+    assert debug_only_nodes(source) == [(3, "__debug__"), (4, "assert"), (5, "__debug__")]
+
+
+def test_src_has_no_assert_and_no_debug():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 14
+    found = {}
+    for path in paths:
+        hits = debug_only_nodes(path.read_text(encoding="utf-8"), str(path))
+        if hits:
+            found[path.name] = hits
+    assert not found, f"python -O would change these checks: {found}"
+
+
+# One script, run here and in a child under -O.  ``results`` returns the
+# composite flags next to those ``validate_morphism`` gives the composite
+# mapping, ``is_support`` on every subset of every 8th corpus space, and
+# ``fp_perspective_by_parts`` next to ``is_perspective`` on the pairs of
+# acceptance criterion 2.
+CHECKS = """
+import json
+from orthokit.compounding import forward_product, fp_perspective_by_parts
+from orthokit.corpus import enumerate_test_spaces, named
+from orthokit.morphisms import compose, validate_morphism
+from orthokit.states import full_model
+from orthokit.testspace import build_test_space
+
+
+def results():
+    a, b, c = (
+        full_model(build_test_space(tests))
+        for tests in ([["a", "b"]], [["a", "b"], ["c", "d"]], [["x", "y"]])
+    )
+    composite = compose(validate_morphism(b, c, (0, 1, 0, 1)), validate_morphism(a, b, (0, 1)))
+    direct = validate_morphism(a, c, composite.mapping)
+    flags = [
+        [composite.test_preserving, composite.embedding],
+        [direct.test_preserving, direct.embedding],
+    ]
+    supports = []
+    for space in list(enumerate_test_spaces(6, 3))[::8]:
+        n = space.n_outcomes
+        supports.append([
+            space.is_support(x for x in range(n) if m >> x & 1) for m in range(1 << n)
+        ])
+    perspective = []
+    for left, right in (("single-2", "single-2"), ("single-2", "wright"),
+                        ("semiclassical-2x2", "single-2")):
+        fp = forward_product(named(left), named(right))
+        events = fp.model.space.events_list()
+        for i, e in enumerate(events):
+            for f in events[i + 1 :: 11]:
+                perspective.append(
+                    [fp_perspective_by_parts(fp, e, f), fp.model.space.is_perspective(e, f)]
+                )
+    return {"compose": flags, "supports": supports, "perspective": perspective}
+"""
+
+
+def check_results(got):
+    composite, direct = got["compose"]
+    assert composite == direct == [True, True]
+    assert len(got["supports"]) == 14
+    assert len(got["perspective"]) >= 500
+    assert all(by_parts == search for by_parts, search in got["perspective"])
+
+
+def test_same_results_under_optimize():
+    """A child under -O computes what this process computes, and both are right."""
+    namespace = {}
+    exec(CHECKS, namespace)
+    want = json.loads(json.dumps(namespace["results"]()))
+    check_results(want)
+    script = (
+        CHECKS
+        + 'assert False, "this script must run with asserts stripped"\n'
+        + "print(json.dumps(results()))\n"
+    )
+    src = str(SRC.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    check_results(got)
+    assert got == want

@@ -8,7 +8,8 @@ E - 1, E and 2^max|t| - 1.  Inputs are the whole corpus, the depth-2
 compounds and forward squares of the corpus whose oracle run stays under
 the work budgets below, and random small spaces.  ``_is_antichain`` must
 return the oracle's (small, large) pair on test families, their traces on
-outcome subsets, and random set families.
+outcome subsets, and random set families.  ``is_support`` must agree with
+the perspectivity criterion of the oracles.
 """
 
 from functools import lru_cache
@@ -195,3 +196,51 @@ def test_constructed_antichain_matches_oracle():
 @settings(max_examples=300, deadline=None)
 def test_random_family_antichain_matches_oracle(family):
     assert testspace._is_antichain(family) == oracle.is_antichain(family)
+
+
+# -- supports: traces against perspectivity -----------------------------------------
+
+
+def outcome_subsets(n):
+    for m in range(1 << n):
+        yield frozenset(x for x in range(n) if m >> x & 1)
+
+
+def support_cases():
+    """(space, subsets): every corpus space with every outcome subset, then for
+    every 4th corpus model its depth-1 compound with every subset and its
+    forward square with the first- and second-stage lift of every base subset."""
+    for space in CORPUS:
+        yield space, list(outcome_subsets(space.n_outcomes))
+    for model in list(corpus_models(6, 3))[::4]:
+        compound = truncated_compound(model, 1, BUILD_CAP).model.space
+        yield compound, list(outcome_subsets(compound.n_outcomes))
+        square = forward_product(model, model, BUILD_CAP)
+        lifts = []
+        for s in outcome_subsets(model.space.n_outcomes):
+            for stage in (0, 1):
+                lifts.append(
+                    frozenset(i for i, pair in enumerate(square.outcome_pair) if pair[stage] in s)
+                )
+        yield square.model.space, lifts
+
+
+def test_supports_match_perspectivity_criterion():
+    compared = 0
+    for space, subsets in support_cases():
+        if sum(2 ** len(t) for t in space.tests) > oracle.SUPPORT_WORK_CAP:
+            continue
+        buckets = oracle.complement_buckets(space, oracle.SUPPORT_WORK_CAP)
+        for s in subsets:
+            want = oracle.support_by_perspectivity(space, s, buckets)
+            assert space.is_support(s) == want, (repr(space), sorted(s))
+            compared += 1
+    assert compared >= 8_000
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_supports_match_perspectivity_criterion(data):
+    space = data.draw(random_spaces())
+    s = data.draw(st.frozensets(st.integers(min_value=0, max_value=space.n_outcomes - 1)))
+    assert space.is_support(s) == oracle.support_by_perspectivity(space, s)
