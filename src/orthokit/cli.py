@@ -141,7 +141,7 @@ def cmd_transform(args) -> int:
             "order": sorted([p, q] for (p, q) in logic.le),
             "atoms": logic.atoms(),
             "atomic_outcomes": [
-                model.space.labels[x] for x in atomic_outcomes(model.space, args.cap)
+                model.space.labels[x] for x in atomic_outcomes(model.space)
             ],
             "classification": {
                 "orthoalgebra": True,

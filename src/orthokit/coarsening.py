@@ -373,17 +373,13 @@ def check_sharp_algebra_laws(checked: CheckedCoherence, cap: int | None = None) 
     return points
 
 
-def sharp_logic_iso(
-    model: Model,
-    coarse: Coarsening | None = None,
-    cap: int | None = None,
-) -> OrthoMap:
+def sharp_logic_iso(model: Model, cap: int | None = None) -> OrthoMap:
     """The logic of a model and of its coarsening agree, class by class.
 
     Builds both logics and the canonical singleton map, verifying it is a
     sum-preserving bijection.
     """
-    coarse = coarse if coarse is not None else coarsen(model, cap)
+    coarse = coarsen(model, cap)
     src_logic = build_logic(model.space, cap)
     dst_logic = build_logic(coarse.model.space, cap)
     table: list[int | None] = [None] * len(src_logic)

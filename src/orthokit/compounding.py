@@ -647,7 +647,7 @@ def validate_sequential(
     for w in candidates:
         for t in space.tests:
             for x in range(n):
-                total = _windowed_marginal(model, sp, w, x, t)
+                total = _windowed_marginal(sp, w, x, t)
                 if total is None:
                     continue
                 if not model._eq(total, w[x]):
@@ -719,7 +719,7 @@ def validate_sequential(
     return CheckedSequential(model, sp, report)
 
 
-def _windowed_marginal(model: Model, sp: SequentialProduct, w: Weight, x: int, t):
+def _windowed_marginal(sp: SequentialProduct, w: Weight, x: int, t):
     """Sum of w over x followed by a test, or None when outside the window.
 
     Impossible compound outcomes contribute zero mass; out-of-window ones
@@ -749,7 +749,7 @@ def check_chain_rule(
     n = model.space.n_outcomes
     for x in range(n):
         for t in model.space.tests:
-            total = _windowed_marginal(model, sp, w, x, t)
+            total = _windowed_marginal(sp, w, x, t)
             if total is None:
                 continue
             if not model._eq(total, w[x]):
@@ -757,9 +757,7 @@ def check_chain_rule(
     return PredicateResult(True)
 
 
-def nonatomicity_report(
-    tc: TruncatedCompound, cap: int | None = None
-) -> list[tuple[tuple[int, ...], frozenset, frozenset]]:
+def nonatomicity_report(tc: TruncatedCompound) -> list[tuple[tuple[int, ...], frozenset, frozenset]]:
     """Perspectivity witnesses showing no short string is atomic.
 
     For every string one shy of the depth limit or shorter, exhibits an axis

@@ -369,7 +369,6 @@ def find_interference(
     prod: SequentialProduct | Callable[[int, int], int | None],
     states: Sequence[Weight] | None = None,
     tol: float | None = None,
-    events: Iterable[frozenset] | None = None,
     witnesses_from: Iterable[int] | None = None,
 ) -> list[InterferenceWitness]:
     """Scan for states where collapsing an event changes follow-up statistics.
@@ -394,10 +393,7 @@ def find_interference(
             states = list(model.states.generators)
     if tol is None:
         tol = 0.0 if model.exact else model.tol
-    scan_events = sorted(
-        (frozenset(e) for e in (events if events is not None else table.keys())),
-        key=event_key,
-    )
+    scan_events = sorted(table, key=event_key)
     witness_pool = (
         sorted(witnesses_from)
         if witnesses_from is not None
@@ -406,8 +402,6 @@ def find_interference(
     out: list[InterferenceWitness] = []
     for si, w in enumerate(states):
         for a in scan_events:
-            if a not in table:
-                continue
             collapsed = table[a]
             for y in witness_pool:
                 cy = pr(collapsed, y)
@@ -432,7 +426,7 @@ def find_interference(
     return out
 
 
-def check_collapse_perspectivity(g: GAlgebra, cap: int | None = None) -> int:
+def check_collapse_perspectivity(g: GAlgebra) -> int:
     """Direct identity behind no-interference: ay is perspective to sigma(a)y.
 
     Returns the number of (event, outcome) pairs verified.
@@ -461,7 +455,6 @@ def check_left_equivariance(
     model: Model,
     sigma: Mapping[frozenset, int] | CheckedCoherence,
     prod: SequentialProduct,
-    cap: int | None = None,
 ) -> PredicateResult:
     """Weaker compatibility: left translation commutes with collapsing."""
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)

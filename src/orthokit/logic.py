@@ -227,16 +227,16 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
 # -- outcome-level atomicity ----------------------------------------------------
 
 
-def atomic_outcomes(space: TestSpace, cap: int | None = None) -> list[int]:
+def atomic_outcomes(space: TestSpace) -> list[int]:
     """Outcomes perspective only to singleton events."""
     out = []
     for x in range(space.n_outcomes):
-        if outcome_is_atomic(space, x, cap):
+        if outcome_is_atomic(space, x):
             out.append(x)
     return out
 
 
-def outcome_is_atomic(space: TestSpace, x: int, cap: int | None = None) -> bool:
+def outcome_is_atomic(space: TestSpace, x: int) -> bool:
     singleton = frozenset([x])
     for c in space.complements(singleton):
         for t in space.tests:
@@ -246,8 +246,8 @@ def outcome_is_atomic(space: TestSpace, x: int, cap: int | None = None) -> bool:
     return True
 
 
-def is_totally_nonatomic(space: TestSpace, cap: int | None = None) -> bool:
-    return not atomic_outcomes(space, cap)
+def is_totally_nonatomic(space: TestSpace) -> bool:
+    return not atomic_outcomes(space)
 
 
 # -- orthopartition test space of an abstract orthoalgebra -------------------------
