@@ -141,6 +141,10 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         states = doc["states"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed section: {exc}") from exc
+    if not all(isinstance(lab, str) for lab in outcomes):
+        raise ParseError("outcome labels must be strings")
+    if not isinstance(states, dict):
+        raise ParseError("the states section must be an object")
     space = build_test_space(tests, labels=sorted(outcomes))
     kind = states.get("kind")
     if kind == "full":
@@ -150,6 +154,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         tol = states.get("tolerance")
         gens = []
         for entry in states.get("generators", []):
+            if not isinstance(entry, dict):
+                raise ParseError("generator entries must be objects")
             vals = [
                 _scalar_from(entry.get(lab, "0" if exact else 0.0), exact)
                 for lab in space.labels
@@ -181,7 +187,7 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
                 (space.outcome(x), space.outcome(y)): space.outcome(z)
                 for x, y, z in sec["table"]
             }
-        except KeyError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed product section: {exc}") from exc
         product = SequentialProduct(unit, table, undefined_means=semantics)
     followups = None
@@ -194,7 +200,7 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
                 (space.outcome(x), token_id[tok]): space.outcome(p)
                 for x, tok, p in sec.get("table", [])
             }
-        except KeyError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed followups section: {exc}") from exc
         followups = (tokens, table)
     metadata = doc.get("metadata", {})

@@ -392,6 +392,26 @@ class TestOutsideInput:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert len(load_document(str(path)).model.states.generators) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"states": "full"},
+            {"states": {"kind": "generators", "scalar": "rational", "generators": ["a"]}},
+            {"product": {"unit": "a", "table": [["a", "b"]]}},
+            {"followups": {"tokens": ["t"], "table": [["a", "t"]]}},
+            {"outcomes": ["a", 1, "c"], "tests": [["a", 1], [1, "c"]]},
+        ],
+        ids=["states-string", "generator-string", "product-row", "followups-row", "label-not-string"],
+    )
+    def test_malformed_document_exits_two(self, change, tmp_path, capsys):
+        doc = {**self.generator_document([]), "states": {"kind": "full"}, **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_document(str(path))
+        assert main(["check", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_exact_full_product_with_float_generators_exits_two(self, capsys):
         assert main(["transform", wright_path(), "product", fixture_path("qubit-zx")]) == 2
         assert "error:" in capsys.readouterr().err
