@@ -212,12 +212,6 @@ def solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
     return LPResult("optimal", value, x)
 
 
-def lp_feasible(a_rows, b_rhs) -> LPResult:
-    """Feasibility of A x = b, x >= 0 (objective zero)."""
-    n = len(a_rows[0]) if a_rows else 0
-    return solve_lp(a_rows, b_rhs, [ZERO] * n)
-
-
 def enumerate_vertices(
     a_rows: Sequence[Sequence[Fraction]],
     b_rhs: Sequence[Fraction],

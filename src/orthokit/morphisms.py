@@ -214,23 +214,6 @@ def morphisms_equal(f: Morphism, g: Morphism) -> bool:
     return f.source is g.source and f.target is g.target and f.mapping == g.mapping
 
 
-def check_preserves_perspectivity(phi: Morphism, cap: int | None = None):
-    """Exhaustive check that perspective source events have perspective images.
-
-    Holds for every validated morphism; exposed so corrupted maps can be
-    probed.  Returns a PredicateResult-style (ok, witness) pair.
-    """
-    src, dst = phi.source.space, phi.target.space
-    events = src.events_list(cap)
-    for i, a in enumerate(events):
-        for b in events[i + 1 :]:
-            if src.is_perspective(a, b) and not dst.is_perspective(
-                phi.image(a), phi.image(b)
-            ):
-                return False, (a, b)
-    return True, None
-
-
 def check_retraction_test_preserving(phi: Morphism, psi: Morphism) -> bool:
     """A left inverse of an embedding must be test-preserving.
 

@@ -472,13 +472,6 @@ class ClosedSetLattice:
     def ortho(self, a: frozenset) -> frozenset:
         return self.space.orthocomplement(a)
 
-    def leq(self, a: frozenset, b: frozenset) -> bool:
-        return a <= b
-
-    @property
-    def top(self) -> frozenset:
-        return frozenset(range(self.space.n_outcomes))
-
 
 def build_test_space(
     tests: Iterable[Iterable[str]], labels: Sequence[str] | None = None

@@ -4,7 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthokit.linprog import enumerate_vertices, lp_feasible, row_reduce, solve_lp
+from orthokit.linprog import enumerate_vertices, row_reduce, solve_lp
+
+
+def lp_feasible(a_rows, b_rhs):
+    """Feasibility of A x = b, x >= 0 (objective zero)."""
+    n = len(a_rows[0]) if a_rows else 0
+    return solve_lp(a_rows, b_rhs, [F(0)] * n)
 
 
 def test_simple_optimum():

@@ -14,7 +14,6 @@ from orthokit.errors import (
 )
 from orthokit.corpus import named
 from orthokit.morphisms import (
-    check_preserves_perspectivity,
     check_retraction_test_preserving,
     compose,
     identity_morphism,
@@ -36,6 +35,23 @@ def all_morphisms(src, dst):
         except MorphismError:
             pass
     return found
+
+
+def check_preserves_perspectivity(phi):
+    """Exhaustive check that perspective source events have perspective images.
+
+    Holds for every validated morphism; the corrupted-map test probes it on
+    a map that skipped validation.  Returns an (ok, witness) pair.
+    """
+    src, dst = phi.source.space, phi.target.space
+    events = src.events_list()
+    for i, a in enumerate(events):
+        for b in events[i + 1 :]:
+            if src.is_perspective(a, b) and not dst.is_perspective(
+                phi.image(a), phi.image(b)
+            ):
+                return False, (a, b)
+    return True, None
 
 
 def corrupt_mapping(phi, x: int, new_target: int) -> tuple[int, ...]:
