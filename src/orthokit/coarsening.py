@@ -161,12 +161,11 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     """
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
+    _check_subset_bound("triple-coarsening outcomes", double.model.space, cap)
     mu = [coarse.collapse(ev) for ev in double.outcome_event]
-    counter = CapCounter("triple-coarsening outcomes", cap)
     points = 0
     for t in double.model.space.tests:
         for sub in _nonempty_subsets(sorted(t)):
-            counter.tick()
             points += 1
             # mu after sharp(mu) against mu after mu at the double level.
             if coarse.collapse(mu[b] for b in sub) != mu[double.collapse(sub)]:
@@ -181,6 +180,17 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
             raise LawViolation("right unit triangle fails")
         unit_points += 1
     return MonadLawReport(points, unit_points)
+
+
+def _check_subset_bound(what: str, space: TestSpace, cap: int | None) -> None:
+    """Raise before a loop over the nonempty subsets of every test of ``space``.
+
+    The loop visits sum over tests t of (2^|t| - 1) subsets.
+    """
+    cap = resolve_cap(cap)
+    bound = sum((1 << len(t)) - 1 for t in space.tests)
+    if bound > cap:
+        raise EnumerationCapExceeded(what, cap, bound)
 
 
 def _nonempty_subsets(members: list):
@@ -250,10 +260,9 @@ def validate_coherence(
         raise NotCoherence(f"structure map is not a morphism: {exc}", witness=exc.witness)
     # Grouped refinement: collapsing a jointly orthogonal family member-wise
     # and then collapsing the result agrees with collapsing the union.
-    counter = CapCounter("coherence families", cap)
+    _check_subset_bound("coherence families", coarse.model.space, cap)
     for t in coarse.model.space.tests:
         for fam in _nonempty_subsets(sorted(t)):
-            counter.tick()
             union = coarse.to_event(coarse.collapse(fam))
             inner = frozenset(table[coarse.to_event(i)] for i in fam)
             if table[union] != table[inner]:

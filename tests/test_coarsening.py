@@ -134,6 +134,53 @@ class TestCoarsenCap:
         assert calls == []
 
 
+class TestLawLoopCaps:
+    """The subset loops of ``check_monad_laws_sharp`` and ``validate_coherence``
+    bound their work, the sum of 2^|t| - 1 over the tests t they walk, before
+    they start: below the bound they raise without a single collapse."""
+
+    @pytest.fixture
+    def collapses(self, monkeypatch):
+        calls = []
+        collapse = coarsening.Coarsening.collapse
+
+        def counting(self, outcomes):
+            calls.append(outcomes)
+            return collapse(self, outcomes)
+
+        monkeypatch.setattr(coarsening.Coarsening, "collapse", counting)
+        return calls
+
+    @staticmethod
+    def subset_bound(space):
+        return sum(2 ** len(t) - 1 for t in space.tests)
+
+    @pytest.mark.parametrize("name", ["wright", "triangle", "semiclassical-2x2"])
+    def test_monad_laws_at_the_bound(self, name, collapses):
+        m = named(name)
+        bound = self.subset_bound(coarsen(coarsen(m).model).model.space)
+        collapses.clear()
+        with pytest.raises(EnumerationCapExceeded) as info:
+            check_monad_laws_sharp(m, bound - 1)
+        assert (info.value.what, info.value.bound) == ("triple-coarsening outcomes", bound)
+        assert collapses == []
+        report = check_monad_laws_sharp(m, bound)
+        assert report == check_monad_laws_sharp(m)
+        assert report.associativity_points == bound
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coherence_at_the_bound(self, n, collapses):
+        cm = classical_model(n)
+        c = coarsen(cm.model)
+        bound = self.subset_bound(c.model.space)
+        with pytest.raises(EnumerationCapExceeded) as info:
+            validate_coherence(cm.model, cm.sigma, bound - 1, coarse=c)
+        assert (info.value.what, info.value.bound) == ("coherence families", bound)
+        assert collapses == []
+        checked = validate_coherence(cm.model, cm.sigma, bound, coarse=c)
+        assert checked.table == validate_coherence(cm.model, cm.sigma, coarse=c).table
+
+
 class TestFunctor:
     def test_identity_lifts_to_identity(self):
         m = named("wright")
