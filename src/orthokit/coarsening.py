@@ -11,19 +11,18 @@ refinement.  Coherences satisfying the stronger substitution property
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    CapCounter,
-    EnumerationCapExceeded,
     HypothesisUnmet,
     LawViolation,
     MorphismError,
     NotCoherence,
     UsageError,
-    resolve_cap,
+    check_cap,
 )
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
@@ -87,12 +86,10 @@ def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
 def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     """The coarsened model: outcomes are nonempty events, tests are partitions."""
     space = model.space
-    cap = resolve_cap(cap)
     events = sorted((a for a in space.events_list(cap) if a), key=event_key)
     bell = _bell_numbers(max((len(t) for t in space.tests), default=0))
     bound = sum(bell[len(t)] for t in space.tests)  # the set partitions to enumerate
-    if bound > cap:
-        raise EnumerationCapExceeded("coarsened tests", cap, bound)
+    check_cap("coarsened tests", bound, cap)
     event_outcome = {a: i for i, a in enumerate(events)}
     labels = [coarse_label(space, a) for a in events]
     tests = set()
@@ -161,7 +158,8 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     """
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
-    _check_subset_bound("triple-coarsening outcomes", double.model.space, cap)
+    bound = sum((1 << len(t)) - 1 for t in double.model.space.tests)
+    check_cap("triple-coarsening outcomes", bound, cap)
     mu = [coarse.collapse(ev) for ev in double.outcome_event]
     points = 0
     for t in double.model.space.tests:
@@ -180,17 +178,6 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
             raise LawViolation("right unit triangle fails")
         unit_points += 1
     return MonadLawReport(points, unit_points)
-
-
-def _check_subset_bound(what: str, space: TestSpace, cap: int | None) -> None:
-    """Raise before a loop over the nonempty subsets of every test of ``space``.
-
-    The loop visits sum over tests t of (2^|t| - 1) subsets.
-    """
-    cap = resolve_cap(cap)
-    bound = sum((1 << len(t)) - 1 for t in space.tests)
-    if bound > cap:
-        raise EnumerationCapExceeded(what, cap, bound)
 
 
 def _nonempty_subsets(members: list):
@@ -260,7 +247,8 @@ def validate_coherence(
         raise NotCoherence(f"structure map is not a morphism: {exc}", witness=exc.witness)
     # Grouped refinement: collapsing a jointly orthogonal family member-wise
     # and then collapsing the result agrees with collapsing the union.
-    _check_subset_bound("coherence families", coarse.model.space, cap)
+    bound = sum((1 << len(t)) - 1 for t in coarse.model.space.tests)
+    check_cap("coherence families", bound, cap)
     for t in coarse.model.space.tests:
         for fam in _nonempty_subsets(sorted(t)):
             union = coarse.to_event(coarse.collapse(fam))
@@ -286,12 +274,12 @@ def validate_coherence(
 def is_cohesion(checked: CheckedCoherence, cap: int | None = None) -> PredicateResult:
     """Substitution the other way: an event may replace its collapse in any test."""
     space = checked.model.space
-    counter = CapCounter("cohesion pairs", cap)
+    degree = Counter(x for t in space.tests for x in t)  # tests holding each outcome
+    check_cap("cohesion pairs", sum(degree[cx] for cx in checked.table.values()), cap)
     for ev, cx in checked.table.items():
         for t in space.tests:
             if cx not in t:
                 continue
-            counter.tick()
             if (t - {cx}) | ev not in space.test_set:
                 return PredicateResult(False, (t, ev))
     return PredicateResult(True)

@@ -32,6 +32,7 @@ from .errors import (
     NumericKindMismatch,
     UsageError,
     ZeroMarginal,
+    check_cap,
     resolve_cap,
 )
 from .morphisms import Morphism, image_core, validate_morphism
@@ -108,10 +109,7 @@ def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome."""
     ls, rs = left.space, right.space
-    cap = resolve_cap(cap)
-    bound = _branch_count(ls.tests, len(rs.tests))
-    if bound > cap:
-        raise EnumerationCapExceeded("forward-product tests", cap, bound)
+    cap = check_cap("forward-product tests", _branch_count(ls.tests, len(rs.tests)), cap)
     pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
     pair_id = {p: i for i, p in enumerate(pairs)}
     labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
@@ -127,9 +125,7 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
             raise NumericKindMismatch(f"forward-product rows are {kind}, the first factor is not")
         lgens = left.states.generators or tuple(left.state_vertices(cap))
         rgens = right.states.generators or tuple(right.state_vertices(cap))
-        bound = len(lgens) * len(rgens) ** ls.n_outcomes
-        if bound > cap:
-            raise EnumerationCapExceeded("forward-product generators", cap, bound)
+        check_cap("forward-product generators", len(lgens) * len(rgens) ** ls.n_outcomes, cap)
         states = _unique_hull(
             _pair_weight(pairs, alpha, rows.__getitem__)
             for alpha in lgens
@@ -323,9 +319,7 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
         raise UsageError("depth must be nonnegative")
     base = model.space
     cap = resolve_cap(cap)
-    bound = _compound_test_bound(base.tests, depth, cap)
-    if bound > cap:
-        raise EnumerationCapExceeded("compound tests", cap, bound)
+    check_cap("compound tests", _compound_test_bound(base.tests, depth, cap), cap)
     strings = [
         s for k in range(depth + 1) for s in iproduct(range(base.n_outcomes), repeat=k)
     ]
@@ -341,9 +335,7 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
     else:
         gens = model.states.generators
         prefixes = [s for s in strings if len(s) < depth]
-        total = len(gens) ** len(prefixes)
-        if total > COMPOUND_GENERATOR_CAP:
-            raise EnumerationCapExceeded("compound generators", COMPOUND_GENERATOR_CAP, total)
+        check_cap("compound generators", len(gens) ** len(prefixes), COMPOUND_GENERATOR_CAP)
         one = Fraction(1) if model.exact else 1.0
         assignments = (dict(zip(prefixes, rows)) for rows in iproduct(gens, repeat=len(prefixes)))
         states = _unique_hull(

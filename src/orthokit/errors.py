@@ -178,6 +178,19 @@ def resolve_cap(cap: int | None = None) -> int:
     return DEFAULT_CAP
 
 
+def check_cap(what: str, bound: int, cap: int | None = None) -> int:
+    """Raise before an enumeration of ``bound`` objects that exceeds the cap.
+
+    Returns the cap in force.  An enumeration whose size is computed up
+    front checks it here before any of the work; the others count as they
+    go (``CapCounter``).
+    """
+    cap = resolve_cap(cap)
+    if bound > cap:
+        raise EnumerationCapExceeded(what, cap, bound)
+    return cap
+
+
 class CapCounter:
     """Counts enumerated objects and raises once the cap would be exceeded."""
 
@@ -191,4 +204,4 @@ class CapCounter:
     def tick(self, k: int = 1) -> None:
         self.count += k
         if self.count > self.cap:
-            raise EnumerationCapExceeded(self.what, self.cap, self.count)
+            check_cap(self.what, self.count, self.cap)

@@ -28,11 +28,11 @@ from .compounding import (
     validate_sequential,
 )
 from .errors import (
-    CapCounter,
     HypothesisUnmet,
     LawViolation,
     NotGAlgebra,
     UsageError,
+    check_cap,
 )
 from .logic import build_logic
 from .morphisms import Morphism, validate_morphism
@@ -76,20 +76,25 @@ def check_distributive_diagrams(
     taking products; flattening strings of strings before or after) and the
     two unit triangles.  Raises LawViolation on any mismatch.
     """
-    counter = CapCounter("distributive diagrams", cap)
     coarse = coarsen(model, cap)
     double_outcomes = [
         frozenset(coarse.to_event(i) for i in ev)
         for ev in coarse.model.space.events_list(cap)
         if ev
     ]
+    events = coarse.outcome_event  # sorted by event_key
+    n = model.space.n_outcomes
+    # One point per word of each square and triangle; a word of length k has
+    # 2^(k-1) splits (one for k = 0).
+    d, e = len(double_outcomes), len(events)
+    bound = e + sum(d**k + e**k * (2 ** (k - 1) if k else 1) + n**k for k in range(depth + 1))
+    check_cap("distributive diagrams", bound, cap)
 
     # Square 1: strings of double-coarse outcomes; collapse inner unions
     # before or after distributing.
     sq1 = 0
     for k in range(depth + 1):
         for word in iproduct(double_outcomes, repeat=k):
-            counter.tick()
             via_member = frozenset()
             for choice in iproduct(*[sorted(fam, key=event_key) for fam in word]):
                 via_member |= concat_product(choice)
@@ -99,12 +104,10 @@ def check_distributive_diagrams(
             sq1 += 1
 
     # Square 2: strings of strings of events; flatten before or after.
-    events = coarse.outcome_event  # sorted by event_key
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
             for split in _compositions(total):
-                counter.tick()
                 chunks = []
                 start = 0
                 for part in split:
@@ -120,7 +123,6 @@ def check_distributive_diagrams(
     # its set of one-letter strings.
     tri1 = 0
     for ev in events:
-        counter.tick()
         if concat_product([ev]) != frozenset((x,) for x in ev):
             raise LawViolation("coarse unit triangle fails")
         tri1 += 1
@@ -128,10 +130,8 @@ def check_distributive_diagrams(
     # Triangle 2: a string of singletons distributes to the singleton of
     # the string.
     tri2 = 0
-    n = model.space.n_outcomes
     for k in range(depth + 1):
         for s in iproduct(range(n), repeat=k):
-            counter.tick()
             if concat_product([frozenset([x]) for x in s]) != frozenset([s]):
                 raise LawViolation("compound unit triangle fails")
             tri2 += 1
@@ -186,11 +186,10 @@ def check_ell_naturality(phi: Morphism, depth: int, cap: int | None = None) -> i
     if not phi.test_preserving:
         raise HypothesisUnmet("naturality window needs a test-preserving morphism")
     src_events = sorted((a for a in phi.source.space.events_list(cap) if a), key=event_key)
-    counter = CapCounter("naturality points", cap)
+    check_cap("naturality points", sum(len(src_events) ** k for k in range(depth + 1)), cap)
     points = 0
     for k in range(depth + 1):
         for word in iproduct(src_events, repeat=k):
-            counter.tick()
             pushed = [phi.image(ev) for ev in word]
             lhs = concat_product(pushed)
             rhs = frozenset(tuple(phi.mapping[x] for x in s) for s in concat_product(word))
@@ -249,11 +248,10 @@ def validate_g_algebra(
     prod = checked_sp.product
     table = checked_sigma.table
     events = sorted(table.keys(), key=event_key)
-    counter = CapCounter("event strings", cap)
+    check_cap("event strings", sum(len(events) ** k for k in range(1, probe_depth + 1)), cap)
     checked = skipped = 0
     for k in range(1, probe_depth + 1):
         for word in iproduct(events, repeat=k):
-            counter.tick()
             ev_prod = word[0]
             for nxt in word[1:]:
                 ev_prod = prod.event_product(ev_prod, nxt)

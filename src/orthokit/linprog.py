@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import CapCounter
+from .errors import check_cap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -231,15 +231,12 @@ def enumerate_vertices(
         return []
     r = len(a)
     n = len(a[0]) if a else 0
-    counter = CapCounter("polytope vertices", cap)
-    seen = set()
-    out: list[list[Fraction]] = []
     if r == 0:
         return [[ZERO] * n]
-    if math.comb(n, r) > counter.cap:
-        counter.tick(math.comb(n, r))
+    check_cap("polytope vertices", math.comb(n, r), cap)
+    seen = set()
+    out: list[list[Fraction]] = []
     for cols in combinations(range(n), r):
-        counter.tick()
         sub = [[a[i][j] for j in cols] for i in range(r)]
         sol = _solve_square(sub, b)
         if sol is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError
+from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
 from .morphisms import Morphism
 from .states import Model
 from .testspace import PredicateResult, TestSpace, event_key
@@ -202,12 +202,11 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
     # Every orthogonal pair appears under the test containing its union, so
     # recording sums this way both builds the table and verifies that the sum
     # depends only on the classes.
-    counter = CapCounter("logic sum table", cap)
+    check_cap("logic sum table", sum(3 ** len(t) for t in space.tests), cap)
     oplus: dict[tuple[int, int], int] = {}
     for t in space.tests:
         members = sorted(t)
         for split in product((0, 1, 2), repeat=len(members)):
-            counter.tick()
             a = frozenset(x for x, side in zip(members, split) if side == 1)
             b = frozenset(x for x, side in zip(members, split) if side == 2)
             pq = (class_of[a], class_of[b])

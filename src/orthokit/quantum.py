@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 from typing import Mapping, Sequence
 
-from .coarsening import set_partitions
+from .coarsening import _bell_numbers, set_partitions
 from .compounding import JOIN, SequentialProduct
 from .errors import (
-    CapCounter,
     DepthCapExceeded,
     NotAState,
     NotOrthonormal,
     UsageError,
+    check_cap,
 )
 from .states import Model, Weight, full_model, generator_model
 from .testspace import TestSpace, event_key
@@ -66,19 +66,14 @@ def classical_model(n: int, cap: int | None = None) -> ClassicalModel:
     """
     if n < 1:
         raise UsageError("need at least one point")
-    counter = CapCounter("classical model", cap)
+    # the nonempty subsets, then the set partitions
+    check_cap("classical model", 2**n - 1 + _bell_numbers(n)[n], cap)
     points = list(range(1, n + 1))
-    subsets = []
-    for r in range(1, n + 1):
-        for c in combinations(points, r):
-            counter.tick()
-            subsets.append(frozenset(c))
-    subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    subsets = [frozenset(c) for r in range(1, n + 1) for c in combinations(points, r)]
     subset_id = {s: i for i, s in enumerate(subsets)}
     labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in subsets]
     tests = []
     for blocks in set_partitions(points):
-        counter.tick()
         tests.append(frozenset(subset_id[frozenset(b)] for b in blocks))
     space = TestSpace(tuple(labels), tests)
     model = full_model(space)

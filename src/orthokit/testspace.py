@@ -30,11 +30,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     CapCounter,
     EmptyTest,
-    EnumerationCapExceeded,
     LabelCollision,
     RedundantTests,
     UncoveredOutcome,
     UnknownLabel,
+    check_cap,
     resolve_cap,
 )
 
@@ -212,14 +212,10 @@ class TestSpace:
         Raises ``EnumerationCapExceeded`` when the largest test alone has
         more than ``cap`` subsets, or when there are more than ``cap`` events.
         """
-        cap = resolve_cap(cap)
-        if self.tests:
-            top = 2 ** max(len(t) for t in self.tests)
-            if top > cap:
-                raise EnumerationCapExceeded("events", cap, top)
+        top = 2 ** max(map(len, self.tests)) if self.tests else 0
+        cap = check_cap("events", top, cap)
         masks = self._event_mask_list(cap)
-        if len(masks) > cap:
-            raise EnumerationCapExceeded("events", cap, len(masks))
+        check_cap("events", len(masks), cap)
         if self._events_cache is None:
             self._events_cache = [mask_event(m) for m in masks]
         return self._events_cache
@@ -300,10 +296,7 @@ class TestSpace:
         members appear in event enumeration order, which fixes the witness a
         predicate reports.  The cap bounds the pass length, sum of 2^|t|.
         """
-        cap = resolve_cap(cap)
-        total = sum(2 ** len(t) for t in self.tests)
-        if total > cap:
-            raise EnumerationCapExceeded("complement buckets", cap, total)
+        check_cap("complement buckets", sum(2 ** len(t) for t in self.tests), cap)
         if self._comp_index is None:
             buckets: dict[int, list[int]] = defaultdict(list)
             comps: dict[int, set[int]] = defaultdict(set)
@@ -345,11 +338,9 @@ class TestSpace:
         The scan compares every pair of events, so it needs E^2 <= cap for E
         events; enumeration stops as soon as isqrt(cap) + 1 events are seen.
         """
-        cap = resolve_cap(cap)
-        limit = isqrt(cap)
+        limit = isqrt(resolve_cap(cap))
         masks = self._event_mask_list(limit)
-        if len(masks) > limit:
-            raise EnumerationCapExceeded("coherence pairs", cap, (limit + 1) ** 2)
+        check_cap("coherence pairs", min(len(masks), limit + 1) ** 2, cap)
         is_event = set(masks)
         evs = sorted(filter(None, masks), key=_ids)
         for b in evs:

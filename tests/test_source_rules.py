@@ -1,8 +1,14 @@
-"""Rules on the library source itself: it means the same under ``python -O``.
+"""Rules on the library source itself.
 
-``python -O`` strips every ``assert`` and sets ``__debug__`` to False, so a
-check written with either runs in one mode only.  The source may use
-neither, and a subprocess under ``-O`` must report what this process does.
+It means the same under ``python -O``: that strips every ``assert`` and sets
+``__debug__`` to False, so a check written with either runs in one mode only.
+The source may use neither, and a subprocess under ``-O`` must report what
+this process does.
+
+It enforces caps one way: ``errors.check_cap`` raises before an enumeration
+whose size is computed up front, so ``EnumerationCapExceeded`` is built only in
+``errors.py``, and a ``CapCounter`` that counts as it goes appears only in
+four enumerations.
 """
 
 import ast
@@ -126,3 +132,62 @@ def test_same_results_under_optimize():
     got = json.loads(proc.stdout)
     check_results(got)
     assert got == want
+
+
+# -- cap enforcement -------------------------------------------------------------
+
+CAP_CLASSES = ("EnumerationCapExceeded", "CapCounter")
+
+COUNTED_ENUMERATIONS = {
+    ("corpus.py", "enumerate_test_spaces"),
+    ("logic.py", "orthopartition_space"),
+    ("states.py", "transversal_weights"),
+    ("testspace.py", "closed_set_lattice"),
+}
+
+
+def cap_constructions(source, filename="<string>"):
+    """(line, class, innermost enclosing function) of every call to a cap class."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CAP_CLASSES:
+                    found.append((child.lineno, name, function))
+            visit(child, function)
+
+    visit(ast.parse(source, filename=filename), None)
+    return sorted(found)
+
+
+def test_scanner_flags_cap_constructions():
+    """The rules below cannot pass just because the scanner sees nothing."""
+    source = (
+        "from orthokit import errors\n"
+        "def f(n):\n"
+        "    counter = errors.CapCounter('f', n)\n"
+        "    def g():\n"
+        "        raise EnumerationCapExceeded('g', n, n + 1)\n"
+        "    return counter, g\n"
+        "EnumerationCapExceeded('top', 0, 1)\n"
+    )
+    assert cap_constructions(source) == [
+        (3, "CapCounter", "f"),
+        (5, "EnumerationCapExceeded", "g"),
+        (7, "EnumerationCapExceeded", None),
+    ]
+
+
+def test_caps_are_enforced_one_way():
+    raised, counted = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for _, name, function in cap_constructions(path.read_text(encoding="utf-8"), str(path)):
+            (raised if name == "EnumerationCapExceeded" else counted).add((path.name, function))
+    assert {name for name, _ in raised} == {"errors.py"}
+    assert counted == COUNTED_ENUMERATIONS
