@@ -597,19 +597,13 @@ def validate_sequential(
             )
         for choice in assignments:
             image = set()
-            skip = False
             for x, fi in zip(members, choice):
-                for y in space.tests[fi]:
-                    p = sp.prod(x, y)
-                    if p is None:
-                        if sp.undefined_means == OUT_OF_WINDOW:
-                            skip = True
-                            break
-                        continue
-                    image.add(p)
-                if skip:
+                branch = sp.event_product((x,), space.tests[fi])
+                if branch is None:
+                    image = None
                     break
-            if skip:
+                image |= branch
+            if image is None:
                 ind_skipped += 1
                 continue
             ind_checked += 1

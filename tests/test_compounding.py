@@ -1,9 +1,11 @@
 """Forward products and truncated compounding: structure, states, algebras."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from orthokit.errors import (
     LawViolation,
     NotAMorphism,
     NotSequential,
+    OrthokitError,
     ZeroMarginal,
 )
 from compound_oracles import (
@@ -26,6 +29,8 @@ from compound_oracles import (
     transition_vertex_pool,
 )
 from orthokit.compounding import (
+    IMPOSSIBLE,
+    OUT_OF_WINDOW,
     SequentialProduct,
     check_chain_rule,
     check_tower_recursion,
@@ -399,6 +404,31 @@ class TestSequential:
         vals[tc.id_of((1, 1))] = F(2, 5)
         verdict = check_chain_rule(tc.model, sp, Weight(vals))
         assert not verdict
+
+    # Recorded before the inductivity loop built its images with
+    # ``event_product``: 37 entries under two semantics, 24 of them raising
+    # "branch assignment leaves the test family" and the others reporting
+    # their inductivity_checked / inductivity_skipped counts.
+    ONE_ENTRY_DELETIONS_SHA256 = "2014361519f752901c32bde91d488d94f184bbf9fbb2ce032a2043a86a071d7f"
+
+    def test_one_entry_deletions_are_byte_stable(self):
+        """Each single entry of the classical 3-point product deleted, under both
+        semantics: the exception (class, message, witness) or the report."""
+        cm = classical_model(3)
+        table = cm.product.table
+        lines = []
+        for semantics in (IMPOSSIBLE, OUT_OF_WINDOW):
+            for key in sorted(table):
+                rest = {k: v for k, v in table.items() if k != key}
+                sp = SequentialProduct(cm.product.unit, rest, undefined_means=semantics)
+                try:
+                    got = astuple(validate_sequential(cm.model, sp).report)
+                except OrthokitError as exc:
+                    got = (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+                lines.append(f"{semantics} {key} {got!r}")
+        assert len(lines) == 74
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.ONE_ENTRY_DELETIONS_SHA256
 
 
 class TestNonatomicity:
