@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 from .compounding import IMPOSSIBLE, OUT_OF_WINDOW, SequentialProduct
@@ -141,7 +142,7 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         states = doc["states"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed section: {exc}") from exc
-    if not all(isinstance(lab, str) for lab in outcomes):
+    if not all(isinstance(lab, str) for lab in chain(outcomes, *tests)):
         raise ParseError("outcome labels must be strings")
     if not isinstance(states, dict):
         raise ParseError("the states section must be an object")
@@ -152,6 +153,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     elif kind == "generators":
         exact = states.get("scalar", "rational") == "rational"
         tol = states.get("tolerance")
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
+            raise ParseError(f"tolerance must be a number, got {tol!r}")
         gens = []
         for entry in states.get("generators", []):
             if not isinstance(entry, dict):
@@ -168,13 +171,13 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         raise ParseError(f"unknown state kind {kind!r}")
     coherence = None
     if "coherence" in doc:
-        coherence = {}
-        for entry in doc["coherence"]:
-            try:
-                ev_labels, target = entry
-            except (TypeError, ValueError) as exc:
-                raise ParseError("coherence entries must be [event, outcome]") from exc
-            coherence[space.event_of(ev_labels)] = space.outcome(target)
+        try:
+            coherence = {
+                space.event_of(ev_labels): space.outcome(target)
+                for ev_labels, target in doc["coherence"]
+            }
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"coherence entries must be [event, outcome]: {exc}") from exc
     product = None
     if "product" in doc:
         sec = doc["product"]
@@ -193,9 +196,11 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     followups = None
     if "followups" in doc:
         sec = doc["followups"]
-        tokens = tuple(sec.get("tokens", []))
-        token_id = {t: i for i, t in enumerate(tokens)}
+        if not isinstance(sec, dict):
+            raise ParseError("the followups section must be an object")
         try:
+            tokens = tuple(sec.get("tokens", []))
+            token_id = {t: i for i, t in enumerate(tokens)}
             table = {
                 (space.outcome(x), token_id[tok]): space.outcome(p)
                 for x, tok, p in sec.get("table", [])
@@ -204,6 +209,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
             raise ParseError(f"malformed followups section: {exc}") from exc
         followups = (tokens, table)
     metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("the metadata section must be an object")
     return DocumentBundle(model, coherence, product, followups, dict(metadata))
 
 

@@ -400,8 +400,43 @@ class TestOutsideInput:
             {"product": {"unit": "a", "table": [["a", "b"]]}},
             {"followups": {"tokens": ["t"], "table": [["a", "t"]]}},
             {"outcomes": ["a", 1, "c"], "tests": [["a", 1], [1, "c"]]},
+            {"coherence": 5},
+            {"coherence": [[5, "a"]]},
+            {"coherence": [[["a"], ["a"]]]},
+            {"metadata": 5},
+            {"followups": "x"},
+            {"followups": {"tokens": 5}},
+            {"followups": {"tokens": [["t"]]}},
+            {"tests": [["a", ["b"]], ["b", "c"]]},
+            *(
+                {
+                    "states": {
+                        "kind": "generators",
+                        "scalar": "float",
+                        "tolerance": tolerance,
+                        "generators": [{"a": 0.5, "b": 0.5, "c": 0.5}, {"b": 1.0}],
+                    }
+                }
+                for tolerance in ("x", True)
+            ),
         ],
-        ids=["states-string", "generator-string", "product-row", "followups-row", "label-not-string"],
+        ids=[
+            "states-string",
+            "generator-string",
+            "product-row",
+            "followups-row",
+            "label-not-string",
+            "coherence-number",
+            "coherence-event-number",
+            "coherence-target-list",
+            "metadata-number",
+            "followups-string",
+            "followup-tokens-number",
+            "followup-token-list",
+            "test-member-list",
+            "tolerance-string",
+            "tolerance-bool",
+        ],
     )
     def test_malformed_document_exits_two(self, change, tmp_path, capsys):
         doc = {**self.generator_document([]), "states": {"kind": "full"}, **change}
