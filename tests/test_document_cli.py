@@ -5,16 +5,19 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orthokit.document import (
     DocumentBundle,
     bundle_to_document,
     canonicalize_file,
     document_to_bundle,
+    dumps_canonical,
     load_document,
     save_document,
 )
@@ -29,6 +32,7 @@ from orthokit.errors import (
 )
 from orthokit.cli import main
 from orthokit.corpus import corpus_models, named
+from orthokit.states import Weight, generator_model
 
 
 def fixture_paths():
@@ -113,6 +117,51 @@ class TestDocuments:
         doc["product"] = {"unit": "a", "semantics": "weird", "table": []}
         with pytest.raises(ParseError):
             document_to_bundle(doc)
+
+
+@lru_cache(maxsize=None)
+def corpus_with_vertices():
+    return [(m, tuple(m.state_vertices())) for m in corpus_models()]
+
+
+@st.composite
+def corpus_derived_models(draw):
+    """A corpus model, an exact hull of a nonempty subset of its vertices, or
+    the float twin of such a hull."""
+    model, vertices = draw(st.sampled_from(corpus_with_vertices()))
+    kind = draw(st.sampled_from(["full", "exact", "float"]))
+    if kind == "full":
+        return model
+    gens = draw(st.lists(st.sampled_from(vertices), min_size=1, unique_by=lambda w: w.values))
+    if kind == "float":
+        gens = [Weight(tuple(float(v) for v in g.values)) for g in gens]
+    try:
+        return generator_model(model.space, gens, exact=kind == "exact")
+    except PositivityViolation:
+        assume(False)
+
+
+def save_text(model):
+    return dumps_canonical(bundle_to_document(DocumentBundle(model)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_derived_models())
+def test_save_load_save_on_corpus_models(model):
+    """Save, load and save again gives the same bytes and the same model."""
+    text = save_text(model)
+    loaded = document_to_bundle(json.loads(text)).model
+    assert save_text(loaded) == text
+    assert loaded.space.labels == model.space.labels
+    assert loaded.space.tests == model.space.tests
+    assert (loaded.exact, loaded.tol, loaded.states.kind) == (
+        model.exact,
+        model.tol,
+        model.states.kind,
+    )
+    assert sorted(g.values for g in loaded.states.generators) == sorted(
+        g.values for g in model.states.generators
+    )
 
 
 def wright_path():
