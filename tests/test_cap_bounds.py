@@ -9,6 +9,7 @@ by the same patched callee or read off what the call returns.
 """
 
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -90,6 +91,7 @@ def test_classical_subsets_come_in_size_then_lexicographic_order():
 # -- enumerate_vertices -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def vertex_cases():
     models = list(corpus_models())[::10]
     return [*models, named("wright"), classical_model(3).model]
@@ -115,6 +117,7 @@ def test_enumerate_vertices(index, record):
 # -- build_logic ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def algebraic_spaces():
     spaces = [m.space for m in corpus_models() if m.space.algebraic()]
     return [*spaces[::6], classical_model(3).model.space]
