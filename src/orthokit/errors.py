@@ -9,6 +9,7 @@ ever silently truncated.  The global default can be overridden with the
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 DEFAULT_CAP = 2_000_000
 CAP_ENV_VAR = "ORTHOKIT_CAP"
@@ -191,6 +192,21 @@ def check_cap(what: str, bound: int, cap: int | None = None) -> int:
     return cap
 
 
+def check_cap_sum(what: str, terms: Iterable[int], cap: int | None = None) -> int:
+    """``check_cap`` on the sum of nonnegative ``terms``, added only until it passes the cap.
+
+    The partial sum that passes the cap is still a lower bound for the work,
+    and stopping there keeps the integers small however long ``terms`` runs.
+    """
+    cap = resolve_cap(cap)
+    total = 0
+    for term in terms:
+        total += term
+        if total > cap:
+            raise EnumerationCapExceeded(what, cap, total)
+    return cap
+
+
 class CapCounter:
     """Counts enumerated objects and raises once the cap would be exceeded."""
 
@@ -204,4 +220,4 @@ class CapCounter:
     def tick(self, k: int = 1) -> None:
         self.count += k
         if self.count > self.cap:
-            check_cap(self.what, self.count, self.cap)
+            raise EnumerationCapExceeded(self.what, self.cap, self.count)

@@ -14,7 +14,7 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
@@ -32,7 +32,7 @@ from .errors import (
     LawViolation,
     NotGAlgebra,
     UsageError,
-    check_cap,
+    check_cap_sum,
 )
 from .logic import build_logic
 from .morphisms import Morphism, validate_morphism
@@ -87,8 +87,8 @@ def check_distributive_diagrams(
     # One point per word of each square and triangle; a word of length k has
     # 2^(k-1) splits (one for k = 0).
     d, e = len(double_outcomes), len(events)
-    bound = e + sum(d**k + e**k * (2 ** (k - 1) if k else 1) + n**k for k in range(depth + 1))
-    check_cap("distributive diagrams", bound, cap)
+    terms = (d**k + e**k * (2 ** (k - 1) if k else 1) + n**k for k in range(depth + 1))
+    check_cap_sum("distributive diagrams", chain([e], terms), cap)
 
     # Square 1: strings of double-coarse outcomes; collapse inner unions
     # before or after distributing.
@@ -186,7 +186,7 @@ def check_ell_naturality(phi: Morphism, depth: int, cap: int | None = None) -> i
     if not phi.test_preserving:
         raise HypothesisUnmet("naturality window needs a test-preserving morphism")
     src_events = sorted((a for a in phi.source.space.events_list(cap) if a), key=event_key)
-    check_cap("naturality points", sum(len(src_events) ** k for k in range(depth + 1)), cap)
+    check_cap_sum("naturality points", (len(src_events) ** k for k in range(depth + 1)), cap)
     points = 0
     for k in range(depth + 1):
         for word in iproduct(src_events, repeat=k):
@@ -248,7 +248,7 @@ def validate_g_algebra(
     prod = checked_sp.product
     table = checked_sigma.table
     events = sorted(table.keys(), key=event_key)
-    check_cap("event strings", sum(len(events) ** k for k in range(1, probe_depth + 1)), cap)
+    check_cap_sum("event strings", (len(events) ** k for k in range(1, probe_depth + 1)), cap)
     checked = skipped = 0
     for k in range(1, probe_depth + 1):
         for word in iproduct(events, repeat=k):

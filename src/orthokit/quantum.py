@@ -26,6 +26,7 @@ from .errors import (
     NotOrthonormal,
     UsageError,
     check_cap,
+    check_cap_sum,
 )
 from .states import Model, Weight, full_model, generator_model
 from .testspace import TestSpace, event_key
@@ -66,7 +67,9 @@ def classical_model(n: int, cap: int | None = None) -> ClassicalModel:
     """
     if n < 1:
         raise UsageError("need at least one point")
-    # the nonempty subsets, then the set partitions
+    # The nonempty subsets, then the set partitions.  Counting the subsets by
+    # size first stops a large n at the cap before 2^n or B(n) is formed.
+    cap = check_cap_sum("classical model", (math.comb(n, r) for r in range(1, n + 1)), cap)
     check_cap("classical model", 2**n - 1 + _bell_numbers(n)[n], cap)
     points = list(range(1, n + 1))
     subsets = [frozenset(c) for r in range(1, n + 1) for c in combinations(points, r)]

@@ -271,3 +271,49 @@ def test_event_strings(n, depth, bound, record):
         want.commutative,
     )
     assert want.strings_checked + want.strings_skipped == bound
+
+
+# -- large inputs ----------------------------------------------------------------------
+
+
+def small_bound_over_cap(call, what):
+    """The call stops at the cap with a small lower bound rather than forming the whole
+    sum, whose decimal form for these inputs runs past 4,300 digits."""
+    with pytest.raises(EnumerationCapExceeded) as info:
+        call()
+    assert info.value.what == what
+    assert info.value.cap < info.value.bound < 2**64
+    assert f"needs ≥ {info.value.bound}, enumeration exceeds cap" in str(info.value)
+
+
+def test_large_classical_model_stops_at_the_subsets(record):
+    calls = record(quantum, "_bell_numbers")
+    small_bound_over_cap(lambda: classical_model(20000), "classical model")
+    assert calls == []
+
+
+def test_deep_distributive_window_stops_at_the_cap(record):
+    calls = record(interference, "concat_product")
+    small_bound_over_cap(
+        lambda: check_distributive_diagrams(named("wright"), 5000), "distributive diagrams"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_deep_naturality_window_stops_at_the_cap(index, record):
+    phi = naturality_cases()[index]
+    calls = record(interference, "concat_product")
+    small_bound_over_cap(lambda: check_ell_naturality(phi, 20000), "naturality points")
+    assert calls == []
+
+
+def test_deep_event_strings_stop_at_the_cap(record):
+    cm = classical_model(2)
+    checked = validate_coherence(cm.model, cm.sigma)
+    sequential = validate_sequential(cm.model, cm.product)
+    calls = record(SequentialProduct, "prod_string")
+    small_bound_over_cap(
+        lambda: validate_g_algebra(cm.model, checked, sequential, 20000), "event strings"
+    )
+    assert calls == []

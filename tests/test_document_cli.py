@@ -398,6 +398,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "needs ≥ 4281898, enumeration exceeds cap 2000000" in err
 
+    def test_deep_distributive_window_exits_two(self, capsys):
+        """wright has 9 coarse outcomes, so depth 5000 needs more than 18^5000 / 2
+        points; the bound stops adding at the first partial sum over the cap."""
+        assert main(["laws", wright_path(), "distributive", "--depth", "5000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: distributive diagrams: needs ≥ ")
+        assert "enumeration exceeds cap 2000000" in err
+
     def test_parse_and_usage_errors_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
