@@ -11,7 +11,6 @@ refinement.  Coherences satisfying the stronger substitution property
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping
@@ -27,7 +26,7 @@ from .errors import (
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
 from .states import Model, StateSpace, Weight
-from .testspace import PredicateResult, TestSpace, event_key, mask_event
+from .testspace import PredicateResult, TestSpace, _ids, _mask, event_key, mask_event
 
 
 def set_partitions(members: list) -> Iterable[list[list]]:
@@ -53,25 +52,36 @@ def _bell_numbers(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Coarsening:
-    """A coarsened model plus the interning between outcomes and base events."""
+    """A coarsened model plus the interning between outcomes and base events.
+
+    Outcome i is the base event ``outcome_event[i]``, whose mask (bit x for
+    base outcome x) is ``outcome_mask[i]``; ``mask_outcome`` inverts the masks.
+    """
 
     base: Model
     model: Model
     outcome_event: tuple[frozenset, ...]
-    event_outcome: Mapping[frozenset, int]
+    outcome_mask: tuple[int, ...]
+    mask_outcome: Mapping[int, int]
 
-    def to_coarse(self, event: frozenset) -> int:
-        try:
-            return self.event_outcome[frozenset(event)]
-        except KeyError:
-            raise UsageError(f"{sorted(event)} is not a nonempty event of the base") from None
+    def to_coarse(self, event: Iterable[int]) -> int:
+        m = self.base.space._mask_of(event)
+        if m not in self.mask_outcome:
+            raise UsageError(f"{sorted(event)} is not a nonempty event of the base")
+        return self.mask_outcome[m]
 
     def to_event(self, outcome: int) -> frozenset:
         return self.outcome_event[outcome]
 
     def collapse(self, outcomes: Iterable[int]) -> int:
         """The monad multiplication: the outcome whose event is the union of theirs."""
-        return self.to_coarse(frozenset().union(*(self.outcome_event[i] for i in outcomes)))
+        m = 0
+        for i in outcomes:
+            m |= self.outcome_mask[i]
+        try:
+            return self.mask_outcome[m]
+        except KeyError:
+            raise UsageError(f"{_ids(m)} is not a nonempty event of the base") from None
 
 
 def coarse_label(space: TestSpace, event: frozenset) -> str:
@@ -90,19 +100,19 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     bell = _bell_numbers(max((len(t) for t in space.tests), default=0))
     bound = sum(bell[len(t)] for t in space.tests)  # the set partitions to enumerate
     check_cap("coarsened tests", bound, cap)
-    event_outcome = {a: i for i, a in enumerate(events)}
+    mask_outcome = {_mask(a): i for i, a in enumerate(events)}  # keys in outcome order
     labels = [coarse_label(space, a) for a in events]
     tests = set()
-    for t in space.tests:
-        for blocks in set_partitions(sorted(t)):
-            tests.add(frozenset(event_outcome[frozenset(b)] for b in blocks))
+    for t in space._test_masks:
+        for blocks in set_partitions([1 << x for x in _ids(t)]):
+            tests.add(frozenset(mask_outcome[sum(b)] for b in blocks))
     coarse_space = TestSpace(tuple(labels), sorted(tests, key=event_key))
     if model.states.is_full:
         states = StateSpace.full()
     else:
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
-    return Coarsening(model, coarse_model, tuple(events), event_outcome)
+    return Coarsening(model, coarse_model, tuple(events), tuple(mask_outcome), mask_outcome)
 
 
 def functor_sharp(
@@ -121,9 +131,7 @@ def functor_sharp(
 def unit_eta(coarse: Coarsening, cap: int | None = None) -> Morphism:
     """Singleton inclusion of a model into its coarsening; an embedding."""
     base = coarse.base
-    mapping = tuple(
-        coarse.to_coarse(frozenset([x])) for x in range(base.space.n_outcomes)
-    )
+    mapping = tuple(coarse.mask_outcome[1 << x] for x in range(base.space.n_outcomes))
     eta = validate_morphism(base, coarse.model, mapping, cap)
     if not eta.embedding:
         raise LawViolation("the singleton unit must be an embedding")
@@ -162,28 +170,22 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     check_cap("triple-coarsening outcomes", bound, cap)
     mu = [coarse.collapse(ev) for ev in double.outcome_event]
     points = 0
-    for t in double.model.space.tests:
-        for sub in _nonempty_subsets(sorted(t)):
+    for t in double.model.space._test_masks:
+        sub = 0
+        while sub := (sub - t) & t:  # the nonempty submasks of t, ascending
             points += 1
+            blocks = _ids(sub)
             # mu after sharp(mu) against mu after mu at the double level.
-            if coarse.collapse(mu[b] for b in sub) != mu[double.collapse(sub)]:
-                raise LawViolation(f"associativity square fails at {sorted(sub)}")
-    unit_points = 0
+            if coarse.collapse(mu[b] for b in blocks) != mu[double.collapse(blocks)]:
+                raise LawViolation(f"associativity square fails at {blocks}")
     for i, ev in enumerate(coarse.outcome_event):
         # mu after sharp(eta): split into singletons, then union.
-        if coarse.collapse(coarse.to_coarse(frozenset([x])) for x in ev) != i:
+        if coarse.collapse(coarse.mask_outcome[1 << x] for x in ev) != i:
             raise LawViolation("left unit triangle fails")
         # mu after eta of the coarsening: wrap as one block, then union.
         if coarse.to_coarse(frozenset(ev)) != i:
             raise LawViolation("right unit triangle fails")
-        unit_points += 1
-    return MonadLawReport(points, unit_points)
-
-
-def _nonempty_subsets(members: list):
-    n = len(members)
-    for mask in range(1, 1 << n):
-        yield frozenset(members[i] for i in range(n) if mask >> i & 1)
+    return MonadLawReport(points, len(coarse.outcome_event))
 
 
 # -- coherences and cohesions ---------------------------------------------------
@@ -249,24 +251,31 @@ def validate_coherence(
     # and then collapsing the result agrees with collapsing the union.
     bound = sum((1 << len(t)) - 1 for t in coarse.model.space.tests)
     check_cap("coherence families", bound, cap)
-    for t in coarse.model.space.tests:
-        for fam in _nonempty_subsets(sorted(t)):
-            union = coarse.to_event(coarse.collapse(fam))
-            inner = frozenset(table[coarse.to_event(i)] for i in fam)
-            if table[union] != table[inner]:
+    image = phi.mapping  # coarse outcome -> its collapse in the model
+    for t in coarse.model.space._test_masks:
+        fam = 0
+        while fam := (fam - t) & t:  # the nonempty submasks of t, ascending
+            members = _ids(fam)
+            union = coarse.collapse(members)
+            inner = coarse.to_coarse([image[i] for i in members])
+            if image[union] != image[inner]:
                 raise NotCoherence(
-                    "grouped refinement identity fails", witness=(union, inner)
+                    "grouped refinement identity fails",
+                    witness=(coarse.to_event(union), coarse.to_event(inner)),
                 )
     if not phi.test_preserving:
         raise LawViolation("a coherence must be test-preserving")
-    for t in space.tests:
-        for sub in _nonempty_subsets(sorted(t)):
-            patched = (t - sub) | {table[sub]}
-            if patched not in space.test_set:
+    test_masks = set(space._test_masks)
+    for t in space._test_masks:
+        sub = 0
+        while sub := (sub - t) & t:
+            x = image[coarse.mask_outcome[sub]]
+            patched = (t & ~sub) | (1 << x)
+            if patched not in test_masks:
                 raise LawViolation(
                     "substituting the collapse into its test must give a test"
                 )
-            if not space.is_perspective(frozenset([table[sub]]), sub):
+            if space._axis(1 << x, sub) is None:
                 raise LawViolation("an event must be perspective to its collapse")
     return CheckedCoherence(model, coarse, phi, table)
 
@@ -274,12 +283,11 @@ def validate_coherence(
 def is_cohesion(checked: CheckedCoherence, cap: int | None = None) -> PredicateResult:
     """Substitution the other way: an event may replace its collapse in any test."""
     space = checked.model.space
-    degree = Counter(x for t in space.tests for x in t)  # tests holding each outcome
-    check_cap("cohesion pairs", sum(degree[cx] for cx in checked.table.values()), cap)
+    holding = space._holder_bits()
+    check_cap("cohesion pairs", sum(holding[cx].bit_count() for cx in checked.table.values()), cap)
     for ev, cx in checked.table.items():
-        for t in space.tests:
-            if cx not in t:
-                continue
+        for i in _ids(holding[cx]):
+            t = space.tests[i]
             if (t - {cx}) | ev not in space.test_set:
                 return PredicateResult(False, (t, ev))
     return PredicateResult(True)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from itertools import combinations, permutations
+from math import comb
 from string import ascii_lowercase
 from typing import Iterator
 
-from .errors import CapCounter, PositivityViolation, UnknownName
+from .errors import PositivityViolation, UnknownName, check_cap_sum
 from .quantum import classical_model, hilbert_slice_model
 from .states import Model, full_model
 from .testspace import TestSpace, build_test_space
@@ -39,31 +40,35 @@ def _mask_tables(n: int) -> list[list[int]]:
 
 
 def enumerate_test_spaces(max_outcomes: int, max_tests: int, cap: int | None = None):
-    """All irredundant covering test spaces, one per isomorphism class."""
+    """All irredundant covering test spaces, one per isomorphism class.
+
+    The cap bounds the candidate test families, C(2^n - 1, k) summed over
+    n <= max_outcomes and k <= max_tests; cached calls check it too.  Test
+    counts past the 2^n - 1 nonempty outcome sets have no families and are
+    skipped, in the bound and in the loop.
+    """
+    sizes = (comb(2**n - 1, k) for n in range(1, max_outcomes + 1)
+             for k in range(1, min(max_tests, 2**n - 1) + 1))
+    check_cap_sum("test-space corpus", sizes, cap)
     key = (max_outcomes, max_tests)
     if key in _cache:
         yield from _cache[key]
         return
-    counter = CapCounter("test-space corpus", cap)
     out: list[TestSpace] = []
     for n in range(1, max_outcomes + 1):
         labels = tuple(ascii_lowercase[:n])
         tables = _mask_tables(n)
         full = (1 << n) - 1
         masks = list(range(1, 1 << n))
-        for k in range(1, max_tests + 1):
+        for k in range(1, min(max_tests, len(masks)) + 1):
             seen: set[tuple[int, ...]] = set()
             for combo in combinations(masks, k):
-                counter.tick()
                 cover = 0
                 for m in combo:
                     cover |= m
                 if cover != full:
                     continue
-                if any(
-                    (a & b) == a
-                    for a, b in combinations(combo, 2)
-                ) or any((a & b) == b for a, b in combinations(combo, 2)):
+                if any((a & b) in (a, b) for a, b in combinations(combo, 2)):
                     continue
                 if combo in seen:
                     continue

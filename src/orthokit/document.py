@@ -137,11 +137,13 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
-        outcomes = list(doc["outcomes"])
-        tests = [list(t) for t in doc["tests"]]
-        states = doc["states"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing or malformed section: {exc}") from exc
+        outcomes, tests, states = doc["outcomes"], doc["tests"], doc["states"]
+    except KeyError as exc:
+        raise ParseError(f"missing section: {exc}") from exc
+    if not (isinstance(outcomes, list) and isinstance(tests, list)) or not all(
+        isinstance(t, list) for t in tests
+    ):
+        raise ParseError("outcomes, tests and each test must be lists")
     if not all(isinstance(lab, str) for lab in chain(outcomes, *tests)):
         raise ParseError("outcome labels must be strings")
     if not isinstance(states, dict):
@@ -151,7 +153,10 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     if kind == "full":
         model = full_model(space)
     elif kind == "generators":
-        exact = states.get("scalar", "rational") == "rational"
+        scalar = states.get("scalar", "rational")
+        if scalar not in ("rational", "float"):
+            raise ParseError(f"unknown scalar {scalar!r}")
+        exact = scalar == "rational"
         tol = states.get("tolerance")
         if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
             raise ParseError(f"tolerance must be a number, got {tol!r}")

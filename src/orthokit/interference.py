@@ -474,8 +474,9 @@ def coarse_setwise_product(
     coarse: Coarsening, sp: SequentialProduct
 ) -> SequentialProduct:
     """Blockwise product on a coarsening of a sequential model."""
-    unit_block = frozenset([sp.unit])
-    if unit_block not in coarse.event_outcome:
+    space = coarse.base.space
+    unit = coarse.mask_outcome.get(space._mask_of([sp.unit]))
+    if unit is None:
         raise UsageError("the base unit must be an outcome of the coarsening")
     table = {}
     n = len(coarse.outcome_event)
@@ -484,9 +485,7 @@ def coarse_setwise_product(
             ev = sp.event_product(coarse.to_event(i), coarse.to_event(j))
             if ev is None or not ev:
                 continue
-            k = coarse.event_outcome.get(ev)
+            k = coarse.mask_outcome.get(space._mask_of(ev))
             if k is not None:
                 table[(i, j)] = k
-    return SequentialProduct(
-        coarse.to_coarse(unit_block), table, undefined_means=sp.undefined_means
-    )
+    return SequentialProduct(unit, table, undefined_means=sp.undefined_means)

@@ -20,7 +20,7 @@ from itertools import product
 from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
 from .morphisms import Morphism
 from .states import Model
-from .testspace import PredicateResult, TestSpace, event_key
+from .testspace import PredicateResult, TestSpace, _ids, mask_event
 
 
 class Orthoalgebra:
@@ -181,21 +181,22 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
             f"not algebraic: {space.labels_of(a)} ~ {space.labels_of(b)} oc "
             f"{space.labels_of(c)} but the transfer fails"
         )
-    events = space.events_list(cap)
-    # Classes are fibers of the complement-set map (valid because algebraic).
+    # Classes are fibers of the complement-set map (valid because algebraic),
+    # read off the complement index that the algebraic check just built; it
+    # holds every event.
+    _, comps = space._complement_index(cap)
     key_to_class: dict[frozenset, int] = {}
-    class_events: list[list[frozenset]] = []
+    reps: list[frozenset] = []
     class_of: dict[frozenset, int] = {}
-    for a in sorted(events, key=event_key):
-        key = frozenset(space.complements(a))
+    for m in sorted(comps, key=_ids):
+        key = frozenset(comps[m])
         cls = key_to_class.get(key)
+        a = mask_event(m)
         if cls is None:
-            cls = len(class_events)
+            cls = len(reps)
             key_to_class[key] = cls
-            class_events.append([])
-        class_events[cls].append(a)
+            reps.append(a)  # the least event of its class, in this order
         class_of[a] = cls
-    reps = [min(evs, key=event_key) for evs in class_events]
     zero = class_of[frozenset()]
     one = class_of[space.tests[0]]
     # Partial sum: enumerate ordered disjoint event pairs inside each test.

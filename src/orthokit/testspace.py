@@ -8,15 +8,14 @@ share a complement (an "axis").  On top of these relations sit the
 structural predicates (algebraic, coherent, regular, projective), supports,
 the core, and the ortho-closure lattice.
 
-Outcomes are interned to dense integer ids; events are plain frozensets of
-ids.  All objects are immutable after construction and every operation is a
-pure function, so concurrent use is safe.  Witness-producing predicates
-break ties lexicographically on sorted id sequences so results are
-reproducible.
-
-Internally the predicates work on ``int`` bitmasks (bit x set when outcome
-x is in the event) and turn a witness back into frozensets only when a
-check fails.  Each predicate checks its cap bound before it enumerates.
+Outcomes are interned to dense integer ids.  Inside this module events are
+``int`` bitmasks (bit x set when outcome x is in the event), and each
+outcome has the bitset of the tests holding it: a set is an event when the
+AND of its outcomes' bitsets is nonzero.  At the public API events are
+frozensets of ids.  All objects are immutable after construction and every
+operation is a pure function, so concurrent use is safe.  Witness-producing
+predicates break ties lexicographically on sorted id sequences so results
+are reproducible, and check their cap bound before they enumerate.
 """
 
 from __future__ import annotations
@@ -129,9 +128,8 @@ class TestSpace:
         "test_set",
         "orth",
         "_test_masks",
+        "_holders",
         "_orth_masks",
-        "_comp_cache",
-        "_perp_cache",
         "_events_cache",
         "_event_masks",
         "_perp_masks",
@@ -162,10 +160,9 @@ class TestSpace:
         for t, m in zip(tests, self._test_masks):
             for x in t:
                 orth[x] |= m
+        self._holders: tuple[int, ...] | None = None
         self._orth_masks = tuple(m & ~(1 << x) for x, m in enumerate(orth))
         self.orth = tuple(mask_event(m) for m in self._orth_masks)
-        self._comp_cache: dict[frozenset, tuple] = {}
-        self._perp_cache: dict[frozenset, frozenset] = {}
         self._events_cache: list[frozenset] | None = None
         self._event_masks: list[int] | None = None
         self._perp_masks: dict[int, int] = {}
@@ -197,8 +194,37 @@ class TestSpace:
         return y in self.orth[x]
 
     def is_event(self, a: Iterable[int]) -> bool:
-        a = frozenset(a)
-        return any(a <= t for t in self.tests)
+        m = self._mask_of(a)
+        return m is not None and self._tests_holding(m) != 0
+
+    def _mask_of(self, a: Iterable[int]) -> int | None:
+        """The mask of ``a``, or None when an id is not an outcome (checked first:
+        ``1 << x`` raises on a negative x, and a table indexed by x wraps)."""
+        m, n = 0, len(self.labels)
+        for x in a:
+            if not (isinstance(x, int) and 0 <= x < n):
+                return None
+            m |= 1 << x
+        return m
+
+    def _tests_holding(self, a: int) -> int:
+        """Bitset of the indices of the tests that contain the event mask ``a``."""
+        holders = self._holder_bits()
+        held = (1 << len(self.tests)) - 1
+        for x in _ids(a):
+            held &= holders[x]
+        return held
+
+    def _holder_bits(self) -> tuple[int, ...]:
+        """Per outcome, the bitset of the indices of the tests holding it, built
+        on first use (many constructed spaces are never queried)."""
+        if self._holders is None:
+            holders = [0] * len(self.labels)
+            for i, t in enumerate(self.tests):
+                for x in t:
+                    holders[x] |= 1 << i
+            self._holders = tuple(holders)
+        return self._holders
 
     # -- event enumeration ------------------------------------------------------
 
@@ -250,32 +276,36 @@ class TestSpace:
 
     def complements(self, a: Iterable[int]) -> tuple[frozenset, ...]:
         """All complements of an event: the test remainders over tests containing it."""
-        a = frozenset(a)
-        got = self._comp_cache.get(a)
-        if got is None:
-            got = tuple(sorted((t - a for t in self.tests if a <= t), key=event_key))
-            self._comp_cache[a] = got
-        return got
+        m = self._mask_of(a)
+        if m is None:
+            return ()
+        return tuple(map(mask_event, sorted(self._complement_masks(m), key=_ids)))
+
+    def _complement_masks(self, a: int) -> list[int]:
+        """Mask form of :meth:`complements`, in test order."""
+        return [self._test_masks[i] ^ a for i in _ids(self._tests_holding(a))]
 
     def perspective(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:
         """Lexicographically least common complement of a and b, or None."""
-        ca = set(self.complements(a))
-        common = [c for c in self.complements(b) if c in ca]
-        if not common:
-            return None
-        return min(common, key=event_key)
+        ma, mb = self._mask_of(a), self._mask_of(b)
+        axis = None if ma is None or mb is None else self._axis(ma, mb)
+        return None if axis is None else mask_event(axis)
 
     def is_perspective(self, a: Iterable[int], b: Iterable[int]) -> bool:
         return self.perspective(a, b) is not None
 
+    def _axis(self, a: int, b: int) -> int | None:
+        """Mask form of :meth:`perspective`."""
+        ca = set(self._complement_masks(a))
+        common = [c for c in self._complement_masks(b) if c in ca]
+        return min(common, key=_ids) if common else None
+
     def orthocomplement(self, a: Iterable[int]) -> frozenset:
         """Outcomes orthogonal to every outcome of ``a`` (all of X for the empty set)."""
-        a = frozenset(a)
-        got = self._perp_cache.get(a)
-        if got is None:
-            got = mask_event(self._perp_mask(_mask(a)))
-            self._perp_cache[a] = got
-        return got
+        m = self._mask_of(a)
+        if m is None:
+            raise UnknownLabel("orthocomplement of ids that are not all outcomes")
+        return mask_event(self._perp_mask(m))
 
     def _perp_mask(self, a: int) -> int:
         """Mask form of :meth:`orthocomplement`."""
@@ -368,7 +398,7 @@ class TestSpace:
         """Perspective outcomes are equal."""
         for x in range(self.n_outcomes):
             for y in range(x + 1, self.n_outcomes):
-                if self.is_perspective(frozenset([x]), frozenset([y])):
+                if self._axis(1 << x, 1 << y) is not None:
                     return PredicateResult(False, (x, y))
         return PredicateResult(True)
 

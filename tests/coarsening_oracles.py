@@ -112,7 +112,7 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
             blocks = [coarse.to_event(i) for i in fam]
             union = frozenset().union(*blocks)
             inner = frozenset(table[b] for b in blocks)
-            if inner not in coarse.event_outcome and len(inner) > 1:
+            if inner not in coarse.outcome_event and len(inner) > 1:
                 raise NotCoherence(
                     "member-wise collapse of a jointly orthogonal family is not an event",
                     witness=fam,

@@ -1,7 +1,8 @@
 """Frozenset reference implementations of the test-space predicates.
 
 These are the straightforward event-by-event versions of ``events``,
-the complement buckets, ``algebraic``, ``regular`` and ``coherent``, and the
+``is_event``, ``complements``, ``perspective``, ``orthocomplement``, the
+complement buckets, ``algebraic``, ``regular`` and ``coherent``, and the
 pairwise antichain scan.  The library decides the same questions on integer
 bitmasks; the oracle tests require both to agree on verdict, witness and
 whether the cap is exceeded.  ``support_by_perspectivity`` is a second
@@ -38,8 +39,21 @@ def events(space, cap=None):
                 yield a
 
 
+def is_event(space, a):
+    a = frozenset(a)
+    return any(a <= t for t in space.tests)
+
+
 def complements(space, a):
+    a = frozenset(a)
     return tuple(sorted((t - a for t in space.tests if a <= t), key=event_key))
+
+
+def perspective(space, a, b):
+    """The lexicographically least common complement of a and b, or None."""
+    ca = set(complements(space, a))
+    common = [c for c in complements(space, b) if c in ca]
+    return min(common, key=event_key) if common else None
 
 
 def orthocomplement(space, a):

@@ -10,11 +10,12 @@ by the same patched callee or read off what the call returns.
 
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from orthokit import interference, linprog, logic, quantum
+from orthokit import corpus, interference, linprog, logic, quantum
 from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
 from orthokit.compounding import SequentialProduct, validate_sequential
 from orthokit.corpus import corpus_models, named
@@ -273,6 +274,48 @@ def test_event_strings(n, depth, bound, record):
     assert want.strings_checked + want.strings_skipped == bound
 
 
+# -- enumerate_test_spaces -----------------------------------------------------------
+
+
+def corpus_at(max_outcomes, max_tests, cap):
+    return [(s.labels, s.tests) for s in corpus.enumerate_test_spaces(max_outcomes, max_tests, cap)]
+
+
+@pytest.mark.parametrize(
+    "max_outcomes, max_tests, bound", [(6, 3, 47_364), (4, 4, 2_046), (2, 5, 8), (1, 1, 1)]
+)
+def test_corpus(max_outcomes, max_tests, bound, record, monkeypatch):
+    """Candidate test families: C(2^n - 1, k) summed over n <= N and k <= T.
+
+    Fresh caches on each side, so the capped call does the loop itself and
+    the uncapped one repeats it; the cap also holds on a cached hit.
+    """
+    assert bound == sum(
+        comb(2**n - 1, k) for n in range(1, max_outcomes + 1) for k in range(1, max_tests + 1)
+    )
+    monkeypatch.setattr(corpus, "_cache", {})
+    calls = record(corpus, "TestSpace")
+    raises_before_work(
+        lambda cap: corpus_at(max_outcomes, max_tests, cap), "test-space corpus", bound, calls
+    )
+    visited = []
+
+    def counting(items, r):
+        for combo in combinations(items, r):
+            if isinstance(items, list):  # the candidate families, not the pair checks
+                visited.append(combo)
+            yield combo
+
+    monkeypatch.setattr(corpus, "combinations", counting)
+    got = corpus_at(max_outcomes, max_tests, bound)
+    assert len(visited) == bound
+    raises_before_work(
+        lambda cap: corpus_at(max_outcomes, max_tests, cap), "test-space corpus", bound, calls
+    )
+    monkeypatch.setattr(corpus, "_cache", {})
+    assert got == corpus_at(max_outcomes, max_tests, None)
+
+
 # -- large inputs ----------------------------------------------------------------------
 
 
@@ -317,3 +360,15 @@ def test_deep_event_strings_stop_at_the_cap(record):
         lambda: validate_g_algebra(cm.model, checked, sequential, 20000), "event strings"
     )
     assert calls == []
+
+
+def test_huge_corpus_stops_at_the_cap(record):
+    calls = record(corpus, "TestSpace")
+    small_bound_over_cap(lambda: list(corpus.enumerate_test_spaces(10**6, 3)), "test-space corpus")
+    assert calls == []
+
+
+def test_huge_test_count_skips_empty_sizes():
+    """Two outcomes have three nonempty subsets, so no family has more than three
+    tests; a huge test count neither adds to the bound nor loops over it."""
+    assert corpus_at(2, 10**9, None) == corpus_at(2, 3, None)

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from orthokit import coarsening
-from orthokit.errors import EnumerationCapExceeded, HypothesisUnmet, NotCoherence
+from orthokit.errors import EnumerationCapExceeded, HypothesisUnmet, NotCoherence, UsageError
 from orthokit.coarsening import (
     _bell_numbers,
     CheckedCoherence,
@@ -89,6 +89,17 @@ class TestConstruction:
             assert bool(m.space.algebraic()) == bool(
                 coarsen(m).model.space.algebraic()
             ), repr(m.space)
+
+    @pytest.mark.parametrize(
+        "ids", [[], [0, 1], [4], [64], [-1], [0, -1], [3, 4], ["q"], [1.5]], ids=str
+    )
+    def test_to_coarse_rejects_what_is_not_a_nonempty_event(self, ids):
+        """wright's outcomes are q, x, y, z (ids 0-3); q and x share no test."""
+        c = coarsen(named("wright"))
+        with pytest.raises(UsageError):
+            c.to_coarse(frozenset(ids))
+        with pytest.raises(UsageError):
+            c.to_coarse(ids)
 
 
 class TestCoarsenCap:

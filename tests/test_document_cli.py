@@ -124,21 +124,26 @@ def corpus_with_vertices():
     return [(m, tuple(m.state_vertices())) for m in corpus_models()]
 
 
+def float_twin(model):
+    """The same generators as floats."""
+    gens = [Weight(tuple(float(v) for v in g.values)) for g in model.states.generators]
+    return generator_model(model.space, gens, exact=False)
+
+
 @st.composite
-def corpus_derived_models(draw):
+def corpus_derived_models(draw, kinds=("full", "exact", "float")):
     """A corpus model, an exact hull of a nonempty subset of its vertices, or
     the float twin of such a hull."""
     model, vertices = draw(st.sampled_from(corpus_with_vertices()))
-    kind = draw(st.sampled_from(["full", "exact", "float"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "full":
         return model
     gens = draw(st.lists(st.sampled_from(vertices), min_size=1, unique_by=lambda w: w.values))
-    if kind == "float":
-        gens = [Weight(tuple(float(v) for v in g.values)) for g in gens]
     try:
-        return generator_model(model.space, gens, exact=kind == "exact")
+        hull = generator_model(model.space, gens, exact=True)
     except PositivityViolation:
         assume(False)
+    return float_twin(hull) if kind == "float" else hull
 
 
 def save_text(model):
@@ -162,6 +167,18 @@ def test_save_load_save_on_corpus_models(model):
     assert sorted(g.values for g in loaded.states.generators) == sorted(
         g.values for g in model.states.generators
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_derived_models(kinds=("exact",)))
+def test_exact_and_float_twins_agree(model):
+    """The exact and float state predicates give the same verdicts and the same
+    failing outcomes on an exact hull and its float twin."""
+    twin = float_twin(model)
+    assert twin.positivity_failures() == model.positivity_failures()
+    for check in ("check_unital", "check_strongly_unital"):
+        exact, approx = getattr(model, check)(), getattr(twin, check)()
+        assert (approx.holds, approx.failures) == (exact.holds, exact.failures), check
 
 
 def wright_path():
@@ -476,6 +493,15 @@ class TestOutsideInput:
                 }
                 for tolerance in ("x", True)
             ),
+            {"outcomes": "abc"},
+            {"tests": ["ab", "bc"]},
+            {
+                "states": {
+                    "kind": "generators",
+                    "scalar": "decimal",
+                    "generators": [{"a": 0.5, "b": 0.5, "c": 0.5}, {"b": 1.0}],
+                }
+            },
         ],
         ids=[
             "states-string",
@@ -493,6 +519,9 @@ class TestOutsideInput:
             "test-member-list",
             "tolerance-string",
             "tolerance-bool",
+            "outcomes-string",
+            "tests-strings",
+            "scalar-unknown",
         ],
     )
     def test_malformed_document_exits_two(self, change, tmp_path, capsys):

@@ -8,7 +8,7 @@ this process does.
 It enforces caps one way: ``errors.check_cap`` raises before an enumeration
 whose size is computed up front, so ``EnumerationCapExceeded`` is built only in
 ``errors.py``, and a ``CapCounter`` that counts as it goes appears only in
-four enumerations.
+three enumerations.
 """
 
 import ast
@@ -139,7 +139,6 @@ def test_same_results_under_optimize():
 CAP_CLASSES = ("EnumerationCapExceeded", "CapCounter")
 
 COUNTED_ENUMERATIONS = {
-    ("corpus.py", "enumerate_test_spaces"),
     ("logic.py", "orthopartition_space"),
     ("states.py", "transversal_weights"),
     ("testspace.py", "closed_set_lattice"),

@@ -119,6 +119,28 @@ class TestEvents:
         assert not wright.complementary(ev(wright, "x"), ev(wright, "y"))
 
 
+class TestIdsOutsideTheSpace:
+    """An id that is not an outcome makes a non-event, whatever the id (ids
+    index per-outcome tables): the event queries answer for a non-event, and
+    ``orthocomplement``, which has no answer there, refuses it."""
+
+    @pytest.mark.parametrize("bad", [4, 5, 64, -1, -4, "q", 1.5])
+    def test_queries_on_a_non_outcome(self, wright, bad):
+        for a in ([bad], [0, bad], [3, bad]):
+            assert not wright.is_event(a)
+            assert wright.complements(a) == ()
+            assert wright.perspective(a, ev(wright, "z")) is None
+            assert wright.perspective(ev(wright, "q"), a) is None
+            assert not wright.is_perspective(a, a)
+            with pytest.raises(UnknownLabel):
+                wright.orthocomplement(a)
+
+    def test_empty_event(self, wright):
+        assert wright.is_event(frozenset())
+        assert wright.is_event([])
+        assert wright.complements(frozenset()) == wright.tests
+
+
 class TestPerspectivity:
     def test_loop_and_fine_event(self, wright):
         axis = wright.perspective(ev(wright, "x", "y"), ev(wright, "q"))

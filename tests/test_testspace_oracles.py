@@ -9,7 +9,10 @@ compounds and forward squares of the corpus whose oracle run stays under
 the work budgets below, and random small spaces.  ``_is_antichain`` must
 return the oracle's (small, large) pair on test families, their traces on
 outcome subsets, and random set families.  ``is_support`` must agree with
-the perspectivity criterion of the oracles.
+the perspectivity criterion of the oracles.  ``is_event``, ``complements``,
+``perspective`` and ``orthocomplement`` must answer as the oracles on every
+event and every event plus one outcome of each corpus space, its coarsening
+and its depth-1 compound, and on random spaces and random id sets.
 """
 
 from functools import lru_cache
@@ -18,9 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozenset_oracles as oracle
+from orthokit.coarsening import coarsen
 from orthokit.compounding import forward_product, truncated_compound
 from orthokit.corpus import corpus_models, enumerate_test_spaces
-from orthokit.errors import EnumerationCapExceeded
+from orthokit.errors import EnumerationCapExceeded, UnknownLabel
+from orthokit.states import full_model
 from orthokit import testspace
 
 PREDICATES = ("algebraic", "regular", "coherent")
@@ -244,3 +249,70 @@ def test_random_supports_match_perspectivity_criterion(data):
     space = data.draw(random_spaces())
     s = data.draw(st.frozensets(st.integers(min_value=0, max_value=space.n_outcomes - 1)))
     assert space.is_support(s) == oracle.support_by_perspectivity(space, s)
+
+
+# -- per-event queries: the frozenset versions of is_event, complements, ... ---------
+
+
+def query_events(space):
+    """Every event, then every event plus one outcome outside it (often not an event)."""
+    events = space.events_list()
+    known = set(events)
+    grown = {a | {x} for a in events for x in range(space.n_outcomes) if x not in a}
+    return events + sorted(grown - known, key=testspace.event_key)
+
+
+def assert_queries_agree(space):
+    """``is_event``, ``complements``, ``orthocomplement`` and ``perspective`` answer
+    as the frozenset oracles on every query event.
+
+    ``perspective`` pairs each event with the event before it and with every
+    event that shares one of its complements (b = t - c for a complement c and
+    a test t holding c), where the least common axis is chosen; a non-event
+    has no complement, and the random-space test pairs those.
+    """
+    previous = frozenset()
+    for a in query_events(space):
+        comps = oracle.complements(space, a)
+        assert space.is_event(a) == oracle.is_event(space, a), (repr(space), sorted(a))
+        assert space.complements(a) == comps, (repr(space), sorted(a))
+        assert space.orthocomplement(a) == oracle.orthocomplement(space, a), (repr(space), sorted(a))
+        if not comps:
+            continue
+        for b in [previous] + [t - c for c in comps for t in space.tests if c <= t]:
+            want = oracle.perspective(space, a, b)
+            assert space.perspective(a, b) == want, (repr(space), sorted(a), sorted(b))
+            assert space.is_perspective(b, a) == (want is not None)
+        previous = a
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_event_queries_match_oracle(index):
+    """The corpus space, its coarsening and its depth-1 compound."""
+    model = full_model(CORPUS[index])
+    for space in (
+        model.space,
+        coarsen(model).model.space,
+        truncated_compound(model, 1, BUILD_CAP).model.space,
+    ):
+        assert_queries_agree(space)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_event_queries_match_oracle(data):
+    """Random spaces, then random id sets that may hold ids outside the space:
+    those make non-events, and only ``orthocomplement`` refuses them."""
+    space = data.draw(random_spaces())
+    assert_queries_agree(space)
+    n = space.n_outcomes
+    ids = st.frozensets(st.integers(min_value=-2, max_value=n + 1), max_size=4)
+    a, b = data.draw(ids), data.draw(ids)
+    assert space.is_event(a) == oracle.is_event(space, a)
+    assert space.complements(a) == oracle.complements(space, a)
+    assert space.perspective(a, b) == oracle.perspective(space, a, b)
+    if all(0 <= x < n for x in a):
+        assert space.orthocomplement(a) == oracle.orthocomplement(space, a)
+    else:
+        with pytest.raises(UnknownLabel):
+            space.orthocomplement(a)
