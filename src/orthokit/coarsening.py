@@ -71,17 +71,29 @@ class Coarsening:
         return self.mask_outcome[m]
 
     def to_event(self, outcome: int) -> frozenset:
+        if not 0 <= outcome < len(self.outcome_event):
+            raise _not_an_id(outcome)
         return self.outcome_event[outcome]
 
     def collapse(self, outcomes: Iterable[int]) -> int:
         """The monad multiplication: the outcome whose event is the union of theirs."""
+        masks = self.outcome_mask
         m = 0
         for i in outcomes:
-            m |= self.outcome_mask[i]
+            if i < 0:  # an id >= n fails the lookup; one comparison per id
+                raise _not_an_id(i)
+            try:
+                m |= masks[i]
+            except IndexError:
+                raise _not_an_id(i) from None
         try:
             return self.mask_outcome[m]
         except KeyError:
             raise UsageError(f"{_ids(m)} is not a nonempty event of the base") from None
+
+
+def _not_an_id(i) -> UsageError:
+    return UsageError(f"{i!r} is not an outcome id of the coarsening")
 
 
 def coarse_label(space: TestSpace, event: frozenset) -> str:

@@ -1,4 +1,4 @@
-"""Exact rational linear programming over Fraction arithmetic.
+"""Exact rational linear programming on integer rows.
 
 Small dense two-phase simplex for problems in standard equality form
 
@@ -8,6 +8,13 @@ Pivoting uses Bland's rule, so the method terminates without cycling.  The
 sizes here are tiny (state polytopes of finite test spaces), so no effort is
 spent on sparsity; the point is exactness: predicates like "some state puts
 probability one on this outcome" are decided with no floating-point slack.
+
+One elimination kernel serves the simplex, row reduction and the square
+solves of vertex enumeration.  A row, right-hand side last, is a list of
+``int`` numerators over one positive common denominator, kept in lowest
+terms by one ``gcd`` per row operation; every entry is exactly the
+rational the textbook ``Fraction`` tableau would hold, so the pivots are
+the same.  ``Fraction``s appear only where values enter and leave.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import Sequence
 from .errors import check_cap
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass
@@ -29,6 +35,7 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None
     x: list[Fraction] | None
+    pivots: int = 0  # simplex pivots: phase 1, artificials driven out, phase 2
 
     @property
     def optimal(self) -> bool:
@@ -36,11 +43,11 @@ class LPResult:
 
 
 def _as_fraction_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
+    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
 
 
 def dedupe_rows(a: list[list[Fraction]], b: list[Fraction]):
-    """Drop duplicate equality rows; cheap pre-pass before the simplex."""
+    """Drop duplicate equality rows, keeping first occurrences (as ``_int_rows`` does)."""
     seen = set()
     a2, b2 = [], []
     for row, rhs in zip(a, b):
@@ -53,163 +60,170 @@ def dedupe_rows(a: list[list[Fraction]], b: list[Fraction]):
     return a2, b2
 
 
+# -- the kernel: rows (numerators, denominator) ----------------------------------------
+
+
+def _int_row(row, rhs) -> tuple[tuple[int, ...], int]:
+    """Exact rationals (ints or Fractions) as numerators over their lowest common denominator.
+
+    That form is unique, so equal rows give equal (hashable) results.
+    """
+    vals = [*row, rhs]
+    den = math.lcm(*[v.denominator for v in vals])
+    return tuple([v.numerator * (den // v.denominator) for v in vals]), den
+
+
+def _int_rows(a_rows, b_rhs) -> list[tuple[tuple[int, ...], int]]:
+    """The distinct equations of A x = b, in order, as integer rows."""
+    b = _as_fraction_matrix([b_rhs])[0]
+    return list(dict.fromkeys(map(_int_row, _as_fraction_matrix(a_rows), b)))
+
+
+def _reduced(nums, den: int):
+    g = math.gcd(den, *nums)
+    return ([v // g for v in nums], den // g) if g != 1 else (nums, den)
+
+
+def _eliminate(target, pivot_row, col):
+    """``target`` minus its ``col`` entry times ``pivot_row``, whose ``col`` entry is 1."""
+    ni, di = target
+    nr, dr = pivot_row
+    f = ni[col]
+    return _reduced([x * dr - f * y for x, y in zip(ni, nr)], di * dr)
+
+
+def _pivot(rows, r: int, col: int) -> None:
+    """Scale row r to 1 in ``col`` and eliminate ``col`` from every other row."""
+    nums, _ = rows[r]
+    p = nums[col]
+    if p < 0:
+        nums, p = [-v for v in nums], -p
+    rows[r] = pivot_row = _reduced(nums, p)
+    for i, row in enumerate(rows):
+        if i != r and row[0][col]:
+            rows[i] = _eliminate(row, pivot_row, col)
+
+
+def _row_reduce(rows) -> bool:
+    """Reduce ``rows`` in place to an independent set; False when some 0 = nonzero."""
+    m, r = len(rows), 0
+    for col in range(len(rows[0][0]) - 1 if rows else 0):
+        pivot = next((i for i in range(r, m) if rows[i][0][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        _pivot(rows, r, col)
+        r += 1
+        if r == m:
+            break
+    consistent = not any(nums[-1] for nums, _ in rows[r:])
+    del rows[r:]
+    return consistent
+
+
+def _simplex(rows, basis: list[int], n: int) -> tuple[str, int]:
+    """Bland's rule on a tableau whose last row is the objective; (status, pivots).
+
+    Enter on the first column with a positive reduced cost; leave on the
+    minimum ratio b_i / a_ie (compared by cross-multiplying, the row
+    denominators cancel), ties to the lowest basis index.
+    """
+    m = len(rows) - 1
+    pivots = 0
+    while True:
+        cost = rows[m][0]
+        enter = next((j for j in range(n) if cost[j] > 0), None)
+        if enter is None:
+            return "optimal", pivots
+        leave = None
+        for i in range(m):
+            nums = rows[i][0]
+            a = nums[enter]
+            if a > 0:
+                if leave is None:
+                    leave, best_b, best_a = i, nums[-1], a
+                    continue
+                d = nums[-1] * best_a - best_b * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, nums[-1], a
+        if leave is None:
+            return "unbounded", pivots
+        _pivot(rows, leave, enter)
+        basis[leave] = enter
+        pivots += 1
+
+
+def _price_out(rows, basis) -> None:
+    """Zero the objective row (last) on the basic columns."""
+    for i, j in enumerate(basis):
+        if rows[-1][0][j]:
+            rows[-1] = _eliminate(rows[-1], rows[i], j)
+
+
+def solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
+    """Solve max/min c.x subject to A x = b, x >= 0, exactly."""
+    c = _as_fraction_matrix([c_obj])[0]
+    if not maximize:
+        c = [-v for v in c]
+    rows = _int_rows(a_rows, b_rhs)
+    if not _row_reduce(rows):
+        return LPResult("infeasible", None, None)
+    n = len(c)
+    m = len(rows)
+    if m == 0:
+        # No constraints left: optimum is 0 at the origin unless some c > 0.
+        if any(cj > 0 for cj in c):
+            return LPResult("unbounded", None, None)
+        return LPResult("optimal", ZERO, [ZERO] * n)
+    # Phase 1: right-hand sides made nonnegative, artificials with identity
+    # columns, objective -sum(artificials).
+    tableau = []
+    for i, (nums, den) in enumerate(rows):
+        if nums[-1] < 0:
+            nums = [-v for v in nums]
+        tableau.append(([*nums[:-1], *(den if k == i else 0 for k in range(m)), nums[-1]], den))
+    tableau.append(([0] * n + [-1] * m + [0], 1))
+    basis = list(range(n, n + m))
+    _price_out(tableau, basis)
+    _, pivots = _simplex(tableau, basis, n + m)
+    if tableau[-1][0][-1]:
+        return LPResult("infeasible", None, None, pivots)
+    # Drive remaining artificials out of the basis.
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][0][j]), None)
+            if enter is not None:
+                _pivot(tableau, i, enter)
+                basis[i] = enter
+                pivots += 1
+    # Phase 2 on the rows whose basic variable is original.
+    keep = [i for i in range(m) if basis[i] < n]
+    tableau = [_reduced([*tableau[i][0][:n], tableau[i][0][-1]], tableau[i][1]) for i in keep]
+    basis = [basis[i] for i in keep]
+    tableau.append(_int_row(c, ZERO))
+    _price_out(tableau, basis)
+    status, more = _simplex(tableau, basis, n)
+    pivots += more
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, pivots)
+    x = [ZERO] * n
+    for (nums, den), j in zip(tableau, basis):
+        x[j] = Fraction(nums[-1], den)
+    # The objective row ends in -c.x at the basic solution.
+    obj, den = tableau[-1][0][-1], tableau[-1][1]
+    return LPResult("optimal", Fraction(-obj if maximize else obj, den), x, pivots)
+
+
 def row_reduce(a: list[list[Fraction]], b: list[Fraction]):
     """Gaussian elimination to an independent row set.
 
     Returns (a', b', consistent).  When the system is inconsistent
     (0 = nonzero), consistent is False.
     """
-    if not a:
-        return [], [], True
-    m, n = len(a), len(a[0])
-    a = [row[:] for row in a]
-    b = b[:]
-    pivot_rows = []
-    r = 0
-    for col in range(n):
-        pivot = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = ONE / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        b[r] = b[r] * inv
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-                b[i] = b[i] - f * b[r]
-        pivot_rows.append(r)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if b[i] != 0:
-            return a[:r], b[:r], False
-    return a[:r], b[:r], True
-
-
-class _Tableau:
-    """Dense simplex tableau with Bland pivoting."""
-
-    def __init__(self, a, b, c, basis):
-        self.a = a  # m rows, n cols
-        self.b = b
-        self.c = c  # reduced objective row (maximization)
-        self.obj = ZERO
-        self.basis = basis
-        self.m = len(a)
-        self.n = len(c)
-        for i, j in enumerate(self.basis):
-            self._price_out(i, j)
-
-    def _price_out(self, row, col):
-        if self.c[col] == 0:
-            return
-        f = self.c[col]
-        arow = self.a[row]
-        self.c = [cj - f * aij for cj, aij in zip(self.c, arow)]
-        self.obj -= f * self.b[row]
-
-    def _pivot(self, row, col):
-        arow = self.a[row]
-        inv = ONE / arow[col]
-        arow = [v * inv for v in arow]
-        self.a[row] = arow
-        self.b[row] = self.b[row] * inv
-        for i in range(self.m):
-            if i != row and self.a[i][col] != 0:
-                f = self.a[i][col]
-                self.a[i] = [vi - f * vr for vi, vr in zip(self.a[i], arow)]
-                self.b[i] = self.b[i] - f * self.b[row]
-        if self.c[col] != 0:
-            f = self.c[col]
-            self.c = [cj - f * ar for cj, ar in zip(self.c, arow)]
-            self.obj -= f * self.b[row]
-        self.basis[row] = col
-
-    def run(self) -> str:
-        while True:
-            enter = next((j for j in range(self.n) if self.c[j] > 0), None)
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for i in range(self.m):
-                aie = self.a[i][enter]
-                if aie > 0:
-                    ratio = self.b[i] / aie
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                return "unbounded"
-            self._pivot(leave, enter)
-
-    def solution(self) -> list[Fraction]:
-        x = [ZERO] * self.n
-        for i, j in enumerate(self.basis):
-            x[j] = self.b[i]
-        return x
-
-
-def solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
-    """Solve max/min c.x subject to A x = b, x >= 0, exactly."""
-    a = _as_fraction_matrix(a_rows)
-    b = [Fraction(v) for v in b_rhs]
-    c = [Fraction(v) for v in c_obj]
-    if not maximize:
-        res = solve_lp(a_rows, b_rhs, [-v for v in c], maximize=True)
-        if res.optimal:
-            res.value = -res.value
-        return res
-    a, b = dedupe_rows(a, b)
-    a, b, consistent = row_reduce(a, b)
-    if not consistent:
-        return LPResult("infeasible", None, None)
-    n = len(c)
-    m = len(a)
-    if m == 0:
-        # No constraints left: optimum is 0 at the origin unless some c > 0.
-        if any(cj > 0 for cj in c):
-            return LPResult("unbounded", None, None)
-        return LPResult("optimal", ZERO, [ZERO] * n)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
-    # Phase 1: artificials with identity columns.
-    art = list(range(n, n + m))
-    a1 = [row + [ONE if k == i else ZERO for k in range(m)] for i, row in enumerate(a)]
-    c1 = [ZERO] * n + [Fraction(-1)] * m
-    t = _Tableau(a1, b, c1, basis=art[:])
-    t.run()
-    if t.obj != 0:
-        return LPResult("infeasible", None, None)
-    # Drive remaining artificials out of the basis.
-    for i in range(t.m):
-        if t.basis[i] >= n:
-            enter = next((j for j in range(n) if t.a[i][j] != 0), None)
-            if enter is not None:
-                t._pivot(i, enter)
-    keep = [i for i in range(t.m) if t.basis[i] < n]
-    a2 = [t.a[i][:n] for i in keep]
-    b2 = [t.b[i] for i in keep]
-    basis2 = [t.basis[i] for i in keep]
-    t2 = _Tableau(a2, b2, [v for v in c], basis=basis2)
-    status = t2.run()
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-    x = t2.solution()
-    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
-    return LPResult("optimal", value, x)
+    rows = [_int_row(row, rhs) for row, rhs in zip(a, b)]
+    consistent = _row_reduce(rows)
+    a2 = [[Fraction(v, den) for v in nums[:-1]] for nums, den in rows]
+    return a2, [Fraction(nums[-1], den) for nums, den in rows], consistent
 
 
 def enumerate_vertices(
@@ -223,22 +237,22 @@ def enumerate_vertices(
     polytopes (LP self-checks, morphism state conditions).  The cap counts
     candidate bases examined.
     """
-    a = _as_fraction_matrix(a_rows)
-    b = [Fraction(v) for v in b_rhs]
-    a, b = dedupe_rows(a, b)
-    a, b, consistent = row_reduce(a, b)
-    if not consistent:
+    rows = _int_rows(a_rows, b_rhs)
+    if not _row_reduce(rows):
         return []
-    r = len(a)
-    n = len(a[0]) if a else 0
+    r = len(rows)
+    n = len(rows[0][0]) - 1 if rows else 0
     if r == 0:
         return [[ZERO] * n]
     check_cap("polytope vertices", math.comb(n, r), cap)
+    # A row's denominator scales the whole equation, so the square solves
+    # take the numerators alone.
+    nums = [row for row, _ in rows]
+    rhs = [row[-1] for row in nums]
     seen = set()
     out: list[list[Fraction]] = []
     for cols in combinations(range(n), r):
-        sub = [[a[i][j] for j in cols] for i in range(r)]
-        sol = _solve_square(sub, b)
+        sol = _solve_square([[row[j] for j in cols] for row in nums], rhs)
         if sol is None:
             continue
         if any(v < 0 for v in sol):
@@ -253,19 +267,8 @@ def enumerate_vertices(
     return out
 
 
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]):
-    """Solve a square system exactly; None when singular."""
-    n = len(a)
-    a = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
+def _solve_square(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
+    """Solve a square integer system exactly; None when singular."""
+    rows = [([*row, rhs], 1) for row, rhs in zip(a, b)]
+    _row_reduce(rows)  # full rank leaves the identity, row i pivoted in column i
+    return [Fraction(nums[-1], den) for nums, den in rows] if len(rows) == len(a) else None

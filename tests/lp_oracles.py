@@ -1,7 +1,16 @@
-"""Per-query LP reference implementations of the state predicates.
+"""Reference implementations of the LP layer and of the state predicates.
 
-These are the straightforward versions of ``Model.positivity_failures``,
-``Model.check_unital`` and ``Model.check_strongly_unital``: one fresh LP per
+``fraction_row_reduce``, ``fraction_solve_lp`` and
+``fraction_enumerate_vertices`` are the exact simplex, row reduction and
+vertex enumeration written directly in ``Fraction`` arithmetic, with the
+same pivot rules as ``orthokit.linprog`` (first nonzero row per column;
+Bland's rule: first improving column, minimum ratio with ties to the lowest
+basis index).  The library runs the same pivots on integer rows over a
+common denominator; the oracle tests require identical results, pivot
+counts included.
+
+``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
+the straightforward versions of the ``Model`` predicates: one fresh LP per
 outcome or per non-orthogonal pair, with nothing remembered between LPs.
 The library answers the same queries from cached witness states first; the
 oracle tests require both to report the same verdict and the same ordered
@@ -10,10 +19,215 @@ failures.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
-from orthokit.linprog import ZERO
+from orthokit.errors import check_cap
+from orthokit.linprog import ZERO, LPResult, dedupe_rows
 from orthokit.states import StateReport
+
+ONE = Fraction(1)
+
+
+def fraction_row_reduce(a, b):
+    """Gaussian elimination to an independent row set: (a', b', consistent)."""
+    if not a:
+        return [], [], True
+    m, n = len(a), len(a[0])
+    a = [row[:] for row in a]
+    b = b[:]
+    r = 0
+    for col in range(n):
+        pivot = None
+        for i in range(r, m):
+            if a[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        b[r], b[pivot] = b[pivot], b[r]
+        inv = ONE / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        b[r] = b[r] * inv
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+                b[i] = b[i] - f * b[r]
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if b[i] != 0:
+            return a[:r], b[:r], False
+    return a[:r], b[:r], True
+
+
+class _Tableau:
+    """Dense simplex tableau with Bland pivoting; ``pivots`` counts pivots."""
+
+    def __init__(self, a, b, c, basis):
+        self.a = a  # m rows, n cols
+        self.b = b
+        self.c = c  # reduced objective row (maximization)
+        self.obj = ZERO
+        self.basis = basis
+        self.m = len(a)
+        self.n = len(c)
+        self.pivots = 0
+        for i, j in enumerate(self.basis):
+            self._price_out(i, j)
+
+    def _price_out(self, row, col):
+        if self.c[col] == 0:
+            return
+        f = self.c[col]
+        arow = self.a[row]
+        self.c = [cj - f * aij for cj, aij in zip(self.c, arow)]
+        self.obj -= f * self.b[row]
+
+    def _pivot(self, row, col):
+        self.pivots += 1
+        arow = self.a[row]
+        inv = ONE / arow[col]
+        arow = [v * inv for v in arow]
+        self.a[row] = arow
+        self.b[row] = self.b[row] * inv
+        for i in range(self.m):
+            if i != row and self.a[i][col] != 0:
+                f = self.a[i][col]
+                self.a[i] = [vi - f * vr for vi, vr in zip(self.a[i], arow)]
+                self.b[i] = self.b[i] - f * self.b[row]
+        if self.c[col] != 0:
+            f = self.c[col]
+            self.c = [cj - f * ar for cj, ar in zip(self.c, arow)]
+            self.obj -= f * self.b[row]
+        self.basis[row] = col
+
+    def run(self) -> str:
+        while True:
+            enter = next((j for j in range(self.n) if self.c[j] > 0), None)
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i in range(self.m):
+                aie = self.a[i][enter]
+                if aie > 0:
+                    ratio = self.b[i] / aie
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            self._pivot(leave, enter)
+
+    def solution(self) -> list[Fraction]:
+        x = [ZERO] * self.n
+        for i, j in enumerate(self.basis):
+            x[j] = self.b[i]
+        return x
+
+
+def fraction_solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
+    """Solve max/min c.x subject to A x = b, x >= 0 in Fractions."""
+    a = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b_rhs]
+    c = [Fraction(v) for v in c_obj]
+    if not maximize:
+        res = fraction_solve_lp(a_rows, b_rhs, [-v for v in c], maximize=True)
+        if res.optimal:
+            res.value = -res.value
+        return res
+    a, b = dedupe_rows(a, b)
+    a, b, consistent = fraction_row_reduce(a, b)
+    if not consistent:
+        return LPResult("infeasible", None, None)
+    n = len(c)
+    m = len(a)
+    if m == 0:
+        if any(cj > 0 for cj in c):
+            return LPResult("unbounded", None, None)
+        return LPResult("optimal", ZERO, [ZERO] * n)
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+    art = list(range(n, n + m))
+    a1 = [row + [ONE if k == i else ZERO for k in range(m)] for i, row in enumerate(a)]
+    c1 = [ZERO] * n + [Fraction(-1)] * m
+    t = _Tableau(a1, b, c1, basis=art[:])
+    t.run()
+    if t.obj != 0:
+        return LPResult("infeasible", None, None, t.pivots)
+    for i in range(t.m):
+        if t.basis[i] >= n:
+            enter = next((j for j in range(n) if t.a[i][j] != 0), None)
+            if enter is not None:
+                t._pivot(i, enter)
+    keep = [i for i in range(t.m) if t.basis[i] < n]
+    a2 = [t.a[i][:n] for i in keep]
+    b2 = [t.b[i] for i in keep]
+    basis2 = [t.basis[i] for i in keep]
+    t2 = _Tableau(a2, b2, [v for v in c], basis=basis2)
+    status = t2.run()
+    pivots = t.pivots + t2.pivots
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, pivots)
+    x = t2.solution()
+    value = sum((cj * xj for cj, xj in zip(c, x)), ZERO)
+    return LPResult("optimal", value, x, pivots)
+
+
+def fraction_solve_square(a, b):
+    """Solve a square system in Fractions; None when singular."""
+    n = len(a)
+    a = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = ONE / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [vi - f * vc for vi, vc in zip(a[i], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def fraction_enumerate_vertices(a_rows, b_rhs, cap=None):
+    """All basic feasible solutions of A x = b, x >= 0, in column-subset order."""
+    a = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b_rhs]
+    a, b = dedupe_rows(a, b)
+    a, b, consistent = fraction_row_reduce(a, b)
+    if not consistent:
+        return []
+    r = len(a)
+    n = len(a[0]) if a else 0
+    if r == 0:
+        return [[ZERO] * n]
+    check_cap("polytope vertices", math.comb(n, r), cap)
+    seen = set()
+    out = []
+    for cols in combinations(range(n), r):
+        sol = fraction_solve_square([[a[i][j] for j in cols] for i in range(r)], b)
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        x = [ZERO] * n
+        for j, v in zip(cols, sol):
+            x[j] = v
+        key = tuple(x)
+        if key not in seen:
+            seen.add(key)
+            out.append(x)
+    return out
 
 
 def _indicator(n, x):

@@ -101,6 +101,21 @@ class TestConstruction:
         with pytest.raises(UsageError):
             c.to_coarse(ids)
 
+    @pytest.mark.parametrize("bad", ["-1", "n", "n + 5"])
+    def test_collapse_and_to_event_reject_out_of_range_ids(self, bad):
+        """Ids outside range(n) raise UsageError; -1 used to wrap round to the last outcome."""
+        c = coarsen(named("wright"))
+        n = len(c.outcome_event)
+        i = {"-1": -1, "n": n, "n + 5": n + 5}[bad]
+        with pytest.raises(UsageError):
+            c.collapse([i])
+        with pytest.raises(UsageError):
+            c.collapse([0, i])
+        with pytest.raises(UsageError):
+            c.to_event(i)
+        assert c.to_event(n - 1) == c.outcome_event[-1]
+        assert c.collapse([n - 1]) == n - 1
+
 
 class TestCoarsenCap:
     """``coarsen`` bounds the set partitions it would enumerate, B(|t|) summed

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lp_oracles as oracle
 from orthokit.linprog import enumerate_vertices, row_reduce, solve_lp
 
 
@@ -99,3 +100,63 @@ def test_vertex_cap():
     rows = [[F(1)] * 20]
     with pytest.raises(EnumerationCapExceeded):
         enumerate_vertices(rows, [F(1)], cap=5)
+
+
+# -- boundary cases, each against the Fraction reference ------------------------------
+
+TINY = F(5e-324)  # the least subnormal double: denominator 2**1074
+
+BOUNDARY = {
+    "subnormal entries": ([[1, TINY, 0], [0, 1, 1]], [TINY, 1], [1, 0, 0], True),
+    "subnormal entries, scaled": ([[TINY, 1, 0], [1, TINY, 1]], [TINY, 1], [1, 1, -1], True),
+    "subnormal objective": ([[1, 1, 1]], [1], [TINY, -TINY, 0], True),
+    "zero row, zero rhs": ([[0, 0, 0], [1, 1, 1]], [0, 1], [1, 2, 0], True),
+    "zero row, rhs one": ([[0, 0, 0], [1, 1, 1]], [1, 1], [1, 2, 0], True),
+    "no rows, optimal": ([], [], [-1, 0, -2], True),
+    "no rows, unbounded": ([], [], [0, 1], True),
+    "zero rows only, optimal": ([[0, 0], [0, 0]], [0, 0], [-1, 0], True),
+    "zero rows only, unbounded": ([[0, 0]], [0], [0, 3], True),
+    "negative rhs": ([[-1, -1, 0], [1, -1, -1]], [-2, -1], [1, -1, 0], True),
+    "negative rhs, infeasible": ([[1, 1]], [-1], [0, 0], True),
+    "zero objective, redundant rows": ([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 2], [0, 0, 0], True),
+    "minimization unbounded below": ([[1, -1, 0]], [1], [-1, 0, 0], False),
+    "minimization optimal": ([[1, -1, 1]], [1], [1, 1, 1], False),
+    "scalar multiple rows": ([[1, 2, 3], [-2, -4, -6], [F(1, 3), F(2, 3), 1]], [1, -2, F(1, 3)], [1, 1, 1], True),
+    "scalar multiple rows, inconsistent": ([[1, 2], [2, 4]], [1, 3], [1, 1], True),
+    "artificial driven out": ([[1, -1, 2], [1, 1, 0]], [1, 0], [0, 1, -1], True),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY)
+def test_boundary_case_matches_oracle(name):
+    a, b, c, maximize = BOUNDARY[name]
+    got = solve_lp(a, b, c, maximize=maximize)
+    want = oracle.fraction_solve_lp(a, b, c, maximize=maximize)
+    assert (got.status, repr(got.value), repr(got.x), got.pivots) == (
+        want.status, repr(want.value), repr(want.x), want.pivots
+    )
+
+
+def test_boundary_cases_reach_their_paths():
+    status = {name: solve_lp(*case[:3], maximize=case[3]).status for name, case in BOUNDARY.items()}
+    assert status["no rows, unbounded"] == status["zero rows only, unbounded"] == "unbounded"
+    assert status["minimization unbounded below"] == "unbounded"
+    assert status["zero row, rhs one"] == status["negative rhs, infeasible"] == "infeasible"
+    assert status["scalar multiple rows, inconsistent"] == "infeasible"
+    res = solve_lp(*BOUNDARY["subnormal entries"][:3])
+    assert res.optimal and res.pivots > 0
+    assert res.value == TINY and res.value.denominator.bit_length() == 1075
+    assert solve_lp(*BOUNDARY["minimization optimal"][:3], maximize=False).value == 1
+
+
+def test_pivots_count_phase_one_drive_out_and_phase_two():
+    # x + y = 1 with objective y: one phase-1 pivot (x enters), one phase-2 pivot (y enters).
+    res = solve_lp([[1, 1]], [1], [0, 1])
+    assert (res.value, res.x, res.pivots) == (1, [0, 1], 2)
+    # A row reduced away before the simplex costs no pivot.
+    assert solve_lp([[1, 1], [2, 2]], [1, 2], [0, 1]).pivots == 2
+    assert solve_lp([], [], [0, 0]).pivots == 0
+    # Two phase-1 pivots leave the second artificial basic at level 0; one
+    # pivot drives it out (x0 enters), and phase 2 needs none.
+    res = solve_lp(*BOUNDARY["artificial driven out"][:3])
+    assert (res.value, res.x, res.pivots) == (F(-1, 2), [0, 0, F(1, 2)], 3)

@@ -1,0 +1,202 @@
+"""The integer-row LP kernel gives exactly what the ``Fraction`` reference gives.
+
+``solve_lp`` must match ``lp_oracles.fraction_solve_lp`` on status, value,
+``x`` (compared by ``repr``, so entry types count) and ``pivots``;
+``enumerate_vertices`` must return ``fraction_enumerate_vertices``'s list in
+the same order; ``row_reduce`` must return ``fraction_row_reduce``'s rows.
+The LPs are the ones the library itself poses: every LP of building the
+112 corpus models and their float twins and of their per-query state
+predicates, hull
+membership and strong unitality on the quantum presets, the vertex
+enumerations of ``state_vertices``, plus hypothesis-random LPs.
+"""
+
+import random
+import signal
+from fractions import Fraction as F
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lp_oracles as oracle
+from orthokit import linprog, quantum, states
+from orthokit.corpus import enumerate_test_spaces
+from orthokit.states import Model, Weight, full_model
+
+
+def outcome(res):
+    return res.status, repr(res.value), repr(res.x), res.pivots
+
+
+def assert_lp_agrees(a, b, c, maximize=True):
+    got = linprog.solve_lp(a, b, c, maximize=maximize)
+    want = oracle.fraction_solve_lp(a, b, c, maximize=maximize)
+    assert outcome(got) == outcome(want), (a, b, c, maximize)
+    return got
+
+
+def assert_vertices_agree(a, b):
+    got = linprog.enumerate_vertices(a, b)
+    assert repr(got) == repr(oracle.fraction_enumerate_vertices(a, b)), (a, b)
+    return got
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """A kernel that stops terminating (a pivot rule that cycles) fails the test, not the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the LP calls of this test ran past 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def posed(monkeypatch):
+    """Record every ``solve_lp`` and ``enumerate_vertices`` call the state layer makes."""
+    lps, polytopes = [], []
+
+    def recording_solve_lp(a, b, c, maximize=True):
+        lps.append((a, b, c, maximize))
+        return linprog.solve_lp(a, b, c, maximize=maximize)
+
+    def recording_enumerate_vertices(a, b, cap=None):
+        polytopes.append((a, b))
+        return linprog.enumerate_vertices(a, b, cap)
+
+    monkeypatch.setattr(states, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(states, "enumerate_vertices", recording_enumerate_vertices)
+    return lps, polytopes
+
+
+def pose_state_lps(model):
+    """Every LP of the per-query predicates, plus a minimization per test."""
+    oracle.positivity_failures(model)
+    oracle.check_unital(model)
+    oracle.check_strongly_unital(model)
+    for t in model.space.tests:
+        model.min_event_weight(t)
+
+
+# The spaces, not the models: building a model solves LPs, and those belong
+# inside a test, under its time limit.
+SPACES = list(enumerate_test_spaces(6, 3))
+
+
+@pytest.mark.parametrize("index", range(len(SPACES)))
+def test_corpus_model_lps_match_oracle(index, posed):
+    lps, polytopes = posed
+    model = full_model(SPACES[index])
+    twin = full_model(model.space, exact=False)
+    for m in (model, twin):
+        pose_state_lps(m)
+    model.state_vertices()
+    assert lps and len(polytopes) == 1
+    for a, b, c, maximize in lps:
+        assert_lp_agrees(a, b, c, maximize)
+    assert_vertices_agree(*polytopes[0])
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_classical_model_vertices_match_oracle(n, posed):
+    _, polytopes = posed
+    full = Model(quantum.classical_model(n).model.space, states.StateSpace.full())
+    full.state_vertices()
+    assert len(polytopes) == 1
+    assert len(assert_vertices_agree(*polytopes[0])) > 1
+
+
+@lru_cache(maxsize=None)
+def preset_models():
+    presets = (
+        quantum.preset_qubit_interferometer,
+        quantum.preset_spin1,
+        quantum.preset_spin32,
+    )
+    return [p().model for p in presets]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_quantum_preset_lps_match_oracle(index, posed):
+    """Hull membership of generators and seeded random mixtures, and strong unitality."""
+    lps, _ = posed
+    model = preset_models()[index]
+    gens = model.states.generators
+    rng = random.Random(index)
+    mixtures = []
+    for _ in range(3):
+        lam = [rng.random() for _ in gens]
+        total = sum(lam)
+        mixtures.append(
+            Weight(tuple(sum(l * g[x] for l, g in zip(lam, gens)) / total for x in range(len(gens[0]))))
+        )
+    for w in [*gens[:4], *mixtures]:
+        assert model.contains_state(w)
+    cold = Model(model.space, model.states, exact=model.exact, tol=model.tol or None)
+    cold.check_strongly_unital()
+    assert len(lps) > len(gens[:4]) + len(mixtures)
+    for a, b, c, maximize in lps:
+        assert_lp_agrees(a, b, c, maximize)
+
+
+# -- boundary and random LPs -------------------------------------------------------------
+
+
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.floats(-3, 3, allow_nan=False, allow_subnormal=True).map(F),
+)
+
+
+@st.composite
+def random_lps(draw):
+    """Small LPs of every shape: the statuses come from the data, not from a choice."""
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 6))
+    a = [[draw(SCALARS) for _ in range(n)] for _ in range(m)]
+    b = [draw(SCALARS) for _ in range(m)]
+    shape = draw(st.sampled_from(("general", "degenerate", "redundant", "nonnegative")))
+    if shape == "degenerate":
+        b = [F(0)] * m
+    elif shape == "redundant" and m:
+        k = draw(st.integers(0, m - 1))
+        f = draw(st.sampled_from((F(1), F(-2), F(1, 3))))
+        a.append([f * v for v in a[k]])
+        b.append(f * b[k])
+    elif shape == "nonnegative":
+        a = [[abs(v) for v in row] for row in a]
+        b = [abs(v) for v in b]
+    c = [draw(SCALARS) for _ in range(n)]
+    return a, b, c, draw(st.booleans())
+
+
+@given(random_lps())
+@settings(max_examples=400, deadline=None)
+def test_random_lps_match_oracle(lp):
+    a, b, c, maximize = lp
+    assert_lp_agrees(a, b, c, maximize)
+    fa = [[F(v) for v in row] for row in a]
+    fb = [F(v) for v in b]
+    assert repr(linprog.row_reduce(fa, fb)) == repr(oracle.fraction_row_reduce(fa, fb))
+    assert_vertices_agree(a, b)
+
+
+def test_random_lps_reach_every_status():
+    """Seeded random integer LPs reach all three statuses, with pivots, and match the reference."""
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        a = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        b = [F(rng.randint(-3, 3)) for _ in range(m)]
+        c = [F(rng.randint(-3, 3)) for _ in range(n)]
+        res = assert_lp_agrees(a, b, c, rng.random() < 0.5)
+        seen.add((res.status, res.pivots > 0))
+    assert {s for s, _ in seen} == {"optimal", "infeasible", "unbounded"}
+    assert ("optimal", True) in seen and ("unbounded", True) in seen
