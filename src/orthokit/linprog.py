@@ -9,12 +9,13 @@ sizes here are tiny (state polytopes of finite test spaces), so no effort is
 spent on sparsity; the point is exactness: predicates like "some state puts
 probability one on this outcome" are decided with no floating-point slack.
 
-One elimination kernel serves the simplex, row reduction and the square
-solves of vertex enumeration.  A row, right-hand side last, is a list of
-``int`` numerators over one positive common denominator, kept in lowest
-terms by one ``gcd`` per row operation; every entry is exactly the
-rational the textbook ``Fraction`` tableau would hold, so the pivots are
-the same.  ``Fraction``s appear only where values enter and leave.
+One elimination kernel serves the simplex and row reduction.  A row,
+right-hand side last, is a list of ``int`` numerators over one positive
+common denominator, kept in lowest terms by one ``gcd`` per row operation;
+every entry is exactly the rational the textbook ``Fraction`` tableau would
+hold, so the pivots are the same.  Vertex enumeration starts from the same
+reduced rows and runs the double description method on primitive ``int``
+rays.  ``Fraction``s appear only where values enter and leave.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import countOf
 from typing import Sequence
 
-from .errors import check_cap
+from .errors import CapCounter
 
 ZERO = Fraction(0)
 
@@ -231,44 +232,94 @@ def enumerate_vertices(
     b_rhs: Sequence[Fraction],
     cap: int | None = None,
 ) -> list[list[Fraction]]:
-    """All vertices of {x : A x = b, x >= 0} by basic feasible solutions.
+    """All vertices of {x : A x = b, x >= 0}, sorted, by double description.
 
-    Exhaustive over column subsets of size rank(A); intended for small
-    polytopes (LP self-checks, morphism state conditions).  The cap counts
-    candidate bases examined.
+    They are the extreme rays with lambda > 0 of the cone
+    {(x, lambda) : A x = b lambda, x >= 0, lambda >= 0}, scaled to lambda = 1.
+    The cone starts as the nullspace of [A | -b], all of it lineality, and
+    takes the n + 1 inequalities one at a time, lambda's first (Motzkin,
+    Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996).  A lineality
+    vector that is nonzero on the new coordinate becomes a ray and zeroes the
+    coordinate on the rest; otherwise each adjacent pair of rays on opposite
+    sides gives a new ray on the hyperplane.  Rays are primitive ``int``
+    tuples, each with the bitmask of the inequalities it is tight on.  The
+    cap counts the rays created.
     """
     rows = _int_rows(a_rows, b_rhs)
+    n = len(rows[0][0]) - 1 if rows else 0  # read before zero rows reduce away
     if not _row_reduce(rows):
         return []
-    r = len(rows)
-    n = len(rows[0][0]) - 1 if rows else 0
-    if r == 0:
-        return [[ZERO] * n]
-    check_cap("polytope vertices", math.comb(n, r), cap)
-    # A row's denominator scales the whole equation, so the square solves
-    # take the numerators alone.
-    nums = [row for row, _ in rows]
-    rhs = [row[-1] for row in nums]
-    seen = set()
-    out: list[list[Fraction]] = []
-    for cols in combinations(range(n), r):
-        sol = _solve_square([[row[j] for j in cols] for row in nums], rhs)
-        if sol is None:
-            continue
-        if any(v < 0 for v in sol):
-            continue
-        x = [ZERO] * n
-        for j, v in zip(cols, sol):
-            x[j] = v
-        key = tuple(x)
-        if key not in seen:
-            seen.add(key)
-            out.append(x)
-    return out
+    counter = CapCounter("polytope vertices", cap)
+    lineality = _nullspace(rows, n)
+    dim = len(lineality)
+    rays: list[tuple[tuple[int, ...], int]] = []
+    done = 0
+    for k in (n, *range(n)):
+        bit = 1 << k
+        i = next((i for i, v in enumerate(lineality) if v[k]), None)
+        if i is not None:
+            pivot = lineality.pop(i)
+            if pivot[k] < 0:
+                pivot = tuple([-v for v in pivot])
+            lineality = [_combine(pivot, v, k) if v[k] else v for v in lineality]
+            rays = [(_combine(pivot, v, k) if v[k] else v, z | bit) for v, z in rays]
+            rays.append((pivot, done))
+            counter.tick()
+        else:
+            # A pair on opposite sides spans an edge when no third ray is tight
+            # on every inequality both are; sharing fewer than
+            # dim - |lineality| - 2 rules the pair out at once.
+            need = dim - len(lineality) - 2
+            masks = [z for _, z in rays]
+            neg = [(q, zq) for q, zq in rays if q[k] < 0]
+            new = []
+            for p, zp in rays:
+                if p[k] <= 0:
+                    continue
+                for q, zq in neg:
+                    z = zp & zq
+                    if z.bit_count() >= need and countOf(map(z.__and__, masks), z) == 2:
+                        counter.tick()
+                        new.append((_combine(p, q, k), z | bit))
+            rays = [(v, z if v[k] else z | bit) for v, z in rays if v[k] >= 0]
+            rays += new
+        done |= bit
+    # Sorted as integer rows over one common denominator, then made rational.
+    verts = [x for x, _ in rays if x[n]]
+    den = math.lcm(*[x[n] for x in verts])
+    keys = sorted([v * (den // x[n]) for v in x[:n]] for x in verts)
+    value = {v: Fraction(v, den) for v in set().union(*keys)}
+    return [[value[v] for v in key] for key in keys]
 
 
-def _solve_square(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
-    """Solve a square integer system exactly; None when singular."""
-    rows = [([*row, rhs], 1) for row, rhs in zip(a, b)]
-    _row_reduce(rows)  # full rank leaves the identity, row i pivoted in column i
-    return [Fraction(nums[-1], den) for nums, den in rows] if len(rows) == len(a) else None
+def _primitive(w: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*w)
+    return tuple([v // g for v in w]) if g > 1 else tuple(w)
+
+
+def _combine(p, v, k: int) -> tuple[int, ...]:
+    """``p[k] v - v[k] p``, zero at ``k``; a positive combination when p[k] > 0 > v[k]."""
+    a, b = p[k], v[k]
+    return _primitive([a * y - b * x for x, y in zip(p, v)])
+
+
+def _nullspace(rows, n: int) -> list[tuple[int, ...]]:
+    """An integer basis of {(x, lambda) : A x = b lambda}, one vector per free column.
+
+    ``rows`` are reduced (each has a pivot column, 1 there and 0 in the
+    other rows); lambda is column n, where the rows hold b.
+    """
+    pivots = [(next(j for j, v in enumerate(nums) if v), nums, den) for nums, den in rows]
+    taken = {col for col, _, _ in pivots}
+    basis = []
+    for f in range(n + 1):
+        if f in taken:
+            continue
+        sign = 1 if f == n else -1
+        scale = math.lcm(*[den for _, nums, den in pivots if nums[f]])
+        v = [0] * (n + 1)
+        v[f] = scale
+        for col, nums, den in pivots:
+            v[col] = sign * nums[f] * (scale // den)
+        basis.append(_primitive(v))
+    return basis

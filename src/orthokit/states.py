@@ -433,9 +433,7 @@ class Model:
         if self.states.kind == GENERATORS:
             return list(self.states.generators)
         rows, rhs = self.polytope_rows()
-        verts = enumerate_vertices(rows, rhs, cap)
-        verts.sort()
-        return [Weight(v) for v in verts]
+        return [Weight(v) for v in enumerate_vertices(rows, rhs, cap)]
 
 
 def transversal_weights(space: TestSpace, cap: int | None = None) -> list[Weight]:

@@ -1,13 +1,18 @@
 """Reference implementations of the LP layer and of the state predicates.
 
-``fraction_row_reduce``, ``fraction_solve_lp`` and
-``fraction_enumerate_vertices`` are the exact simplex, row reduction and
-vertex enumeration written directly in ``Fraction`` arithmetic, with the
+``fraction_row_reduce`` and ``fraction_solve_lp`` are the exact row
+reduction and simplex written directly in ``Fraction`` arithmetic, with the
 same pivot rules as ``orthokit.linprog`` (first nonzero row per column;
 Bland's rule: first improving column, minimum ratio with ties to the lowest
 basis index).  The library runs the same pivots on integer rows over a
 common denominator; the oracle tests require identical results, pivot
 counts included.
+
+``fraction_enumerate_vertices`` finds the vertices the textbook way: it
+solves every square subsystem on rank(A) columns, C(n, r) of them, and
+keeps the nonnegative solutions.  The library enumerates them by double
+description and returns them sorted, so the oracle tests compare with the
+sorted scan.
 
 ``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
 the straightforward versions of the ``Model`` predicates: one fresh LP per
@@ -205,12 +210,12 @@ def fraction_enumerate_vertices(a_rows, b_rhs, cap=None):
     """All basic feasible solutions of A x = b, x >= 0, in column-subset order."""
     a = [[Fraction(v) for v in row] for row in a_rows]
     b = [Fraction(v) for v in b_rhs]
+    n = len(a[0]) if a else 0  # read before zero rows reduce away
     a, b = dedupe_rows(a, b)
     a, b, consistent = fraction_row_reduce(a, b)
     if not consistent:
         return []
     r = len(a)
-    n = len(a[0]) if a else 0
     if r == 0:
         return [[ZERO] * n]
     check_cap("polytope vertices", math.comb(n, r), cap)

@@ -6,16 +6,19 @@ loop, with ``bound == B``, before a single pass of the loop body (a patched
 callee of the body records no call); at cap B it returns what the uncapped
 call returns; and at the default cap the loop runs exactly B times, counted
 by the same patched callee or read off what the call returns.
+
+Vertex enumeration is the exception: the rays double description creates
+have no closed form, so a ``CapCounter`` counts them and B is read off a
+run at the default cap.
 """
 
-from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from orthokit import corpus, interference, linprog, logic, quantum
+from orthokit import corpus, errors, interference, linprog, logic, quantum
 from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
 from orthokit.compounding import SequentialProduct, validate_sequential
 from orthokit.corpus import corpus_models, named
@@ -99,20 +102,32 @@ def vertex_cases():
 
 
 @pytest.mark.parametrize("index", range(len(vertex_cases())))
-def test_enumerate_vertices(index, record):
-    """C(n, r) candidate bases for n columns and rank r."""
+def test_enumerate_vertices(index, monkeypatch):
+    """The rays double description creates: no closed form, so counted as they come.
+
+    B is the count of a run at the default cap; at cap B - 1 the B-th ray
+    raises, naming the enumeration, and at cap B the run returns the list
+    of the default run.
+    """
     rows, rhs = vertex_cases()[index].polytope_rows()
-    a, b = linprog.dedupe_rows(linprog._as_fraction_matrix(rows), [F(v) for v in rhs])
-    a, _, _ = linprog.row_reduce(a, b)
-    bound = comb(len(a[0]), len(a))
-    calls = record(linprog, "_solve_square")
-    raises_before_work(
-        lambda cap: linprog.enumerate_vertices(rows, rhs, cap), "polytope vertices", bound, calls
+    counters = []
+
+    class RecordingCounter(errors.CapCounter):
+        def __init__(self, what, cap=None):
+            super().__init__(what, cap)
+            counters.append(self)
+
+    monkeypatch.setattr(linprog, "CapCounter", RecordingCounter)
+    want = linprog.enumerate_vertices(rows, rhs)
+    [counter] = counters
+    bound = counter.count
+    assert bound >= len(want) > 0
+    with pytest.raises(EnumerationCapExceeded) as info:
+        linprog.enumerate_vertices(rows, rhs, bound - 1)
+    assert (info.value.what, info.value.bound, info.value.cap) == (
+        "polytope vertices", bound, bound - 1
     )
-    assert linprog.enumerate_vertices(rows, rhs, bound) == linprog.enumerate_vertices(rows, rhs)
-    calls.clear()
-    linprog.enumerate_vertices(rows, rhs)
-    assert len(calls) == bound
+    assert linprog.enumerate_vertices(rows, rhs, bound) == want
 
 
 # -- build_logic ---------------------------------------------------------------------------

@@ -95,11 +95,31 @@ def test_vertices_agree_with_feasibility():
 
 
 def test_vertex_cap():
+    """On the 20-point simplex double description creates 39 rays.
+
+    One for lambda, one per lineality vector turned ray at x0..x18 and one
+    per pair combined at x19; the 39th trips a cap of 38.
+    """
     from orthokit.errors import EnumerationCapExceeded
 
     rows = [[F(1)] * 20]
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_vertices(rows, [F(1)], cap=5)
+    for cap in (5, 38):
+        with pytest.raises(EnumerationCapExceeded) as info:
+            enumerate_vertices(rows, [F(1)], cap=cap)
+        assert (info.value.what, info.value.cap, info.value.bound) == (
+            "polytope vertices", cap, cap + 1
+        )
+    verts = enumerate_vertices(rows, [F(1)], cap=39)
+    assert verts == enumerate_vertices(rows, [F(1)]) and len(verts) == 20
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [([[0, 0]], [0], [[0, 0]]), ([[0]], [0], [[0]]), ([[0, 0]], [1], [])],
+)
+def test_vertices_of_zero_rows(a, b, want):
+    """Zero rows reduce away: with rhs 0 the orthant's one vertex, as long as the input's rows."""
+    assert enumerate_vertices(a, b) == oracle.fraction_enumerate_vertices(a, b) == want
 
 
 # -- boundary cases, each against the Fraction reference ------------------------------

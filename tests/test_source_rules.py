@@ -8,7 +8,9 @@ this process does.
 It enforces caps one way: ``errors.check_cap`` raises before an enumeration
 whose size is computed up front, so ``EnumerationCapExceeded`` is built only in
 ``errors.py``, and a ``CapCounter`` that counts as it goes appears only in
-three enumerations.
+four enumerations whose size has no closed form: the orthopartitions, the
+0/1 states, the closed sets, and the rays of vertex enumeration, whose count
+depends on the order in which double description meets the inequalities.
 """
 
 import ast
@@ -139,6 +141,7 @@ def test_same_results_under_optimize():
 CAP_CLASSES = ("EnumerationCapExceeded", "CapCounter")
 
 COUNTED_ENUMERATIONS = {
+    ("linprog.py", "enumerate_vertices"),
     ("logic.py", "orthopartition_space"),
     ("states.py", "transversal_weights"),
     ("testspace.py", "closed_set_lattice"),
