@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
+import math
 import random
 
 from .errors import (
@@ -787,79 +788,60 @@ class PreservationReport:
 _PROPERTY_ORDER = ("unital", "strongly_unital", "regular", "algebraic", "coherent")
 
 
-def _model_properties(model: Model, cap: int | None, wit: "_BaseWitnesses | None" = None):
-    wit = wit or _BaseWitnesses(model)
+def _model_properties(model: Model, cap: int | None):
     out = {}
-    out["unital"] = all(w is not None for w in wit.unital.values())
-    out["strongly_unital"] = all(w is not None for w in wit.strong.values())
+    out["unital"] = model.check_unital().holds
+    out["strongly_unital"] = model.check_strongly_unital().holds
     out["regular"] = bool(model.space.regular(cap))
     out["algebraic"] = bool(model.space.algebraic(cap))
     out["coherent"] = bool(model.space.coherent(cap))
     return out
 
 
-def _vertex_or_generator_pool(model: Model, pool_cap: int) -> list[Weight]:
-    if model.states.is_full:
-        return model.state_vertices(cap=pool_cap)
-    return list(model.states.generators)
+def _witness_tables(model: Model):
+    """The model's certainty and positivity witnesses per outcome, and its
+    strong-unitality witnesses per pair (None where there is none)."""
+    outcomes = range(model.space.n_outcomes)
+    return (
+        [model.certainty_witness(x) for x in outcomes],
+        [model.positive_witness(x) for x in outcomes],
+        {(x, y): model.strong_witness(x, y) for x in outcomes for y in outcomes},
+    )
 
 
-BASE_WITNESS_POOL_CAP = 20_000  # state vertices enumerated for a full base model
+def _certainty_test(tols: Sequence[float]) -> Callable[[object], bool]:
+    """Whether a product of weights, each certain within its tolerance in
+    ``tols``, is certain: within (1 + t1)(1 + t2)... - 1 of 1, 0 if exact."""
+    bound = math.prod(1 + Fraction(t) for t in tols) - 1
+    return (lambda v: abs(v - 1) <= bound) if bound else (lambda v: v == 1)
 
 
-class _BaseWitnesses:
-    """Certainty and positivity witness states of a base model, by scan."""
-
-    def __init__(self, model: Model):
-        self.model = model
-        pool = _vertex_or_generator_pool(model, BASE_WITNESS_POOL_CAP)
-        n = model.space.n_outcomes
-        self.any_state = pool[0]
-        self.unital = {}
-        self.positive = {}
-        self.strong = {}
-        for x in range(n):
-            self.unital[x] = next((w for w in pool if model._eq(w[x], 1)), None)
-            self.positive[x] = next((w for w in pool if w[x] > 0), None)
-        for x in range(n):
-            for y in range(n):
-                if x != y and model.space.orthogonal(x, y):
-                    continue
-                self.strong[(x, y)] = next(
-                    (w for w in pool if model._eq(w[x], 1) and w[y] > 0), None
-                )
-
-
-def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None):
+def compound_unitality(tc: TruncatedCompound):
     """Unitality and strong unitality of a truncated compound, by witness states.
 
     Transition rows are chosen independently per prefix, so a state certain
-    of a string needs a certainty witness per letter, and a strong-unitality
-    witness at the divergence point of a string pair; every verdict is
-    re-verified by evaluating the constructed transition state.
+    of a string needs a certainty witness of the base model per letter, and
+    a strong-unitality witness at the divergence point of a string pair; the
+    base model's ``certainty_witness``, ``strong_witness`` and
+    ``positive_witness`` supply them.  Every verdict is re-verified by
+    evaluating the constructed transition state, to one tol per letter on
+    float models.
     """
     base = tc.base
-    wit = wit or _BaseWitnesses(base)
     space = tc.model.space
+    certain, positive, strong = _witness_tables(base)
+    certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, tc.strings)) + 1)]
 
     def evaluate(rows: dict, s: tuple) -> object:
-        return _prefix_product(lambda p: rows.get(p, wit.any_state), s, 1)
+        return _prefix_product(rows.__getitem__, s, 1)
 
     unital_ok = True
     for s in tc.strings:
-        pins = {}
-        ok = True
-        for i, letter in enumerate(s):
-            w = wit.unital[letter]
-            if w is None:
-                ok = False
-                break
-            pins[s[:i]] = w
-        if ok:
-            if not base._eq(evaluate(pins, s), 1):
-                raise LawViolation(f"certainty witness fails on string {s}")
-        else:
+        pins = {s[:i]: certain[x] for i, x in enumerate(s)}
+        if any(w is None for w in pins.values()):
             unital_ok = False
+        elif not certain_at[len(s)](evaluate(pins, s)):
+            raise LawViolation(f"certainty witness fails on string {s}")
     su_ok = True
     n = len(tc.strings)
     for i in range(n):
@@ -871,48 +853,32 @@ def compound_unitality(tc: TruncatedCompound, wit: _BaseWitnesses | None = None)
             k = 0
             while k < len(s) and k < len(t) and s[k] == t[k]:
                 k += 1
-            pins = {}
-            ok = True
-            if k == len(s) or k == len(t):
-                # one string extends the other: certainty along the shorter
-                # chain rides for free on the longer one
-                for idx, letter in enumerate(s):
-                    w = wit.unital[letter]
-                    if w is None:
-                        ok = False
-                        break
-                    pins[s[:idx]] = w
-            else:
-                for idx, letter in enumerate(s):
-                    if idx == k:
-                        w = wit.strong.get((s[k], t[k]))
-                    else:
-                        w = wit.unital[letter]
-                    if w is None:
-                        ok = False
-                        break
-                    pins[s[:idx]] = w
-            if ok:
-                for idx in range(k, len(t)):
-                    if t[:idx] not in pins:
-                        pins[t[:idx]] = wit.positive[t[idx]]
-                if not (base._eq(evaluate(pins, s), 1) and evaluate(pins, t) > 0):
-                    raise LawViolation(
-                        f"strong-unitality witness fails on strings {s}, {t}"
-                    )
-            else:
+            pins = {s[:idx]: certain[x] for idx, x in enumerate(s)}
+            # diverging strings need a strong-unitality witness where they
+            # part; when one extends the other, certainty along the shorter
+            # chain rides for free on the longer one
+            if k < len(s) and k < len(t):
+                pins[s[:k]] = strong[s[k], t[k]]
+            if any(w is None for w in pins.values()):
                 su_ok = False
+                continue
+            for idx in range(k, len(t)):
+                pins.setdefault(t[:idx], positive[t[idx]])
+            if not (certain_at[len(s)](evaluate(pins, s)) and evaluate(pins, t) > 0):
+                raise LawViolation(f"strong-unitality witness fails on strings {s}, {t}")
     # with diagonal pairs included, strong unitality subsumes unitality
     return unital_ok, su_ok and unital_ok
 
 
-def forward_unitality(fp: ForwardProduct, left_wit=None, right_wit=None):
+def forward_unitality(fp: ForwardProduct):
     """Unitality predicates of a forward product, by explicit pair states."""
-    lw = left_wit or _BaseWitnesses(fp.left)
-    rw = right_wit or _BaseWitnesses(fp.right)
+    left, right = fp.left, fp.right
     space = fp.model.space
+    certain_left, _, strong_left = _witness_tables(left)
+    certain_right, positive_right, strong_right = _witness_tables(right)
+    certain_pair = _certainty_test((left.tol, right.tol))
     unital_ok = all(
-        lw.unital[x] is not None and rw.unital[y] is not None
+        certain_left[x] is not None and certain_right[y] is not None
         for (x, y) in fp.outcome_pair
     )
     su_ok = True
@@ -921,24 +887,24 @@ def forward_unitality(fp: ForwardProduct, left_wit=None, right_wit=None):
             if i == j or space.orthogonal(i, j):
                 continue
             if x == u:
-                alpha, rows = lw.unital[x], {x: rw.strong.get((y, v))}
+                alpha, rows = certain_left[x], {x: strong_right[y, v]}
             else:
-                alpha, rows = lw.strong.get((x, u)), {x: rw.unital[y], u: rw.positive[v]}
+                alpha, rows = strong_left[x, u], {x: certain_right[y], u: positive_right[v]}
             if alpha is None or any(b is None for b in rows.values()):
                 su_ok = False
                 continue
             # entries i and j of the pair state running alpha, then rows
             at_i, at_j = _pair_weight(((x, y), (u, v)), alpha, rows.__getitem__).values
-            if not (fp.left._eq(at_i, 1) and at_j > 0):
+            if not (certain_pair(at_i) and at_j > 0):
                 raise LawViolation(
                     f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
                 )
     return unital_ok, su_ok and unital_ok
 
 
-def _preservation(construction, inputs: list[_BaseWitnesses], output: Model, cap, unitality):
-    # a square passes the same witnesses twice; its properties are read once
-    in_props = [_model_properties(w.model, cap, w) for w in dict.fromkeys(inputs)]
+def _preservation(construction, inputs: list[Model], output: Model, cap, unitality):
+    # a square passes the same model twice; its properties are read once
+    in_props = [_model_properties(m, cap) for m in dict.fromkeys(inputs)]
     unital_got, su_got = unitality
     props = {}
     skipped = []
@@ -971,18 +937,13 @@ def preservation_forward(
     left: Model, right: Model, cap: int | None = None
 ) -> PreservationReport:
     fp = forward_product(left, right, cap)
-    lw = _BaseWitnesses(left)
-    rw = lw if right is left else _BaseWitnesses(right)
-    return _preservation(
-        "forward product", [lw, rw], fp.model, cap, forward_unitality(fp, lw, rw)
-    )
+    return _preservation("forward product", [left, right], fp.model, cap, forward_unitality(fp))
 
 
 def preservation_compound(
     model: Model, depth: int, cap: int | None = None
 ) -> PreservationReport:
     tc = truncated_compound(model, depth, cap)
-    wit = _BaseWitnesses(model)
     return _preservation(
-        f"compound depth {depth}", [wit], tc.model, cap, compound_unitality(tc, wit)
+        f"compound depth {depth}", [model], tc.model, cap, compound_unitality(tc)
     )

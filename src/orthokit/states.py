@@ -111,7 +111,7 @@ class Model:
     models that satisfy them whenever their inputs do.
     """
 
-    __slots__ = ("space", "states", "exact", "tol", "_rows", "_witnesses")
+    __slots__ = ("space", "states", "exact", "tol", "_rows", "_witnesses", "_covers")
 
     def __init__(
         self,
@@ -125,8 +125,10 @@ class Model:
         self.exact = exact
         self.tol = DEFAULT_FLOAT_TOL if (tol is None and not exact) else (tol or 0.0)
         self._rows = None
-        # witness states of the predicates below, in insertion order
-        self._witnesses: dict[tuple[Fraction, ...], None] = {}
+        # LP optima kept as witness states, in insertion order, and the
+        # memoised answers of ``_cover``
+        self._witnesses: dict[Weight, None] = {}
+        self._covers: dict[int | None, dict] = {}
 
     # -- scalar plumbing -------------------------------------------------------
 
@@ -297,59 +299,114 @@ class Model:
 
     # -- state-dependent predicates ---------------------------------------------------
     #
-    # Every optimal point of these LPs is kept on the model as a witness
-    # state (its exact outcome weights).  A witness is a feasible point of
-    # each later query's LP, so it bounds that optimum from below: a scan hit
-    # says "holds" only where the LP would, and every failure comes from an LP.
+    # Positivity, unitality and strong unitality all ask for witness states,
+    # found by ``_cover``.  Every LP optimum it solves is kept on the model.  A
+    # kept optimum that meets a query's pin is a feasible point of that
+    # query's LP, so a scan hit says "holds" only where the LP would, and
+    # every failure comes from an LP.
 
-    def _indicator(self, x: int) -> list[Fraction]:
+    def _indicator(self, *outcomes: int) -> list[Fraction]:
         obj = [ZERO] * self.space.n_outcomes
-        obj[x] = Fraction(1)
+        for x in outcomes:
+            obj[x] = Fraction(1)
         return obj
 
-    def _solve_keeping_witness(self, objective, fix=()) -> tuple[LPResult, tuple | None]:
+    def _kept_optimum(self, objective, fix=()) -> Weight | None:
         res = self.optimize_over_states(objective, fix=fix)
         if not res.optimal:
-            return res, None
+            return None
         if self.states.is_full:
-            w = tuple(res.x[: self.space.n_outcomes])
+            w = Weight(res.x[: self.space.n_outcomes])
         else:
             gens = self.states.generators
-            w = tuple(
+            w = Weight(
                 sum((lam * self._rationalize(g[x]) for lam, g in zip(res.x, gens) if lam), ZERO)
                 for x in range(self.space.n_outcomes)
             )
         self._witnesses[w] = None
-        return res, w
+        return w
+
+    def _cover(self, certain: int | None) -> dict:
+        """Map each target outcome to a witness state, or to None where none exists.
+
+        With ``certain`` None the targets are all outcomes and a witness puts
+        positive weight there.  Otherwise the states are pinned certain of
+        that outcome (within the tolerance on float models), the targets are
+        it and every outcome not orthogonal to it, and a witness puts weight
+        above a floor there: 0 on exact models, the tolerance on float ones.
+
+        Kept optima that meet the pin come first.  Then one LP maximizes the
+        total weight of the open targets: if the pin is infeasible, or the
+        total is at most the floor, no open target can clear it (weights are
+        nonnegative); otherwise its optimum covers some of them and the loop
+        goes on.  Only the float floor can leave every open target at or below
+        it while their total clears it; then each gets its own LP.
+        """
+        if certain in self._covers:
+            return self._covers[certain]
+        n = self.space.n_outcomes
+        if certain is None:
+            fix, targets, floor = (), range(n), 0
+        else:
+            fix = ((certain, 1),)
+            targets = [y for y in range(n) if y not in self.space.orth[certain]]
+            floor = 0 if self.exact else self.tol
+        slack = 0 if self.exact else Fraction(self.tol)
+
+        def clears(v) -> bool:
+            return float(v) > floor if floor else v > 0
+
+        found = dict.fromkeys(targets)
+        todo = list(targets)
+        kept = iter([w for w in self._witnesses if all(abs(w[x] - v) <= slack for x, v in fix)])
+        while todo:
+            w = next(kept, None)
+            if w is None:
+                w = self._kept_optimum(self._indicator(*todo), fix)
+                if w is None or not clears(sum(w[y] for y in todo)):
+                    break
+                if not any(clears(w[y]) for y in todo):
+                    for y in todo:
+                        w = self._kept_optimum(self._indicator(y), fix)
+                        found[y] = w if w is not None and clears(w[y]) else None
+                    break
+            for y in todo:
+                if clears(w[y]):
+                    found[y] = w
+            todo = [y for y in todo if found[y] is None]
+        self._covers[certain] = found
+        return found
+
+    def positive_witness(self, x: int) -> Weight | None:
+        """A state with positive weight at x, or None."""
+        if not self.states.is_full:
+            return next((g for g in self.states.generators if float(g[x]) > 0), None)
+        return self._cover(None)[x]
+
+    def certainty_witness(self, x: int) -> Weight | None:
+        """A state certain of x, or None.
+
+        A hull model scans its generators with the model's ``_eq``: a
+        mixture can reach weight 1 where no generator is within tolerance.
+        """
+        if not self.states.is_full:
+            return next((g for g in self.states.generators if self._eq(g[x], 1)), None)
+        return self._cover(x)[x]
+
+    def strong_witness(self, x: int, y: int) -> Weight | None:
+        """A state certain of x with weight above the floor at y (0, or the
+        tolerance on float models), or None; an orthogonal pair has none."""
+        return self._cover(x).get(y)
 
     def positivity_failures(self) -> list[int]:
-        dead = []
-        for x in range(self.space.n_outcomes):
-            if not self.states.is_full:
-                ok = any(float(g[x]) > 0 for g in self.states.generators)
-            elif any(w[x] > 0 for w in self._witnesses):
-                ok = True
-            else:
-                res, _ = self._solve_keeping_witness(self._indicator(x))
-                ok = res.optimal and res.value > 0
-            if not ok:
-                dead.append(x)
-        return dead
+        return [x for x in range(self.space.n_outcomes) if self.positive_witness(x) is None]
 
     def check_unital(self) -> StateReport:
         """Every outcome is certain under some state."""
-        failures = []
-        for x in range(self.space.n_outcomes):
-            if not self.states.is_full:
-                ok = any(self._eq(g[x], 1) for g in self.states.generators)
-            elif any(self._eq_float_ok(w[x], 1) for w in self._witnesses):
-                ok = True
-            else:
-                res, _ = self._solve_keeping_witness(self._indicator(x))
-                ok = res.optimal and self._eq_float_ok(res.value, 1)
-            if not ok:
-                failures.append(x)
-        return StateReport("unital", not failures, tuple(failures))
+        failures = tuple(
+            x for x in range(self.space.n_outcomes) if self.certainty_witness(x) is None
+        )
+        return StateReport("unital", not failures, failures)
 
     def check_strongly_unital(self) -> StateReport:
         """Certainty at x leaves positive weight available at non-orthogonal y.
@@ -358,34 +415,13 @@ class Model:
         particular unital, which is what the downstream regularity and
         preservation facts actually need.
         """
-        failures = []
-        n = self.space.n_outcomes
-        floor = 0 if self.exact else self.tol
-        slack = Fraction(self.tol)
-
-        def pinned(v) -> bool:
-            return v == 1 if self.exact else abs(v - 1) <= slack
-
-        for x in range(n):
-            certain = [w for w in self._witnesses if pinned(w[x])]
-            pin_infeasible = False
-            for y in range(n):
-                if x != y and self.space.orthogonal(x, y):
-                    continue
-                if any(float(w[y]) > floor for w in certain):
-                    continue
-                ok = False
-                # Phase 1 never reads the objective, so once the pin on x is
-                # infeasible every remaining pair of x fails without an LP.
-                if not pin_infeasible:
-                    res, w = self._solve_keeping_witness(self._indicator(y), fix=[(x, 1)])
-                    pin_infeasible = res.status == "infeasible"
-                    ok = res.optimal and float(res.value) > floor
-                    if w is not None:
-                        certain.append(w)  # the LP enforced the pin
-                if not ok:
-                    failures.append((x, y))
-        return StateReport("strongly_unital", not failures, tuple(failures))
+        failures = tuple(
+            (x, y)
+            for x in range(self.space.n_outcomes)
+            for y, w in self._cover(x).items()
+            if w is None
+        )
+        return StateReport("strongly_unital", not failures, failures)
 
     def _eq_float_ok(self, value, target) -> bool:
         if self.exact:

@@ -11,9 +11,13 @@ agree on strings, labels, tests (in order) and generators (in order), and on
 where the test caps raise.
 
 The pool scans decide unitality and strong unitality by enumerating spanning
-weights of the state space; the library decides them from witness states.
-``pair_state_forward_unitality`` reads the two entries it checks off a whole
-pair state; the library evaluates only those two.
+weights of the state space: the vertices of a full model, the generators of
+a hull.  ``pool_witnesses`` scans a base model's pool for certainty,
+positivity and strong-unitality witnesses; the library asks the model's
+``certainty_witness``, ``positive_witness`` and ``strong_witness``, which
+solve covering LPs and enumerate no vertex.  ``pair_state_forward_unitality``
+reads the two entries it checks off a whole pair state; the library
+evaluates only those two.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from orthokit.compounding import (
     ForwardProduct,
     JOIN,
     TruncatedCompound,
-    _vertex_or_generator_pool,
     string_label,
     transition_state,
 )
@@ -175,6 +178,32 @@ def enumerated_forward_product(
 # -- pool scans ----------------------------------------------------------------------
 
 
+def vertex_or_generator_pool(model: Model, pool_cap: int) -> list[Weight]:
+    if model.states.is_full:
+        return model.state_vertices(cap=pool_cap)
+    return list(model.states.generators)
+
+
+def pool_witnesses(model: Model, pool_cap: int = 20_000):
+    """Certainty, positivity and strong-unitality witnesses found in the pool.
+
+    Returns three dicts: outcome -> certain state, outcome -> positive state,
+    and (x, y) -> state certain of x and positive at y for every pair that
+    is not orthogonal (the diagonal included); None where the pool has none.
+    """
+    pool = vertex_or_generator_pool(model, pool_cap)
+    n = model.space.n_outcomes
+    unital = {x: next((w for w in pool if model._eq(w[x], 1)), None) for x in range(n)}
+    positive = {x: next((w for w in pool if w[x] > 0), None) for x in range(n)}
+    strong = {
+        (x, y): next((w for w in pool if model._eq(w[x], 1) and w[y] > 0), None)
+        for x in range(n)
+        for y in range(n)
+        if x == y or not model.space.orthogonal(x, y)
+    }
+    return unital, positive, strong
+
+
 def transition_vertex_pool(
     tc: TruncatedCompound, pool_cap: int = 20_000
 ) -> list[Weight] | None:
@@ -185,7 +214,7 @@ def transition_vertex_pool(
     prefixes spans the whole state space.  Returns None when the assignment
     count would exceed the cap.
     """
-    base_pool = _vertex_or_generator_pool(tc.base, pool_cap)
+    base_pool = vertex_or_generator_pool(tc.base, pool_cap)
     prefixes = [s for s in tc.strings if len(s) < tc.depth]
     if len(base_pool) ** max(len(prefixes), 1) > pool_cap:
         return None
@@ -198,8 +227,8 @@ def transition_vertex_pool(
 
 def forward_vertex_pool(fp: ForwardProduct, pool_cap: int = 20_000) -> list[Weight] | None:
     """Spanning weights of a forward product's state space."""
-    left_pool = _vertex_or_generator_pool(fp.left, pool_cap)
-    right_pool = _vertex_or_generator_pool(fp.right, pool_cap)
+    left_pool = vertex_or_generator_pool(fp.left, pool_cap)
+    right_pool = vertex_or_generator_pool(fp.right, pool_cap)
     n = fp.left.space.n_outcomes
     if len(left_pool) * len(right_pool) ** n > pool_cap:
         return None
@@ -228,33 +257,38 @@ def _pool_strongly_unital(model: Model, pool) -> bool:
     return True
 
 
-def pair_state_forward_unitality(fp: ForwardProduct, lw, rw):
+def pair_state_forward_unitality(fp: ForwardProduct):
     """``forward_unitality`` building the whole pair state for every checked pair."""
+    left, right = fp.left, fp.right
     space = fp.model.space
     unital_ok = all(
-        lw.unital[x] is not None and rw.unital[y] is not None
+        left.certainty_witness(x) is not None and right.certainty_witness(y) is not None
         for (x, y) in fp.outcome_pair
     )
+    # entry i multiplies a left and a right weight, each certain within its tol
+    slack = (1 + Fraction(left.tol)) * (1 + Fraction(right.tol)) - 1
     su_ok = True
     for i, (x, y) in enumerate(fp.outcome_pair):
         for j, (u, v) in enumerate(fp.outcome_pair):
             if i == j or space.orthogonal(i, j):
                 continue
             if x == u:
-                alpha, beta = lw.unital[x], rw.strong.get((y, v))
+                alpha, beta = left.certainty_witness(x), right.strong_witness(y, v)
                 ok = alpha is not None and beta is not None
                 if ok:
                     state = fp.state(alpha, beta)
             else:
-                alpha, betas = lw.strong.get((x, u)), (rw.unital[y], rw.positive[v])
+                alpha = left.strong_witness(x, u)
+                betas = (right.certainty_witness(y), right.positive_witness(v))
                 ok = alpha is not None and all(b is not None for b in betas)
                 if ok:
+                    # entries i and j never read the rows after other outcomes
                     table = {x: betas[0], u: betas[1]}
-                    state = fp.state(alpha, lambda z: table.get(z, rw.any_state))
+                    state = fp.state(alpha, lambda z: table.get(z, betas[0]))
             if not ok:
                 su_ok = False
                 continue
-            if not (fp.left._eq(state[i], 1) and state[j] > 0):
+            if not (abs(state[i] - 1) <= slack and state[j] > 0):
                 raise LawViolation(
                     f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
                 )

@@ -17,7 +17,8 @@ sorted scan.
 ``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
 the straightforward versions of the ``Model`` predicates: one fresh LP per
 outcome or per non-orthogonal pair, with nothing remembered between LPs.
-The library answers the same queries from cached witness states first; the
+The library covers many outcomes with one LP that maximizes their total
+weight, scans the LP optima it kept first and memoises the answers; the
 oracle tests require both to report the same verdict and the same ordered
 failures.
 """

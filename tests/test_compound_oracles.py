@@ -197,6 +197,31 @@ def test_generator_cap_is_fixed():
     assert compounding.COMPOUND_GENERATOR_CAP == 4096
 
 
+# -- witness accessors ---------------------------------------------------------------
+
+
+def test_accessors_find_witnesses_where_the_pool_scan_does():
+    """The 112 corpus models, their float twins, ``classical_model(2..4)`` and
+    the quantum presets: each accessor returns a witness exactly where the
+    scan of the vertex or generator pool finds one, and it is a witness."""
+    models = [v for m in corpus() for v in (m, Model(m.space, m.states, exact=False))]
+    models += [quantum.classical_model(n).model for n in (2, 3, 4)] + preset_models()
+    assert len(models) == 230
+    for m in models:
+        unital, positive, strong = oracle.pool_witnesses(m)
+        for x in range(m.space.n_outcomes):
+            w = m.certainty_witness(x)
+            assert (w is None) == (unital[x] is None), (repr(m.space), x)
+            assert w is None or m._eq(w[x], 1)
+            w = m.positive_witness(x)
+            assert (w is None) == (positive[x] is None), (repr(m.space), x)
+            assert w is None or w[x] > 0
+        for (x, y), want in strong.items():
+            w = m.strong_witness(x, y)
+            assert (w is None) == (want is None), (repr(m.space), x, y)
+            assert w is None or (m._eq(w[x], 1) and w[y] > 0)
+
+
 # -- random spaces -----------------------------------------------------------------
 
 

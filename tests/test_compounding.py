@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import orthokit
-from orthokit import compounding
 from orthokit.errors import (
     HypothesisUnmet,
     LawViolation,
@@ -55,7 +54,14 @@ from orthokit.compounding import (
 from orthokit.corpus import corpus_models, named
 from orthokit.morphisms import identity_morphism, validate_morphism
 from orthokit.quantum import classical_model
-from orthokit.states import Weight, full_model, generator_model
+from orthokit.states import (
+    Model,
+    StateSpace,
+    Weight,
+    full_model,
+    generator_model,
+    weight_from_labels,
+)
 from orthokit.testspace import build_test_space
 
 # Corpus models whose compound and forward square cover every property
@@ -459,26 +465,81 @@ class TestPreservation:
         rep = preservation_compound(binary, 2)
         assert rep.verified("unital") and rep.verified("algebraic")
 
-    def test_base_witnesses_built_once_per_call(self, binary, monkeypatch):
-        from orthokit import compounding
+    def test_witnesses_found_once_per_model(self, monkeypatch):
+        """A repeated preservation check, and then the premise itself, solve no LP.
 
-        built = []
+        The triangle is not unital, so every failure it reports needs an LP
+        unless the model remembers the answer.
+        """
+        solved = []
+        solve = Model.optimize_over_states
 
-        class Counting(compounding._BaseWitnesses):
-            def __init__(self, model, *args, **kwargs):
-                built.append(model)
-                super().__init__(model, *args, **kwargs)
+        def counting(self, *args, **kwargs):
+            solved.append(self)
+            return solve(self, *args, **kwargs)
 
-        monkeypatch.setattr(compounding, "_BaseWitnesses", Counting)
-        wright = named("wright")
-        preservation_forward(binary, binary)
-        assert built == [binary]  # one set of witnesses serves both sides
-        built.clear()
-        preservation_forward(binary, wright)
-        assert built == [binary, wright]
-        built.clear()
-        preservation_compound(wright, 2)
-        assert built == [wright]
+        monkeypatch.setattr(Model, "optimize_over_states", counting)
+        triangle = build_test_space([["a", "b"], ["a", "c"], ["b", "c"]])
+        for space in (build_test_space([["a", "b"]]), named("wright").space, triangle):
+            m = Model(space, StateSpace.full())
+            preservation_forward(m, m)
+            assert m in solved
+            solved.clear()
+            preservation_forward(m, m)
+            m.check_strongly_unital()
+            assert m not in solved
+
+    def test_preservation_enumerates_no_vertex(self, monkeypatch):
+        def refuse(self, cap=None):
+            raise LawViolation("a preservation check enumerated state vertices")
+
+        models = list(corpus_models(6, 3))[::8]
+        monkeypatch.setattr(Model, "state_vertices", refuse)
+        for m in models:
+            preservation_compound(m, 2, cap=100_000)
+            preservation_forward(m, m, cap=100_000)
+
+    def test_float_witnesses_below_one_compound(self):
+        """Float witnesses may sit up to tol below 1, and both constructions
+        multiply them.
+
+        The first generator puts 1 - 5e-10 on a, and the strong witness of
+        (x, y) mixes in the second to leave x at 1 - tol.  The compound's
+        string (a, a) and the forward square's pairs (a, x), (a, y) multiply
+        two such factors: not within tol of 1, but within one tol per factor.
+        """
+        space = build_test_space([["x", "z"], ["y", "p"], ["a", "q"]])
+        rows = [
+            {"x": 1.0, "z": 0.0, "y": 0.0, "p": 1.0, "a": 1 - 5e-10, "q": 5e-10},
+            {"x": 2 / 3, "z": 1 / 3, "y": 0.5, "p": 0.5, "a": 1.0, "q": 0.0},
+        ]
+
+        def hull():
+            gens = [weight_from_labels(space, r) for r in rows]
+            return generator_model(space, gens, exact=False)
+
+        m = hull()
+        x, y, a = (space.outcome(lab) for lab in ("x", "y", "a"))
+        assert m.certainty_witness(a)[a] < 1 and m.strong_witness(x, y)[x] < 1
+        # z is certain under no state, so neither model is unital
+        for rep in (preservation_compound(hull(), 2), preservation_forward(m, m)):
+            assert rep.properties["unital"] == (False, False)
+            assert rep.properties["strongly_unital"] == (False, False)
+
+    def test_float_premises_are_the_model_checks(self):
+        """Certainty of x forces weight 0 on y, but at x = 1 - tol, y can take
+        2 tol, above the float floor.  So the float model is strongly unital and
+        its exact twin is not, and the premises and the witnesses of both
+        constructions follow ``check_strongly_unital`` in each.
+        """
+        space = build_test_space([["x", "a", "v"], ["x", "b", "u"], ["a", "b", "c"], ["c", "y"]])
+        for exact in (True, False):
+            m = full_model(space, exact=exact)
+            su = m.check_strongly_unital().holds
+            assert su is not exact
+            for rep in (preservation_compound(m, 2), preservation_forward(m, m)):
+                assert rep.properties["unital"] == (True, True)
+                assert rep.properties["strongly_unital"] == (su, su)
 
     def test_vacuous_strong_unitality_gated(self):
         loops = full_model(build_test_space([["a", "b"], ["a", "c"], ["b", "c"]]))
@@ -508,20 +569,21 @@ class TestPreservation:
     def test_forward_unitality_matches_whole_pair_states(self):
         for m in list(corpus_models(6, 3))[::4]:
             fp = forward_product(m, m, cap=100_000)
-            wit = compounding._BaseWitnesses(m)
-            assert forward_unitality(fp, wit, wit) == pair_state_forward_unitality(fp, wit, wit)
+            assert forward_unitality(fp) == pair_state_forward_unitality(fp)
 
-    def test_forward_unitality_violation_matches_whole_pair_states(self):
+    def test_forward_unitality_violation_matches_whole_pair_states(self, monkeypatch):
         """Witnesses that are not certain at their outcome fail the same pair."""
         wright = named("wright")
         fp = forward_product(wright, wright)
-        lw, rw = compounding._BaseWitnesses(wright), compounding._BaseWitnesses(wright)
-        lw.unital = dict.fromkeys(lw.unital, lw.any_state)
-        lw.strong = dict.fromkeys(lw.strong, lw.any_state)
+        vertices = wright.state_vertices()
+        uncertain = Weight([sum(col) / len(vertices) for col in zip(*vertices)])
+        # Model has __slots__, so the accessors are patched on the class
+        monkeypatch.setattr(Model, "certainty_witness", lambda self, x: uncertain)
+        monkeypatch.setattr(Model, "strong_witness", lambda self, x, y: uncertain)
         messages = []
         for check in (forward_unitality, pair_state_forward_unitality):
             with pytest.raises(LawViolation) as info:
-                check(fp, lw, rw)
+                check(fp)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import lp_oracles
+from orthokit.compounding import preservation_compound
 from orthokit.errors import (
     NumericKindMismatch,
     PositivityViolation,
@@ -11,6 +13,7 @@ from orthokit.errors import (
 )
 from orthokit.corpus import corpus_models, named
 from orthokit.states import (
+    Model,
     StateSpace,
     Weight,
     adjoin_failure_outcome,
@@ -182,3 +185,104 @@ def test_adjoin_failure_outcome(wright_model):
 def test_hull_state_space_requires_generators():
     with pytest.raises(UsageError):
         StateSpace.hull([])
+
+
+# -- witness covers ---------------------------------------------------------------------
+#
+# ``Model._cover`` answers positivity, certainty and strong unitality with
+# covering LPs.  These tests pin each of its branches by the LPs it solves.
+
+
+@pytest.fixture
+def lp_log(monkeypatch):
+    """(model, objective support, pins) of every LP a model solves."""
+    log = []
+    solve = Model.optimize_over_states
+
+    def logged(self, objective, fix=(), maximize=True):
+        log.append((self, {x for x, v in enumerate(objective) if v}, tuple(fix)))
+        return solve(self, objective, fix=fix, maximize=maximize)
+
+    monkeypatch.setattr(Model, "optimize_over_states", logged)
+    return log
+
+
+def cold(space, exact=True):
+    """A full model that has solved no LP yet."""
+    return Model(space, StateSpace.full(), exact=exact)
+
+
+def test_cover_infeasible_pin_fails_after_one_lp(lp_log):
+    """No state of the triangle is certain of anything: one LP per pin."""
+    m = cold(build_test_space([["a", "b"], ["a", "c"], ["b", "c"]]))
+    rep = m.check_strongly_unital()
+    assert rep.failures == ((0, 0), (1, 1), (2, 2))
+    assert [(s, f) for _, s, f in lp_log] == [({x}, ((x, 1),)) for x in range(3)]
+    assert not m.check_unital().holds and len(lp_log) == 3
+
+
+def test_cover_total_at_floor_fails_open_targets_after_one_lp(lp_log):
+    """Certainty of x forces weight 0 on y1 and y2: their total LP fails both."""
+    space = build_test_space([["x", "a"], ["a", "b"], ["b", "y1"], ["b", "y2"]])
+    x, b, y1, y2 = (space.outcome(lab) for lab in ("x", "b", "y1", "y2"))
+    m = cold(space)
+    assert m.strong_witness(x, b)[b] == 1
+    assert m.strong_witness(x, y1) is None and m.strong_witness(x, y2) is None
+    assert [s for _, s, _ in lp_log] == [{x, b, y1, y2}, {y1, y2}]
+
+
+def test_cover_falls_back_to_one_lp_per_target(lp_log):
+    """The float floor: two targets clear it together but neither alone.
+
+    The first model is the float twin of an exact hull of two corpus
+    vertices: pinned at d, b and c each get the tolerance and no more, so
+    both fail after their own LPs.  In the second, y1 alone clears the floor
+    through a generator that the total LP passes over, so only the fallback
+    finds its witness.
+    """
+    space = build_test_space([["a", "b"], ["a", "c"], ["d", "e"]])
+    gens = [Weight([0.0, 1.0, 1.0, 0.0, 1.0]), Weight([1.0, 0.0, 0.0, 1.0, 0.0])]
+    m = generator_model(space, gens, exact=False)
+    a, b, c, d = range(4)
+    assert m.strong_witness(d, b) is None and m.strong_witness(d, c) is None
+    assert [s for _, s, _ in lp_log] == [{a, b, c, d}, {b, c}, {b}, {c}]
+
+    space = build_test_space([["x", "z"], ["y1", "p"], ["y2", "q"]])
+    rows = [
+        {"x": 1 + 5e-10, "z": -5e-10, "y1": 0.0, "p": 1.0, "y2": 0.0, "q": 1.0},
+        {"x": 0.0, "z": 1.0, "y1": 0.6, "p": 0.4, "y2": 0.6, "q": 0.4},
+        {"x": 0.0, "z": 1.0, "y1": 1.0, "p": 0.0, "y2": 0.0, "q": 1.0},
+    ]
+    m = generator_model(space, [weight_from_labels(space, r) for r in rows], exact=False)
+    x, y1, y2 = (space.outcome(lab) for lab in ("x", "y1", "y2"))
+    assert m.strong_witness(x, y1)[y1] > m.tol
+    assert m.strong_witness(x, y2) is None
+    assert m.check_strongly_unital() == lp_oracles.check_strongly_unital(m)
+
+
+def test_cover_repeated_query_solves_no_lp(lp_log, wright_model):
+    for m in (cold(wright_model.space), cold(build_test_space([["a", "b"], ["a", "c"], ["b", "c"]]))):
+        first = [m.positivity_failures(), m.check_unital(), m.check_strongly_unital()]
+        solved = len(lp_log)
+        assert solved
+        for x in range(m.space.n_outcomes):
+            m.positive_witness(x), m.certainty_witness(x), m.strong_witness(x, x)
+        assert [m.positivity_failures(), m.check_unital(), m.check_strongly_unital()] == first
+        assert len(lp_log) == solved
+        lp_log.clear()
+
+
+def test_float_certainty_witness_below_one_compounds():
+    """A pinned LP may spend the float slack at the pinned outcome.
+
+    On this space a cold float model has a certainty witness with weight
+    1 - tol at its outcome.  The compound multiplies two such factors on the
+    string (d, d): not within tol of 1, but within one tol per factor, which
+    is what its re-verification allows.
+    """
+    space = build_test_space([["a", "b"], ["a", "c", "d"], ["c", "d", "e"]])
+    m = cold(space, exact=False)
+    assert any(m.certainty_witness(x)[x] != 1 for x in range(space.n_outcomes))
+    rep = preservation_compound(cold(space, exact=False), 2)
+    assert rep.properties["unital"] == (True, True)
+

@@ -1,15 +1,18 @@
-"""The cached-witness state predicates agree with the per-query LPs in ``lp_oracles``.
+"""The witness-cover state predicates agree with the per-query LPs in ``lp_oracles``.
 
-``positivity_failures``, ``check_unital`` and ``check_strongly_unital``
-answer from witness states kept from earlier LPs before solving a new one.
-For every model below each of the three must report the oracle's verdict
-and the oracle's failures in the oracle's order, whichever order the three
-are called in on a model with a cold cache, and again when called a second
-time on the warm one.  Models: the 112 corpus models with their float
+``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
+views over the model's witness accessors: covering LPs that maximize the
+total weight of every target still open, after a scan of the LP optima the
+model kept, with the answers memoised.  Hull models scan their generators
+for positivity and certainty.  For every model below each of the three
+must report the oracle's verdict and the oracle's failures in the oracle's
+order, whichever order the three are called in on a model with a cold
+cache, and again when called a second time on the warm one.  Models: the 112 corpus models with their float
 twins, a space with an outcome that no state reaches, hull models (the
 quantum presets, exact hulls of corpus vertices and of vertex subsets),
 ``classical_model(2..4)``, the failure-outcome extensions of corpus and
-preset models, and random small spaces.
+preset models, a float hull at the tolerance boundary, and random small
+spaces.
 """
 
 from functools import lru_cache
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import lp_oracles as oracle
 from orthokit import quantum, testspace
 from orthokit.corpus import corpus_models
-from orthokit.states import Model, StateSpace, adjoin_failure_outcome
+from orthokit.states import Model, StateSpace, Weight, adjoin_failure_outcome, generator_model
 
 PREDICATES = ("positivity_failures", "check_unital", "check_strongly_unital")
 
@@ -116,6 +119,22 @@ def test_exact_hulls_of_corpus_vertices_match_oracle():
             want = assert_agrees(hull, orders=(PREDICATES, PREDICATES[::-1]))
             failed += not want["check_strongly_unital"].holds
     assert failed > 0
+
+
+def test_float_hull_at_the_tolerance_boundary_matches_oracle():
+    """A generator 1e-9 above 1 is not certain, although a mixture is.
+
+    Both generators pass validation on tests {a,b}, {b,c}, but 1 + 1e-9 is
+    not within the tolerance of 1 in floating point, so no generator is
+    certain of a or c.  A mixture reaches weight exactly 1 at a, so a
+    certainty LP over the hull would call the model unital; the generator
+    scan, like the oracle, does not.
+    """
+    space = testspace.build_test_space([["a", "b"], ["b", "c"]])
+    gens = [Weight([1 + 1e-9, -1e-9, 1 + 1e-9]), Weight([0.0, 1.0, 0.0])]
+    model = generator_model(space, gens, exact=False)
+    want = assert_agrees(model, orders=tuple(permutations(PREDICATES)))
+    assert want["check_unital"].failures == (0, 2)
 
 
 @st.composite
