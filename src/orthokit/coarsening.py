@@ -26,7 +26,7 @@ from .errors import (
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
 from .states import Model, StateSpace, Weight
-from .testspace import PredicateResult, TestSpace, _ids, _mask, event_key, mask_event
+from .testspace import PredicateResult, TestSpace, _ids, event_key, mask_event
 
 
 def set_partitions(members: list) -> Iterable[list[list]]:
@@ -112,13 +112,13 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     bell = _bell_numbers(max((len(t) for t in space.tests), default=0))
     bound = sum(bell[len(t)] for t in space.tests)  # the set partitions to enumerate
     check_cap("coarsened tests", bound, cap)
-    mask_outcome = {_mask(a): i for i, a in enumerate(events)}  # keys in outcome order
+    mask_outcome = {sum(1 << x for x in a): i for i, a in enumerate(events)}  # outcome order
     labels = [coarse_label(space, a) for a in events]
     tests = set()
     for t in space._test_masks:
         for blocks in set_partitions([1 << x for x in _ids(t)]):
-            tests.add(frozenset(mask_outcome[sum(b)] for b in blocks))
-    coarse_space = TestSpace(tuple(labels), sorted(tests, key=event_key))
+            tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
+    coarse_space = TestSpace(labels, tests)
     if model.states.is_full:
         states = StateSpace.full()
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import math
 import random
@@ -43,7 +43,7 @@ from .states import (
     Weight,
     sample_polytope_vertices,
 )
-from .testspace import PredicateResult, TestSpace, event_key
+from .testspace import PredicateResult, TestSpace, _ids, event_key
 
 EPSILON_LABEL = "ε"
 JOIN = "·"
@@ -86,20 +86,25 @@ def _pair_weight(outcome_pair, alpha: Weight, beta_of: Callable[[int], Weight]) 
     return Weight(tuple(alpha[x] * beta_of(x)[y] for x, y in outcome_pair))
 
 
-def _branch(first_tests, follow_ups, join) -> Iterable[frozenset]:
-    """Each first test with one follow-up per member, as the union of joins.
+def _branch(first_tests, follow_ups, join) -> Iterator[int]:
+    """Each first test with one follow-up per member, as a test mask.
 
-    ``join(x, y)`` names outcome y of the follow-up run after outcome x.  It
-    yields ``_branch_count(first_tests, len(follow_ups))`` tests.
+    Tests are masks, and ``join(x, y)`` is the id of outcome y of the
+    follow-up run after outcome x.  It yields ``_branch_count(first_tests,
+    len(follow_ups))`` tests.
     """
+    follow_ids = [_ids(f) for f in follow_ups]
+    lift = {  # x -> each follow-up run after x, as a mask
+        x: [sum(1 << join(x, y) for y in ys) for ys in follow_ids]
+        for x in set().union(*map(_ids, first_tests))
+    }
     for e in first_tests:
-        members = sorted(e)
-        for choice in iproduct(follow_ups, repeat=len(members)):
-            yield frozenset(join(x, y) for x, f in zip(members, choice) for y in f)
+        # the parts after distinct first outcomes are disjoint: their sum is their union
+        yield from map(sum, iproduct(*(lift[x] for x in _ids(e))))
 
 
 def _branch_count(first_tests, n_follow_ups: int) -> int:
-    return sum(n_follow_ups ** len(e) for e in first_tests)
+    return sum(n_follow_ups ** e.bit_count() for e in first_tests)
 
 
 def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
@@ -110,11 +115,12 @@ def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome."""
     ls, rs = left.space, right.space
-    cap = check_cap("forward-product tests", _branch_count(ls.tests, len(rs.tests)), cap)
+    lt, rt = ls._test_masks, rs._test_masks
+    cap = check_cap("forward-product tests", _branch_count(lt, len(rt)), cap)
     pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
     pair_id = {p: i for i, p in enumerate(pairs)}
     labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
-    space = TestSpace(labels, _branch(ls.tests, rs.tests, lambda x, y: pair_id[x, y]))
+    space = TestSpace(labels, _branch(lt, rt, lambda x, y: pair_id[x, y]))
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:
@@ -320,17 +326,18 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
         raise UsageError("depth must be nonnegative")
     base = model.space
     cap = resolve_cap(cap)
-    check_cap("compound tests", _compound_test_bound(base.tests, depth, cap), cap)
+    check_cap("compound tests", _compound_test_bound(base._test_masks, depth, cap), cap)
     strings = [
         s for k in range(depth + 1) for s in iproduct(range(base.n_outcomes), repeat=k)
     ]
     string_id = {s: i for i, s in enumerate(strings)}
-    root = frozenset([()])
+    root = 1 << string_id[()]
     level = [root]
     for _ in range(depth):
-        level = [root, *_branch(base.tests, level, lambda x, s: (x,) + s)]
+        branched = _branch(base._test_masks, level, lambda x, i: string_id[(x,) + strings[i]])
+        level = [root, *branched]
     labels = tuple(string_label(base, s) for s in strings)
-    space = TestSpace(labels, [frozenset(string_id[s] for s in t) for t in level])
+    space = TestSpace(labels, level)
     if model.states.is_full:
         states = StateSpace.full()
     else:
@@ -558,7 +565,7 @@ def validate_sequential(
 
     orth_checked = 0
     for x in range(n):
-        for y in space.orth[x]:
+        for y in _ids(space._orth_masks[x]):
             for z in range(n):
                 zx, zy = sp.prod(z, x), sp.prod(z, y)
                 if zx is not None and zy is not None:

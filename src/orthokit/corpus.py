@@ -74,10 +74,7 @@ def enumerate_test_spaces(max_outcomes: int, max_tests: int, cap: int | None = N
                     continue
                 for table in tables:
                     seen.add(tuple(sorted(table[m] for m in combo)))
-                tests = [
-                    frozenset(i for i in range(n) if m >> i & 1) for m in combo
-                ]
-                out.append(TestSpace(labels, tests))
+                out.append(TestSpace(labels, combo))
     _cache[key] = out
     yield from out
 

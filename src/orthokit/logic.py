@@ -20,7 +20,7 @@ from itertools import product
 from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
 from .morphisms import Morphism
 from .states import Model
-from .testspace import PredicateResult, TestSpace, _ids, mask_event
+from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event
 
 
 class Orthoalgebra:
@@ -272,14 +272,10 @@ def orthopartition_space(algebra: Orthoalgebra, cap: int | None = None) -> TestS
                 extend(q + 1, chosen + (q,), s)
 
     extend(0, (), algebra.zero)
-    labels = [f"e{p}" for p in range(n)]
-    used = sorted({p for t in tests for p in t})
-    if set(used) != set(nonzero):
+    if {p for t in tests for p in t} != set(nonzero):
         raise LawViolation("some nonzero element lies in no orthopartition")
-    remap = {p: i for i, p in enumerate(used)}
-    return TestSpace(
-        tuple(labels[p] for p in used),
-        [frozenset(remap[p] for p in t) for t in tests],
+    return build_test_space(
+        [[f"e{p}" for p in t] for t in tests], labels=[f"e{p}" for p in nonzero]
     )
 
 

@@ -29,7 +29,7 @@ from .errors import (
     check_cap_sum,
 )
 from .states import Model, Weight, full_model, generator_model
-from .testspace import TestSpace, event_key
+from .testspace import TestSpace, build_test_space
 
 Vec = tuple[complex, ...]
 Matrix = tuple[tuple[complex, ...], ...]
@@ -75,10 +75,8 @@ def classical_model(n: int, cap: int | None = None) -> ClassicalModel:
     subsets = [frozenset(c) for r in range(1, n + 1) for c in combinations(points, r)]
     subset_id = {s: i for i, s in enumerate(subsets)}
     labels = ["{" + ",".join(map(str, sorted(s))) + "}" for s in subsets]
-    tests = []
-    for blocks in set_partitions(points):
-        tests.append(frozenset(subset_id[frozenset(b)] for b in blocks))
-    space = TestSpace(tuple(labels), tests)
+    tests = [sum(1 << subset_id[frozenset(b)] for b in bs) for bs in set_partitions(points)]
+    space = TestSpace(labels, tests)
     model = full_model(space)
     # Union collapse on all nonempty events (pairwise disjoint families).
     sigma: dict[frozenset, int] = {}
@@ -214,13 +212,7 @@ def hilbert_slice_model(
                     raise UsageError(f"label {lab!r} reused for a different vector")
             else:
                 vec_of[lab] = v
-    out_labels = sorted(vec_of)
-    tests = [[lab for lab in labs] for labs in labels]
-    space_labels = out_labels
-    space = TestSpace(
-        tuple(space_labels),
-        [frozenset(space_labels.index(lab) for lab in t) for t in tests],
-    )
+    space = build_test_space(labels, labels=sorted(vec_of))
     weights = []
     for st in states:
         w = _born_weight(space, vec_of, st, tol)
@@ -433,9 +425,9 @@ def beam_model(
         i for i in range(len(paths)) if any(masses[k][i] > tol for k in range(len(states)))
     ]
     remap = {old: new for new, old in enumerate(alive)}
-    labels = [JOIN.join(paths[i]) for i in alive]
-    tests = {frozenset(remap[i] for i in t if i in remap) for t in tests_raw}
-    space = TestSpace(tuple(labels), sorted(tests, key=event_key))
+    names = [JOIN.join(p) for p in paths]
+    tests = [[names[i] for i in t if i in remap] for t in tests_raw]
+    space = build_test_space(tests, labels=[names[i] for i in alive])
     weights = [Weight(tuple(masses[k][i] for i in alive)) for k in range(len(states))]
     model = generator_model(space, weights, exact=False, tol=tol)
     sigma = {

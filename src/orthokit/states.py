@@ -19,13 +19,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    CapCounter,
     NotAState,
     NumericKindMismatch,
     PositivityViolation,
     UsageError,
 )
 from .linprog import ZERO, LPResult, enumerate_vertices, solve_lp
-from .testspace import TestSpace
+from .testspace import TestSpace, _ids
 
 FULL = "full"
 GENERATORS = "generators"
@@ -349,7 +350,7 @@ class Model:
             fix, targets, floor = (), range(n), 0
         else:
             fix = ((certain, 1),)
-            targets = [y for y in range(n) if y not in self.space.orth[certain]]
+            targets = [y for y in range(n) if not self.space.orthogonal(certain, y)]
             floor = 0 if self.exact else self.tol
         slack = 0 if self.exact else Fraction(self.tol)
 
@@ -473,40 +474,36 @@ class Model:
 
 
 def transversal_weights(space: TestSpace, cap: int | None = None) -> list[Weight]:
-    """0/1 probability weights: indicators of sets meeting every test exactly once."""
-    from .errors import CapCounter
+    """0/1 probability weights: indicators of sets meeting every test exactly once.
 
+    Each step picks an outcome of the open test (none chosen yet) with the
+    fewest free ones (not orthogonal to a chosen one); a branch dies when an
+    open test has none, and each transversal is found once.  The cap counts steps.
+    """
     counter = CapCounter("transversal weights", cap)
-    tests = sorted(space.tests, key=len)
+    tests, orth = space._test_masks, space._orth_masks
+    n = space.n_outcomes
     out: list[Weight] = []
 
-    def extend(i: int, chosen: frozenset, banned: frozenset):
+    def extend(chosen: int, free: int):
         counter.tick()
-        if i == len(tests):
-            vals = [Fraction(1) if x in chosen else ZERO for x in range(space.n_outcomes)]
-            out.append(Weight(vals))
+        best = None
+        for t in tests:
+            if not t & chosen:
+                options = t & free
+                if not options:
+                    return
+                if best is None or options.bit_count() < best.bit_count():
+                    best = options
+        if best is None:
+            out.append(Weight(tuple(Fraction(chosen >> x & 1) for x in range(n))))
             return
-        t = tests[i]
-        hits = t & chosen
-        if len(hits) > 1:
-            return
-        if len(hits) == 1:
-            if t & banned and hits & banned:
-                return
-            extend(i + 1, chosen, banned | (t - hits))
-            return
-        for x in sorted(t - banned):
-            extend(i + 1, chosen | {x}, banned | (t - {x}))
+        for x in _ids(best):
+            extend(chosen | 1 << x, free & ~(orth[x] | 1 << x))
 
-    extend(0, frozenset(), frozenset())
-    seen = set()
-    uniq = []
-    for w in out:
-        if w.values not in seen:
-            seen.add(w.values)
-            uniq.append(w)
-    uniq.sort(key=lambda w: w.values)
-    return uniq
+    extend(0, (1 << n) - 1)
+    out.sort(key=lambda w: w.values)
+    return out
 
 
 def sample_polytope_vertices(model: Model, k: int, seed: int = 0) -> list[Weight]:
@@ -566,9 +563,8 @@ def adjoin_failure_outcome(model: Model, label: str = "*") -> Model:
     the point mass on the failure outcome.
     """
     space = model.space
-    new_id = space.n_outcomes
-    tests = [t | {new_id} for t in space.tests]
-    new_space = TestSpace(space.labels + (label,), tests)
+    fail = 1 << space.n_outcomes
+    new_space = TestSpace(space.labels + (label,), [t | fail for t in space._test_masks])
     if model.states.is_full:
         states = StateSpace.full()
     else:

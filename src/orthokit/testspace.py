@@ -12,10 +12,12 @@ Outcomes are interned to dense integer ids.  Inside this module events are
 ``int`` bitmasks (bit x set when outcome x is in the event), and each
 outcome has the bitset of the tests holding it: a set is an event when the
 AND of its outcomes' bitsets is nonzero.  At the public API events are
-frozensets of ids.  All objects are immutable after construction and every
-operation is a pure function, so concurrent use is safe.  Witness-producing
-predicates break ties lexicographically on sorted id sequences so results
-are reproducible, and check their cap bound before they enumerate.
+frozensets of ids.  ``build_test_space`` validates; constructions pass
+masks to the trusted constructor.  All objects are immutable after
+construction and every operation is a pure function, so concurrent use is
+safe.  Witness-producing predicates break ties lexicographically on sorted
+id sequences so results are reproducible, and check their cap bound before
+they enumerate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     RedundantTests,
     UncoveredOutcome,
     UnknownLabel,
+    UsageError,
     check_cap,
     resolve_cap,
 )
@@ -53,13 +56,6 @@ def _ids(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
-
-
-def _mask(a: Iterable[int]) -> int:
-    m = 0
-    for x in a:
-        m |= 1 << x
-    return m
 
 
 def mask_event(m: int) -> frozenset:
@@ -117,52 +113,39 @@ def _is_antichain(sets: Iterable[frozenset]) -> tuple[frozenset, frozenset] | No
 class TestSpace:
     """Immutable interned test space.
 
-    Use :func:`build_test_space` to construct one from labels; the raw
-    constructor takes already-interned id sets.
+    The constructor is trusted: it takes test masks that already form an
+    antichain of nonempty tests covering every outcome, sorts them into
+    canonical order and checks nothing.  Constructions build their outputs
+    this way; data from outside goes through :func:`build_test_space`.
     """
 
     __slots__ = (
         "labels",
-        "tests",
         "label_id",
-        "test_set",
-        "orth",
         "_test_masks",
-        "_holders",
         "_orth_masks",
+        "_tests",
+        "_test_set",
+        "_holders",
         "_events_cache",
         "_event_masks",
         "_perp_masks",
         "_comp_index",
     )
 
-    def __init__(self, labels: Sequence[str], tests: Sequence[frozenset]):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise LabelCollision("duplicate outcome labels")
-        tests = tuple(sorted({frozenset(t) for t in tests}, key=event_key))
-        for t in tests:
-            if not t:
-                raise EmptyTest("tests must be nonempty")
-        bad = _is_antichain(tests)
-        if bad is not None:
-            raise RedundantTests(f"test {sorted(bad[0])} is contained in {sorted(bad[1])}")
-        covered = frozenset().union(*tests) if tests else frozenset()
-        if covered != frozenset(range(len(labels))):
-            missing = sorted(set(range(len(labels))) - covered)
-            raise UncoveredOutcome(f"outcomes {missing} appear in no test")
-        self.labels = labels
-        self.tests = tests
-        self.label_id = {lab: i for i, lab in enumerate(labels)}
-        self.test_set = frozenset(tests)
-        self._test_masks = tuple(_mask(t) for t in tests)
-        orth = [0] * len(labels)
-        for t, m in zip(tests, self._test_masks):
-            for x in t:
+    def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
+        self.labels = tuple(labels)
+        self.label_id = {lab: i for i, lab in enumerate(self.labels)}
+        ordered = sorted((_ids(m), m) for m in test_masks)
+        self._test_masks = tuple(m for _, m in ordered)
+        orth = [0] * len(self.labels)
+        for ids, m in ordered:
+            for x in ids:
                 orth[x] |= m
-        self._holders: tuple[int, ...] | None = None
         self._orth_masks = tuple(m & ~(1 << x) for x, m in enumerate(orth))
-        self.orth = tuple(mask_event(m) for m in self._orth_masks)
+        self._tests: tuple[frozenset, ...] | None = None
+        self._test_set: frozenset | None = None
+        self._holders: tuple[int, ...] | None = None
         self._events_cache: list[frozenset] | None = None
         self._event_masks: list[int] | None = None
         self._perp_masks: dict[int, int] = {}
@@ -173,6 +156,20 @@ class TestSpace:
     @property
     def n_outcomes(self) -> int:
         return len(self.labels)
+
+    @property
+    def tests(self) -> tuple[frozenset, ...]:
+        """The tests as events, in canonical order, built on first use."""
+        if self._tests is None:
+            self._tests = tuple(map(mask_event, self._test_masks))
+        return self._tests
+
+    @property
+    def test_set(self) -> frozenset:
+        """The tests as a set of events, built on first use."""
+        if self._test_set is None:
+            self._test_set = frozenset(self.tests)
+        return self._test_set
 
     def __repr__(self) -> str:
         shown = [sorted(self.labels[x] for x in t) for t in self.tests]
@@ -191,7 +188,7 @@ class TestSpace:
         return tuple(self.labels[x] for x in sorted(event))
 
     def orthogonal(self, x: int, y: int) -> bool:
-        return y in self.orth[x]
+        return 0 <= y and self._orth_masks[x] >> y & 1 == 1
 
     def is_event(self, a: Iterable[int]) -> bool:
         m = self._mask_of(a)
@@ -210,7 +207,7 @@ class TestSpace:
     def _tests_holding(self, a: int) -> int:
         """Bitset of the indices of the tests that contain the event mask ``a``."""
         holders = self._holder_bits()
-        held = (1 << len(self.tests)) - 1
+        held = (1 << len(self._test_masks)) - 1
         for x in _ids(a):
             held &= holders[x]
         return held
@@ -220,8 +217,8 @@ class TestSpace:
         on first use (many constructed spaces are never queried)."""
         if self._holders is None:
             holders = [0] * len(self.labels)
-            for i, t in enumerate(self.tests):
-                for x in t:
+            for i, t in enumerate(self._test_masks):
+                for x in _ids(t):
                     holders[x] |= 1 << i
             self._holders = tuple(holders)
         return self._holders
@@ -238,7 +235,7 @@ class TestSpace:
         Raises ``EnumerationCapExceeded`` when the largest test alone has
         more than ``cap`` subsets, or when there are more than ``cap`` events.
         """
-        top = 2 ** max(map(len, self.tests)) if self.tests else 0
+        top = 1 << max(m.bit_count() for m in self._test_masks)
         cap = check_cap("events", top, cap)
         masks = self._event_mask_list(cap)
         check_cap("events", len(masks), cap)
@@ -326,7 +323,7 @@ class TestSpace:
         members appear in event enumeration order, which fixes the witness a
         predicate reports.  The cap bounds the pass length, sum of 2^|t|.
         """
-        check_cap("complement buckets", sum(2 ** len(t) for t in self.tests), cap)
+        check_cap("complement buckets", sum(1 << m.bit_count() for m in self._test_masks), cap)
         if self._comp_index is None:
             buckets: dict[int, list[int]] = defaultdict(list)
             comps: dict[int, set[int]] = defaultdict(set)
@@ -417,31 +414,31 @@ class TestSpace:
 
     def core(self) -> frozenset:
         """Intersection of all tests."""
-        out = self.tests[0]
-        for t in self.tests[1:]:
+        out = self._test_masks[0]
+        for t in self._test_masks[1:]:
             out &= t
-        return out
+        return mask_event(out)
 
     def adjoin_unit_test(self, label: str) -> "TestSpace":
         """Add a fresh outcome carrying its own singleton test."""
         if label in self.label_id:
             raise LabelCollision(f"label {label!r} already present")
-        new_id = self.n_outcomes
-        return TestSpace(self.labels + (label,), self.tests + (frozenset([new_id]),))
+        return TestSpace(self.labels + (label,), self._test_masks + (1 << self.n_outcomes,))
 
     def restrict_to_support(self, s: Iterable[int]) -> tuple["TestSpace", dict[int, int]]:
         """The trace space on a support, with the old-id to new-id map."""
         s = frozenset(s)
         if not self.is_support(s):
-            raise RedundantTests("restriction target is not a support")
-        traces = sorted({t & s for t in self.tests} - {frozenset()}, key=event_key)
+            raise UsageError("restriction target is not a support")
+        keep = sum(1 << x for x in s)
+        traces = {t & keep for t in self._test_masks} - {0}
         if not traces:
             raise EmptyTest("support meets no test")
-        kept = sorted(frozenset().union(*traces))
+        # every outcome lies in a test, so the traces cover the whole support
+        kept = _ids(keep)
         old_to_new = {x: i for i, x in enumerate(kept)}
-        labels = [self.labels[x] for x in kept]
-        tests = [frozenset(old_to_new[x] for x in t) for t in traces]
-        return TestSpace(labels, tests), old_to_new
+        tests = [sum(1 << old_to_new[x] for x in _ids(t)) for t in traces]
+        return TestSpace([self.labels[x] for x in kept], tests), old_to_new
 
     # -- ortho-closure lattice --------------------------------------------------------
 
@@ -497,11 +494,12 @@ class ClosedSetLattice:
 def build_test_space(
     tests: Iterable[Iterable[str]], labels: Sequence[str] | None = None
 ) -> TestSpace:
-    """Construct a test space from label-level test descriptions.
+    """Construct a test space from label-level tests: the one validator.
 
-    When ``labels`` is omitted the outcome universe is the sorted union of
-    the test members, which makes outcome ids canonical for a given set of
-    labels.
+    It raises, in this order: ``EmptyTest`` (no tests), ``LabelCollision``,
+    ``UnknownLabel``, then, with repeated tests merged, ``EmptyTest``,
+    ``RedundantTests`` and ``UncoveredOutcome``.  Without ``labels`` the
+    outcomes are the sorted union of the test members, so ids are canonical.
     """
     tests = [list(t) for t in tests]
     if not tests:
@@ -513,10 +511,18 @@ def build_test_space(
         if lab in label_id:
             raise LabelCollision(f"duplicate label {lab!r}")
         label_id[lab] = i
-    id_tests = []
+    id_tests = set()
     for t in tests:
         for lab in t:
             if lab not in label_id:
                 raise UnknownLabel(f"test member {lab!r} not among outcome labels")
-        id_tests.append(frozenset(label_id[lab] for lab in t))
-    return TestSpace(tuple(labels), id_tests)
+        id_tests.add(frozenset(label_id[lab] for lab in t))
+    if frozenset() in id_tests:
+        raise EmptyTest("tests must be nonempty")
+    bad = _is_antichain(id_tests)
+    if bad is not None:
+        raise RedundantTests(f"test {sorted(bad[0])} is contained in {sorted(bad[1])}")
+    missing = set(range(len(labels))).difference(*id_tests)
+    if missing:
+        raise UncoveredOutcome(f"outcomes {sorted(missing)} appear in no test")
+    return TestSpace(labels, [sum(1 << x for x in t) for t in id_tests])

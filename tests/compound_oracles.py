@@ -34,7 +34,7 @@ from orthokit.compounding import (
 )
 from orthokit.errors import CapCounter, EnumerationCapExceeded, LawViolation, UsageError
 from orthokit.states import Model, StateSpace, Weight
-from orthokit.testspace import TestSpace, event_key
+from orthokit.testspace import TestSpace
 
 
 def worklist_compound(
@@ -86,7 +86,7 @@ def worklist_compound(
                 tests.add(ft)
                 work.append(ft)
     labels = tuple(string_label(base, s) for s in strings)
-    space = TestSpace(labels, sorted(tests, key=event_key))
+    space = TestSpace(labels, [sum(1 << i for i in t) for t in tests])
     if model.states.is_full:
         states = StateSpace.full()
     else:
@@ -148,7 +148,7 @@ def enumerated_forward_product(
                 for y in rs.tests[fi]
             )
             tests.append(t)
-    space = TestSpace(tuple(labels), tests)
+    space = TestSpace(labels, [sum(1 << i for i in t) for t in tests])
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:

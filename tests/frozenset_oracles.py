@@ -57,9 +57,10 @@ def perspective(space, a, b):
 
 
 def orthocomplement(space, a):
+    """Outcomes orthogonal to each x in a: those sharing a test with x, x itself excepted."""
     got = frozenset(range(space.n_outcomes))
     for x in a:
-        got &= space.orth[x]
+        got &= frozenset().union(*(t for t in space.tests if x in t)) - {x}
     return got
 
 

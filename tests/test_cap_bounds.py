@@ -187,7 +187,7 @@ def test_cohesion_pairs(n, bound):
     degree = {x: sum(x in t for t in space.tests) for x in range(space.n_outcomes)}
     assert sum(degree[cx] for cx in checked.table.values()) == bound
     calls = []
-    space.test_set = CountingTests(space.test_set, calls)
+    space._test_set = CountingTests(space.test_set, calls)  # the cache behind the view
     raises_before_work(lambda cap: is_cohesion(checked, cap), "cohesion pairs", bound, calls)
     assert is_cohesion(checked, bound) == is_cohesion(checked)
     calls.clear()

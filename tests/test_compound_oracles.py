@@ -234,8 +234,8 @@ def random_spaces(draw):
     family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
     used = sorted({x for m in family for x in range(n) if m >> x & 1})
     new_id = {x: i for i, x in enumerate(used)}
-    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
-    return testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
+    tests = [[f"o{new_id[x]}" for x in range(n) if m >> x & 1] for m in family]
+    return testspace.build_test_space(tests, labels=[f"o{i}" for i in range(len(used))])
 
 
 def full(space, exact=True):

@@ -1,5 +1,14 @@
 """Constructions output valid models, though nothing re-validates them.
 
+``TestSpace`` trusts its test masks; only ``build_test_space`` validates.
+Every test space the constructions build below, full models included, is
+rebuilt here through ``build_test_space`` from its tests in reverse order.
+That must succeed and give the same labels, the same tests in the same
+(ascending) order, and the same algebraic, regular, coherent and
+projective verdicts and witnesses.  The same holds for
+``restrict_to_support`` on every support of every corpus space, for
+``enumerate_test_spaces(6, 3)`` and for ``classical_model(2..4)``.
+
 ``Model`` trusts its arguments; only ``full_model`` and ``generator_model``
 validate.  They check each generator (length, scalar kind, values in [0,1],
 sum 1 on every test, to within the tolerance on float models) and then
@@ -28,13 +37,14 @@ from hypothesis import assume, given, settings, strategies as st
 from orthokit import quantum, testspace
 from orthokit.coarsening import coarsen
 from orthokit.compounding import adjoin_unit_model, forward_product, truncated_compound
-from orthokit.corpus import corpus_models
+from orthokit.corpus import corpus_models, enumerate_test_spaces
 from orthokit.errors import EnumerationCapExceeded, NumericKindMismatch, PositivityViolation
 from orthokit.states import Weight, adjoin_failure_outcome, full_model, generator_model
 from test_compound_oracles import random_spaces
 
 CAP = 2_000
 PRESET_CAP = 50_000
+PREDICATE_CAP = 20_000
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +82,34 @@ def constructed(model, partner=None, cap=CAP):
     return out
 
 
+def verdicts(space):
+    """The four structural predicates, each its result or "cap" when over ``PREDICATE_CAP``."""
+    out = [space.projective()]
+    for name in ("algebraic", "regular", "coherent"):
+        try:
+            out.append(getattr(space, name)(PREDICATE_CAP))
+        except EnumerationCapExceeded:
+            out.append("cap")
+    return out
+
+
+def assert_space_valid(space):
+    """The validator rebuilds ``space`` from its reversed tests, and agrees on everything."""
+    assert list(space.tests) == sorted(space.tests, key=testspace.event_key)
+    tests = [space.labels_of(t) for t in reversed(space.tests)]
+    rebuilt = testspace.build_test_space(tests, labels=space.labels)
+    assert rebuilt.labels == space.labels
+    assert rebuilt.tests == space.tests
+    assert verdicts(rebuilt) == verdicts(space)
+
+
 def assert_outputs_valid(model, partner=None, cap=CAP):
-    """Every generator model built from ``model`` passes input validation; returns them."""
-    outputs = [m for m in constructed(model, partner, cap) if not m.states.is_full]
+    """Every space built from ``model`` passes the validator, and every generator
+    model passes input validation; returns the generator models."""
+    built = constructed(model, partner, cap)
+    for out in built:
+        assert_space_valid(out.space)
+    outputs = [m for m in built if not m.states.is_full]
     for out in outputs:
         revalidate(out)
     return outputs
@@ -150,6 +185,40 @@ def test_classical_hull_constructions_validate(n):
         assert len(assert_outputs_valid(hull, partner)) >= 4
 
 
+# -- restrictions, the corpus and classical spaces -------------------------------------
+
+
+def test_restrictions_validate():
+    """Every support S of every corpus space restricts to the traces {t & S}, relabelled."""
+    restricted = 0
+    for space in enumerate_test_spaces(6, 3):
+        n = space.n_outcomes
+        for m in range(1, 1 << n):
+            s = frozenset(x for x in range(n) if m >> x & 1)
+            if not space.is_support(s):
+                continue
+            sub, old_to_new = space.restrict_to_support(s)
+            assert sorted(old_to_new) == sorted(s)
+            assert sub.labels == tuple(space.labels[x] for x in sorted(s))
+            traces = {frozenset(old_to_new[x] for x in t & s) for t in space.tests}
+            assert sub.test_set == traces, (repr(space), sorted(s))
+            assert_space_valid(sub)
+            restricted += 1
+    assert restricted == 1690
+
+
+def test_corpus_spaces_validate():
+    spaces = list(enumerate_test_spaces(6, 3))
+    assert len(spaces) == 112
+    for space in spaces:
+        assert_space_valid(space)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_spaces_validate(n):
+    assert_space_valid(quantum.classical_model(n).model.space)
+
+
 # -- random pairs ------------------------------------------------------------------
 
 
@@ -210,7 +279,7 @@ KIND_TABLE = [
 
 
 def kind_models():
-    space = testspace.TestSpace(("a", "b"), [frozenset({0, 1})])
+    space = testspace.TestSpace(("a", "b"), [0b11])
     return {
         EXACT_FULL: full_model(space),
         FLOAT_FULL: full_model(space, exact=False),

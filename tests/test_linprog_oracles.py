@@ -177,7 +177,8 @@ def check_closure_vertices(model) -> tuple[bool, bool]:
         zero_one = transversal_weights(model.space, cap=TRANSVERSAL_CAP)
     except EnumerationCapExceeded:
         zero_one = None
-    assert {w.values for w in zero_one or ()} <= distinct
+    if zero_one is not None:
+        assert [w.values for w in zero_one] == [x for x in verts if set(x) <= {0, 1}]
     scanned = math.comb(len(rows[0]), len(a)) <= SCAN_LIMIT
     if scanned:
         assert verts == sorted(tuple(v) for v in oracle.fraction_enumerate_vertices(rows, rhs))
@@ -189,13 +190,13 @@ def test_closure_vertices_are_basic_feasible_and_complete():
 
     Each vertex solves the rows and is nonnegative, and its support columns
     are independent; the rows are checked in reduced form, whose column
-    relations are those of A.  No vertex repeats.  Every 0/1 state of
-    ``transversal_weights`` is a vertex, on the 200 polytopes where that
-    search stays under its cap; the list is the sorted basis scan on the
-    49 where C(n, r) is at most ``SCAN_LIMIT``.
+    relations are those of A.  No vertex repeats.  The 0/1 states of
+    ``transversal_weights`` are exactly the 0/1 vertices, and that search
+    stays under its cap on all 224 polytopes; the list is the sorted basis
+    scan on the 49 where C(n, r) is at most ``SCAN_LIMIT``.
     """
     ran = [check_closure_vertices(model) for model in closure_models()]
-    assert [sum(column) for column in zip(*ran)] == [200, 49]
+    assert [sum(column) for column in zip(*ran)] == [224, 49]
 
 
 @lru_cache(maxsize=None)

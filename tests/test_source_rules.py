@@ -11,6 +11,11 @@ whose size is computed up front, so ``EnumerationCapExceeded`` is built only in
 four enumerations whose size has no closed form: the orthopartitions, the
 0/1 states, the closed sets, and the rays of vertex enumeration, whose count
 depends on the order in which double description meets the inequalities.
+
+It validates test spaces one way: ``build_test_space`` is the only place in
+``testspace.py`` that raises ``RedundantTests`` or ``UncoveredOutcome``, and
+the trusted ``TestSpace.__init__`` raises nothing and calls neither
+``_is_antichain`` nor ``mask_event``.
 """
 
 import ast
@@ -193,3 +198,75 @@ def test_caps_are_enforced_one_way():
             (raised if name == "EnumerationCapExceeded" else counted).add((path.name, function))
     assert {name for name, _ in raised} == {"errors.py"}
     assert counted == COUNTED_ENUMERATIONS
+
+
+# -- test-space validation -------------------------------------------------------
+
+VALIDATION_ERRORS = ("RedundantTests", "UncoveredOutcome")
+TRUSTED_CONSTRUCTOR = "TestSpace.__init__"
+NOT_IN_CONSTRUCTOR = ("_is_antichain", "mask_event")
+
+
+def raises_and_calls(source, filename="<string>"):
+    """(line, "raise" or "call", name, enclosing qualified name) of every raise and call.
+
+    A raise is named by the exception it builds (None for a bare ``raise``);
+    the qualified name joins the enclosing classes and functions with dots.
+    """
+    found = []
+
+    def name_of(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                exc = name_of(child.exc) if child.exc is not None else None
+                found.append((child.lineno, "raise", exc, scope))
+            elif isinstance(child, ast.Call):
+                found.append((child.lineno, "call", name_of(child), scope))
+            visit(child, scope)
+
+    visit(ast.parse(source, filename=filename), None)
+    return sorted(found, key=lambda hit: (hit[0], hit[1]))
+
+
+def test_scanner_flags_raises_and_calls():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "class TestSpace:\n"
+        "    def __init__(self, tests):\n"
+        "        if not tests:\n"
+        "            raise errors.RedundantTests('x')\n"
+        "        def inner():\n"
+        "            raise\n"
+        "        _is_antichain(tests)\n"
+        "def build_test_space(tests):\n"
+        "    raise UncoveredOutcome\n"
+    )
+    assert raises_and_calls(source) == [
+        (4, "call", "RedundantTests", "TestSpace.__init__"),
+        (4, "raise", "RedundantTests", "TestSpace.__init__"),
+        (6, "raise", None, "TestSpace.__init__.inner"),
+        (7, "call", "_is_antichain", "TestSpace.__init__"),
+        (9, "raise", "UncoveredOutcome", "build_test_space"),
+    ]
+
+
+def test_test_spaces_are_validated_one_way():
+    """``build_test_space`` is the one validator; the constructor trusts its masks."""
+    hits = raises_and_calls((SRC / "testspace.py").read_text(encoding="utf-8"))
+    in_constructor = [
+        hit for hit in hits
+        if f"{hit[3]}.".startswith(TRUSTED_CONSTRUCTOR + ".")
+        if hit[1] == "raise" or hit[2] in NOT_IN_CONSTRUCTOR
+    ]
+    assert in_constructor == []
+    validators = {scope for _, kind, name, scope in hits
+                  if kind == "raise" and name in VALIDATION_ERRORS}
+    assert validators == {"build_test_space"}

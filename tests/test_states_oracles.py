@@ -68,7 +68,8 @@ def test_non_positive_model_matches_oracle(dead):
     """Tests {a,b}, {c,d}, {b,d}, {a,c,x} force weight 0 on x, wherever x sits."""
     a, b, c, d = (i for i in range(5) if i != dead)
     tests = [{a, b}, {c, d}, {b, d}, {a, c, dead}]
-    space = testspace.TestSpace([f"o{i}" for i in range(5)], [frozenset(t) for t in tests])
+    masks = [sum(1 << x for x in t) for t in tests]
+    space = testspace.TestSpace([f"o{i}" for i in range(5)], masks)
     for exact in (True, False):
         model = Model(space, StateSpace.full(), exact=exact)
         want = assert_agrees(model, orders=tuple(permutations(PREDICATES)))
@@ -146,8 +147,8 @@ def random_models(draw):
     family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
     used = sorted({x for m in family for x in range(n) if m >> x & 1})
     new_id = {x: i for i, x in enumerate(used)}
-    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
-    space = testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
+    tests = [[f"o{new_id[x]}" for x in range(n) if m >> x & 1] for m in family]
+    space = testspace.build_test_space(tests, labels=[f"o{i}" for i in range(len(used))])
     full = Model(space, StateSpace.full())
     kind = draw(st.sampled_from(("exact", "float", "hull")))
     if kind == "float":

@@ -61,6 +61,21 @@ class TestConstruction:
         with pytest.raises(LabelCollision):
             build_test_space([["a"]], labels=["a", "a"])
 
+    @pytest.mark.parametrize(
+        "tests, labels, error",
+        [
+            ([["a", "q"], [], ["a"]], ["a", "a", "b"], LabelCollision),
+            ([["a", "z"], []], ["a"], UnknownLabel),
+            ([[], ["a", "z"]], ["a"], UnknownLabel),
+            ([["a", "b"], []], ["a", "b", "c"], EmptyTest),
+            ([["a", "b"], ["a"]], ["a", "b", "c"], RedundantTests),
+        ],
+    )
+    def test_check_order_on_doubly_malformed_input(self, tests, labels, error):
+        """Each input breaks two or more checks; the first in the documented order wins."""
+        with pytest.raises(error):
+            build_test_space(tests, labels=labels)
+
     def test_duplicate_tests_are_merged(self):
         s = build_test_space([["a", "b"], ["b", "a"]])
         assert len(s.tests) == 1
@@ -309,10 +324,12 @@ def small_spaces(draw):
 @given(small_spaces())
 @settings(max_examples=60, deadline=None)
 def test_orthogonality_symmetric_irreflexive(space):
-    for x in range(space.n_outcomes):
-        assert x not in space.orth[x]
-        for y in space.orth[x]:
-            assert x in space.orth[y]
+    n = space.n_outcomes
+    for x in range(n):
+        assert not space.orthogonal(x, x)
+        for y in range(n):
+            assert space.orthogonal(x, y) == space.orthogonal(y, x)
+            assert space.orthogonal(x, y) == (x != y and any({x, y} <= t for t in space.tests))
 
 
 @given(small_spaces())

@@ -78,7 +78,7 @@ def assert_agrees(space, name, caps):
     want = oracle_outcomes(space, name, caps)
     # a fresh copy sees ascending caps (uncached, then cached), then the same
     # copy sees them descending, so a cached result must still raise
-    fresh = testspace.TestSpace(space.labels, space.tests)
+    fresh = testspace.TestSpace(space.labels, space._test_masks)
     method = getattr(fresh, name if name != "events" else "events_list")
     for cap in sorted(want) + sorted(want, reverse=True):
         assert outcome(method, cap) == want[cap], (repr(space), name, cap)
@@ -146,8 +146,8 @@ def random_spaces(draw):
     family = [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
     used = sorted({x for m in family for x in range(n) if m >> x & 1})
     new_id = {x: i for i, x in enumerate(used)}
-    tests = [frozenset(new_id[x] for x in range(n) if m >> x & 1) for m in family]
-    return testspace.TestSpace([f"o{i}" for i in range(len(used))], tests)
+    tests = [[f"o{new_id[x]}" for x in range(n) if m >> x & 1] for m in family]
+    return testspace.build_test_space(tests, labels=[f"o{i}" for i in range(len(used))])
 
 
 @given(random_spaces())
