@@ -261,10 +261,13 @@ def cmd_interference(args) -> int:
             lambda x, k: table.get((x, k)),
             tol=args.tolerance,
             witnesses_from=range(len(tokens)),
+            cap=args.cap,
         )
         token_label = list(tokens)
     elif bundle.product is not None:
-        witnesses = find_interference(model, sigma, bundle.product, tol=args.tolerance)
+        witnesses = find_interference(
+            model, sigma, bundle.product, tol=args.tolerance, cap=args.cap
+        )
         token_label = list(model.space.labels)
     else:
         raise MissingStructure("document has neither followups nor a product section")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help="enumeration cap override; check --unital/--strongly-unital are LPs and ignore it",
+        help="enumeration cap override; check --unital/--strongly-unital enumerate nothing and ignore it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

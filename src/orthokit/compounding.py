@@ -37,12 +37,7 @@ from .errors import (
     resolve_cap,
 )
 from .morphisms import Morphism, image_core, validate_morphism
-from .states import (
-    Model,
-    StateSpace,
-    Weight,
-    sample_polytope_vertices,
-)
+from .states import Model, StateSpace, Weight
 from .testspace import PredicateResult, TestSpace, _ids, event_key
 
 EPSILON_LABEL = "ε"
@@ -496,7 +491,6 @@ class SequentialReport:
     inductivity_checked: int
     inductivity_skipped: int
     state_candidates: int
-    states_exhaustive: bool
     conditional_rows_checked: int
     evaluation_depth: int
     evaluation_domain: int
@@ -504,7 +498,7 @@ class SequentialReport:
 
     @property
     def partially_verified(self) -> bool:
-        return self.inductivity_mode == "sampled" or not self.states_exhaustive
+        return self.inductivity_mode == "sampled"
 
 
 @dataclass(frozen=True)
@@ -515,11 +509,10 @@ class CheckedSequential:
 
 
 # validate_sequential tries every branch assignment only on families within
-# these sizes, else 64 seeded ones; it samples unenumerable state spaces too.
+# these sizes, else 64 seeded ones.
 SEQUENTIAL_SEED = 0
 SEQUENTIAL_EXHAUSTIVE_TEST_SIZE = 6
 SEQUENTIAL_EXHAUSTIVE_FAMILY_SIZE = 8
-SEQUENTIAL_STATE_CANDIDATES = 64
 
 
 def validate_sequential(
@@ -535,7 +528,9 @@ def validate_sequential(
     closure of the test family under branch assignments, the state
     conditions (marginal and conditional states stay states), presence of
     the unit test, and that evaluating strings of the probe-depth compound
-    lands test-preservingly back in the model.
+    lands test-preservingly back in the model.  The state conditions run on
+    ``states`` when given, else on ``model.state_vertices(cap)``, which
+    raises past the cap.
     """
     if probe_depth < 1:
         raise UsageError("probe depth must be at least 1")
@@ -622,21 +617,7 @@ def validate_sequential(
                 )
 
     # States: marginals equal the state itself; conditionals stay states.
-    if states is not None:
-        candidates = list(states)
-        states_exhaustive = True
-    elif model.states.is_full:
-        try:
-            candidates = model.state_vertices(cap=50_000)
-            states_exhaustive = True
-        except EnumerationCapExceeded:
-            candidates = sample_polytope_vertices(
-                model, SEQUENTIAL_STATE_CANDIDATES, SEQUENTIAL_SEED
-            )
-            states_exhaustive = False
-    else:
-        candidates = list(model.states.generators)
-        states_exhaustive = True
+    candidates = list(states) if states is not None else model.state_vertices(cap)
     rows_checked = 0
     for w in candidates:
         for t in space.tests:
@@ -704,7 +685,6 @@ def validate_sequential(
         inductivity_checked=ind_checked,
         inductivity_skipped=ind_skipped,
         state_candidates=len(candidates),
-        states_exhaustive=states_exhaustive,
         conditional_rows_checked=rows_checked,
         evaluation_depth=probe_depth,
         evaluation_domain=len(domain),

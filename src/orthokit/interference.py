@@ -368,6 +368,7 @@ def find_interference(
     states: Sequence[Weight] | None = None,
     tol: float | None = None,
     witnesses_from: Iterable[int] | None = None,
+    cap: int | None = None,
 ) -> list[InterferenceWitness]:
     """Scan for states where collapsing an event changes follow-up statistics.
 
@@ -375,7 +376,8 @@ def find_interference(
     mass of (collapsed event, then outcome) is compared with the member-wise
     sum.  Pairs whose compound outcomes are missing from the model are
     skipped: the scan only evaluates what the model can express.  Undefined
-    compounds of the impossible kind count as zero mass.
+    compounds of the impossible kind count as zero mass.  The states default
+    to ``model.state_vertices(cap)``, which raises past the cap.
     """
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
     if isinstance(prod, SequentialProduct):
@@ -385,10 +387,7 @@ def find_interference(
         kind = OUT_OF_WINDOW
         pr = prod
     if states is None:
-        if model.states.is_full:
-            states = model.state_vertices()
-        else:
-            states = list(model.states.generators)
+        states = model.state_vertices(cap)
     if tol is None:
         tol = 0.0 if model.exact else model.tol
     scan_events = sorted(table, key=event_key)

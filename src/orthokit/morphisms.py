@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     DomainMismatch,
-    EnumerationCapExceeded,
     HypothesisUnmet,
     ImageNotEvent,
     ImagesNotPerspective,
@@ -24,15 +23,10 @@ from .errors import (
     PullbackNotState,
     UsageError,
 )
-from .states import GENERATORS, Model, Weight, sample_polytope_vertices, transversal_weights
-
-VERTEX_CAP = 10_000
-SAMPLE_POINTS = 256
-SAMPLE_SEED = 0
+from .states import GENERATORS, Model, Weight
 
 D_IMPLIED = "implied"  # full source: pullbacks are multiples of states by perspectivity
 D_EXACT = "exact"  # checked against generators or enumerated vertices
-D_SAMPLED = "sampled"  # vertex enumeration intractable; randomized spot-check only
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,9 @@ def validate_morphism(
     """Check the four morphism conditions and compute the derived flags.
 
     Raises a :class:`MorphismError` subclass with a witness on the first
-    violated condition.
+    violated condition.  For a generator source over a full target, the
+    state condition enumerates the target's vertices under ``cap`` and
+    raises ``EnumerationCapExceeded`` past it.
     """
     src, dst = source.space, target.space
     if callable(mapping):
@@ -149,34 +145,16 @@ def _check_state_condition(source, target, mapping, cap) -> str:
         # so pullbacks have constant test sums and normalize into the full
         # polytope; nothing to solve.
         return D_IMPLIED
-    if target.states.kind == GENERATORS:
-        for beta in target.states.generators:
-            w = pull(beta)
-            if not source.contains_ray(w):
-                raise PullbackNotState(
-                    "a generator state pulls back outside the source state cone",
-                    witness=beta,
-                )
-        return D_EXACT
-    # Generators source, full target: conic membership is convex in the
-    # target state, so checking the polytope's vertices decides the
-    # universal statement; fall back to a seeded sample when vertex
-    # enumeration would blow the cap, and say so in the flag.
-    try:
-        candidates = target.state_vertices(cap=VERTEX_CAP if cap is None else cap)
-        status = D_EXACT
-    except EnumerationCapExceeded:
-        candidates = sample_polytope_vertices(target, SAMPLE_POINTS, seed=SAMPLE_SEED)
-        candidates.extend(transversal_weights(target.space, cap=VERTEX_CAP))
-        status = D_SAMPLED
-    for beta in candidates:
-        w = pull(beta)
-        if not source.contains_ray(w):
+    # Generators source: conic membership is convex in the target state, so
+    # the target's vertices decide the universal statement: its generators,
+    # or the vertices of its full polytope, enumerated under the cap.
+    what = "a generator state" if target.states.kind == GENERATORS else "a target state"
+    for beta in target.state_vertices(cap):
+        if not source.contains_ray(pull(beta)):
             raise PullbackNotState(
-                "a target state pulls back outside the source state cone",
-                witness=beta,
+                f"{what} pulls back outside the source state cone", witness=beta
             )
-    return status
+    return D_EXACT
 
 
 def identity_morphism(model: Model) -> Morphism:
@@ -190,7 +168,7 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
     ``test_preserving`` and ``embedding`` flags are read off the composite
     mapping, as ``validate_morphism`` reads them, because neither follows
     from the factors' flags: an embedding followed by a fold can still be
-    an embedding.  ``d_status`` is the weaker of the two factors'.
+    an embedding.  ``d_status`` is implied only when both factors' are.
     """
     if phi.target is not psi.source:
         raise DomainMismatch("codomain of the first factor must be the domain of the second")
@@ -202,12 +180,8 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
         mapping=mapping,
         test_preserving=test_preserving,
         embedding=embedding,
-        d_status=min(phi.d_status, psi.d_status, key=_d_rank),
+        d_status=D_IMPLIED if phi.d_status == psi.d_status == D_IMPLIED else D_EXACT,
     )
-
-
-def _d_rank(status: str) -> int:
-    return {D_SAMPLED: 0, D_EXACT: 1, D_IMPLIED: 2}[status]
 
 
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:

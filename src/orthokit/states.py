@@ -5,11 +5,12 @@ of probability weights or the convex hull of finitely many generator
 weights.  A model is exact (Fraction-valued weights) or float-valued with a
 per-model tolerance; the two never mix inside one model.
 
-Membership and optimization questions (is this weight a state? does some
-state put weight 1 on x?) all route through the exact simplex in
-``linprog``.  Float models are rationalized on the way in and re-validated
-against the model tolerance on the way out, because predicates like
-"alpha(x) = 1 exactly" are brittle under floating point.
+Membership questions (is this weight a state?) and, on full models, the
+state predicates (does some state put weight 1 on x?) route through the
+exact simplex in ``linprog``; hull models answer the predicates by scanning
+their generators.  Float models are rationalized on the way in and
+re-validated against the model tolerance on the way out, because predicates
+like "alpha(x) = 1 exactly" are brittle under floating point.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    CapCounter,
     NotAState,
     NumericKindMismatch,
     PositivityViolation,
     UsageError,
 )
 from .linprog import ZERO, LPResult, enumerate_vertices, solve_lp
-from .testspace import TestSpace, _ids
+from .testspace import TestSpace
 
 FULL = "full"
 GENERATORS = "generators"
@@ -181,45 +181,29 @@ class Model:
     def optimize_over_states(
         self, objective: Sequence, fix: Sequence[tuple[int, object]] = (), maximize=True
     ) -> LPResult:
-        """Extremize a linear functional of the state over the state space.
+        """Extremize a linear functional of the state over the full polytope.
 
         ``fix`` pins outcome weights to given values. For float models the
-        pins are enforced up to the model tolerance.
+        pins are enforced up to the model tolerance.  Hull models pose no
+        such LP: their predicates scan the generators (``UsageError``).
         """
+        if not self.states.is_full:
+            raise UsageError("hull models scan their generators; they pose no state LP")
         obj = [self._rationalize(v) for v in objective]
         slack = Fraction(0) if self.exact else Fraction(self.tol)
-        if self.states.is_full:
-            rows, rhs = self.polytope_rows()
-            base = self.space.n_outcomes
-            var_obj = obj[:]
-
-            def fix_row(x: int) -> list[Fraction]:
-                r = [ZERO] * base
-                r[x] = Fraction(1)
-                return r
-
-        else:
-            gens = self.states.generators
-            base = len(gens)
-            rows = [[Fraction(1)] * base]
-            rhs = [Fraction(1)]
-            var_obj = [
-                sum((obj[x] * self._rationalize(g[x]) for x in range(len(obj))), ZERO)
-                for g in gens
-            ]
-
-            def fix_row(x: int) -> list[Fraction]:
-                return [self._rationalize(g[x]) for g in gens]
-
+        rows, rhs = self.polytope_rows()
+        base = self.space.n_outcomes
         extra = 0
         for x, val in fix:
+            pin = [ZERO] * base
+            pin[x] = Fraction(1)
             target = self._rationalize(val)
             if slack == 0:
-                rows.append(fix_row(x))
+                rows.append(pin)
                 rhs.append(target)
             else:
                 # row . v + s+ - s- = target with s+ + s- <= slack
-                row = fix_row(x) + [ZERO] * extra + [Fraction(1), Fraction(-1), ZERO]
+                row = pin + [ZERO] * extra + [Fraction(1), Fraction(-1), ZERO]
                 bound = [ZERO] * (base + extra) + [Fraction(1), Fraction(1), Fraction(1)]
                 rows.append(row)
                 rhs.append(target)
@@ -228,8 +212,7 @@ class Model:
                 extra += 3
         width = base + extra
         rows = [r + [ZERO] * (width - len(r)) for r in rows]
-        var_obj = var_obj + [ZERO] * (width - len(var_obj))
-        return solve_lp(rows, rhs, var_obj, maximize=maximize)
+        return solve_lp(rows, rhs, obj + [ZERO] * extra, maximize=maximize)
 
     # -- membership --------------------------------------------------------------
 
@@ -300,11 +283,19 @@ class Model:
 
     # -- state-dependent predicates ---------------------------------------------------
     #
-    # Positivity, unitality and strong unitality all ask for witness states,
-    # found by ``_cover``.  Every LP optimum it solves is kept on the model.  A
-    # kept optimum that meets a query's pin is a feasible point of that
-    # query's LP, so a scan hit says "holds" only where the LP would, and
-    # every failure comes from an LP.
+    # Positivity, unitality and strong unitality all ask for witness states.
+    # A hull model scans its generators, which decides all three exactly on
+    # an exact hull.  A state is a mixture of generators, positive at x
+    # exactly when some generator it mixes is.  Every g[x] <= 1, so it is
+    # certain of x exactly when every generator it mixes is; hence a state
+    # certain of x with weight at y exists exactly when a generator certain
+    # of x has weight at y.  Float hulls run the same scan with the model's
+    # ``_eq`` and floor, one generator at a time.
+    #
+    # A full model finds witnesses by ``_cover``.  Every LP optimum it solves
+    # is kept on the model.  A kept optimum that meets a query's pin is a
+    # feasible point of that query's LP, so a scan hit says "holds" only
+    # where the LP would, and every failure comes from an LP.
 
     def _indicator(self, *outcomes: int) -> list[Fraction]:
         obj = [ZERO] * self.space.n_outcomes
@@ -316,14 +307,7 @@ class Model:
         res = self.optimize_over_states(objective, fix=fix)
         if not res.optimal:
             return None
-        if self.states.is_full:
-            w = Weight(res.x[: self.space.n_outcomes])
-        else:
-            gens = self.states.generators
-            w = Weight(
-                sum((lam * self._rationalize(g[x]) for lam, g in zip(res.x, gens) if lam), ZERO)
-                for x in range(self.space.n_outcomes)
-            )
+        w = Weight(res.x[: self.space.n_outcomes])
         self._witnesses[w] = None
         return w
 
@@ -353,10 +337,6 @@ class Model:
             targets = [y for y in range(n) if not self.space.orthogonal(certain, y)]
             floor = 0 if self.exact else self.tol
         slack = 0 if self.exact else Fraction(self.tol)
-
-        def clears(v) -> bool:
-            return float(v) > floor if floor else v > 0
-
         found = dict.fromkeys(targets)
         todo = list(targets)
         kept = iter([w for w in self._witnesses if all(abs(w[x] - v) <= slack for x, v in fix)])
@@ -364,15 +344,15 @@ class Model:
             w = next(kept, None)
             if w is None:
                 w = self._kept_optimum(self._indicator(*todo), fix)
-                if w is None or not clears(sum(w[y] for y in todo)):
+                if w is None or not _clears(sum(w[y] for y in todo), floor):
                     break
-                if not any(clears(w[y]) for y in todo):
+                if not any(_clears(w[y], floor) for y in todo):
                     for y in todo:
                         w = self._kept_optimum(self._indicator(y), fix)
-                        found[y] = w if w is not None and clears(w[y]) else None
+                        found[y] = w if w is not None and _clears(w[y], floor) else None
                     break
             for y in todo:
-                if clears(w[y]):
+                if _clears(w[y], floor):
                     found[y] = w
             todo = [y for y in todo if found[y] is None]
         self._covers[certain] = found
@@ -381,7 +361,7 @@ class Model:
     def positive_witness(self, x: int) -> Weight | None:
         """A state with positive weight at x, or None."""
         if not self.states.is_full:
-            return next((g for g in self.states.generators if float(g[x]) > 0), None)
+            return next((g for g in self.states.generators if g[x] > 0), None)
         return self._cover(None)[x]
 
     def certainty_witness(self, x: int) -> Weight | None:
@@ -396,7 +376,19 @@ class Model:
 
     def strong_witness(self, x: int, y: int) -> Weight | None:
         """A state certain of x with weight above the floor at y (0, or the
-        tolerance on float models), or None; an orthogonal pair has none."""
+        tolerance on float models), or None; an orthogonal pair has none.
+
+        A hull model returns the first generator certain of x (by ``_eq``)
+        that clears the floor at y.
+        """
+        if not self.states.is_full:
+            if self.space.orthogonal(x, y):
+                return None
+            floor = 0 if self.exact else self.tol
+            return next(
+                (g for g in self.states.generators if self._eq(g[x], 1) and _clears(g[y], floor)),
+                None,
+            )
         return self._cover(x).get(y)
 
     def positivity_failures(self) -> list[int]:
@@ -416,11 +408,12 @@ class Model:
         particular unital, which is what the downstream regularity and
         preservation facts actually need.
         """
+        n = self.space.n_outcomes
         failures = tuple(
             (x, y)
-            for x in range(self.space.n_outcomes)
-            for y, w in self._cover(x).items()
-            if w is None
+            for x in range(n)
+            for y in range(n)
+            if not self.space.orthogonal(x, y) and self.strong_witness(x, y) is None
         )
         return StateReport("strongly_unital", not failures, failures)
 
@@ -473,56 +466,9 @@ class Model:
         return [Weight(v) for v in enumerate_vertices(rows, rhs, cap)]
 
 
-def transversal_weights(space: TestSpace, cap: int | None = None) -> list[Weight]:
-    """0/1 probability weights: indicators of sets meeting every test exactly once.
-
-    Each step picks an outcome of the open test (none chosen yet) with the
-    fewest free ones (not orthogonal to a chosen one); a branch dies when an
-    open test has none, and each transversal is found once.  The cap counts steps.
-    """
-    counter = CapCounter("transversal weights", cap)
-    tests, orth = space._test_masks, space._orth_masks
-    n = space.n_outcomes
-    out: list[Weight] = []
-
-    def extend(chosen: int, free: int):
-        counter.tick()
-        best = None
-        for t in tests:
-            if not t & chosen:
-                options = t & free
-                if not options:
-                    return
-                if best is None or options.bit_count() < best.bit_count():
-                    best = options
-        if best is None:
-            out.append(Weight(tuple(Fraction(chosen >> x & 1) for x in range(n))))
-            return
-        for x in _ids(best):
-            extend(chosen | 1 << x, free & ~(orth[x] | 1 << x))
-
-    extend(0, (1 << n) - 1)
-    out.sort(key=lambda w: w.values)
-    return out
-
-
-def sample_polytope_vertices(model: Model, k: int, seed: int = 0) -> list[Weight]:
-    """Random vertices of the full weight polytope via random-objective LPs."""
-    import random
-
-    rng = random.Random(seed)
-    n = model.space.n_outcomes
-    seen = set()
-    out: list[Weight] = []
-    for _ in range(k):
-        obj = [Fraction(rng.randint(-100, 100)) for _ in range(n)]
-        res = model.optimize_over_states(obj)
-        if res.optimal:
-            key = tuple(res.x[:n])
-            if key not in seen:
-                seen.add(key)
-                out.append(Weight(res.x[:n]))
-    return out
+def _clears(v, floor) -> bool:
+    """Whether a weight is above a floor; a zero floor compares exactly."""
+    return float(v) > floor if floor else v > 0
 
 
 def _require_positive(model: Model) -> Model:

@@ -14,13 +14,16 @@ keeps the nonnegative solutions.  The library enumerates them by double
 description and returns them sorted, so the oracle tests compare with the
 sorted scan.
 
+``transversal_weights`` finds the 0/1 vertices of a state polytope by a
+search over transversals, sets that meet every test exactly once.
+
 ``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
-the straightforward versions of the ``Model`` predicates: one fresh LP per
-outcome or per non-orthogonal pair, with nothing remembered between LPs.
-The library covers many outcomes with one LP that maximizes their total
-weight, scans the LP optima it kept first and memoises the answers; the
-oracle tests require both to report the same verdict and the same ordered
-failures.
+the straightforward versions of the ``Model`` predicates: on full models one
+fresh LP per outcome or per non-orthogonal pair, with nothing remembered
+between LPs; on hull models a scan of every generator.  The library covers
+many outcomes with one LP that maximizes their total weight, scans the LP
+optima it kept first and memoises the answers; the oracle tests require
+both to report the same verdict and the same ordered failures.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from orthokit.errors import check_cap
+from orthokit.errors import CapCounter, check_cap
 from orthokit.linprog import ZERO, LPResult, dedupe_rows
-from orthokit.states import StateReport
+from orthokit.states import StateReport, Weight
+from orthokit.testspace import _ids
 
 ONE = Fraction(1)
 
@@ -236,6 +240,39 @@ def fraction_enumerate_vertices(a_rows, b_rhs, cap=None):
     return out
 
 
+def transversal_weights(space, cap=None):
+    """0/1 probability weights: indicators of sets meeting every test exactly once.
+
+    Each step picks an outcome of the open test (none chosen yet) with the
+    fewest free ones (not orthogonal to a chosen one); a branch dies when an
+    open test has none, and each transversal is found once.  The cap counts steps.
+    """
+    counter = CapCounter("transversal weights", cap)
+    tests, orth = space._test_masks, space._orth_masks
+    n = space.n_outcomes
+    out = []
+
+    def extend(chosen, free):
+        counter.tick()
+        best = None
+        for t in tests:
+            if not t & chosen:
+                options = t & free
+                if not options:
+                    return
+                if best is None or options.bit_count() < best.bit_count():
+                    best = options
+        if best is None:
+            out.append(Weight(tuple(Fraction(chosen >> x & 1) for x in range(n))))
+            return
+        for x in _ids(best):
+            extend(chosen | 1 << x, free & ~(orth[x] | 1 << x))
+
+    extend(0, (1 << n) - 1)
+    out.sort(key=lambda w: w.values)
+    return out
+
+
 def _indicator(n, x):
     obj = [ZERO] * n
     obj[x] = Fraction(1)
@@ -250,7 +287,7 @@ def positivity_failures(model):
             res = model.optimize_over_states(_indicator(n, x))
             ok = res.optimal and res.value > 0
         else:
-            ok = any(float(g[x]) > 0 for g in model.states.generators)
+            ok = any(g[x] > 0 for g in model.states.generators)
         if not ok:
             dead.append(x)
     return dead
@@ -273,12 +310,19 @@ def check_unital(model):
 def check_strongly_unital(model):
     failures = []
     n = model.space.n_outcomes
+    floor = 0 if model.exact else model.tol
     for x in range(n):
         for y in range(n):
             if x != y and model.space.orthogonal(x, y):
                 continue
-            res = model.optimize_over_states(_indicator(n, y), fix=[(x, 1)])
-            ok = res.optimal and float(res.value) > (0 if model.exact else model.tol)
+            if model.states.is_full:
+                res = model.optimize_over_states(_indicator(n, y), fix=[(x, 1)])
+                ok = res.optimal and float(res.value) > floor
+            else:
+                ok = any(
+                    model._eq(g[x], 1) and (float(g[y]) > floor if floor else g[y] > 0)
+                    for g in model.states.generators
+                )
             if not ok:
                 failures.append((x, y))
     return StateReport("strongly_unital", not failures, tuple(failures))

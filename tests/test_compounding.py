@@ -13,6 +13,7 @@ import pytest
 
 import orthokit
 from orthokit.errors import (
+    EnumerationCapExceeded,
     HypothesisUnmet,
     LawViolation,
     NotAMorphism,
@@ -382,6 +383,13 @@ class TestSequential:
         assert checked.report.inductivity_mode == "exhaustive"
         assert checked.report.inductivity_skipped == 0
 
+    def test_state_enumeration_reads_the_cap(self):
+        """The states are ``state_vertices(cap)``: classical3's polytope needs
+        5 rays, so cap 4 stops there, before the compound would."""
+        cm = classical_model(3)
+        with pytest.raises(EnumerationCapExceeded, match="polytope vertices: needs ≥ 5"):
+            validate_sequential(cm.model, cm.product, cap=4)
+
     def test_corrupted_table_detected(self):
         cm = classical_model(2)
         table = dict(cm.product.table)
@@ -414,8 +422,10 @@ class TestSequential:
     # Recorded before the inductivity loop built its images with
     # ``event_product``: 37 entries under two semantics, 24 of them raising
     # "branch assignment leaves the test family" and the others reporting
-    # their inductivity_checked / inductivity_skipped counts.
-    ONE_ENTRY_DELETIONS_SHA256 = "2014361519f752901c32bde91d488d94f184bbf9fbb2ce032a2043a86a071d7f"
+    # their inductivity_checked / inductivity_skipped counts.  Re-pinned when
+    # the report lost its ``states_exhaustive`` field: the parent's 74 lines
+    # with that element (True in every report) removed hash to this digest.
+    ONE_ENTRY_DELETIONS_SHA256 = "ac0ae92599218c61a18f4f065daaaf0e0c1daa385741bcd8f4aa138a31cc9ab5"
 
     def test_one_entry_deletions_are_byte_stable(self):
         """Each single entry of the classical 3-point product deleted, under both
@@ -503,10 +513,11 @@ class TestPreservation:
         """Float witnesses may sit up to tol below 1, and both constructions
         multiply them.
 
-        The first generator puts 1 - 5e-10 on a, and the strong witness of
-        (x, y) mixes in the second to leave x at 1 - tol.  The compound's
-        string (a, a) and the forward square's pairs (a, x), (a, y) multiply
-        two such factors: not within tol of 1, but within one tol per factor.
+        The first generator puts 1 - 5e-10 on a and is the witness certain
+        of a.  The compound's string (a, a) and the forward square's pairs
+        (a, x), (a, y) multiply two such factors.  No generator certain of x
+        puts weight on y, so (x, y) has no strong witness, as in the exact
+        hull (a mixture could leave 1.5e-9 at y with x at 1 - tol).
         """
         space = build_test_space([["x", "z"], ["y", "p"], ["a", "q"]])
         rows = [
@@ -520,7 +531,7 @@ class TestPreservation:
 
         m = hull()
         x, y, a = (space.outcome(lab) for lab in ("x", "y", "a"))
-        assert m.certainty_witness(a)[a] < 1 and m.strong_witness(x, y)[x] < 1
+        assert m.certainty_witness(a)[a] < 1 and m.strong_witness(x, y) is None
         # z is certain under no state, so neither model is unital
         for rep in (preservation_compound(hull(), 2), preservation_forward(m, m)):
             assert rep.properties["unital"] == (False, False)

@@ -401,6 +401,12 @@ class TestExitCodes:
         # perfbench's cli-cold workload counts cap skips by this phrase
         assert "enumeration exceeds cap" in capsys.readouterr().err
 
+    def test_interference_reads_the_cap(self, capsys):
+        """The scan's states are ``state_vertices(--cap)``: 5 rays for classical3."""
+        assert main(["--cap", "4", "interference", classical_path()]) == 2
+        assert "polytope vertices: needs ≥ 5, enumeration exceeds cap 4" in capsys.readouterr().err
+        assert main(["interference", classical_path()]) == 0
+
     def test_compound_cap_names_the_bound(self, capsys):
         """spin-1 at depth 2 needs 893,790,300 tests; the cap says so up front."""
         spin1 = fixture_path("spin1")

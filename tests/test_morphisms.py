@@ -7,6 +7,7 @@ import pytest
 
 from orthokit.errors import (
     DomainMismatch,
+    EnumerationCapExceeded,
     HypothesisUnmet,
     MorphismError,
     NotLocallyInjective,
@@ -167,6 +168,17 @@ class TestComposition:
         ident = identity_morphism(c3.model)
         assert compose(ident, phi).embedding
 
+    def test_state_flag_is_implied_only_when_both_factors_are(self):
+        space = build_test_space([["a", "b"]])
+        full = full_model(space)
+        hull = generator_model(space, [Weight([F(1), F(0)]), Weight([F(0), F(1)])])
+        into_full = validate_morphism(hull, full, (0, 1))
+        onto_hull = validate_morphism(full, hull, (0, 1))
+        assert (into_full.d_status, onto_hull.d_status) == ("exact", "implied")
+        assert compose(onto_hull, into_full).d_status == "exact"
+        assert compose(into_full, onto_hull).d_status == "exact"
+        assert compose(identity_morphism(full), identity_morphism(full)).d_status == "implied"
+
     def test_domain_mismatch(self):
         m1, m2 = named("wright"), named("single-2")
         with pytest.raises(DomainMismatch):
@@ -261,15 +273,27 @@ def test_image_core():
 
 
 def test_sampled_state_condition_is_flagged():
-    """When target vertex enumeration is capped, the map reports sampling."""
-    from fractions import Fraction as F
-
+    """Past the cap, the target's vertex enumeration raises; nothing is sampled."""
     src = generator_model(
         build_test_space([["a", "b"]]),
         [Weight([F(1), F(0)]), Weight([F(0), F(1)])],
     )
     dst = full_model(build_test_space([["u", "v"]]))
-    phi = validate_morphism(src, dst, (0, 1), cap=1)
-    assert phi.d_status == "sampled"
+    with pytest.raises(EnumerationCapExceeded, match="polytope vertices"):
+        validate_morphism(src, dst, (0, 1), cap=1)
     exact = validate_morphism(src, dst, (0, 1))
     assert exact.d_status == "exact"
+
+
+def test_state_condition_cap_defaults_to_the_environment(monkeypatch):
+    """``cap=None`` reads ORTHOKIT_CAP, as every other entry point does."""
+    src = generator_model(
+        build_test_space([["a", "b"]]),
+        [Weight([F(1), F(0)]), Weight([F(0), F(1)])],
+    )
+    dst = full_model(build_test_space([["u", "v"]]))
+    monkeypatch.setenv("ORTHOKIT_CAP", "1")
+    with pytest.raises(EnumerationCapExceeded, match="cap 1"):
+        validate_morphism(src, dst, (0, 1))
+    monkeypatch.delenv("ORTHOKIT_CAP")
+    assert validate_morphism(src, dst, (0, 1)).d_status == "exact"

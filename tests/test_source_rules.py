@@ -8,9 +8,12 @@ this process does.
 It enforces caps one way: ``errors.check_cap`` raises before an enumeration
 whose size is computed up front, so ``EnumerationCapExceeded`` is built only in
 ``errors.py``, and a ``CapCounter`` that counts as it goes appears only in
-four enumerations whose size has no closed form: the orthopartitions, the
-0/1 states, the closed sets, and the rays of vertex enumeration, whose count
-depends on the order in which double description meets the inequalities.
+three enumerations whose size has no closed form: the orthopartitions, the
+closed sets, and the rays of vertex enumeration, whose count depends on the
+order in which double description meets the inequalities.  A cap error
+propagates: below the CLI's top level, the only handler of
+``EnumerationCapExceeded`` (or of a base class) is
+``compounding._preservation``, whose report records each check it skips.
 
 It validates test spaces one way: ``build_test_space`` is the only place in
 ``testspace.py`` that raises ``RedundantTests`` or ``UncoveredOutcome``, and
@@ -148,7 +151,6 @@ CAP_CLASSES = ("EnumerationCapExceeded", "CapCounter")
 COUNTED_ENUMERATIONS = {
     ("linprog.py", "enumerate_vertices"),
     ("logic.py", "orthopartition_space"),
-    ("states.py", "transversal_weights"),
     ("testspace.py", "closed_set_lattice"),
 }
 
@@ -198,6 +200,73 @@ def test_caps_are_enforced_one_way():
             (raised if name == "EnumerationCapExceeded" else counted).add((path.name, function))
     assert {name for name, _ in raised} == {"errors.py"}
     assert counted == COUNTED_ENUMERATIONS
+
+
+# the preservation report, which records each check it skips, and the CLI's
+# top level, which reports every library error and exits 2
+CAP_HANDLERS = {("compounding.py", "_preservation"), ("cli.py", "main")}
+
+
+def cap_handlers(source, filename="<string>"):
+    """(line, innermost enclosing function) of every handler that catches a cap error.
+
+    A handler catches it when its type, or a member of its tuple, is named
+    ``EnumerationCapExceeded`` or one of its bases: a bare ``except``,
+    ``Exception``, ``BaseException`` or ``OrthokitError``.
+    """
+    catching = {"EnumerationCapExceeded", "OrthokitError", "Exception", "BaseException"}
+    found = []
+
+    def names(node):
+        if node is None:
+            return {"BaseException"}
+        if isinstance(node, ast.Tuple):
+            return set().union(*(names(elt) for elt in node.elts))
+        return {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)}
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and names(child.type) & catching:
+                found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source, filename=filename), None)
+    return sorted(found)
+
+
+def test_scanner_flags_cap_handlers():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (ValueError, errors.EnumerationCapExceeded):\n"
+        "        pass\n"
+        "    except KeyError:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        try:\n"
+        "            pass\n"
+        "        except OrthokitError:\n"
+        "            pass\n"
+        "try:\n"
+        "    pass\n"
+        "except:\n"
+        "    pass\n"
+    )
+    assert cap_handlers(source) == [(4, "f"), (11, "g"), (15, None)]
+
+
+def test_cap_errors_propagate():
+    """No sampled or truncated fallback: the one handler records its skips."""
+    handlers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for _, function in cap_handlers(path.read_text(encoding="utf-8"), str(path)):
+            handlers.add((path.name, function))
+    assert handlers == CAP_HANDLERS
 
 
 # -- test-space validation -------------------------------------------------------

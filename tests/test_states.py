@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import lp_oracles
+from orthokit.coarsening import coarsen
 from orthokit.compounding import preservation_compound
 from orthokit.errors import (
     NumericKindMismatch,
@@ -19,8 +20,6 @@ from orthokit.states import (
     adjoin_failure_outcome,
     full_model,
     generator_model,
-    sample_polytope_vertices,
-    transversal_weights,
     weight_from_labels,
 )
 from orthokit.testspace import build_test_space
@@ -126,6 +125,26 @@ def test_strong_unitality_includes_certainty():
     assert not m.space.regular()  # which is why the diagonal matters
 
 
+def test_hull_strong_witness_skips_orthogonal_pairs():
+    """A float generator within tol of 1 at x can carry more than tol at an
+    orthogonal y (another outcome of the test sits at -0.9 tol); the pair
+    still has no strong witness."""
+    space = build_test_space([["x", "y", "z"]])
+    gens = [Weight([1 - 5e-10, 1.4e-9, -0.9e-9]), Weight([0.0, 1.0, 0.0]), Weight([0.0, 0.0, 1.0])]
+    m = generator_model(space, gens, exact=False)
+    assert m.strong_witness(0, 0) is gens[0] and gens[0][1] > m.tol
+    assert m.strong_witness(0, 1) is None
+
+
+def test_exact_hull_scans_compare_exactly():
+    """A weight of 1/10^400 is positive, although it is 0.0 as a float."""
+    tiny = F(1, 10**400)
+    m = generator_model(build_test_space([["a", "b"]]), [Weight([1 - tiny, tiny]), Weight([F(1), F(0)])])
+    assert m.positivity_failures() == []
+    assert m.strong_witness(1, 1) is None and m.strong_witness(0, 0) is m.states.generators[1]
+    assert m.check_strongly_unital() == lp_oracles.check_strongly_unital(m)
+
+
 def test_strongly_unital_implies_regular_on_corpus():
     for m in corpus_models(5, 3):
         if m.check_strongly_unital().holds:
@@ -163,16 +182,11 @@ def test_min_event_weight(wright_model):
 
 def test_transversal_weights():
     s = build_test_space([["a", "b"], ["c", "d"]])
-    ws = transversal_weights(s)
+    ws = lp_oracles.transversal_weights(s)
     assert len(ws) == 4
     m = full_model(s)
     for w in ws:
         assert m.is_probability_weight(w)
-
-
-def test_sampled_vertices_are_states(wright_model):
-    for w in sample_polytope_vertices(wright_model, 16, seed=3):
-        assert wright_model.is_probability_weight(w)
 
 
 def test_adjoin_failure_outcome(wright_model):
@@ -232,32 +246,34 @@ def test_cover_total_at_floor_fails_open_targets_after_one_lp(lp_log):
 
 
 def test_cover_falls_back_to_one_lp_per_target(lp_log):
-    """The float floor: two targets clear it together but neither alone.
+    """The float floor: open targets clear it together but none alone.
 
-    The first model is the float twin of an exact hull of two corpus
-    vertices: pinned at d, b and c each get the tolerance and no more, so
-    both fail after their own LPs.  In the second, y1 alone clears the floor
-    through a generator that the total LP passes over, so only the fallback
-    finds its witness.
+    In the float coarsening of corpus model 33 (tests {a,b}, {a,c},
+    {b,d,e}), certainty of {c} forces {d}, {d,e} and {e} to 0; with the pin
+    at 1 - tol they clear the floor together, but each alone gets the
+    tolerance and no more, so all three fail after their own LPs.  In the
+    coarsening of corpus model 94, pinned at {a}, {b,e} and {c,d} also clear
+    it only in their own LPs, so only the fallback finds their witnesses;
+    the exact twin has none.
     """
-    space = build_test_space([["a", "b"], ["a", "c"], ["d", "e"]])
-    gens = [Weight([0.0, 1.0, 1.0, 0.0, 1.0]), Weight([1.0, 0.0, 0.0, 1.0, 0.0])]
-    m = generator_model(space, gens, exact=False)
-    a, b, c, d = range(4)
-    assert m.strong_witness(d, b) is None and m.strong_witness(d, c) is None
-    assert [s for _, s, _ in lp_log] == [{a, b, c, d}, {b, c}, {b}, {c}]
-
-    space = build_test_space([["x", "z"], ["y1", "p"], ["y2", "q"]])
-    rows = [
-        {"x": 1 + 5e-10, "z": -5e-10, "y1": 0.0, "p": 1.0, "y2": 0.0, "q": 1.0},
-        {"x": 0.0, "z": 1.0, "y1": 0.6, "p": 0.4, "y2": 0.6, "q": 0.4},
-        {"x": 0.0, "z": 1.0, "y1": 1.0, "p": 0.0, "y2": 0.0, "q": 1.0},
-    ]
-    m = generator_model(space, [weight_from_labels(space, r) for r in rows], exact=False)
-    x, y1, y2 = (space.outcome(lab) for lab in ("x", "y1", "y2"))
-    assert m.strong_witness(x, y1)[y1] > m.tol
-    assert m.strong_witness(x, y2) is None
+    corpus = list(corpus_models(6, 3))
+    space, second = (coarsen(corpus[i]).model.space for i in (33, 94))
+    lp_log.clear()
+    c, d, de, e = (space.outcome(lab) for lab in ("{c}", "{d}", "{d,e}", "{e}"))
+    m = cold(space, exact=False)
+    assert all(m.strong_witness(c, y) is None for y in (d, de, e))
+    targets = {y for y in range(space.n_outcomes) if not space.orthogonal(c, y)}
+    assert [s for _, s, _ in lp_log] == [targets, {d, de, e}, {d}, {de}, {e}]
     assert m.check_strongly_unital() == lp_oracles.check_strongly_unital(m)
+
+    space = second
+    a, be, cd = (space.outcome(lab) for lab in ("{a}", "{b,e}", "{c,d}"))
+    m = cold(space, exact=False)
+    lp_log.clear()
+    assert all(m.strong_witness(a, y)[y] > m.tol for y in (be, cd))
+    assert [s for _, s, _ in lp_log][-2:] == [{be}, {cd}]
+    exact = cold(space)
+    assert exact.strong_witness(a, be) is None and exact.strong_witness(a, cd) is None
 
 
 def test_cover_repeated_query_solves_no_lp(lp_log, wright_model):
