@@ -5,6 +5,9 @@ to stderr.  Exit code 0 means success (and "all requested properties hold"
 for checks), 1 means a requested property failed or a law was violated, and
 2 means usage, parse, or enumeration-cap errors.  The ORTHOKIT_CAP
 environment variable overrides the global enumeration cap.
+
+Each command imports the layers it runs inside its own branch, so a cold
+``check`` loads only the document, test-space, state and LP layers.
 """
 
 from __future__ import annotations
@@ -12,10 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
-from .coarsening import check_monad_laws_sharp, coarsen
-from .compounding import forward_product, truncated_compound, validate_sequential
 from .document import (
     DocumentBundle,
     bundle_to_document,
@@ -31,12 +31,6 @@ from .errors import (
     OrthokitError,
     UsageError,
 )
-from .interference import (
-    check_distributive_diagrams,
-    find_interference,
-    validate_g_algebra,
-)
-from .logic import atomic_outcomes, build_logic
 from .states import Model
 
 PRESETS = ("qubit-mz", "spin1", "spin32")
@@ -51,6 +45,8 @@ def _emit(report: dict, summary: str) -> None:
 
 def _load(path: str) -> DocumentBundle:
     if path in PRESETS:
+        from importlib import resources
+
         ref = resources.files("orthokit").joinpath("fixtures", f"{path}.json")
         with resources.as_file(ref) as real:
             return load_document(str(real))
@@ -116,18 +112,26 @@ def cmd_transform(args) -> int:
     bundle = _load(args.path)
     model = bundle.model
     if args.kind == "coarsen":
+        from .coarsening import coarsen
+
         out = DocumentBundle(coarsen(model, args.cap).model)
         return _write_doc(out, args)
     if args.kind == "product":
+        from .compounding import forward_product
+
         if not args.other:
             raise UsageError("product needs a second document path")
         other = _load(args.other)
         out = DocumentBundle(forward_product(model, other.model, args.cap).model)
         return _write_doc(out, args)
     if args.kind == "compound":
+        from .compounding import truncated_compound
+
         out = DocumentBundle(truncated_compound(model, args.depth, args.cap).model)
         return _write_doc(out, args)
     if args.kind == "logic":
+        from .logic import atomic_outcomes, build_logic
+
         logic = build_logic(model.space, args.cap)
         report = {
             "elements": [
@@ -188,6 +192,8 @@ def cmd_laws(args) -> int:
     bundle = _load(args.path)
     model = bundle.model
     if args.suite == "sharp-monad":
+        from .coarsening import check_monad_laws_sharp
+
         rep = check_monad_laws_sharp(model, args.cap)
         _emit(
             {
@@ -199,6 +205,8 @@ def cmd_laws(args) -> int:
         )
         return 0
     if args.suite == "distributive":
+        from .interference import check_distributive_diagrams
+
         rep = check_distributive_diagrams(model, args.depth, args.cap)
         _emit(
             {
@@ -212,6 +220,8 @@ def cmd_laws(args) -> int:
         )
         return 0
     if args.suite == "sequential":
+        from .compounding import validate_sequential
+
         sp = bundle.require_product()
         try:
             checked = validate_sequential(model, sp, cap=args.cap)
@@ -230,6 +240,8 @@ def cmd_laws(args) -> int:
         )
         return 0
     if args.suite == "g-algebra":
+        from .interference import validate_g_algebra
+
         sigma = bundle.require_coherence()
         sp = bundle.require_product()
         try:
@@ -250,6 +262,8 @@ def cmd_laws(args) -> int:
 
 
 def cmd_interference(args) -> int:
+    from .interference import find_interference
+
     bundle = _load(args.path)
     model = bundle.model
     sigma = bundle.require_coherence()
@@ -321,12 +335,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.add_argument(
         "suite", choices=["sharp-monad", "distributive", "g-algebra", "sequential"]
     )
-    p_laws.add_argument("--depth", type=int, default=2)
+    p_laws.add_argument(
+        "--depth",
+        type=int,
+        default=2,
+        help="window depth; only the distributive suite reads it",
+    )
     p_laws.set_defaults(fn=cmd_laws)
 
     p_int = sub.add_parser("interference", help="scan for interference witnesses")
     p_int.add_argument("path", help=f"document path or preset: {list(PRESETS)}")
-    p_int.add_argument("--tolerance", type=float, default=None)
+    p_int.add_argument(
+        "--tolerance",
+        type=float,
+        default=None,
+        help="finite, nonnegative gap threshold; defaults to the model tolerance",
+    )
     p_int.set_defaults(fn=cmd_interference)
     return parser
 

@@ -12,15 +12,18 @@ load / canonicalize / save is byte-stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .compounding import IMPOSSIBLE, OUT_OF_WINDOW, SequentialProduct
 from .errors import MissingStructure, ParseError
 from .states import Model, Weight, full_model, generator_model
 from .testspace import build_test_space
+
+if TYPE_CHECKING:
+    from .compounding import SequentialProduct
 
 FORMAT_VERSION = "1"
 
@@ -160,6 +163,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         tol = states.get("tolerance")
         if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
             raise ParseError(f"tolerance must be a number, got {tol!r}")
+        if tol is not None and not 0 <= tol < math.inf:
+            raise ParseError(f"tolerance must be finite and nonnegative, got {tol!r}")
         gens = []
         for entry in states.get("generators", []):
             if not isinstance(entry, dict):
@@ -185,6 +190,9 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
             raise ParseError(f"coherence entries must be [event, outcome]: {exc}") from exc
     product = None
     if "product" in doc:
+        # compounding is the largest layer; only documents with a product load it
+        from .compounding import IMPOSSIBLE, OUT_OF_WINDOW, SequentialProduct
+
         sec = doc["product"]
         try:
             unit = space.outcome(sec["unit"])

@@ -13,6 +13,7 @@ members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
@@ -76,6 +77,8 @@ def check_distributive_diagrams(
     taking products; flattening strings of strings before or after) and the
     two unit triangles.  Raises LawViolation on any mismatch.
     """
+    if depth < 0:
+        raise UsageError("depth must be nonnegative")
     coarse = coarsen(model, cap)
     double_outcomes = [
         frozenset(coarse.to_event(i) for i in ev)
@@ -377,8 +380,11 @@ def find_interference(
     sum.  Pairs whose compound outcomes are missing from the model are
     skipped: the scan only evaluates what the model can express.  Undefined
     compounds of the impossible kind count as zero mass.  The states default
-    to ``model.state_vertices(cap)``, which raises past the cap.
+    to ``model.state_vertices(cap)``, which raises past the cap.  A given
+    ``tol`` must be finite and nonnegative.
     """
+    if tol is not None and not 0 <= tol < math.inf:
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tol!r}")
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
     if isinstance(prod, SequentialProduct):
         kind = prod.undefined_means

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
+
 from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
-from .morphisms import Morphism
 from .states import Model
 from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event
+
+if TYPE_CHECKING:
+    from .morphisms import Morphism
 
 
 class Orthoalgebra:

@@ -21,7 +21,7 @@ from orthokit.document import (
     load_document,
     save_document,
 )
-from orthokit import cli
+from orthokit import coarsening, interference
 from orthokit.errors import (
     LawViolation,
     MissingStructure,
@@ -358,10 +358,14 @@ class TestExitCodes:
         ],
     )
     def test_law_violation_exits_one(self, suite, entry, error, monkeypatch, capsys):
+        """Each command imports its entry point when it runs, so patching the
+        owning module reaches the command."""
+
         def violated(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, entry, violated)
+        owner = coarsening if suite == "sharp-monad" else interference
+        monkeypatch.setattr(owner, entry, violated)
         assert main(["laws", classical_path(), suite]) == 1
         assert str(error) in capsys.readouterr().err
 
@@ -428,6 +432,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: distributive diagrams: needs ≥ ")
         assert "enumeration exceeds cap 2000000" in err
+
+    def test_negative_distributive_depth_exits_two(self, capsys):
+        """A negative window holds no multiplication point; it is refused, not
+        reported as a law that holds."""
+        assert main(["laws", wright_path(), "distributive", "--depth", "-1"]) == 2
+        assert "depth must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_interference_tolerance_exits_two(self, tolerance, capsys):
+        """A negative tolerance reports zero gaps as witnesses and NaN hides the
+        qubit loop's 0.5 gap; both are refused, as is an infinite one."""
+        assert main(["interference", "qubit-mz", "--tolerance", tolerance]) == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
     def test_parse_and_usage_errors_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -497,7 +514,7 @@ class TestOutsideInput:
                         "generators": [{"a": 0.5, "b": 0.5, "c": 0.5}, {"b": 1.0}],
                     }
                 }
-                for tolerance in ("x", True)
+                for tolerance in ("x", True, -1, float("nan"), float("inf"))
             ),
             {"outcomes": "abc"},
             {"tests": ["ab", "bc"]},
@@ -525,6 +542,9 @@ class TestOutsideInput:
             "test-member-list",
             "tolerance-string",
             "tolerance-bool",
+            "tolerance-negative",
+            "tolerance-nan",
+            "tolerance-inf",
             "outcomes-string",
             "tests-strings",
             "scalar-unknown",
@@ -542,6 +562,49 @@ class TestOutsideInput:
     def test_exact_full_product_with_float_generators_exits_two(self, capsys):
         assert main(["transform", wright_path(), "product", fixture_path("qubit-zx")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# A fresh interpreter runs one command and prints the orthokit modules it
+# loaded.  Each command imports only the layers it runs.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from orthokit import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("orthokit."))]))
+"""
+
+
+def loaded_modules(args):
+    src = str(Path(coarsening.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout)
+    assert rc == 0
+    return {m.removeprefix("orthokit.") for m in modules}
+
+
+@pytest.mark.parametrize(
+    "args, needed, unneeded",
+    [
+        (["check"], {"document", "testspace", "states", "linprog"},
+         {"coarsening", "compounding", "interference", "logic", "morphisms", "quantum",
+          "corpus"}),
+        (["transform", "logic"], {"document", "logic"},
+         {"coarsening", "compounding", "interference", "morphisms"}),
+        (["transform", "coarsen"], {"document", "coarsening"},
+         {"compounding", "interference"}),
+    ],
+    ids=["check", "transform-logic", "transform-coarsen"],
+)
+def test_each_command_imports_only_its_layers(args, needed, unneeded):
+    command, *rest = args
+    loaded = loaded_modules([command, wright_path(), *rest])
+    assert needed <= loaded
+    assert not loaded & unneeded, sorted(loaded & unneeded)
 
 
 def test_cap_env_override(tmp_path):
