@@ -22,7 +22,6 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import math
-import random
 
 from .errors import (
     EnumerationCapExceeded,
@@ -508,13 +507,6 @@ class CheckedSequential:
     report: SequentialReport
 
 
-# validate_sequential tries every branch assignment only on families within
-# these sizes, else 64 seeded ones.
-SEQUENTIAL_SEED = 0
-SEQUENTIAL_EXHAUSTIVE_TEST_SIZE = 6
-SEQUENTIAL_EXHAUSTIVE_FAMILY_SIZE = 8
-
-
 def validate_sequential(
     model: Model,
     sp: SequentialProduct,
@@ -583,38 +575,7 @@ def validate_sequential(
     if frozenset([e]) not in space.test_set:
         raise NotSequential("the unit must carry its own test", witness=e)
 
-    # Inductivity: branch assignments keep us inside the test family.
-    rng = random.Random(SEQUENTIAL_SEED)
-    exhaustive = all(len(t) <= SEQUENTIAL_EXHAUSTIVE_TEST_SIZE for t in space.tests) and (
-        len(space.tests) <= SEQUENTIAL_EXHAUSTIVE_FAMILY_SIZE
-    )
-    ind_checked = ind_skipped = 0
-    for t in space.tests:
-        members = sorted(t)
-        if exhaustive:
-            assignments = iproduct(range(len(space.tests)), repeat=len(members))
-        else:
-            assignments = (
-                tuple(rng.randrange(len(space.tests)) for _ in members)
-                for _ in range(64)
-            )
-        for choice in assignments:
-            image = set()
-            for x, fi in zip(members, choice):
-                branch = sp.event_product((x,), space.tests[fi])
-                if branch is None:
-                    image = None
-                    break
-                image |= branch
-            if image is None:
-                ind_skipped += 1
-                continue
-            ind_checked += 1
-            if frozenset(image) not in space.test_set:
-                raise NotSequential(
-                    "branch assignment leaves the test family",
-                    witness=(t, choice),
-                )
+    ind_checked, ind_skipped = _check_inductivity(space, sp)
 
     # States: marginals equal the state itself; conditionals stay states.
     candidates = list(states) if states is not None else model.state_vertices(cap)
@@ -681,7 +642,7 @@ def validate_sequential(
         associativity_checked=assoc_checked,
         associativity_skipped=assoc_skipped,
         orthogonality_checked=orth_checked,
-        inductivity_mode="exhaustive" if exhaustive else "sampled",
+        inductivity_mode="exhaustive",
         inductivity_checked=ind_checked,
         inductivity_skipped=ind_skipped,
         state_candidates=len(candidates),
@@ -691,6 +652,58 @@ def validate_sequential(
         evaluation_total=len(tc.strings),
     )
     return CheckedSequential(model, sp, report)
+
+
+def _check_inductivity(space: TestSpace, sp: SequentialProduct) -> tuple[int, int]:
+    """Decide that every branch assignment lands in the test family, by counting.
+
+    A test t = {x_1 < ... < x_k} and an assignment f of a test to each member
+    give the event U(f) = x_1·t_f(1) ∪ ... ∪ x_k·t_f(k); every U(f) whose
+    images are all defined must be a test.  Let I_i be the distinct defined
+    images x_i·s over the tests s (under ``IMPOSSIBLE`` an image may be
+    empty; under ``OUT_OF_WINDOW`` an undefined one is skipped) and R_i their
+    union.  The orthogonality checks, which must run first, make the R_i
+    pairwise disjoint: x_i ⊥ x_j gives x_i·z ⊥ x_j·w, and ⊥ is irreflexive.
+    So a tuple of images is recovered from its union (J_i = U ∩ R_i), and
+    every assignment gives a test exactly when
+
+        #{u test : u ⊆ ∪R_i and u ∩ R_i ∈ I_i for all i} = Π_i |I_i|.
+
+    That costs O(|T|·Σ|u|·k) per test instead of |T|^k.  On failure the
+    witness is the first failing assignment in lexicographic order, found by
+    fixing one position at a time to the first test whose image still leaves
+    a deficit.  Returns the assignments with every image defined (Π_i d_i,
+    for d_i the tests with a defined image of x_i) and the others
+    (|T|^k − Π_i d_i), summed over the tests t.
+    """
+    tests = space.tests
+    checked = skipped = 0
+    for t in tests:
+        images = [[sp.event_product((x,), s) for s in tests] for x in sorted(t)]
+        distinct = [set(row) - {None} for row in images]
+        regions = [frozenset().union(*d) for d in distinct]
+        covered = frozenset().union(*regions)
+        parts = [tuple(u & r for r in regions) for u in tests if u <= covered]
+        parts = [p for p in parts if all(q in d for q, d in zip(p, distinct))]
+        defined = math.prod(len(row) - row.count(None) for row in images)
+        checked += defined
+        skipped += len(tests) ** len(images) - defined
+        if len(parts) == math.prod(map(len, distinct)):
+            continue
+        choice = []
+        for i, row in enumerate(images):
+            completions = math.prod(map(len, distinct[i + 1 :]))
+            for fi, image in enumerate(row):
+                if image is not None:
+                    matching = [p for p in parts if p[i] == image]
+                    if len(matching) < completions:
+                        choice.append(fi)
+                        parts = matching
+                        break
+        raise NotSequential(
+            "branch assignment leaves the test family", witness=(t, tuple(choice))
+        )
+    return checked, skipped
 
 
 def _windowed_marginal(sp: SequentialProduct, w: Weight, x: int, t):

@@ -18,6 +18,10 @@ positivity and strong-unitality witnesses; the library asks the model's
 solve covering LPs and enumerate no vertex.  ``pair_state_forward_unitality``
 reads the two entries it checks off a whole pair state; the library
 evaluates only those two.
+
+``exhaustive_inductivity`` tries every branch assignment of every test, all
+|T|^k of them for a test of k outcomes; the library decides the same by
+counting the tests made of distinct images.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from itertools import product as iproduct
 from orthokit.compounding import (
     ForwardProduct,
     JOIN,
+    SequentialProduct,
     TruncatedCompound,
     string_label,
     transition_state,
@@ -293,3 +298,29 @@ def pair_state_forward_unitality(fp: ForwardProduct):
                     f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
                 )
     return unital_ok, su_ok and unital_ok
+
+
+def exhaustive_inductivity(space: TestSpace, sp: SequentialProduct):
+    """Every branch assignment, in ``iproduct`` order: (checked, skipped, witness).
+
+    The witness is the first (test, choice) whose union of images is not a
+    test, or None; the counts stop there.
+    """
+    checked = skipped = 0
+    for t in space.tests:
+        members = sorted(t)
+        for choice in iproduct(range(len(space.tests)), repeat=len(members)):
+            image = set()
+            for x, fi in zip(members, choice):
+                branch = sp.event_product((x,), space.tests[fi])
+                if branch is None:
+                    image = None
+                    break
+                image |= branch
+            if image is None:
+                skipped += 1
+                continue
+            checked += 1
+            if frozenset(image) not in space.test_set:
+                return checked, skipped, (t, choice)
+    return checked, skipped, None

@@ -12,6 +12,15 @@ products (exactly the oracle's count).  Inputs are the whole corpus at
 depths 0-2 (and 3 where the worklist stays under ``DEPTH3_CHOICES``),
 generator models (the quantum presets, exact and float hulls of corpus
 vertices) and hypothesis-random spaces.
+
+``validate_sequential`` decides inductivity by counting distinct images;
+``exhaustive_inductivity`` tries every branch assignment.  They must agree on
+the verdict, both counts and the first failing (test, choice) wherever the
+oracle's Σ_t |T|^|t| assignments stay under ``INDUCTIVITY_ASSIGNMENTS``: on
+``classical_model(2..4)``, on the concatenation products of the corpus
+truncations at depths 1-2, and on hypothesis-random corruptions of the
+classical products under both semantics, where a table that breaks the
+counting's disjointness premise must raise in the orthogonality checks first.
 """
 
 from functools import lru_cache
@@ -21,9 +30,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 import compound_oracles as oracle
 from orthokit import compounding, quantum
-from orthokit.compounding import forward_product, truncated_compound
+from orthokit.compounding import (
+    IMPOSSIBLE,
+    OUT_OF_WINDOW,
+    SequentialProduct,
+    concatenation_product,
+    forward_product,
+    truncated_compound,
+    validate_sequential,
+)
 from orthokit.corpus import corpus_models
-from orthokit.errors import EnumerationCapExceeded, OrthokitError
+from orthokit.errors import EnumerationCapExceeded, NotSequential, OrthokitError
 from orthokit.states import Model, StateSpace, Weight
 from orthokit import testspace
 
@@ -32,6 +49,7 @@ DEPTH3_CHOICES = 300_000
 # the oracle after ticking that far.
 GENERATOR_CAP = 50_000
 HULL_PRODUCT_CAP = 2_000
+INDUCTIVITY_ASSIGNMENTS = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -350,3 +368,90 @@ def test_compound_bound_without_enumeration(monkeypatch):
     assert err.value.bound == 893_790_300
     assert calls == []
 
+
+
+# -- inductivity -------------------------------------------------------------------
+
+INDUCTIVITY_FAILURE = "branch assignment leaves the test family"
+# what validate_sequential checks before inductivity, the premise included
+EARLIER_FAILURES = {
+    "unit law fails",
+    "associativity fails",
+    "left translation breaks orthogonality",
+    "products of orthogonal heads are not orthogonal",
+    "the unit must carry its own test",
+}
+
+
+def assignments(space):
+    return sum(len(space.tests) ** len(t) for t in space.tests)
+
+
+def assert_inductivity_agrees(space, sp):
+    checked, skipped, witness = oracle.exhaustive_inductivity(space, sp)
+    if witness is None:
+        assert compounding._check_inductivity(space, sp) == (checked, skipped)
+    else:
+        with pytest.raises(NotSequential, match=INDUCTIVITY_FAILURE) as err:
+            compounding._check_inductivity(space, sp)
+        assert err.value.witness == witness
+
+
+@lru_cache(maxsize=None)
+def classical(n):
+    return quantum.classical_model(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classical_inductivity_matches_the_exhaustive_loop(n):
+    cm = classical(n)
+    assert_inductivity_agrees(cm.model.space, cm.product)
+    report = validate_sequential(cm.model, cm.product, probe_depth=1).report
+    want = oracle.exhaustive_inductivity(cm.model.space, cm.product)
+    assert (report.inductivity_checked, report.inductivity_skipped, None) == want
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_truncation_windows_match_the_exhaustive_loop(depth):
+    checked = 0
+    for model in corpus():
+        tc = truncated_compound(model, depth, cap=100_000)
+        if assignments(tc.model.space) <= INDUCTIVITY_ASSIGNMENTS:
+            assert_inductivity_agrees(tc.model.space, concatenation_product(tc))
+            checked += 1
+    assert checked >= (100 if depth == 1 else 5)
+
+
+@st.composite
+def corrupted_classical(draw):
+    """A classical 2- or 3-point product with up to three entries set or deleted."""
+    cm = classical(draw(st.sampled_from((2, 3))))
+    k = cm.model.space.n_outcomes
+    table = dict(cm.product.table)
+    entry = st.integers(min_value=0, max_value=k - 1)
+    for key, value in draw(
+        st.lists(st.tuples(st.tuples(entry, entry), st.none() | entry), min_size=1, max_size=3)
+    ):
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
+    semantics = draw(st.sampled_from((IMPOSSIBLE, OUT_OF_WINDOW)))
+    return cm.model, SequentialProduct(cm.product.unit, table, undefined_means=semantics)
+
+
+@given(corrupted_classical())
+@settings(max_examples=300, deadline=None)
+def test_corrupted_classical_products_match_the_exhaustive_loop(case):
+    model, sp = case
+    checked, skipped, witness = oracle.exhaustive_inductivity(model.space, sp)
+    try:
+        report = validate_sequential(model, sp, probe_depth=1).report
+    except NotSequential as exc:
+        if str(exc) == INDUCTIVITY_FAILURE:
+            assert exc.witness == witness
+        else:
+            assert witness is None or str(exc) in EARLIER_FAILURES, str(exc)
+        return
+    assert witness is None
+    assert (report.inductivity_checked, report.inductivity_skipped) == (checked, skipped)
