@@ -231,9 +231,7 @@ def cmd_laws(args) -> int:
         _emit(
             {
                 "holds": True,
-                "partially_verified": rep.partially_verified,
                 "associativity_checked": rep.associativity_checked,
-                "inductivity_mode": rep.inductivity_mode,
                 "state_candidates": rep.state_candidates,
             },
             "sequential: ok",

@@ -486,7 +486,6 @@ class SequentialReport:
     associativity_checked: int
     associativity_skipped: int
     orthogonality_checked: int
-    inductivity_mode: str  # "exhaustive" | "sampled"
     inductivity_checked: int
     inductivity_skipped: int
     state_candidates: int
@@ -494,10 +493,6 @@ class SequentialReport:
     evaluation_depth: int
     evaluation_domain: int
     evaluation_total: int
-
-    @property
-    def partially_verified(self) -> bool:
-        return self.inductivity_mode == "sampled"
 
 
 @dataclass(frozen=True)
@@ -642,7 +637,6 @@ def validate_sequential(
         associativity_checked=assoc_checked,
         associativity_skipped=assoc_skipped,
         orthogonality_checked=orth_checked,
-        inductivity_mode="exhaustive",
         inductivity_checked=ind_checked,
         inductivity_skipped=ind_skipped,
         state_candidates=len(candidates),

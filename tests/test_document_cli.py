@@ -675,6 +675,10 @@ LAWS_DIGESTS = [
      "a9253c8aad04c503a40434012ff7bb1e9fd5935aa69c60e1c4d0ecfd0e2f7f5e"),
     (("classical3", "g-algebra"),
      "af72d34598ace25d78b9af7fb72eeb28ef7e34a48b04b35796288383b074cc36"),
+    # pinned when inductivity became exact: the earlier output less its
+    # "inductivity_mode" and "partially_verified" keys
+    (("classical3", "sequential"),
+     "e2f09c988c7f2a2fd85e2620b1bf59521f57782874f680d6b9c20e66927b760e"),
 ]
 
 
