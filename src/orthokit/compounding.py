@@ -518,6 +518,21 @@ def validate_sequential(
     lands test-preservingly back in the model.  The state conditions run on
     ``states`` when given, else on ``model.state_vertices(cap)``, which
     raises past the cap.
+
+    Inductivity (for a test t = {x_1 < ... < x_k}, every assignment f of
+    tests whose images are defined gives a test x_1·t_f(1) ∪ ... ∪ x_k·t_f(k))
+    is decided exactly, with no cap.  Let I_i be the distinct defined images
+    x_i·s over the tests s (empty ones included under ``IMPOSSIBLE``,
+    undefined ones skipped under ``OUT_OF_WINDOW``) and R_i their union.  The
+    orthogonality checks, which run first, make the R_i pairwise disjoint
+    (x_i ⊥ x_j gives x_i·z ⊥ x_j·w, and ⊥ is irreflexive), so a union
+    determines its tuple of images and every assignment gives a test exactly
+    when #{u test : u ⊆ ∪R_i, u ∩ R_i ∈ I_i for all i} = Π_i |I_i|.  That
+    costs O(|T|·Σ|u|·k) per test, not |T|^k.  The report counts
+    ``inductivity_checked`` = Σ_t Π_i d_i, for d_i the tests with a defined
+    image of x_i, and ``inductivity_skipped`` = Σ_t (|T|^k − Π_i d_i); a
+    failure's witness is the first failing t with its lexicographically
+    first failing f.
     """
     if probe_depth < 1:
         raise UsageError("probe depth must be at least 1")
@@ -570,7 +585,36 @@ def validate_sequential(
     if frozenset([e]) not in space.test_set:
         raise NotSequential("the unit must carry its own test", witness=e)
 
-    ind_checked, ind_skipped = _check_inductivity(space, sp)
+    # Inductivity, by counting distinct images (see the docstring).
+    tests = space.tests
+    rows = [[sp.event_product((x,), s) for s in tests] for x in range(n)]
+    images = [set(row) - {None} for row in rows]
+    regions = [frozenset().union(*distinct) for distinct in images]
+    ind_checked = ind_skipped = 0
+    for t in tests:
+        xs = sorted(t)
+        covered = frozenset().union(*(regions[x] for x in xs))
+        parts = [tuple(u & regions[x] for x in xs) for u in tests if u <= covered]
+        parts = [p for p in parts if all(q in images[x] for q, x in zip(p, xs))]
+        defined = math.prod(len(tests) - rows[x].count(None) for x in xs)
+        ind_checked += defined
+        ind_skipped += len(tests) ** len(xs) - defined
+        if len(parts) == math.prod(len(images[x]) for x in xs):
+            continue
+        # the first failing choice: fix each position to the first test whose
+        # image leaves fewer tests than completions of the later positions
+        choice = []
+        for i, x in enumerate(xs):
+            completions = math.prod(len(images[y]) for y in xs[i + 1 :])
+            for fi, image in enumerate(rows[x]):
+                matching = [p for p in parts if p[i] == image]
+                if image is not None and len(matching) < completions:
+                    choice.append(fi)
+                    parts = matching
+                    break
+        raise NotSequential(
+            "branch assignment leaves the test family", witness=(t, tuple(choice))
+        )
 
     # States: marginals equal the state itself; conditionals stay states.
     candidates = list(states) if states is not None else model.state_vertices(cap)
@@ -646,58 +690,6 @@ def validate_sequential(
         evaluation_total=len(tc.strings),
     )
     return CheckedSequential(model, sp, report)
-
-
-def _check_inductivity(space: TestSpace, sp: SequentialProduct) -> tuple[int, int]:
-    """Decide that every branch assignment lands in the test family, by counting.
-
-    A test t = {x_1 < ... < x_k} and an assignment f of a test to each member
-    give the event U(f) = x_1·t_f(1) ∪ ... ∪ x_k·t_f(k); every U(f) whose
-    images are all defined must be a test.  Let I_i be the distinct defined
-    images x_i·s over the tests s (under ``IMPOSSIBLE`` an image may be
-    empty; under ``OUT_OF_WINDOW`` an undefined one is skipped) and R_i their
-    union.  The orthogonality checks, which must run first, make the R_i
-    pairwise disjoint: x_i ⊥ x_j gives x_i·z ⊥ x_j·w, and ⊥ is irreflexive.
-    So a tuple of images is recovered from its union (J_i = U ∩ R_i), and
-    every assignment gives a test exactly when
-
-        #{u test : u ⊆ ∪R_i and u ∩ R_i ∈ I_i for all i} = Π_i |I_i|.
-
-    That costs O(|T|·Σ|u|·k) per test instead of |T|^k.  On failure the
-    witness is the first failing assignment in lexicographic order, found by
-    fixing one position at a time to the first test whose image still leaves
-    a deficit.  Returns the assignments with every image defined (Π_i d_i,
-    for d_i the tests with a defined image of x_i) and the others
-    (|T|^k − Π_i d_i), summed over the tests t.
-    """
-    tests = space.tests
-    checked = skipped = 0
-    for t in tests:
-        images = [[sp.event_product((x,), s) for s in tests] for x in sorted(t)]
-        distinct = [set(row) - {None} for row in images]
-        regions = [frozenset().union(*d) for d in distinct]
-        covered = frozenset().union(*regions)
-        parts = [tuple(u & r for r in regions) for u in tests if u <= covered]
-        parts = [p for p in parts if all(q in d for q, d in zip(p, distinct))]
-        defined = math.prod(len(row) - row.count(None) for row in images)
-        checked += defined
-        skipped += len(tests) ** len(images) - defined
-        if len(parts) == math.prod(map(len, distinct)):
-            continue
-        choice = []
-        for i, row in enumerate(images):
-            completions = math.prod(map(len, distinct[i + 1 :]))
-            for fi, image in enumerate(row):
-                if image is not None:
-                    matching = [p for p in parts if p[i] == image]
-                    if len(matching) < completions:
-                        choice.append(fi)
-                        parts = matching
-                        break
-        raise NotSequential(
-            "branch assignment leaves the test family", witness=(t, tuple(choice))
-        )
-    return checked, skipped
 
 
 def _windowed_marginal(sp: SequentialProduct, w: Weight, x: int, t):

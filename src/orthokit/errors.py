@@ -8,6 +8,7 @@ ever silently truncated.  The global default can be overridden with the
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 
@@ -177,6 +178,12 @@ def resolve_cap(cap: int | None = None) -> int:
             raise UsageError(f"{CAP_ENV_VAR} must be nonnegative, got {raw!r}")
         return cap
     return DEFAULT_CAP
+
+
+def check_tolerance(tol: float | None) -> None:
+    """Refuse a given float tolerance that is negative or not finite."""
+    if tol is not None and not 0 <= tol < math.inf:
+        raise UsageError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def check_cap(what: str, bound: int, cap: int | None = None) -> int:

@@ -13,7 +13,6 @@ members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
@@ -34,6 +33,7 @@ from .errors import (
     NotGAlgebra,
     UsageError,
     check_cap_sum,
+    check_tolerance,
 )
 from .logic import build_logic
 from .morphisms import Morphism, validate_morphism
@@ -383,8 +383,7 @@ def find_interference(
     to ``model.state_vertices(cap)``, which raises past the cap.  A given
     ``tol`` must be finite and nonnegative.
     """
-    if tol is not None and not 0 <= tol < math.inf:
-        raise UsageError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    check_tolerance(tol)
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
     if isinstance(prod, SequentialProduct):
         kind = prod.undefined_means

@@ -24,6 +24,7 @@ from .errors import (
     NumericKindMismatch,
     PositivityViolation,
     UsageError,
+    check_tolerance,
 )
 from .linprog import ZERO, LPResult, enumerate_vertices, solve_lp
 from .testspace import TestSpace
@@ -480,7 +481,11 @@ def _require_positive(model: Model) -> Model:
 
 
 def full_model(space: TestSpace, exact: bool = True, tol: float | None = None) -> Model:
-    """The model of all probability weights on ``space``, checked for positivity."""
+    """The model of all probability weights on ``space``, checked for positivity.
+
+    A given ``tol`` must be finite and nonnegative (``UsageError``).
+    """
+    check_tolerance(tol)
     return _require_positive(Model(space, StateSpace.full(), exact=exact, tol=tol))
 
 
@@ -494,8 +499,10 @@ def generator_model(
 
     Each weight must be a probability weight of the model's scalar kind
     (``NotAState``, ``NumericKindMismatch``), and the hull must be positive
-    (``PositivityViolation``).
+    (``PositivityViolation``).  A given ``tol`` must be finite and
+    nonnegative (``UsageError``).
     """
+    check_tolerance(tol)
     model = Model(space, StateSpace.hull(weights), exact=exact, tol=tol)
     for g in model.states.generators:
         model._validate_weight(g)

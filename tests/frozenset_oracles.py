@@ -11,6 +11,7 @@ criterion for ``TestSpace.is_support``, which decides supports by traces.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from orthokit.errors import CapCounter
@@ -56,11 +57,22 @@ def perspective(space, a, b):
     return min(common, key=event_key) if common else None
 
 
+@lru_cache(maxsize=64)
+def _neighbours(tests):
+    """Per outcome, the outcomes sharing a test with it, itself excepted."""
+    shared = {}
+    for t in tests:
+        for x in t:
+            shared[x] = shared.get(x, frozenset()) | t
+    return {x: others - {x} for x, others in shared.items()}
+
+
 def orthocomplement(space, a):
     """Outcomes orthogonal to each x in a: those sharing a test with x, x itself excepted."""
     got = frozenset(range(space.n_outcomes))
+    neighbours = _neighbours(space.tests)
     for x in a:
-        got &= frozenset().union(*(t for t in space.tests if x in t)) - {x}
+        got &= neighbours.get(x, frozenset())
     return got
 
 

@@ -19,6 +19,9 @@ It validates test spaces one way: ``build_test_space`` is the only place in
 ``testspace.py`` that raises ``RedundantTests`` or ``UncoveredOutcome``, and
 the trusted ``TestSpace.__init__`` raises nothing and calls neither
 ``_is_antichain`` nor ``mask_event``.
+
+It decides without sampling: no module imports ``random``, so no verdict
+rests on seeded draws.
 """
 
 import ast
@@ -267,6 +270,42 @@ def test_cap_errors_propagate():
         for _, function in cap_handlers(path.read_text(encoding="utf-8"), str(path)):
             handlers.add((path.name, function))
     assert handlers == CAP_HANDLERS
+
+
+# -- no sampling -------------------------------------------------------------------
+
+
+def imported_modules(source, filename="<string>"):
+    """(line, top-level module) of every ``import`` and ``from ... import``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return sorted(found)
+
+
+def test_scanner_flags_imports():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "import math, random as r\n"
+        "from .errors import UsageError\n"
+        "def f():\n"
+        "    from random import Random\n"
+        "    return Random\n"
+    )
+    assert imported_modules(source) == [(1, "math"), (1, "random"), (4, "random")]
+
+
+def test_src_does_not_import_random():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = [line for line, module in imported_modules(path.read_text(encoding="utf-8"))
+                if module == "random"]
+        if hits:
+            found[path.name] = hits
+    assert not found, f"sampling in the library: {found}"
 
 
 # -- test-space validation -------------------------------------------------------

@@ -201,6 +201,16 @@ def test_hull_state_space_requires_generators():
         StateSpace.hull([])
 
 
+@pytest.mark.parametrize("tol", [float("inf"), -1, float("nan")])
+def test_model_entry_points_refuse_bad_tolerances(tol):
+    """With tol=inf the non-state {a: 0.7, b: 0.7} would pass as unital."""
+    space = build_test_space([["a", "b"]])
+    with pytest.raises(UsageError, match="tolerance must be finite and nonnegative"):
+        generator_model(space, [Weight((0.7, 0.7))], exact=False, tol=tol)
+    with pytest.raises(UsageError, match="tolerance must be finite and nonnegative"):
+        full_model(space, exact=False, tol=tol)
+
+
 # -- witness covers ---------------------------------------------------------------------
 #
 # ``Model._cover`` answers positivity, certainty and strong unitality with
