@@ -16,6 +16,25 @@ every entry is exactly the rational the textbook ``Fraction`` tableau would
 hold, so the pivots are the same.  Vertex enumeration starts from the same
 reduced rows and runs the double description method on primitive ``int``
 rays.  ``Fraction``s appear only where values enter and leave.
+
+A caller that poses many LPs over one A with different right-hand sides
+reduces A once: ``factor(A, n)`` reduces [A | I] on A's columns and keeps
+the reduced rows R, the row operations T that produced each of them, and
+the left-null rows N (the rows whose A part reduced to zero), with T and N
+written over the rows of A they combine.  Its
+``solve(b, c, maximize, extra_rows)`` is infeasible when N b != 0;
+otherwise it reduces the rows [R | T b] plus the query's own rows (pins,
+slack bounds) and runs the simplex on them, as ``solve_lp`` does on
+[A | b].  The results are identical, by this lemma: ``_row_reduce``
+returns the reduced row echelon form (RREF) of its rows -- ``_pivot``
+clears the pivot column from every other row, the rows come out in
+pivot-column order, and each is ``(nums, den)`` in lowest terms with
+den > 0, the one integer form of a rational row.  The RREF of a consistent
+system depends only on its row space, not on row order, duplicates or
+which rows were reduced earlier, and when N b = 0 the rows [R | T b] span
+the row space of [A | b].  So the simplex receives the same rows, and
+status, value, x and pivots cannot differ.  ``solve_lp`` remains the call
+for an LP posed once: it reduces [A | b] alone and keeps nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +62,9 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _as_fraction_matrix(rows) -> list[list[Fraction]]:
-    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
+def _as_fraction_matrix(rows) -> list[list]:
+    """Exact rationals: ``int`` and ``Fraction`` entries as given, others as Fractions."""
+    return [[v if type(v) in (int, Fraction) else Fraction(v) for v in row] for row in rows]
 
 
 def dedupe_rows(a: list[list[Fraction]], b: list[Fraction]):
@@ -163,12 +183,17 @@ def _price_out(rows, basis) -> None:
 
 def solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
     """Solve max/min c.x subject to A x = b, x >= 0, exactly."""
-    c = _as_fraction_matrix([c_obj])[0]
-    if not maximize:
-        c = [-v for v in c]
     rows = _int_rows(a_rows, b_rhs)
     if not _row_reduce(rows):
         return LPResult("infeasible", None, None)
+    return _solve_reduced(rows, c_obj, maximize)
+
+
+def _solve_reduced(rows, c_obj, maximize: bool) -> LPResult:
+    """The simplex on rows ``_row_reduce`` has reduced (independent, consistent)."""
+    c = _as_fraction_matrix([c_obj])[0]
+    if not maximize:
+        c = [-v for v in c]
     n = len(c)
     m = len(rows)
     if m == 0:
@@ -213,6 +238,94 @@ def solve_lp(a_rows, b_rhs, c_obj, maximize: bool = True) -> LPResult:
     # The objective row ends in -c.x at the basic solution.
     obj, den = tableau[-1][0][-1], tableau[-1][1]
     return LPResult("optimal", Fraction(-obj if maximize else obj, den), x, pivots)
+
+
+@dataclass(frozen=True, slots=True)
+class ReducedSystem:
+    """A x = b reduced once for every right-hand side b; built by ``factor``.
+
+    ``rows`` holds, per pivot row in pivot-column order, the numerators of
+    its A part R, its row operations T as (row of A, numerator) pairs, and
+    their denominator; ``null`` holds the left-null rows N as such pairs.
+    """
+
+    n: int
+    rows: list
+    null: list
+
+    def reduced(self, b_rhs) -> list | None:
+        """The rows [R | T b] of A x = b, or None when N b != 0 (inconsistent).
+
+        ``b_rhs`` holds ints or Fractions; T b is formed over their common
+        denominator in integer arithmetic.
+        """
+        bd = math.lcm(*[v.denominator for v in b_rhs])
+        bn = [v.numerator * (bd // v.denominator) for v in b_rhs]
+        if any(sum([c * bn[i] for i, c in t]) for t in self.null):
+            return None
+        return [
+            _reduced([*[v * bd for v in a], sum([c * bn[i] for i, c in t])], den * bd)
+            for a, t, den in self.rows
+        ]
+
+    def solve(self, b_rhs, c_obj, maximize: bool = True, extra_rows=()) -> LPResult:
+        """``solve_lp`` on A x = b plus ``extra_rows``, each a (coefficients, rhs) pair.
+
+        The columns are those of c: A's rows and the shorter extra rows are
+        padded with zero columns up to ``len(c_obj)``.
+        """
+        rows = self.reduced(b_rhs)
+        if rows is None:
+            return LPResult("infeasible", None, None)
+        width = len(c_obj)
+        if width > self.n:
+            pad = [0] * (width - self.n)
+            rows = [([*nums[:-1], *pad, nums[-1]], den) for nums, den in rows]
+        for coeffs, rhs in extra_rows:
+            rows.append(_int_row([*coeffs, *[0] * (width - len(coeffs))], rhs))
+        if not _row_reduce(rows):
+            return LPResult("infeasible", None, None)
+        return _solve_reduced(rows, c_obj, maximize)
+
+
+def factor(a_rows, n: int) -> ReducedSystem:
+    """Reduce the rows of A (ints or Fractions, n columns) once, for ``ReducedSystem``.
+
+    Row i enters as [a_i | e_k], with k pivot rows so far, and is reduced
+    against them.  If its A part stays nonzero it becomes pivot row k and
+    its pivot clears that column from the others; otherwise its operation
+    part is a left-null row.  Operation column j < k stands for the row of A
+    that became pivot row j, and column k for row i itself, so the kept
+    operations stay as short as the rank, not as wide as A is tall.
+    """
+    width = n + min(len(a_rows), n + 1)
+    rows, cols, sources, null = [], [], [], []
+    for i, row in enumerate(a_rows):
+        nums, den = _int_row(row, 0)
+        k = len(rows)
+        cur = ([*nums[:-1], *[0] * (width - n)], den)
+        cur[0][n + k] = den
+        for prow, col in zip(rows, cols):
+            if cur[0][col]:
+                cur = _eliminate(cur, prow, col)
+        col = next((j for j in range(n) if cur[0][j]), None)
+        if col is None:
+            null.append(_pairs(cur[0][n : n + k + 1], [*sources, i]))
+            continue
+        rows.append(cur)
+        cols.append(col)
+        sources.append(i)
+        _pivot(rows, k, col)
+    order = sorted(range(len(rows)), key=cols.__getitem__)
+    return ReducedSystem(
+        n,
+        [(rows[j][0][:n], _pairs(rows[j][0][n:], sources), rows[j][1]) for j in order],
+        null,
+    )
+
+
+def _pairs(coeffs, sources) -> list[tuple[int, int]]:
+    return [(i, c) for i, c in zip(sources, coeffs) if c]
 
 
 def row_reduce(a: list[list[Fraction]], b: list[Fraction]):

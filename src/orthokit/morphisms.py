@@ -20,6 +20,7 @@ from .errors import (
     ImagesNotPerspective,
     LawViolation,
     NotLocallyInjective,
+    NumericKindMismatch,
     PullbackNotState,
     UsageError,
 )
@@ -63,11 +64,14 @@ def validate_morphism(
 ) -> Morphism:
     """Check the four morphism conditions and compute the derived flags.
 
-    Raises a :class:`MorphismError` subclass with a witness on the first
+    Raises ``NumericKindMismatch`` when one model is exact and the other
+    float, and a :class:`MorphismError` subclass with a witness on the first
     violated condition.  For a generator source over a full target, the
     state condition enumerates the target's vertices under ``cap`` and
     raises ``EnumerationCapExceeded`` past it.
     """
+    if source.exact != target.exact:
+        raise NumericKindMismatch("a morphism joins two exact or two float models")
     src, dst = source.space, target.space
     if callable(mapping):
         mapping = tuple(mapping(x) for x in range(src.n_outcomes))
@@ -137,8 +141,12 @@ def _flags(source: Model, target: Model, mapping: tuple[int, ...]) -> tuple[bool
 
 
 def _check_state_condition(source, target, mapping, cap) -> str:
+    # Pullbacks take the source's scalar kind: the vertices of a float
+    # model's full polytope are exact rationals.
+    kind = (lambda v: v) if source.exact else float
+
     def pull(beta: Weight) -> Weight:
-        return Weight(tuple(beta[mapping[x]] for x in range(source.space.n_outcomes)))
+        return Weight(tuple(kind(beta[mapping[x]]) for x in range(source.space.n_outcomes)))
 
     if source.states.is_full:
         # Perspective events get equal weight under every probability weight,

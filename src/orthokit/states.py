@@ -11,10 +11,18 @@ exact simplex in ``linprog``; hull models answer the predicates by scanning
 their generators.  Float models are rationalized on the way in and
 re-validated against the model tolerance on the way out, because predicates
 like "alpha(x) = 1 exactly" are brittle under floating point.
+
+Only the right-hand side and the pins change from one LP of a model to the
+next, so each model reduces each of its constraint systems once, when an
+LP first asks for it (``linprog.factor``): the polytope rows (one 0/1 row
+per test, rhs 1) for the state LPs and ``state_vertices``, and the
+generator table of hull membership, one per ``conic`` flag.  A query
+applies the stored row operations to its right-hand side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +34,9 @@ from .errors import (
     UsageError,
     check_tolerance,
 )
-from .linprog import ZERO, LPResult, enumerate_vertices, solve_lp
+# ``solve_lp`` has no caller here; it stays importable as ``states.solve_lp``,
+# the name the benchmark's traced run wraps.
+from .linprog import ZERO, LPResult, enumerate_vertices, factor, solve_lp  # noqa: F401
 from .testspace import TestSpace
 
 FULL = "full"
@@ -113,7 +123,7 @@ class Model:
     models that satisfy them whenever their inputs do.
     """
 
-    __slots__ = ("space", "states", "exact", "tol", "_rows", "_witnesses", "_covers")
+    __slots__ = ("space", "states", "exact", "tol", "_systems", "_witnesses", "_covers")
 
     def __init__(
         self,
@@ -126,7 +136,9 @@ class Model:
         self.states = states
         self.exact = exact
         self.tol = DEFAULT_FLOAT_TOL if (tol is None and not exact) else (tol or 0.0)
-        self._rows = None
+        # reduced constraint systems: "polytope", and the hull tables by
+        # their ``conic`` flag; built when an LP first asks
+        self._systems: dict = {}
         # LP optima kept as witness states, in insertion order, and the
         # memoised answers of ``_cover``
         self._witnesses: dict[Weight, None] = {}
@@ -165,19 +177,14 @@ class Model:
 
     # -- LP scaffolding ----------------------------------------------------------
 
-    def polytope_rows(self):
-        """Equality rows (one per test) cutting out the probability-weight polytope."""
-        if self._rows is None:
+    def _polytope(self):
+        """The reduced polytope rows: one 0/1 row per test, rhs 1."""
+        system = self._systems.get("polytope")
+        if system is None:
             n = self.space.n_outcomes
-            rows = []
-            for t in self.space.tests:
-                row = [ZERO] * n
-                for x in t:
-                    row[x] = Fraction(1)
-                rows.append(row)
-            self._rows = (rows, [Fraction(1)] * len(rows))
-        rows, rhs = self._rows
-        return [r[:] for r in rows], rhs[:]
+            rows = [[t >> x & 1 for x in range(n)] for t in self.space._test_masks]
+            system = self._systems["polytope"] = factor(rows, n)
+        return system
 
     def optimize_over_states(
         self, objective: Sequence, fix: Sequence[tuple[int, object]] = (), maximize=True
@@ -192,28 +199,22 @@ class Model:
             raise UsageError("hull models scan their generators; they pose no state LP")
         obj = [self._rationalize(v) for v in objective]
         slack = Fraction(0) if self.exact else Fraction(self.tol)
-        rows, rhs = self.polytope_rows()
         base = self.space.n_outcomes
         extra = 0
+        rows = []
         for x, val in fix:
-            pin = [ZERO] * base
-            pin[x] = Fraction(1)
+            pin = [0] * base
+            pin[x] = 1
             target = self._rationalize(val)
             if slack == 0:
-                rows.append(pin)
-                rhs.append(target)
+                rows.append((pin, target))
             else:
                 # row . v + s+ - s- = target with s+ + s- <= slack
-                row = pin + [ZERO] * extra + [Fraction(1), Fraction(-1), ZERO]
-                bound = [ZERO] * (base + extra) + [Fraction(1), Fraction(1), Fraction(1)]
-                rows.append(row)
-                rhs.append(target)
-                rows.append(bound)
-                rhs.append(slack)
+                rows.append((pin + [0] * extra + [1, -1, 0], target))
+                rows.append(([0] * (base + extra) + [1, 1, 1], slack))
                 extra += 3
-        width = base + extra
-        rows = [r + [ZERO] * (width - len(r)) for r in rows]
-        return solve_lp(rows, rhs, obj + [ZERO] * extra, maximize=maximize)
+        ones = [1] * len(self.space._test_masks)
+        return self._polytope().solve(ones, obj + [ZERO] * extra, maximize, rows)
 
     # -- membership --------------------------------------------------------------
 
@@ -233,9 +234,15 @@ class Model:
         return self._hull_membership(w, conic=False)
 
     def contains_ray(self, w: Weight) -> bool:
-        """Is ``w`` a nonnegative multiple of a state (zero included)?"""
+        """Is ``w`` a nonnegative multiple of a state (zero included)?
+
+        Like ``contains_state``, a weight of the other scalar kind, or with
+        an entry that is not finite, is not one.
+        """
         if len(w) != self.space.n_outcomes:
             raise NotAState("weight length does not match outcome count")
+        if not all(map(self._of_kind, w.values)):
+            return False
         if any(not self._geq(v, 0) for v in w.values):
             return False
         if self.states.is_full:
@@ -243,41 +250,45 @@ class Model:
             return all(self._eq(s, sums[0]) for s in sums)
         return self._hull_membership(w, conic=True)
 
+    def _of_kind(self, v) -> bool:
+        """A finite scalar of the model's kind: int or Fraction exact, else not Fraction."""
+        if self.exact:
+            return isinstance(v, (Fraction, int))
+        return not isinstance(v, Fraction) and math.isfinite(v)
+
     def _hull_membership(self, w: Weight, conic: bool) -> bool:
+        """Is ``w`` a mixture (``conic``: a nonnegative combination) of the generators?
+
+        The table of generator columns is reduced once per model and per
+        ``conic`` flag: G, with a row of ones unless conic.  A float model
+        adds residual columns +I and -I, minimizes their total and then
+        re-validates each coordinate against the tolerance.
+        """
         gens = self.states.generators
         m = len(gens)
         n = self.space.n_outcomes
-        target = [self._rationalize(w[x]) for x in range(n)]
-        table = [[self._rationalize(g[x]) for g in gens] for x in range(n)]
-        if self.exact:
-            rows = [table[x][:] for x in range(n)]
-            rhs = target[:]
+        system = self._systems.get(conic)
+        if system is None:
+            width = m if self.exact else m + 2 * n
+            rows = [[self._rationalize(g[x]) for g in gens] + [0] * (width - m) for x in range(n)]
+            if not self.exact:
+                for x, row in enumerate(rows):
+                    row[m + 2 * x], row[m + 2 * x + 1] = 1, -1
             if not conic:
-                rows.append([Fraction(1)] * m)
-                rhs.append(Fraction(1))
-            res = solve_lp(rows, rhs, [ZERO] * m)
-            return res.optimal
+                rows.append([1] * m + [0] * (width - m))
+            system = self._systems[conic] = factor(rows, width)
+        target = [self._rationalize(v) for v in w.values]
+        rhs = target if conic else [*target, 1]
+        if self.exact:
+            return system.solve(rhs, [ZERO] * m).optimal
         # Float model: minimize the total residual, then re-validate per
         # coordinate against the tolerance.
-        cols = m + 2 * n
-        rows = []
-        rhs = []
-        for x in range(n):
-            row = table[x][:] + [ZERO] * (2 * n)
-            row[m + 2 * x] = Fraction(1)
-            row[m + 2 * x + 1] = Fraction(-1)
-            rows.append(row)
-            rhs.append(target[x])
-        if not conic:
-            rows.append([Fraction(1)] * m + [ZERO] * (2 * n))
-            rhs.append(Fraction(1))
-        obj = [ZERO] * m + [Fraction(-1)] * (2 * n)
-        res = solve_lp(rows, rhs, obj)
+        res = system.solve(rhs, [ZERO] * m + [Fraction(-1)] * (2 * n))
         if not res.optimal:
             return False
         lam = res.x[:m]
         for x in range(n):
-            approx = sum((table[x][j] * lam[j] for j in range(m)), ZERO)
+            approx = sum((self._rationalize(g[x]) * l for g, l in zip(gens, lam)), ZERO)
             if abs(float(approx) - float(target[x])) > self.tol:
                 return False
         return True
@@ -463,8 +474,11 @@ class Model:
         """Vertices of the state space (generators for hull models)."""
         if self.states.kind == GENERATORS:
             return list(self.states.generators)
-        rows, rhs = self.polytope_rows()
-        return [Weight(v) for v in enumerate_vertices(rows, rhs, cap)]
+        rows = self._polytope().reduced([1] * len(self.space._test_masks))
+        if rows is None:
+            return []
+        a = [nums[:-1] for nums, _ in rows]
+        return [Weight(v) for v in enumerate_vertices(a, [nums[-1] for nums, _ in rows], cap)]
 
 
 def _clears(v, floor) -> bool:

@@ -14,6 +14,10 @@ keeps the nonnegative solutions.  The library enumerates them by double
 description and returns them sorted, so the oracle tests compare with the
 sorted scan.
 
+``polytope_rows`` writes a model's state polytope as ``Fraction`` rows, one
+per test, with right-hand side 1: the system the library reduces once per
+model from the test masks.
+
 ``transversal_weights`` finds the 0/1 vertices of a state polytope by a
 search over transversals, sets that meet every test exactly once.
 
@@ -38,6 +42,18 @@ from orthokit.states import StateReport, Weight
 from orthokit.testspace import _ids
 
 ONE = Fraction(1)
+
+
+def polytope_rows(model):
+    """Equality rows (one per test) cutting out the probability-weight polytope."""
+    n = model.space.n_outcomes
+    rows = []
+    for t in model.space.tests:
+        row = [ZERO] * n
+        for x in t:
+            row[x] = ONE
+        rows.append(row)
+    return rows, [ONE] * len(rows)
 
 
 def fraction_row_reduce(a, b):

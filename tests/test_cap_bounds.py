@@ -18,6 +18,7 @@ from math import comb
 
 import pytest
 
+from lp_oracles import polytope_rows
 from orthokit import corpus, errors, interference, linprog, logic, quantum
 from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
 from orthokit.compounding import SequentialProduct, validate_sequential
@@ -109,7 +110,7 @@ def test_enumerate_vertices(index, monkeypatch):
     raises, naming the enumeration, and at cap B the run returns the list
     of the default run.
     """
-    rows, rhs = vertex_cases()[index].polytope_rows()
+    rows, rhs = polytope_rows(vertex_cases()[index])
     counters = []
 
     class RecordingCounter(errors.CapCounter):

@@ -83,7 +83,7 @@ def test_vertices_agree_with_feasibility():
     from orthokit.corpus import corpus_models
 
     for m in corpus_models(4, 2):
-        rows, rhs = m.polytope_rows()
+        rows, rhs = oracle.polytope_rows(m)
         verts = enumerate_vertices(rows, rhs)
         feasible = lp_feasible(rows, rhs).optimal
         assert feasible == bool(verts)

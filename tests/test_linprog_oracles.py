@@ -1,14 +1,17 @@
 """The integer-row LP kernel gives exactly what the ``Fraction`` reference gives.
 
 ``solve_lp`` must match ``lp_oracles.fraction_solve_lp`` on status, value,
-``x`` (compared by ``repr``, so entry types count) and ``pivots``;
+``x`` (compared by ``repr``, so entry types count) and ``pivots``, and so
+must a ``factor``-ed system solved against each right-hand side;
 ``enumerate_vertices`` (double description, sorted) must return the sorted
 list of ``fraction_enumerate_vertices`` (the basis scan); ``row_reduce``
 must return ``fraction_row_reduce``'s rows.  The LPs are the ones the
 library itself poses: every LP of building the 112 corpus models and their
 float twins and of their per-query state predicates, hull membership on
 the quantum presets, the vertex enumerations of
-``state_vertices``, plus hypothesis-random LPs.
+``state_vertices``, plus hypothesis-random LPs.  The state layer solves
+against systems it reduced once, so each of its LPs is recorded as the
+unreduced system it stands for and checked in that form.
 
 The state polytopes of the corpus coarsenings and forward squares are
 checked vertex by vertex instead, since most are beyond the scan.
@@ -63,10 +66,34 @@ def time_limit():
     signal.signal(signal.SIGALRM, previous)
 
 
+def unreduced(a, b, c, extra_rows=()):
+    """The LP a reduced system's ``solve`` stands for, as ``solve_lp`` takes it."""
+    width = len(c)
+    rows = [[*row, *[0] * (width - len(row))] for row in a]
+    rows += [[*coeffs, *[0] * (width - len(coeffs))] for coeffs, _ in extra_rows]
+    return rows, [*b, *(rhs for _, rhs in extra_rows)], c
+
+
 @pytest.fixture
 def posed(monkeypatch):
-    """Record every ``solve_lp`` and ``enumerate_vertices`` call the state layer makes."""
+    """Record every LP and vertex enumeration the state layer poses.
+
+    The state layer reduces each constraint system once (``factor``) and
+    solves each LP against it; such an LP is recorded unreduced: A, b plus
+    the query's extra rows, c and the direction.
+    """
     lps, polytopes = [], []
+
+    class RecordingSystem:
+        def __init__(self, a, n):
+            self.a, self.inner = a, linprog.factor(a, n)
+
+        def reduced(self, b):
+            return self.inner.reduced(b)
+
+        def solve(self, b, c, maximize=True, extra_rows=()):
+            lps.append((*unreduced(self.a, b, c, extra_rows), maximize))
+            return self.inner.solve(b, c, maximize, extra_rows)
 
     def recording_solve_lp(a, b, c, maximize=True):
         lps.append((a, b, c, maximize))
@@ -76,6 +103,7 @@ def posed(monkeypatch):
         polytopes.append((a, b))
         return linprog.enumerate_vertices(a, b, cap)
 
+    monkeypatch.setattr(states, "factor", RecordingSystem)
     monkeypatch.setattr(states, "solve_lp", recording_solve_lp)
     monkeypatch.setattr(states, "enumerate_vertices", recording_enumerate_vertices)
     return lps, polytopes
@@ -159,7 +187,7 @@ def check_closure_vertices(model) -> tuple[bool, bool]:
     verts = [w.values for w in model.state_vertices()]
     distinct = set(verts)
     assert verts and len(distinct) == len(verts)
-    rows, rhs = model.polytope_rows()
+    rows, rhs = oracle.polytope_rows(model)
     a, b, consistent = linprog.row_reduce(*linprog.dedupe_rows(rows, rhs))
     assert consistent
     int_rows = []
@@ -213,7 +241,8 @@ def preset_models():
 def test_quantum_preset_lps_match_oracle(index, posed):
     """Hull membership of generators and seeded random mixtures, one LP each."""
     lps, _ = posed
-    model = preset_models()[index]
+    preset = preset_models()[index]
+    model = Model(preset.space, preset.states, exact=preset.exact, tol=preset.tol)
     gens = model.states.generators
     rng = random.Random(index)
     mixtures = []
@@ -271,6 +300,71 @@ def test_random_lps_match_oracle(lp):
     fb = [F(v) for v in b]
     assert repr(linprog.row_reduce(fa, fb)) == repr(oracle.fraction_row_reduce(fa, fb))
     assert_vertices_agree(a, b)
+
+
+@st.composite
+def factored_lps(draw):
+    """One A with duplicate, zero and dependent rows, in any order, and several
+    right-hand sides for it: consistent ones from a point, and arbitrary ones,
+    often inconsistent; each query may append rows over extra columns."""
+    n = draw(st.integers(1, 5))
+    base = [[draw(SCALARS) for _ in range(n)] for _ in range(draw(st.integers(0, 3)))]
+    a = [row[:] for row in base]
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "zero", "dependent")), max_size=3)):
+        if kind == "zero" or not base:
+            a.append([F(0)] * n)
+        elif kind == "duplicate":
+            a.append(draw(st.sampled_from(base))[:])
+        else:
+            f, g = draw(SCALARS), draw(SCALARS)
+            p, q = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            a.append([f * u + g * v for u, v in zip(p, q)])
+    a = draw(st.permutations(a))
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            point = [abs(draw(SCALARS)) for _ in range(n)]
+            b = [sum((u * v for u, v in zip(row, point)), F(0)) for row in a]
+        else:
+            b = [draw(SCALARS) for _ in a]
+        k = draw(st.integers(0, 2))
+        extra = [
+            ([draw(SCALARS) for _ in range(draw(st.integers(1, n + k)))], draw(SCALARS))
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        c = [draw(SCALARS) for _ in range(n + k)]
+        queries.append((b, c, draw(st.booleans()), extra))
+    return a, n, queries
+
+
+@given(factored_lps())
+@settings(max_examples=300, deadline=None)
+def test_factored_systems_match_solve_lp_and_oracle(lp):
+    a, n, queries = lp
+    system = linprog.factor(a, n)
+    for b, c, maximize, extra in queries:
+        rows, rhs, _ = unreduced(a, b, c, extra)
+        got = system.solve(b, c, maximize, extra)
+        assert outcome(got) == outcome(assert_lp_agrees(rows, rhs, c, maximize)), (a, b, extra)
+
+
+def test_factored_system_checks_every_right_hand_side():
+    """Duplicate and dependent rows leave left-null rows; a b off them is infeasible.
+
+    Rows x + y, x + y, 2x + 2y: b = (1, 1, 2) is consistent and b = (1, 2, 2)
+    or (1, 1, 3) is not, although the reduced row alone (x + y = 1) is
+    feasible for every one of them.
+    """
+    a = [[1, 1], [1, 1], [2, 2]]
+    system = linprog.factor(a, 2)
+    assert len(system.rows) == 1 and len(system.null) == 2
+    for b in ([1, 1, 2], [1, 2, 2], [1, 1, 3], [F(1, 3), F(1, 3), F(2, 3)]):
+        for extra in ((), [([1, 0], F(1, 4))]):
+            want = assert_lp_agrees(*unreduced(a, b, [1, 0], extra))
+            assert outcome(system.solve(b, [1, 0], True, extra)) == outcome(want)
+            assert want.optimal == (b[1] == b[0] and b[2] == 2 * b[0]), (b, extra)
+    assert system.reduced([1, 2, 2]) is None
+    assert system.reduced([2, 2, 4]) == [([1, 1, 2], 1)]
 
 
 def test_random_lps_reach_every_status():

@@ -11,6 +11,7 @@ from orthokit.errors import (
     HypothesisUnmet,
     MorphismError,
     NotLocallyInjective,
+    NumericKindMismatch,
     PullbackNotState,
 )
 from orthokit.corpus import named
@@ -297,3 +298,30 @@ def test_state_condition_cap_defaults_to_the_environment(monkeypatch):
         validate_morphism(src, dst, (0, 1))
     monkeypatch.delenv("ORTHOKIT_CAP")
     assert validate_morphism(src, dst, (0, 1)).d_status == "exact"
+
+
+def test_morphisms_join_models_of_one_scalar_kind():
+    """An exact and a float model are never joined, in either direction; the
+    float rows are not rationalized into an exact verdict."""
+    space = build_test_space([["a", "b"]])
+    corners = [(1, 0), (0, 1)]
+    exact = generator_model(space, [Weight([F(v) for v in c]) for c in corners])
+    floats = generator_model(space, [Weight([float(v) for v in c]) for c in corners], exact=False)
+    for src, dst in ((exact, floats), (floats, exact), (full_model(space), floats)):
+        with pytest.raises(NumericKindMismatch):
+            validate_morphism(src, dst, (0, 1))
+    assert validate_morphism(exact, exact, (0, 1)).d_status == "exact"
+    assert validate_morphism(floats, floats, (0, 1)).d_status == "exact"
+
+
+def test_float_hull_into_a_float_full_model():
+    """The vertices of a float model's full polytope are exact rationals; the
+    state condition pulls them back as floats, the source's kind."""
+    space = build_test_space([["a", "b", "c"]])
+    corners = [Weight([1.0, 0.0, 0.0]), Weight([0.0, 1.0, 0.0]), Weight([0.0, 0.0, 1.0])]
+    src = generator_model(space, corners, exact=False)
+    dst = full_model(build_test_space([["u", "v", "w"]]), exact=False)
+    assert validate_morphism(src, dst, (0, 1, 2)).d_status == "exact"
+    smaller = generator_model(space, [corners[0], Weight([0.0, 0.5, 0.5])], exact=False)
+    with pytest.raises(PullbackNotState):
+        validate_morphism(smaller, dst, (0, 1, 2))

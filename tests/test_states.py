@@ -1,5 +1,6 @@
 """States: weights, membership, positivity, unitality, certainty forcing."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,45 @@ def test_contains_ray_vs_state():
     assert m.contains_ray(doubled)
     assert not m.contains_state(doubled)
     assert m.contains_ray(Weight([F(0), F(0)]))
+
+
+def test_contains_ray_refuses_what_contains_state_refuses():
+    """A weight of the other scalar kind, or with an entry that is not
+    finite, is neither a state nor a ray, on hulls and full models alike."""
+    s = build_test_space([["a", "b", "c"]])
+    corners = [[int(i == j) for j in range(3)] for i in range(3)]
+    exact = generator_model(s, [Weight([F(v) for v in c]) for c in corners])
+    floats = generator_model(s, [Weight([float(v) for v in c]) for c in corners], exact=False)
+    halves, float_halves = Weight([F(1, 2)] * 3), Weight([0.5] * 3)
+    for m in (exact, full_model(s)):
+        assert m.contains_ray(halves)
+        assert not m.contains_ray(float_halves) and not m.contains_state(float_halves)
+    for m in (floats, full_model(s, exact=False)):
+        assert m.contains_ray(float_halves)
+        for bad in (halves, Weight([math.inf, 0.0, 0.0]), Weight([math.nan, 0.0, 0.0])):
+            assert not m.contains_ray(bad) and not m.contains_state(bad)
+
+
+@pytest.mark.parametrize("exact", (True, False))
+def test_hull_membership_keeps_one_system_per_conic_flag(exact):
+    """``contains_state`` reduces [G; 1], ``contains_ray`` G alone; whichever
+    asks first, the other still gets its own table.  Hull of (1/2, 1/2) on
+    one test {a, b}: (1, 1) is a ray, not a state, and the mixture row sums
+    to 1 only for the state."""
+    s = build_test_space([["a", "b"]])
+    half = F(1, 2) if exact else 0.5
+    one = F(1) if exact else 1.0
+    m = generator_model(s, [Weight([half, half])], exact=exact)
+    for first in ("state", "ray"):
+        fresh = Model(m.space, m.states, exact=m.exact, tol=m.tol)
+        answers = []
+        for query in (first, {"state": "ray", "ray": "state"}[first]):
+            if query == "state":
+                answers.append(fresh.contains_state(Weight([half, half])))
+            else:
+                answers.append(fresh.contains_ray(Weight([one, one])))
+        assert answers == [True, True], first
+        assert fresh.contains_ray(Weight([one, 0 * one])) is False
 
 
 def test_contains_ray_full(wright_model):

@@ -191,12 +191,14 @@ def test_generator_scan_matches_the_mixture_lp_on_corpus_hulls():
 
 
 def test_hull_predicates_solve_no_lp(monkeypatch):
-    """The presets and the corpus hulls decide all three predicates by scans."""
+    """The presets and the corpus hulls decide all three predicates by scans:
+    they neither solve an LP nor reduce a system to solve one against."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a hull predicate solved an LP")
 
     monkeypatch.setattr(states, "solve_lp", refuse)
+    monkeypatch.setattr(states, "factor", refuse)
     models = preset_models() + corpus_hulls()
     for model in models:
         fresh = cold_copy(model)
