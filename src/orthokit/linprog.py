@@ -240,7 +240,6 @@ def _solve_reduced(rows, c_obj, maximize: bool) -> LPResult:
     return LPResult("optimal", Fraction(-obj if maximize else obj, den), x, pivots)
 
 
-@dataclass(frozen=True, slots=True)
 class ReducedSystem:
     """A x = b reduced once for every right-hand side b; built by ``factor``.
 
@@ -249,9 +248,12 @@ class ReducedSystem:
     their denominator; ``null`` holds the left-null rows N as such pairs.
     """
 
-    n: int
-    rows: list
-    null: list
+    __slots__ = ("n", "rows", "null")
+
+    def __init__(self, n: int, rows: list, null: list):
+        self.n = n
+        self.rows = rows
+        self.null = null
 
     def reduced(self, b_rhs) -> list | None:
         """The rows [R | T b] of A x = b, or None when N b != 0 (inconsistent).
