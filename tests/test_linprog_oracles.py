@@ -76,11 +76,13 @@ def unreduced(a, b, c, extra_rows=()):
 
 @pytest.fixture
 def posed(monkeypatch):
-    """Record every LP and vertex enumeration the state layer poses.
+    """Record every LP and state polytope the state layer poses, unreduced.
 
     The state layer reduces each constraint system once (``factor``) and
-    solves each LP against it; such an LP is recorded unreduced: A, b plus
-    the query's extra rows, c and the direction.
+    solves each LP against it; such an LP is recorded as A, b plus the
+    query's extra rows, c and the direction.  ``state_vertices`` asks the
+    system for its rows at one right-hand side; that is recorded as (A, b),
+    the model's own polytope, duplicate and dependent test rows included.
     """
     lps, polytopes = [], []
 
@@ -89,6 +91,7 @@ def posed(monkeypatch):
             self.a, self.inner = a, linprog.factor(a, n)
 
         def reduced(self, b):
+            polytopes.append((self.a, b))
             return self.inner.reduced(b)
 
         def solve(self, b, c, maximize=True, extra_rows=()):
@@ -99,14 +102,23 @@ def posed(monkeypatch):
         lps.append((a, b, c, maximize))
         return linprog.solve_lp(a, b, c, maximize=maximize)
 
-    def recording_enumerate_vertices(a, b, cap=None):
-        polytopes.append((a, b))
-        return linprog.enumerate_vertices(a, b, cap)
-
     monkeypatch.setattr(states, "factor", RecordingSystem)
     monkeypatch.setattr(states, "solve_lp", recording_solve_lp)
-    monkeypatch.setattr(states, "enumerate_vertices", recording_enumerate_vertices)
     return lps, polytopes
+
+
+def assert_state_vertices_agree(model, polytopes):
+    """``state_vertices`` returns the sorted scan of the model's unreduced polytope.
+
+    The recorded system must be that polytope, and double description run
+    on it directly must agree too.
+    """
+    verts = [w.values for w in model.state_vertices()]
+    rows, rhs = oracle.polytope_rows(model)
+    assert polytopes == [(rows, rhs)]
+    want = [tuple(v) for v in assert_vertices_agree(rows, rhs)]
+    assert repr(verts) == repr(want)
+    return verts
 
 
 def pose_state_lps(model):
@@ -130,20 +142,17 @@ def test_corpus_model_lps_match_oracle(index, posed):
     twin = full_model(model.space, exact=False)
     for m in (model, twin):
         pose_state_lps(m)
-    model.state_vertices()
-    assert lps and len(polytopes) == 1
+    assert lps
     for a, b, c, maximize in lps:
         assert_lp_agrees(a, b, c, maximize)
-    assert_vertices_agree(*polytopes[0])
+    assert_state_vertices_agree(model, polytopes)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_classical_model_vertices_match_oracle(n, posed):
     _, polytopes = posed
     full = Model(quantum.classical_model(n).model.space, states.StateSpace.full())
-    full.state_vertices()
-    assert len(polytopes) == 1
-    assert len(assert_vertices_agree(*polytopes[0])) > 1
+    assert len(assert_state_vertices_agree(full, polytopes)) > 1
 
 
 # -- the closures: coarsenings and forward squares -----------------------------------

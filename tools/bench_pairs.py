@@ -1,13 +1,15 @@
 """Alternating parent/change benchmark pairs, written to one JSON record.
 
-    python3 tools/bench_pairs.py --parent 74fdcea --change HEAD --pairs 6 --out BENCH_17.json
+    python3 tools/bench_pairs.py --parent 74fdcea --change HEAD --first-seed 2 --out BENCH_17.json
 
 Run from the repository root.  Each revision is exported with ``git
 archive`` into its own directory, and ``perfbench/run.py --trace 0`` runs
-there, because the benchmark measures the source in its own checkout.  In
-each pair the two runs follow each other, parent first in even pairs and
-change first in odd ones, so drift in the machine's speed falls on both
-sides.  Pair i uses seed ``seeds[i % len(seeds)]``.
+there, because the benchmark measures the source in its own checkout; the
+run length is ``run_seconds`` of ``BENCHMARK.json``.  Every workload gets
+10 pairs, the number a gain claim is judged on.  In each pair the two runs
+follow each other, parent first in even pairs and change first in odd
+ones, so drift in the machine's speed falls on both sides.  Pair i uses
+its own seed, ``first_seed + i``.
 
 The record holds, per workload, every run's five end-to-end metrics, and
 per metric each side's median and quartiles, the parent's interquartile
@@ -30,6 +32,7 @@ from pathlib import Path
 
 WORKLOADS = ("corpus-sweep", "compound-preservation", "beam-interference", "cli-cold")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -75,8 +78,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {"change_better_pairs": wins, "pairs": len(pairs)}
         for side in SIDES:
-            q1, median, q3 = (statistics.quantiles(values[side], n=4) if len(pairs) > 1
-                              else values[side] * 3)
+            q1, median, q3 = statistics.quantiles(values[side], n=4)
             out[name][side] = {"median": median, "q1": q1, "q3": q3}
         out[name]["parent_iqr"] = out[name]["parent"]["q3"] - out[name]["parent"]["q1"]
     return out
@@ -86,17 +88,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--change", default="HEAD", help="change revision (default HEAD)")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; default all four")
-    ap.add_argument("--pairs", type=int, default=6)
-    ap.add_argument("--seeds", default="1,2,3", help="comma-separated, cycled over the pairs")
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair (default 1)")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = spec["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -105,17 +103,17 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": {"platform": platform.platform()},
             "commits": commits,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "workloads": {},
         }
         ok = True
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             pairs = []
-            for i in range(args.pairs):
-                seed = seeds[i % len(seeds)]
+            for i in range(PAIRS):
+                seed = args.first_seed + i
                 pair = {"seed": seed, "first": SIDES[i % 2]}
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    pair[side] = run_once(roots[side], workload, seed, args.seconds)
+                    pair[side] = run_once(roots[side], workload, seed, seconds)
                     ok = ok and pair[side]["correct"]
                     environment = pair[side].pop("environment", None)
                     if environment:
