@@ -26,7 +26,7 @@ from .errors import (
 from .logic import Orthoalgebra, OrthoMap, build_logic
 from .morphisms import Morphism, validate_morphism
 from .states import Model, StateSpace, Weight
-from .testspace import PredicateResult, TestSpace, _ids, event_key, mask_event
+from .testspace import PredicateResult, TestSpace, _ids, mask_event, mask_key
 
 
 def set_partitions(members: list) -> Iterable[list[list]]:
@@ -96,10 +96,6 @@ def _not_an_id(i) -> UsageError:
     return UsageError(f"{i!r} is not an outcome id of the coarsening")
 
 
-def coarse_label(space: TestSpace, event: frozenset) -> str:
-    return "{" + ",".join(space.labels_of(event)) + "}"
-
-
 def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
     """The weight each event gets from ``w``, in order: a state lifted to a coarsening."""
     return Weight(tuple(w.of(ev) for ev in events))
@@ -108,23 +104,24 @@ def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
 def coarsen(model: Model, cap: int | None = None) -> Coarsening:
     """The coarsened model: outcomes are nonempty events, tests are partitions."""
     space = model.space
-    events = sorted((a for a in space.events_list(cap) if a), key=event_key)
-    bell = _bell_numbers(max((len(t) for t in space.tests), default=0))
-    bound = sum(bell[len(t)] for t in space.tests)  # the set partitions to enumerate
-    check_cap("coarsened tests", bound, cap)
-    mask_outcome = {sum(1 << x for x in a): i for i, a in enumerate(events)}  # outcome order
-    labels = [coarse_label(space, a) for a in events]
+    masks = sorted(filter(None, space._checked_event_masks(cap)), key=mask_key)
+    bell = _bell_numbers(max((t.bit_count() for t in space._test_masks), default=0))
+    check_cap("coarsened tests", sum(bell[t.bit_count()] for t in space._test_masks), cap)
+    mask_outcome = {m: i for i, m in enumerate(masks)}
+    members = list(map(_ids, masks))
+    labels = ["{" + ",".join([space.labels[x] for x in ids]) + "}" for ids in members]
     tests = set()
     for t in space._test_masks:
         for blocks in set_partitions([1 << x for x in _ids(t)]):
             tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
     coarse_space = TestSpace(labels, tests)
+    events = tuple(map(frozenset, members))
     if model.states.is_full:
         states = StateSpace.full()
     else:
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
-    return Coarsening(model, coarse_model, tuple(events), tuple(mask_outcome), mask_outcome)
+    return Coarsening(model, coarse_model, events, tuple(masks), mask_outcome)
 
 
 def functor_sharp(
@@ -174,22 +171,32 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
 
     The square is checked on every outcome of the triple coarsening, i.e.
     on every nonempty event of the double coarsening's test space, streamed
-    rather than materialized as a model.
+    rather than materialized as a model.  Point i of a double test with blocks
+    b_0 < ... < b_{k-1} holds the b_j with bit j of i set, in submask order;
+    its unions are those of i - 2^j, for j the top bit of i, OR the masks of
+    mu(b_j) (left) and of b_j (right, then mu): no id list per point.
     """
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
-    bound = sum((1 << len(t)) - 1 for t in double.model.space.tests)
+    tests = double.model.space._test_masks
+    bound = sum((1 << t.bit_count()) - 1 for t in tests)
     check_cap("triple-coarsening outcomes", bound, cap)
-    mu = [coarse.collapse(ev) for ev in double.outcome_event]
-    points = 0
-    for t in double.model.space._test_masks:
-        sub = 0
-        while sub := (sub - t) & t:  # the nonempty submasks of t, ascending
-            points += 1
-            blocks = _ids(sub)
-            # mu after sharp(mu) against mu after mu at the double level.
-            if coarse.collapse(mu[b] for b in blocks) != mu[double.collapse(blocks)]:
-                raise LawViolation(f"associativity square fails at {blocks}")
+    mu = [coarse.collapse(_ids(d)) for d in double.outcome_mask]
+    cmask, cmo = coarse.outcome_mask, coarse.mask_outcome
+    dmask, dmo = double.outcome_mask, double.mask_outcome
+    for t in tests:
+        blocks, left, right = _ids(t), [0], [0]
+        for b in blocks:
+            lb, rb = cmask[mu[b]], dmask[b]
+            left += [u | lb for u in left]
+            right += [v | rb for v in right]
+        try:
+            for i in range(1, len(left)):
+                if cmo[left[i]] != mu[dmo[right[i]]]:
+                    failed = [x for k, x in enumerate(blocks) if i >> k & 1]
+                    raise LawViolation(f"associativity square fails at {failed}")
+        except KeyError as exc:  # a union that is not an event
+            raise UsageError(f"{_ids(exc.args[0])} is not a nonempty event of the base") from None
     for i, ev in enumerate(coarse.outcome_event):
         # mu after sharp(eta): split into singletons, then union.
         if coarse.collapse(coarse.mask_outcome[1 << x] for x in ev) != i:
@@ -197,7 +204,7 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
         # mu after eta of the coarsening: wrap as one block, then union.
         if coarse.to_coarse(frozenset(ev)) != i:
             raise LawViolation("right unit triangle fails")
-    return MonadLawReport(points, len(coarse.outcome_event))
+    return MonadLawReport(bound, len(coarse.outcome_event))
 
 
 # -- coherences and cohesions ---------------------------------------------------

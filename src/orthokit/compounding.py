@@ -561,13 +561,14 @@ def validate_sequential(
                 assoc_checked += 1
 
     orth_checked = 0
+    orth = space._orth_table()
     for x in range(n):
-        for y in _ids(space._orth_masks[x]):
+        for y in _ids(orth[x]):
             for z in range(n):
                 zx, zy = sp.prod(z, x), sp.prod(z, y)
                 if zx is not None and zy is not None:
                     orth_checked += 1
-                    if not space.orthogonal(zx, zy):
+                    if not orth[zx] >> zy & 1:
                         raise NotSequential(
                             "left translation breaks orthogonality", witness=(z, x, y)
                         )
@@ -576,7 +577,7 @@ def validate_sequential(
                     xz, yw = sp.prod(x, z), sp.prod(y, w)
                     if xz is not None and yw is not None:
                         orth_checked += 1
-                        if not space.orthogonal(xz, yw):
+                        if not orth[xz] >> yw & 1:
                             raise NotSequential(
                                 "products of orthogonal heads are not orthogonal",
                                 witness=(x, z, y, w),

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
 from .states import Model
-from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event
+from .testspace import PredicateResult, TestSpace, build_test_space, mask_event, mask_key
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -192,7 +192,7 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
     key_to_class: dict[frozenset, int] = {}
     reps: list[frozenset] = []
     class_of: dict[frozenset, int] = {}
-    for m in sorted(comps, key=_ids):
+    for m in sorted(comps, key=mask_key):
         key = frozenset(comps[m])
         cls = key_to_class.get(key)
         a = mask_event(m)

@@ -18,6 +18,12 @@ construction and every operation is a pure function, so concurrent use is
 safe.  Witness-producing predicates break ties lexicographically on sorted
 id sequences so results are reproducible, and check their cap bound before
 they enumerate.
+
+Ties are broken on masks.  At the least outcome d in just one of two masks,
+the holder of d has the smaller id sequence unless the other's is a prefix.
+Lemma 1 (events, :func:`mask_key`): so do the digits from outcome 0 up, 0 and
+1 swapped, as strings, prefixes first.  Lemma 2 (tests): an antichain has no
+prefixes, so n-bit integers with outcome 0 on top, sorted descending, do too.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .errors import (
 )
 
 Event = frozenset  # events are frozensets of outcome ids
+_SWAP = str.maketrans("01", "10")  # the digit swap of mask_key
 
 
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
@@ -56,6 +63,11 @@ def _ids(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
+
+
+def mask_key(m: int) -> str:
+    """Sort key of an event mask that orders like its id sequence (lemma 1)."""
+    return bin(m)[:1:-1].translate(_SWAP) if m else ""
 
 
 def mask_event(m: int) -> frozenset:
@@ -115,8 +127,8 @@ class TestSpace:
 
     The constructor is trusted: it takes test masks that already form an
     antichain of nonempty tests covering every outcome, sorts them into
-    canonical order and checks nothing.  Constructions build their outputs
-    this way; data from outside goes through :func:`build_test_space`.
+    canonical order (lemma 2) and checks nothing.  Constructions build their
+    outputs this way; data from outside goes through :func:`build_test_space`.
     """
 
     __slots__ = (
@@ -136,13 +148,11 @@ class TestSpace:
     def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
         self.labels = tuple(labels)
         self.label_id = {lab: i for i, lab in enumerate(self.labels)}
-        ordered = sorted((_ids(m), m) for m in test_masks)
-        self._test_masks = tuple(m for _, m in ordered)
-        orth = [0] * len(self.labels)
-        for ids, m in ordered:
-            for x in ids:
-                orth[x] |= m
-        self._orth_masks = tuple(m & ~(1 << x) for x, m in enumerate(orth))
+        width = f"0{len(self.labels)}b"
+        self._test_masks = tuple(
+            sorted(test_masks, key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
+        )
+        self._orth_masks: tuple[int, ...] | None = None
         self._tests: tuple[frozenset, ...] | None = None
         self._test_set: frozenset | None = None
         self._holders: tuple[int, ...] | None = None
@@ -188,7 +198,18 @@ class TestSpace:
         return tuple(self.labels[x] for x in sorted(event))
 
     def orthogonal(self, x: int, y: int) -> bool:
-        return 0 <= y and self._orth_masks[x] >> y & 1 == 1
+        orth = self._orth_masks or self._orth_table()
+        return 0 <= x < len(orth) and 0 <= y and orth[x] >> y & 1 == 1
+
+    def _orth_table(self) -> tuple[int, ...]:
+        """Per outcome, the mask of the outcomes orthogonal to it, built on first use."""
+        if self._orth_masks is None:
+            orth = [0] * len(self.labels)
+            for m in self._test_masks:
+                for x in _ids(m):
+                    orth[x] |= m
+            self._orth_masks = tuple(m & ~(1 << x) for x, m in enumerate(orth))
+        return self._orth_masks
 
     def is_event(self, a: Iterable[int]) -> bool:
         m = self._mask_of(a)
@@ -235,13 +256,18 @@ class TestSpace:
         Raises ``EnumerationCapExceeded`` when the largest test alone has
         more than ``cap`` subsets, or when there are more than ``cap`` events.
         """
+        masks = self._checked_event_masks(cap)
+        if self._events_cache is None:
+            self._events_cache = [mask_event(m) for m in masks]
+        return self._events_cache
+
+    def _checked_event_masks(self, cap: int | None = None) -> list[int]:
+        """Mask form of :meth:`events_list`, with the same two cap checks."""
         top = 1 << max(m.bit_count() for m in self._test_masks)
         cap = check_cap("events", top, cap)
         masks = self._event_mask_list(cap)
         check_cap("events", len(masks), cap)
-        if self._events_cache is None:
-            self._events_cache = [mask_event(m) for m in masks]
-        return self._events_cache
+        return masks
 
     def _event_mask_list(self, limit: int) -> list[int]:
         """All event masks in enumeration order, or the first ``limit + 1``.
@@ -276,7 +302,7 @@ class TestSpace:
         m = self._mask_of(a)
         if m is None:
             return ()
-        return tuple(map(mask_event, sorted(self._complement_masks(m), key=_ids)))
+        return tuple(map(mask_event, sorted(self._complement_masks(m), key=mask_key)))
 
     def _complement_masks(self, a: int) -> list[int]:
         """Mask form of :meth:`complements`, in test order."""
@@ -295,7 +321,7 @@ class TestSpace:
         """Mask form of :meth:`perspective`."""
         ca = set(self._complement_masks(a))
         common = [c for c in self._complement_masks(b) if c in ca]
-        return min(common, key=_ids) if common else None
+        return min(common, key=mask_key) if common else None
 
     def orthocomplement(self, a: Iterable[int]) -> frozenset:
         """Outcomes orthogonal to every outcome of ``a`` (all of X for the empty set)."""
@@ -308,9 +334,10 @@ class TestSpace:
         """Mask form of :meth:`orthocomplement`."""
         got = self._perp_masks.get(a)
         if got is None:
+            orth = self._orth_masks or self._orth_table()
             got = (1 << self.n_outcomes) - 1
             for x in _ids(a):
-                got &= self._orth_masks[x]
+                got &= orth[x]
             self._perp_masks[a] = got
         return got
 
@@ -369,7 +396,7 @@ class TestSpace:
         masks = self._event_mask_list(limit)
         check_cap("coherence pairs", min(len(masks), limit + 1) ** 2, cap)
         is_event = set(masks)
-        evs = sorted(filter(None, masks), key=_ids)
+        evs = sorted(filter(None, masks), key=mask_key)
         for b in evs:
             perp = self._perp_mask(b)
             for a in evs:

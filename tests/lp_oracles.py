@@ -264,7 +264,7 @@ def transversal_weights(space, cap=None):
     open test has none, and each transversal is found once.  The cap counts steps.
     """
     counter = CapCounter("transversal weights", cap)
-    tests, orth = space._test_masks, space._orth_masks
+    tests, orth = space._test_masks, space._orth_table()
     n = space.n_outcomes
     out = []
 

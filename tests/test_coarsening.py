@@ -1,5 +1,6 @@
 """Coarse-graining: construction, functor and monad laws, coherences, cohesions."""
 
+import dataclasses
 from fractions import Fraction as F
 from importlib import resources
 
@@ -163,7 +164,8 @@ class TestCoarsenCap:
 class TestLawLoopCaps:
     """The subset loops of ``check_monad_laws_sharp`` and ``validate_coherence``
     bound their work, the sum of 2^|t| - 1 over the tests t they walk, before
-    they start: below the bound they raise without a single collapse."""
+    they start: below the bound they raise without a single collapse, and the
+    monad walk without a single outcome lookup."""
 
     @pytest.fixture
     def collapses(self, monkeypatch):
@@ -177,20 +179,43 @@ class TestLawLoopCaps:
         monkeypatch.setattr(coarsening.Coarsening, "collapse", counting)
         return calls
 
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The ``mask_outcome`` table of every coarsening built, each counting
+        its lookups in ``calls``; only the walk looks up the double coarsening's."""
+        made = []
+
+        class Counting(dict):
+            def __getitem__(self, m):
+                self.calls.append(m)
+                return dict.__getitem__(self, m)
+
+        build = coarsening.coarsen
+
+        def counting(model, cap=None):
+            c = build(model, cap)
+            made.append(Counting(c.mask_outcome))
+            made[-1].calls = []
+            return dataclasses.replace(c, mask_outcome=made[-1])
+
+        monkeypatch.setattr(coarsening, "coarsen", counting)
+        return made
+
     @staticmethod
     def subset_bound(space):
         return sum(2 ** len(t) - 1 for t in space.tests)
 
     @pytest.mark.parametrize("name", ["wright", "triangle", "semiclassical-2x2"])
-    def test_monad_laws_at_the_bound(self, name, collapses):
+    def test_monad_laws_at_the_bound(self, name, tables):
         m = named(name)
         bound = self.subset_bound(coarsen(coarsen(m).model).model.space)
-        collapses.clear()
         with pytest.raises(EnumerationCapExceeded) as info:
             check_monad_laws_sharp(m, bound - 1)
         assert (info.value.what, info.value.bound) == ("triple-coarsening outcomes", bound)
-        assert collapses == []
+        assert len(tables) == 2 and [t.calls for t in tables] == [[], []]
         report = check_monad_laws_sharp(m, bound)
+        # the positive control: at the bound the walk looks up every point
+        assert len(tables) == 4 and len(tables[-1].calls) == bound
         assert report == check_monad_laws_sharp(m)
         assert report.associativity_points == bound
 

@@ -8,9 +8,11 @@ and built the double coarsening.  Both sides must give the same monad-law
 points on the whole corpus and three fixtures, the same multiplication
 mapping, the same algebra-law and diagram counts, and, on coherence tables
 with one entry changed to every other outcome, the same exception class,
-message and witness.
+message and witness.  With one ``mask_outcome`` entry of a coarsening changed,
+the monad laws must fail on both sides with the same class and message.
 """
 
+import dataclasses
 from functools import lru_cache
 from importlib import resources
 
@@ -28,7 +30,7 @@ from orthokit.coarsening import (
 from orthokit.compounding import validate_sequential
 from orthokit.corpus import corpus_models
 from orthokit.document import load_document
-from orthokit.errors import NotCoherence, OrthokitError
+from orthokit.errors import LawViolation, NotCoherence, OrthokitError, UsageError
 from orthokit.interference import check_distributive_diagrams, validate_g_algebra
 from orthokit.quantum import classical_model
 from orthokit.testspace import event_key
@@ -121,6 +123,30 @@ def test_monad_law_points_total():
 def test_fixture_monad_law_report_matches_oracle(name):
     m = fixture_model(name)
     assert check_monad_laws_sharp(m) == oracle.check_monad_laws_sharp(m)
+
+
+@pytest.mark.parametrize("index", [5, 35, 75, 110])
+def test_tampered_coarsening_fails_like_the_oracle(index, monkeypatch):
+    """Each ``mask_outcome`` entry of the single coarsening, in turn, points at
+    the next outcome: the library walk and the oracle fail alike, with a
+    ``LawViolation`` at the same points or a ``UsageError`` at the same union."""
+    m = corpus()[index]
+    build = coarsening.coarsen
+    single = build(m)
+    kinds = set()
+    for key, i in single.mask_outcome.items():
+        table = {**single.mask_outcome, key: (i + 1) % len(single.outcome_mask)}
+        tampered = dataclasses.replace(single, mask_outcome=table)
+
+        def patched(model, cap=None):
+            return tampered if model is m else build(model, cap)
+
+        monkeypatch.setattr(coarsening, "coarsen", patched)
+        monkeypatch.setattr(oracle, "coarsen", patched)
+        got = outcome(lambda: check_monad_laws_sharp(m), repr)
+        assert got == outcome(lambda: oracle.check_monad_laws_sharp(m), repr)
+        kinds.add(got[0])
+    assert kinds == {LawViolation, UsageError}
 
 
 @pytest.mark.parametrize("index", range(112))

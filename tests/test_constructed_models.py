@@ -7,7 +7,8 @@ That must succeed and give the same labels, the same tests in the same
 (ascending) order, and the same algebraic, regular, coherent and
 projective verdicts and witnesses.  The same holds for
 ``restrict_to_support`` on every support of every corpus space, for
-``enumerate_test_spaces(6, 3)`` and for ``classical_model(2..4)``.
+``enumerate_test_spaces(6, 3)``, for ``classical_model(2..4)`` and for the
+double coarsenings of five corpus models.
 
 ``Model`` trusts its arguments; only ``full_model`` and ``generator_model``
 validate.  They check each generator (length, scalar kind, values in [0,1],
@@ -212,6 +213,12 @@ def test_corpus_spaces_validate():
     assert len(spaces) == 112
     for space in spaces:
         assert_space_valid(space)
+
+
+@pytest.mark.parametrize("index", [55, 104, 54, 107, 48])
+def test_double_coarsenings_validate(index):
+    """Double coarsenings have the widest test masks built: 98 to 876 outcomes."""
+    assert_space_valid(coarsen(coarsen(corpus()[index]).model).model.space)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -12,7 +12,8 @@ from orthokit.errors import (
     UnknownLabel,
 )
 from orthokit.corpus import enumerate_test_spaces, named
-from orthokit.testspace import build_test_space, event_key
+from orthokit import testspace
+from orthokit.testspace import _ids, build_test_space, event_key, mask_key
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,13 @@ class TestIdsOutsideTheSpace:
             assert not wright.is_perspective(a, a)
             with pytest.raises(UnknownLabel):
                 wright.orthocomplement(a)
+
+    @pytest.mark.parametrize("x, y", [(-1, 1), (5, 1), (1, 5), (1, -1), (3, 3)])
+    def test_orthogonal_refuses_a_non_outcome_either_side(self, x, y):
+        # outcomes a, b, c; before the guard -1 wrapped to c and 5 raised IndexError
+        space = build_test_space([["a", "b"], ["b", "c"]])
+        assert space.orthogonal(2, 1)
+        assert not space.orthogonal(x, y)
 
     def test_empty_event(self, wright):
         assert wright.is_event(frozenset())
@@ -339,3 +347,35 @@ def test_double_orthocomplement_is_closure(space):
         closed = space.orthocomplement(space.orthocomplement(a))
         assert a <= closed
         assert space.orthocomplement(closed) == space.orthocomplement(a)
+
+
+# -- id-sequence order on masks --------------------------------------------------
+
+
+@st.composite
+def mask_families(draw):
+    """Masks over up to 1,200 bits: sparse ones, the empty one, and nested pairs."""
+    width = draw(st.integers(min_value=1, max_value=1200))
+    bits = st.integers(min_value=0, max_value=width - 1)
+    sparse = st.sets(bits, max_size=6).map(lambda xs: sum(1 << x for x in xs))
+    masks = draw(st.lists(sparse, min_size=1, max_size=12))
+    masks += [m | 1 << draw(bits) for m in masks[: draw(st.integers(0, 3))]]  # supersets
+    masks += [m & ~(m & -m) for m in masks[: draw(st.integers(0, 3))]]  # subsets, 0 included
+    masks += [draw(st.integers(min_value=0, max_value=(1 << width) - 1))]
+    return width, list(set(masks))
+
+
+@given(mask_families())
+@settings(max_examples=300, deadline=None)
+def test_mask_key_orders_like_id_sequences(family):
+    _, masks = family
+    assert sorted(masks, key=mask_key) == sorted(masks, key=_ids)
+
+
+@given(mask_families())
+@settings(max_examples=300, deadline=None)
+def test_test_order_is_id_sequence_order_on_antichains(family):
+    width, masks = family
+    antichain = [m for m in masks if m and not any(m & o == m for o in masks if o != m)]
+    space = testspace.TestSpace([str(x) for x in range(width)], antichain)
+    assert list(space._test_masks) == sorted(antichain, key=_ids)

@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written to one JSON record.
 
-    python3 tools/bench_pairs.py --parent 74fdcea --change HEAD --first-seed 2 --out BENCH_17.json
+    python3 tools/bench_pairs.py --parent 2a2c1ec --out BENCH_18.json
 
 Run from the repository root.  Each revision is exported with ``git
 archive`` into its own directory, and ``perfbench/run.py --trace 0`` runs
@@ -14,7 +14,8 @@ its own seed, ``first_seed + i``.
 The record holds, per workload, every run's five end-to-end metrics, and
 per metric each side's median and quartiles, the parent's interquartile
 range, and the number of pairs in which the change was better.  It also holds the
-Python version, the machine and both commit hashes.  Exits 1 when any run
+Python version, the machine, both commit hashes and, as ``src_lines``, the
+number of lines of the Python files under ``src/`` in each side's export.  Exits 1 when any run
 was not correct.
 """
 
@@ -45,6 +46,11 @@ def export(commit: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", commit], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def src_lines(root: Path) -> int:
+    """The lines of the Python files under ``src/`` of an export (perfbench's ``src.lines``)."""
+    return sum(len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -103,6 +109,7 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": {"platform": platform.platform()},
             "commits": commits,
+            "src_lines": {side: src_lines(roots[side]) for side in SIDES},
             "seconds": seconds,
             "workloads": {},
         }
