@@ -815,7 +815,7 @@ def compound_unitality(tc: TruncatedCompound):
     float models.
     """
     base = tc.base
-    space = tc.model.space
+    orth = tc.model.space._orth_table()
     certain, positive, strong = _witness_tables(base)
     certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, tc.strings)) + 1)]
 
@@ -835,7 +835,7 @@ def compound_unitality(tc: TruncatedCompound):
         s = tc.strings[i]
         for j in range(n):
             t = tc.strings[j]
-            if i == j or space.orthogonal(i, j):
+            if i == j or orth[i] >> j & 1:
                 continue
             k = 0
             while k < len(s) and k < len(t) and s[k] == t[k]:
@@ -860,7 +860,7 @@ def compound_unitality(tc: TruncatedCompound):
 def forward_unitality(fp: ForwardProduct):
     """Unitality predicates of a forward product, by explicit pair states."""
     left, right = fp.left, fp.right
-    space = fp.model.space
+    orth = fp.model.space._orth_table()
     certain_left, _, strong_left = _witness_tables(left)
     certain_right, positive_right, strong_right = _witness_tables(right)
     certain_pair = _certainty_test((left.tol, right.tol))
@@ -871,7 +871,7 @@ def forward_unitality(fp: ForwardProduct):
     su_ok = True
     for i, (x, y) in enumerate(fp.outcome_pair):
         for j, (u, v) in enumerate(fp.outcome_pair):
-            if i == j or space.orthogonal(i, j):
+            if i == j or orth[i] >> j & 1:
                 continue
             if x == u:
                 alpha, rows = certain_left[x], {x: strong_right[y, v]}

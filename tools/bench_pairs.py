@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs, written to one JSON record.
 
-    python3 tools/bench_pairs.py --parent 2a2c1ec --out BENCH_18.json
+    python3 tools/bench_pairs.py --parent 2a2c1ec --first-seed 11 --out BENCH_18.json
 
 Run from the repository root.  Each revision is exported with ``git
 archive`` into its own directory, and ``perfbench/run.py --trace 0`` runs
@@ -13,10 +13,10 @@ its own seed, ``first_seed + i``.
 
 The record holds, per workload, every run's five end-to-end metrics, and
 per metric each side's median and quartiles, the parent's interquartile
-range, and the number of pairs in which the change was better.  It also holds the
-Python version, the machine, both commit hashes and, as ``src_lines``, the
-number of lines of the Python files under ``src/`` in each side's export.  Exits 1 when any run
-was not correct.
+range, and the number of pairs in which the change was better.  It also
+holds the Python version, the machine, both commit hashes and, as
+``src_lines``, the lines of the Python files under each export's ``src/``.
+Exits 1 when any run was not correct.
 """
 
 from __future__ import annotations
