@@ -23,8 +23,7 @@ Ties are broken on masks.  At the least outcome d in just one of two masks,
 the holder of d has the smaller id sequence unless the other's is a prefix.
 Lemma 1 (events, :func:`mask_key`): so do the digits from outcome 0 up, 0 and
 1 swapped, as strings, prefixes first.  Lemma 2 (tests): an antichain has no
-prefixes, so the bit-reversed masks (outcome 0 on top, fixed width) sorted
-descending do too; as bytes, little-endian with each byte's bits reversed.
+prefixes, so n-bit integers with outcome 0 on top, sorted descending, do too.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .errors import (
 
 Event = frozenset  # events are frozensets of outcome ids
 _SWAP = str.maketrans("01", "10")  # the digit swap of mask_key
-_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
@@ -150,9 +148,9 @@ class TestSpace:
     def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
         self.labels = tuple(labels)
         self.label_id = {lab: i for i, lab in enumerate(self.labels)}
-        nb = (len(self.labels) + 7) // 8  # lemma 2, on bytes
+        width = f"0{len(self.labels)}b"  # lemma 2: the masks' bits reversed, descending
         self._test_masks = tuple(
-            sorted(test_masks, key=lambda m: m.to_bytes(nb, "little").translate(_REV), reverse=True)
+            sorted(test_masks, key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
         )
         self._orth_masks: tuple[int, ...] | None = None
         self._tests: tuple[frozenset, ...] | None = None
