@@ -815,7 +815,6 @@ def compound_unitality(tc: TruncatedCompound):
     float models.
     """
     base = tc.base
-    orth = tc.model.space._orth_table()
     certain, positive, strong = _witness_tables(base)
     certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, tc.strings)) + 1)]
 
@@ -831,6 +830,7 @@ def compound_unitality(tc: TruncatedCompound):
             raise LawViolation(f"certainty witness fails on string {s}")
     su_ok = True
     n = len(tc.strings)
+    orth = tc.model.space._orth_table()
     for i in range(n):
         s = tc.strings[i]
         for j in range(n):
@@ -860,7 +860,6 @@ def compound_unitality(tc: TruncatedCompound):
 def forward_unitality(fp: ForwardProduct):
     """Unitality predicates of a forward product, by explicit pair states."""
     left, right = fp.left, fp.right
-    orth = fp.model.space._orth_table()
     certain_left, _, strong_left = _witness_tables(left)
     certain_right, positive_right, strong_right = _witness_tables(right)
     certain_pair = _certainty_test((left.tol, right.tol))
@@ -869,6 +868,7 @@ def forward_unitality(fp: ForwardProduct):
         for (x, y) in fp.outcome_pair
     )
     su_ok = True
+    orth = fp.model.space._orth_table()
     for i, (x, y) in enumerate(fp.outcome_pair):
         for j, (u, v) in enumerate(fp.outcome_pair):
             if i == j or orth[i] >> j & 1:
