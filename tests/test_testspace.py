@@ -153,7 +153,7 @@ class TestIdsOutsideTheSpace:
 
     @pytest.mark.parametrize("x, y", [(-1, 1), (5, 1), (1, 5), (1, -1), (3, 3)])
     def test_orthogonal_refuses_a_non_outcome_either_side(self, x, y):
-        # outcomes a, b, c; before the guard -1 wrapped to c and 5 raised IndexError
+        # outcome ids are 0, 1, 2: -1 must not index the last one, 5 nothing at all
         space = build_test_space([["a", "b"], ["b", "c"]])
         assert space.orthogonal(2, 1)
         assert not space.orthogonal(x, y)
