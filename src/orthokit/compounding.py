@@ -10,8 +10,10 @@ checked on the window that fits the truncation.
 Models carrying their own associative product (sequential models) are the
 algebras of that construction; products are allowed to be partial, either
 because a compound outcome is impossible (a classical product with empty
-intersection) or because it falls outside the truncation window.  The two
-readings differ in event arithmetic and are tracked explicitly.
+intersection) or because it falls outside the truncation window.  One rule,
+``defined_products``, reads a missing product: under ``IMPOSSIBLE`` it carries
+no mass and is dropped, under ``OUT_OF_WINDOW`` the whole collection it
+belongs to is unknown.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import (
     HypothesisUnmet,
     LawViolation,
     NotAMorphism,
+    NotAState,
     NotSequential,
     NumericKindMismatch,
     UsageError,
@@ -431,6 +434,23 @@ def functor_compound(
 # -- sequential products --------------------------------------------------------------
 
 
+def defined_products(prod: Callable, out_of_window: bool, pairs: Iterable[tuple]) -> list | None:
+    """The defined products of ``pairs``, in order: the undefined-product rule.
+
+    An undefined product is dropped when it is impossible and makes the answer
+    None when it is out of window, so a sum over the list is the mass of the
+    compound, with impossible parts counting zero.
+    """
+    out = []
+    for x, y in pairs:
+        p = prod(x, y)
+        if p is not None:
+            out.append(p)
+        elif out_of_window:
+            return None
+    return out
+
+
 @dataclass(frozen=True)
 class SequentialProduct:
     """A (possibly partial) associative unital product on outcomes."""
@@ -454,18 +474,13 @@ class SequentialProduct:
                 return None
         return acc
 
+    def products(self, pairs: Iterable[tuple]) -> list[int] | None:
+        return defined_products(self.prod, self.undefined_means == OUT_OF_WINDOW, pairs)
+
     def event_product(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:
         """Setwise product of events; None when a needed pair is out of window."""
-        out = set()
-        for x in a:
-            for y in b:
-                p = self.prod(x, y)
-                if p is None:
-                    if self.undefined_means == OUT_OF_WINDOW:
-                        return None
-                    continue
-                out.add(p)
-        return frozenset(out)
+        out = self.products(iproduct(a, b))
+        return None if out is None else frozenset(out)
 
 
 def concatenation_product(tc: TruncatedCompound) -> SequentialProduct:
@@ -619,39 +634,22 @@ def validate_sequential(
 
     # States: marginals equal the state itself; conditionals stay states.
     candidates = list(states) if states is not None else model.state_vertices(cap)
+    zero = Fraction(0) if model.exact else 0.0
     rows_checked = 0
     for w in candidates:
-        for t in space.tests:
-            for x in range(n):
-                total = _windowed_marginal(sp, w, x, t)
-                if total is None:
-                    continue
-                if not model._eq(total, w[x]):
-                    raise NotSequential(
-                        "marginal over a follow-up test differs from the state",
-                        witness=(x, t),
-                    )
+        verdict = check_chain_rule(model, sp, w)
+        if not verdict:
+            raise NotSequential(
+                "marginal over a follow-up test differs from the state", witness=verdict.witness
+            )
         for x in range(n):
-            if model._eq(w[x], 0):
+            if model._eq(w[x], 0) or sp.products((x, y) for y in range(n)) is None:
                 continue
-            cond_vals = []
-            full_domain = True
-            for y in range(n):
-                p = sp.prod(x, y)
-                if p is None:
-                    if sp.undefined_means == OUT_OF_WINDOW:
-                        full_domain = False
-                    cond_vals.append(None)
-                else:
-                    cond_vals.append(w[p] / w[x])
-            if full_domain:
-                zero = Fraction(0) if model.exact else 0.0
-                cond = Weight(tuple(zero if v is None else v for v in cond_vals))
-                rows_checked += 1
-                if not model.contains_state(cond):
-                    raise NotSequential(
-                        "conditional state escapes the state space", witness=x
-                    )
+            row = [sp.prod(x, y) for y in range(n)]
+            cond = Weight(tuple(zero if p is None else w[p] / w[x] for p in row))
+            rows_checked += 1
+            if not model.contains_state(cond):
+                raise NotSequential("conditional state escapes the state space", witness=x)
 
     # Evaluation of short strings back into the model.
     tc = truncated_compound(model, probe_depth, cap)
@@ -693,23 +691,6 @@ def validate_sequential(
     return CheckedSequential(model, sp, report)
 
 
-def _windowed_marginal(sp: SequentialProduct, w: Weight, x: int, t):
-    """Sum of w over x followed by a test, or None when outside the window.
-
-    Impossible compound outcomes contribute zero mass; out-of-window ones
-    invalidate the whole sum.
-    """
-    total = 0
-    for y in t:
-        p = sp.prod(x, y)
-        if p is None:
-            if sp.undefined_means == OUT_OF_WINDOW:
-                return None
-            continue
-        total = total + w[p]
-    return total
-
-
 def check_chain_rule(
     model: Model, sp: SequentialProduct, w: Weight
 ) -> PredicateResult:
@@ -718,14 +699,19 @@ def check_chain_rule(
     Concretely: the marginal of w over any in-window follow-up test equals w
     itself, which is exactly what makes w(xy) = w(x) * w_x(y) with the
     conditional w_x(y) = w(xy)/w(x).  Fails on weights that do not arise
-    from transition data.
+    from transition data; the witness is the first (x, t), tests first.
     """
     n = model.space.n_outcomes
-    for x in range(n):
-        for t in model.space.tests:
-            total = _windowed_marginal(sp, w, x, t)
-            if total is None:
+    if len(w) != n:
+        raise NotAState("weight length does not match outcome count")
+    for t in model.space.tests:
+        for x in range(n):
+            defined = sp.products((x, y) for y in t)
+            if defined is None:
                 continue
+            total = 0
+            for p in defined:
+                total = total + w[p]
             if not model._eq(total, w[x]):
                 return PredicateResult(False, (x, t))
     return PredicateResult(True)

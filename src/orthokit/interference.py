@@ -14,16 +14,16 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
 from .compounding import (
-    IMPOSSIBLE,
-    OUT_OF_WINDOW,
     CheckedSequential,
     SequentialProduct,
     TruncatedCompound,
+    defined_products,
     truncated_compound,
     validate_sequential,
 )
@@ -236,10 +236,14 @@ def validate_g_algebra(
     """Validate the compatibility law: collapse distributes over products.
 
     For every string of events in the window, collapsing the setwise product
-    must agree with the product of the collapses; the same value is also
-    recomputed along the interchange route (distribute to a string set,
-    evaluate each string, collapse the set) as an independent path.
+    must agree with the product of the collapses.  The interchange route
+    (distribute to a string set, evaluate each string, collapse the set)
+    gives nothing more: since prod(unit, y) = y, when every string of the
+    word is defined the left fold of ``event_product`` over the word is
+    {prod_string(s) : s in concat_product(word)}.
     """
+    if probe_depth < 1:
+        raise UsageError("probe depth must be at least 1")
     checked_sigma = (
         sigma if isinstance(sigma, CheckedCoherence) else validate_coherence(model, sigma, cap)
     )
@@ -252,30 +256,29 @@ def validate_g_algebra(
     table = checked_sigma.table
     events = sorted(table.keys(), key=event_key)
     check_cap_sum("event strings", (len(events) ** k for k in range(1, probe_depth + 1)), cap)
+
+    def fold(events):  # None out of window, empty when impossible
+        acc = events[0]
+        for nxt in events[1:]:
+            acc = prod.event_product(acc, nxt)
+            if acc is None:
+                break
+        return acc
+
     checked = skipped = 0
     for k in range(1, probe_depth + 1):
         for word in iproduct(events, repeat=k):
-            ev_prod = word[0]
-            for nxt in word[1:]:
-                ev_prod = prod.event_product(ev_prod, nxt)
-                if ev_prod is None:
-                    break
-            out_prod = prod.prod_string([table[ev] for ev in word])
-            if ev_prod is None:
+            ev_prod = fold(word)
+            # the product of the collapses, as an event of at most one outcome
+            out_prod = fold([frozenset([table[ev]]) for ev in word])
+            if ev_prod is None or out_prod is None or not (ev_prod or out_prod):
                 skipped += 1
                 continue
             if not ev_prod:
-                if out_prod is not None and prod.undefined_means == IMPOSSIBLE:
-                    raise NotGAlgebra(
-                        "collapsed product defined on an impossible event string",
-                        witness=word,
-                    )
-                skipped += 1
-                continue
-            if out_prod is None:
-                if prod.undefined_means == OUT_OF_WINDOW:
-                    skipped += 1
-                    continue
+                raise NotGAlgebra(
+                    "collapsed product defined on an impossible event string", witness=word
+                )
+            if not out_prod:
                 raise NotGAlgebra(
                     "product of collapses undefined on a possible event string",
                     witness=word,
@@ -285,24 +288,10 @@ def validate_g_algebra(
                 raise NotGAlgebra(
                     "setwise product of events is not an event", witness=word
                 )
-            if lhs != out_prod:
+            if out_prod != {lhs}:
                 raise NotGAlgebra(
                     "collapse is not multiplicative over the product", witness=word
                 )
-            # Interchange route: distribute, evaluate strings, collapse.
-            strings = concat_product(word)
-            evaluated = frozenset(prod.prod_string(s) for s in strings)
-            if None not in evaluated:
-                via_ell = table.get(evaluated)
-                if via_ell is None:
-                    raise NotGAlgebra(
-                        "evaluated string set is not an event", witness=word
-                    )
-                if via_ell != lhs:
-                    raise NotGAlgebra(
-                        "interchange route disagrees with direct collapse",
-                        witness=word,
-                    )
             checked += 1
     commutative = _is_commutative(model, prod)
     return GAlgebra(model, checked_sigma, checked_sp, commutative, checked, skipped)
@@ -377,51 +366,42 @@ def find_interference(
 
     For each state, event in the collapse table, and follow-up outcome, the
     mass of (collapsed event, then outcome) is compared with the member-wise
-    sum.  Pairs whose compound outcomes are missing from the model are
-    skipped: the scan only evaluates what the model can express.  Undefined
-    compounds of the impossible kind count as zero mass.  The states default
+    sum.  Missing compounds follow ``defined_products``: pairs with one out of
+    window are skipped, so the scan only evaluates what the model can
+    express, and impossible ones count as zero mass.  A follow-up callable's
+    missing compounds are out of window.  With a ``SequentialProduct`` the
+    ``witnesses_from`` ids must be outcomes of the model.  The states default
     to ``model.state_vertices(cap)``, which raises past the cap.  A given
     ``tol`` must be finite and nonnegative.
     """
     check_tolerance(tol)
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
+    n = model.space.n_outcomes
+    witness_pool = sorted(witnesses_from) if witnesses_from is not None else range(n)
     if isinstance(prod, SequentialProduct):
-        kind = prod.undefined_means
-        pr = prod.prod
+        if any(not 0 <= y < n for y in witness_pool):
+            raise UsageError("witness ids must be outcomes of the model")
+        products = prod.products
     else:
-        kind = OUT_OF_WINDOW
-        pr = prod
+        products = partial(defined_products, prod, True)
     if states is None:
         states = model.state_vertices(cap)
     if tol is None:
         tol = 0.0 if model.exact else model.tol
     scan_events = sorted(table, key=event_key)
-    witness_pool = (
-        sorted(witnesses_from)
-        if witnesses_from is not None
-        else range(model.space.n_outcomes)
-    )
     out: list[InterferenceWitness] = []
     for si, w in enumerate(states):
         for a in scan_events:
             collapsed = table[a]
             for y in witness_pool:
-                cy = pr(collapsed, y)
-                if cy is None and kind == OUT_OF_WINDOW:
+                cy = products([(collapsed, y)])
+                members = products((x, y) for x in sorted(a))
+                if cy is None or members is None:
                     continue
-                coherent = 0 if cy is None else w[cy]
+                coherent = w[cy[0]] if cy else 0
                 incoherent = 0
-                missing = False
-                for x in sorted(a):
-                    xy = pr(x, y)
-                    if xy is None:
-                        if kind == OUT_OF_WINDOW:
-                            missing = True
-                            break
-                        continue
+                for xy in members:
                     incoherent = incoherent + w[xy]
-                if missing:
-                    continue
                 gap = coherent - incoherent
                 if (model.exact and gap != 0) or (not model.exact and abs(gap) > tol):
                     out.append(InterferenceWitness(si, a, y, coherent, incoherent))

@@ -378,6 +378,23 @@ def test_deep_event_strings_stop_at_the_cap(record):
     assert calls == []
 
 
+def test_event_strings_take_no_product_before_the_cap(record):
+    """Both folds of a word go through ``SequentialProduct.products``."""
+    cm = classical_model(2)
+    checked = validate_coherence(cm.model, cm.sigma)
+    sequential = validate_sequential(cm.model, cm.product)
+    calls = record(SequentialProduct, "products")
+
+    def call(depth, cap=None):
+        return validate_g_algebra(cm.model, checked, sequential, depth, cap)
+
+    raises_before_work(lambda cap: call(2, cap), "event strings", 20, calls)
+    small_bound_over_cap(lambda: call(20000), "event strings")
+    assert calls == []
+    call(2, 20)
+    assert calls
+
+
 def test_huge_corpus_stops_at_the_cap(record):
     calls = record(corpus, "TestSpace")
     small_bound_over_cap(lambda: list(corpus.enumerate_test_spaces(10**6, 3)), "test-space corpus")

@@ -17,6 +17,7 @@ from orthokit.errors import (
     HypothesisUnmet,
     LawViolation,
     NotAMorphism,
+    NotAState,
     NotSequential,
     OrthokitError,
     ZeroMarginal,
@@ -418,6 +419,30 @@ class TestSequential:
         vals[tc.id_of((1, 1))] = F(2, 5)
         verdict = check_chain_rule(tc.model, sp, Weight(vals))
         assert not verdict
+
+    def test_validate_sequential_raises_the_chain_rule_witness(self, binary):
+        """The state check of ``validate_sequential`` is ``check_chain_rule``: tests
+        first, then outcomes, and the same first failing (x, t)."""
+        tc = truncated_compound(binary, 2)
+        sp = concatenation_product(tc)
+        vals = [F(0)] * tc.model.space.n_outcomes
+        for s, v in [((), 1), ((0,), F(3, 5)), ((1,), F(2, 5)), ((0, 0), F(1, 5))]:
+            vals[tc.id_of(s)] = F(v)
+        w = Weight(vals)
+        a, b = tc.id_of((0,)), tc.id_of((1,))
+        # outcomes first would give (ε, {a, b·a, b·b}) instead
+        assert check_chain_rule(tc.model, sp, w).witness == (a, frozenset({a, b}))
+        with pytest.raises(NotSequential, match="marginal") as info:
+            validate_sequential(tc.model, sp, states=[w])
+        assert info.value.witness == (a, frozenset({a, b}))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_chain_rule_refuses_a_weight_of_the_wrong_length(self, extra):
+        cm = classical_model(2)
+        values = cm.model.state_vertices()[0].values
+        values = values[:-1] if extra < 0 else values + (F(0),)
+        with pytest.raises(NotAState, match="weight length does not match outcome count"):
+            check_chain_rule(cm.model, cm.product, Weight(values))
 
     # Recorded before the inductivity loop built its images with
     # ``event_product``: 37 entries under two semantics, 24 of them raising

@@ -2,9 +2,11 @@
 
 import pytest
 
-from orthokit.errors import HypothesisUnmet, NotGAlgebra
+from orthokit.errors import HypothesisUnmet, NotGAlgebra, UsageError
 from orthokit.coarsening import coarsen
 from orthokit.compounding import (
+    IMPOSSIBLE,
+    OUT_OF_WINDOW,
     SequentialProduct,
     concatenation_product,
     truncated_compound,
@@ -155,6 +157,64 @@ class TestCombinedAlgebras:
         g = validate_g_algebra(coarse.model, sigma, pi, probe_depth=1, states=spanning)
         with pytest.raises(HypothesisUnmet):
             check_commutative_boolean(g)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_probe_depth_below_one_is_refused_for_checked_products(self, depth):
+        """A checked product used to give a combined algebra with no word checked."""
+        cm = classical_model(2)
+        checked = validate_sequential(cm.model, cm.product)
+        for sp in (checked, cm.product):
+            with pytest.raises(UsageError, match="probe depth must be at least 1"):
+                validate_g_algebra(cm.model, cm.sigma, sp, probe_depth=depth)
+
+    @pytest.mark.parametrize("ids", [[-1], [99], [0, 3]])
+    def test_witness_ids_outside_the_outcomes_are_refused(self, ids):
+        cm = classical_model(2)
+        with pytest.raises(UsageError, match="witness ids"):
+            find_interference(cm.model, cm.sigma, cm.product, witnesses_from=ids)
+
+    def test_follow_up_tokens_of_a_callable_are_not_outcome_ids(self):
+        cm = classical_model(2)
+        table = {(x, 99): x for x in range(cm.model.space.n_outcomes)}
+        assert find_interference(
+            cm.model, cm.sigma, lambda x, k: table.get((x, k)), witnesses_from=[99]
+        ) == []
+
+
+class TestMissingFollowUps:
+    """σ(a)·y is defined while x·y is missing for a member x of a.
+
+    On the classical two-point model with {1}·{1} deleted, a = {{1}, {2}}
+    collapses to the unit, so σ(a)·{1} = {1}, but neither member has a
+    product with {1}.
+    """
+
+    @pytest.fixture
+    def case(self):
+        cm = classical_model(2)
+        one = cm.subset_id[frozenset({1})]
+        table = {k: v for k, v in cm.product.table.items() if k != (one, one)}
+        return cm, one, table
+
+    def scan(self, cm, prod):
+        return find_interference(cm.model, cm.sigma, prod)
+
+    def test_skipped_out_of_window(self, case):
+        cm, one, table = case
+        sp = SequentialProduct(cm.product.unit, table, undefined_means=OUT_OF_WINDOW)
+        assert self.scan(cm, sp) == []
+        assert self.scan(cm, lambda x, y: sp.prod(x, y)) == []
+
+    def test_reported_at_zero_mass_when_impossible(self, case):
+        cm, one, table = case
+        sp = SequentialProduct(cm.product.unit, table, undefined_means=IMPOSSIBLE)
+        pair = frozenset({one, cm.subset_id[frozenset({2})]})
+        [wit] = self.scan(cm, sp)
+        assert (wit.event, wit.outcome, wit.coherent, wit.incoherent) == (pair, one, 1, 0)
+        assert type(wit.incoherent) is int
+        assert cm.model.state_vertices()[wit.state_index][one] == 1
 
 
 class TestNoInterference:

@@ -378,3 +378,60 @@ def test_test_spaces_are_validated_one_way():
     validators = {scope for _, kind, name, scope in hits
                   if kind == "raise" and name in VALIDATION_ERRORS}
     assert validators == {"build_test_space"}
+
+
+# -- undefined sequential products ----------------------------------------------------
+
+UNDEFINED_RULE_NAMES = {"IMPOSSIBLE", "OUT_OF_WINDOW", "undefined_means"}
+# the one reading outside compounding.py: a document's ``semantics`` string
+UNDEFINED_RULE_READERS = {
+    ("document.py", "semantics", "IMPOSSIBLE"),
+    ("document.py", "semantics", "OUT_OF_WINDOW"),
+}
+
+
+def undefined_rule_comparisons(source, filename="<string>"):
+    """(line, left operand, name) of every comparison that involves a rule name.
+
+    A rule name is ``IMPOSSIBLE``, ``OUT_OF_WINDOW`` or ``undefined_means``, as a
+    name or an attribute, anywhere among the operands.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            for sub in ast.walk(operand):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in UNDEFINED_RULE_NAMES:
+                    found.append((node.lineno, ast.unparse(node.left), name))
+    return sorted(found)
+
+
+def test_scanner_flags_undefined_rule_comparisons():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "def f(prod, kind, semantics):\n"
+        "    if prod.undefined_means == c.IMPOSSIBLE:\n"
+        "        return kind != OUT_OF_WINDOW\n"
+        "    return semantics not in (IMPOSSIBLE, OUT_OF_WINDOW), kind is IMPOSSIBLE\n"
+    )
+    assert undefined_rule_comparisons(source) == [
+        (2, "prod.undefined_means", "IMPOSSIBLE"),
+        (2, "prod.undefined_means", "undefined_means"),
+        (3, "kind", "OUT_OF_WINDOW"),
+        (4, "kind", "IMPOSSIBLE"),
+        (4, "semantics", "IMPOSSIBLE"),
+        (4, "semantics", "OUT_OF_WINDOW"),
+    ]
+
+
+def test_undefined_products_are_read_in_compounding_only():
+    """``compounding.defined_products`` is the one rule for undefined products;
+    other modules ask a ``SequentialProduct`` for its products."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "compounding.py":
+            for _, left, name in undefined_rule_comparisons(path.read_text(encoding="utf-8")):
+                found.add((path.name, left, name))
+    assert found == UNDEFINED_RULE_READERS
