@@ -257,9 +257,9 @@ def validate_g_algebra(
     events = sorted(table.keys(), key=event_key)
     check_cap_sum("event strings", (len(events) ** k for k in range(1, probe_depth + 1)), cap)
 
-    def fold(events):  # None out of window, empty when impossible
-        acc = events[0]
-        for nxt in events[1:]:
+    def fold(factors):  # None out of window, empty when impossible
+        acc = factors[0]
+        for nxt in factors[1:]:
             acc = prod.event_product(acc, nxt)
             if acc is None:
                 break
