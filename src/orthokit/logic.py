@@ -186,8 +186,7 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
             f"{space.labels_of(c)} but the transfer fails"
         )
     # Classes are fibers of the complement-set map (valid because algebraic),
-    # read off the complement index that the algebraic check just built; it
-    # holds every event.
+    # read off the complement index, which holds every event.
     _, comps = space._complement_index(cap)
     key_to_class: dict[frozenset, int] = {}
     reps: list[frozenset] = []

@@ -24,6 +24,24 @@ the holder of d has the smaller id sequence unless the other's is a prefix.
 Lemma 1 (events, :func:`mask_key`): so do the digits from outcome 0 up, 0 and
 1 swapped, as strings, prefixes first.  Lemma 2 (tests): an antichain has no
 prefixes, so n-bit integers with outcome 0 on top, sorted descending, do too.
+
+``regular`` and ``algebraic`` ask the events of each complement bucket (the
+events t∖c over the tests t ⊇ c) to agree, on their orthocomplements or on
+their sets of complements; they check only the buckets of intersections of
+two tests.  For tests s, t with I = s∩t and c ⊆ I, s∖c is s∖I and I∖c
+disjointly.  Lemma 3 (regular): so (s∖c)^⊥ = (s∖I)^⊥ ∩ (I∖c)^⊥, and if s and
+t agree at I they agree at every c ⊆ I.  Any two holders of a bucket meet in
+such an I, so the space is regular exactly when the bucket of every
+intersection of two tests agrees, the empty intersection included.  Lemma 4
+(algebraic): e ↦ (I∖c) ∪ e maps the complements of s∖c onto those of s∖I that
+hold I∖c, so the same holds with complement sets.  Lemma 5 (witness): the
+full pass meets bucket c first at its first holder i, so buckets come in the
+order of their first holder, then of i's submasks.  In the first failing
+bucket some later holder t disagrees with test i, so by lemma 3 or 4 the
+bucket of (test i)∩t fails, and its first holder is i; no failing bucket has
+an earlier first holder.  So the first test whose intersections with later
+tests include a failing one is i, and a scan of its submasks in enumeration
+order finds the witness of the full pass.
 """
 
 from __future__ import annotations
@@ -32,12 +50,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapCounter,
     EmptyTest,
     LabelCollision,
+    LawViolation,
     RedundantTests,
     UncoveredOutcome,
     UnknownLabel,
@@ -308,6 +327,9 @@ class TestSpace:
         """Mask form of :meth:`complements`, in test order."""
         return [self._test_masks[i] ^ a for i in _ids(self._tests_holding(a))]
 
+    def _complement_set(self, a: int) -> frozenset[int]:
+        return frozenset(self._complement_masks(a))
+
     def perspective(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:
         """Lexicographically least common complement of a and b, or None."""
         ma, mb = self._mask_of(a), self._mask_of(b)
@@ -346,9 +368,9 @@ class TestSpace:
     ) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
         """Complement mask -> event masks it complements, and event mask -> its complements.
 
-        Built by one submask pass per test and cached.  Buckets and their
-        members appear in event enumeration order, which fixes the witness a
-        predicate reports.  The cap bounds the pass length, sum of 2^|t|.
+        Built by one submask pass per test and cached, for the logic and the
+        projectivity classification.  Buckets and their members appear in
+        event enumeration order.  The cap bounds the pass length, sum of 2^|t|.
         """
         check_cap("complement buckets", sum(1 << m.bit_count() for m in self._test_masks), cap)
         if self._comp_index is None:
@@ -370,21 +392,17 @@ class TestSpace:
         complement sets.  Witness on failure is a triple (a, b, c) with
         a ~ b, b oc c but not a oc c.
         """
-        buckets, comps = self._complement_index(cap)
-        for evs in buckets.values():
-            first = evs[0]
-            key0 = comps[first]
-            for i in range(1, len(evs)):
-                b = evs[i]
-                kb = comps[b]
-                if kb != key0:
-                    if kb - key0:
-                        a, bb, extra = first, b, kb - key0
-                    else:
-                        a, bb, extra = b, first, key0 - kb
-                    c = min(map(mask_event, extra), key=event_key)
-                    return PredicateResult(False, (mask_event(a), mask_event(bb), c))
-        return PredicateResult(True)
+        split = self._first_split_bucket(self._complement_set, cap)
+        if split is None:
+            return PredicateResult(True)
+        a, b = split
+        ka, kb = self._complement_set(a), self._complement_set(b)
+        if kb - ka:
+            extra = kb - ka
+        else:
+            a, b, extra = b, a, ka - kb
+        c = min(extra, key=mask_key)
+        return PredicateResult(False, (mask_event(a), mask_event(b), mask_event(c)))
 
     def coherent(self, cap: int | None = None) -> PredicateResult:
         """Events inside an event's orthocomplement are orthogonal to it.
@@ -408,15 +426,67 @@ class TestSpace:
 
     def regular(self, cap: int | None = None) -> PredicateResult:
         """Perspective events have equal orthocomplements."""
-        buckets, _ = self._complement_index(cap)
-        for evs in buckets.values():
-            if len(evs) == 1:
-                continue
-            p0 = self._perp_mask(evs[0])
-            for i in range(1, len(evs)):
-                if self._perp_mask(evs[i]) != p0:
-                    return PredicateResult(False, (mask_event(evs[0]), mask_event(evs[i])))
-        return PredicateResult(True)
+        split = self._first_split_bucket(self._perp_mask, cap)
+        if split is None:
+            return PredicateResult(True)
+        return PredicateResult(False, tuple(map(mask_event, split)))
+
+    def _first_split_bucket(
+        self, key: Callable[[int], object], cap: int | None
+    ) -> tuple[int, int] | None:
+        """The first complement bucket whose events differ on ``key``, as
+        (its first event, its first event that differs), or None (lemmas 3-5).
+
+        The cap bounds the full bucket pass, sum of 2^|t|, that this replaces.
+        """
+        check_cap("complement buckets", sum(1 << m.bit_count() for m in self._test_masks), cap)
+        tests = self._test_masks
+        for i, inter in self._intersections():
+            rests = [tests[j] ^ inter for j in _ids(self._tests_holding(inter))]
+            k0 = key(rests[0])
+            if any(key(r) != k0 for r in rests[1:]):
+                break
+        else:
+            return None
+        # the buckets test i shares with earlier tests do not split (lemma 5)
+        s = tests[i]
+        for a in _submasks(s):
+            c = s ^ a
+            k0 = key(a)
+            for j in _ids(self._tests_holding(c) >> i + 1):
+                b = tests[i + 1 + j] ^ c
+                if key(b) != k0:
+                    return a, b
+        raise LawViolation(f"no split bucket in test {i}, against lemma 5")
+
+    def _intersections(self) -> Iterator[tuple[int, int]]:
+        """(i, I) for each distinct intersection I of test i with a later test, in
+        test order, each I at the first test that yields it.
+
+        The later tests are split by which outcomes of test i they hold; those
+        holding none give I = 0.  No pair of tests is visited.
+        """
+        tests, holders = self._test_masks, self._holder_bits()
+        everything = (1 << len(tests)) - 1
+        seen: set[int] = set()
+        for i, s in enumerate(tests):
+            later = everything >> i + 1 << i + 1
+            groups = [(0, later)] if later else []
+            for x in _ids(s):
+                h = holders[x]
+                if h & later:
+                    parts = []
+                    for inter, members in groups:
+                        inside = members & h
+                        if inside:
+                            parts.append((inter | 1 << x, inside))
+                        if inside != members:
+                            parts.append((inter, members ^ inside))
+                    groups = parts
+            for inter, _ in groups:
+                if inter not in seen:
+                    seen.add(inter)
+                    yield i, inter
 
     def projective(self) -> PredicateResult:
         """Perspective outcomes are equal."""

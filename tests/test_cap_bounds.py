@@ -9,7 +9,9 @@ by the same patched callee or read off what the call returns.
 
 Vertex enumeration is the exception: the rays double description creates
 have no closed form, so a ``CapCounter`` counts them and B is read off a
-run at the default cap.
+run at the default cap.  ``regular`` and ``algebraic`` are the other: B is
+the complement-bucket pass that their check per intersection of two tests
+replaced, so their test counts the submask enumerations that are left.
 """
 
 from functools import lru_cache
@@ -19,9 +21,9 @@ from math import comb
 import pytest
 
 from lp_oracles import polytope_rows
-from orthokit import corpus, errors, interference, linprog, logic, quantum
+from orthokit import corpus, errors, interference, linprog, logic, quantum, testspace
 from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
-from orthokit.compounding import SequentialProduct, validate_sequential
+from orthokit.compounding import SequentialProduct, truncated_compound, validate_sequential
 from orthokit.corpus import corpus_models, named
 from orthokit.errors import EnumerationCapExceeded
 from orthokit.interference import (
@@ -32,6 +34,7 @@ from orthokit.interference import (
 from orthokit.logic import build_logic
 from orthokit.morphisms import identity_morphism, validate_morphism
 from orthokit.quantum import classical_model
+from orthokit.testspace import build_test_space, mask_event
 
 
 def raises_before_work(call, what, bound, calls):
@@ -129,6 +132,51 @@ def test_enumerate_vertices(index, monkeypatch):
         "polytope vertices", bound, bound - 1
     )
     assert linprog.enumerate_vertices(rows, rhs, bound) == want
+
+
+# -- regular and algebraic -----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bucket_cases():
+    """A star and Wright's space, where both predicates hold; the star with a chord,
+    where both fail; the depth-2 compound of corpus model 7, where regular fails on
+    the empty bucket and algebraic fails too."""
+    star = [["c", "x"], ["c", "y"], ["c", "z"]]
+    return [
+        build_test_space(star),
+        named("wright").space,
+        build_test_space(star + [["x", "y"]]),
+        truncated_compound(list(corpus_models())[7], 2).model.space,
+    ]
+
+
+@pytest.mark.parametrize("name", ["regular", "algebraic"])
+@pytest.mark.parametrize("index", range(len(bucket_cases())))
+def test_complement_buckets(name, index, record):
+    """Sum of 2^|t|, the complement-bucket pass that one check per intersection of
+    two tests replaces: at cap B - 1 the predicate raises before it splits a test's
+    partners.  Then a verdict that holds enumerates no submask, and a failing one
+    the submasks of one test, which holds the witness's first event."""
+    space = bucket_cases()[index]
+    bound = sum(2 ** len(t) for t in space.tests)
+
+    def call(cap):
+        return getattr(testspace.TestSpace(space.labels, space._test_masks), name)(cap)
+
+    calls = record(testspace.TestSpace, "_intersections")
+    record(testspace, "_submasks")
+    raises_before_work(call, "complement buckets", bound, calls)
+    assert call(bound) == call(None)
+    calls.clear()
+    verdict = call(None)
+    submasks = [args for args in calls if not isinstance(args[0], testspace.TestSpace)]
+    assert len(calls) - len(submasks) == 1
+    assert len(submasks) == (0 if verdict else 1)
+    if not verdict:
+        [(test,)] = submasks
+        assert verdict.witness[0] <= mask_event(test)
+    assert bool(verdict) == (index < 2)
 
 
 # -- build_logic ---------------------------------------------------------------------------
@@ -279,9 +327,10 @@ def test_event_strings(n, depth, bound, record):
     def call(cap):
         return validate_g_algebra(cm.model, checked, sequential, depth, cap)
 
-    calls = record(SequentialProduct, "prod_string")
+    calls = record(SequentialProduct, "products")
     raises_before_work(call, "event strings", bound, calls)
     got, want = call(bound), call(None)
+    assert bool(calls) == (depth > 1)  # a word of one entry needs no product
     assert (got.strings_checked, got.strings_skipped, got.commutative) == (
         want.strings_checked,
         want.strings_skipped,
@@ -371,7 +420,7 @@ def test_deep_event_strings_stop_at_the_cap(record):
     cm = classical_model(2)
     checked = validate_coherence(cm.model, cm.sigma)
     sequential = validate_sequential(cm.model, cm.product)
-    calls = record(SequentialProduct, "prod_string")
+    calls = record(SequentialProduct, "products")
     small_bound_over_cap(
         lambda: validate_g_algebra(cm.model, checked, sequential, 20000), "event strings"
     )

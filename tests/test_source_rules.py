@@ -22,6 +22,12 @@ the trusted ``TestSpace.__init__`` raises nothing and calls neither
 
 It decides without sampling: no module imports ``random``, so no verdict
 rests on seeded draws.
+
+It keeps each rule in few places: only ``compounding.py`` compares against the
+rules for undefined sequential products, and inside it ``undefined_means`` is
+read only by ``SequentialProduct.products`` and ``validate_sequential``.  Only
+``build_logic`` and ``classify_projectivity`` build the complement index;
+``regular`` and ``algebraic`` check one bucket per intersection of two tests.
 """
 
 import ast
@@ -315,11 +321,25 @@ TRUSTED_CONSTRUCTOR = "TestSpace.__init__"
 NOT_IN_CONSTRUCTOR = ("_is_antichain", "mask_event")
 
 
+def scoped_nodes(source, filename="<string>"):
+    """(node, enclosing qualified name) for every node below the module's classes
+    and functions, which the qualified name joins with dots (None at top level)."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            yield child, scope
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source, filename=filename), None)
+
+
 def raises_and_calls(source, filename="<string>"):
     """(line, "raise" or "call", name, enclosing qualified name) of every raise and call.
 
-    A raise is named by the exception it builds (None for a bare ``raise``);
-    the qualified name joins the enclosing classes and functions with dots.
+    A raise is named by the exception it builds (None for a bare ``raise``).
     """
     found = []
 
@@ -328,19 +348,12 @@ def raises_and_calls(source, filename="<string>"):
             node = node.func
         return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Raise):
-                exc = name_of(child.exc) if child.exc is not None else None
-                found.append((child.lineno, "raise", exc, scope))
-            elif isinstance(child, ast.Call):
-                found.append((child.lineno, "call", name_of(child), scope))
-            visit(child, scope)
-
-    visit(ast.parse(source, filename=filename), None)
+    for node, scope in scoped_nodes(source, filename):
+        if isinstance(node, ast.Raise):
+            exc = name_of(node.exc) if node.exc is not None else None
+            found.append((node.lineno, "raise", exc, scope))
+        elif isinstance(node, ast.Call):
+            found.append((node.lineno, "call", name_of(node), scope))
     return sorted(found, key=lambda hit: (hit[0], hit[1]))
 
 
@@ -380,6 +393,25 @@ def test_test_spaces_are_validated_one_way():
     assert validators == {"build_test_space"}
 
 
+# -- the complement index ----------------------------------------------------------
+
+# the two readers of every event's complements; ``regular`` and ``algebraic``
+# check one bucket per intersection of two tests (lemmas 3-5 of ``testspace``)
+COMPLEMENT_INDEX_CALLERS = {("coarsening.py", "classify_projectivity"), ("logic.py", "build_logic")}
+
+
+def test_bucket_predicates_do_not_build_the_complement_index():
+    callers, testspace_scopes = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for _, kind, name, scope in raises_and_calls(path.read_text(encoding="utf-8")):
+            if path.name == "testspace.py":
+                testspace_scopes.add(scope)
+            if kind == "call" and name == "_complement_index":
+                callers.add((path.name, scope))
+    assert {"TestSpace.regular", "TestSpace.algebraic"} <= testspace_scopes
+    assert callers == COMPLEMENT_INDEX_CALLERS
+
+
 # -- undefined sequential products ----------------------------------------------------
 
 UNDEFINED_RULE_NAMES = {"IMPOSSIBLE", "OUT_OF_WINDOW", "undefined_means"}
@@ -391,20 +423,21 @@ UNDEFINED_RULE_READERS = {
 
 
 def undefined_rule_comparisons(source, filename="<string>"):
-    """(line, left operand, name) of every comparison that involves a rule name.
+    """(line, left operand, name, enclosing qualified name) of every comparison
+    that involves a rule name.
 
     A rule name is ``IMPOSSIBLE``, ``OUT_OF_WINDOW`` or ``undefined_means``, as a
     name or an attribute, anywhere among the operands.
     """
     found = []
-    for node in ast.walk(ast.parse(source, filename=filename)):
+    for node, scope in scoped_nodes(source, filename):
         if not isinstance(node, ast.Compare):
             continue
         for operand in [node.left, *node.comparators]:
             for sub in ast.walk(operand):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
                 if name in UNDEFINED_RULE_NAMES:
-                    found.append((node.lineno, ast.unparse(node.left), name))
+                    found.append((node.lineno, ast.unparse(node.left), name, scope))
     return sorted(found)
 
 
@@ -417,12 +450,12 @@ def test_scanner_flags_undefined_rule_comparisons():
         "    return semantics not in (IMPOSSIBLE, OUT_OF_WINDOW), kind is IMPOSSIBLE\n"
     )
     assert undefined_rule_comparisons(source) == [
-        (2, "prod.undefined_means", "IMPOSSIBLE"),
-        (2, "prod.undefined_means", "undefined_means"),
-        (3, "kind", "OUT_OF_WINDOW"),
-        (4, "kind", "IMPOSSIBLE"),
-        (4, "semantics", "IMPOSSIBLE"),
-        (4, "semantics", "OUT_OF_WINDOW"),
+        (2, "prod.undefined_means", "IMPOSSIBLE", "f"),
+        (2, "prod.undefined_means", "undefined_means", "f"),
+        (3, "kind", "OUT_OF_WINDOW", "f"),
+        (4, "kind", "IMPOSSIBLE", "f"),
+        (4, "semantics", "IMPOSSIBLE", "f"),
+        (4, "semantics", "OUT_OF_WINDOW", "f"),
     ]
 
 
@@ -432,6 +465,18 @@ def test_undefined_products_are_read_in_compounding_only():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name != "compounding.py":
-            for _, left, name in undefined_rule_comparisons(path.read_text(encoding="utf-8")):
+            for _, left, name, _ in undefined_rule_comparisons(path.read_text(encoding="utf-8")):
                 found.add((path.name, left, name))
     assert found == UNDEFINED_RULE_READERS
+
+
+# inside compounding.py: the product's own rule, and the rule for whole strings
+# in ``validate_sequential``'s evaluation block
+UNDEFINED_MEANS_READERS = {"SequentialProduct.products", "validate_sequential"}
+
+
+def test_undefined_means_is_read_in_two_places():
+    source = (SRC / "compounding.py").read_text(encoding="utf-8")
+    scopes = {scope for _, _, name, scope in undefined_rule_comparisons(source)
+              if name == "undefined_means"}
+    assert scopes == UNDEFINED_MEANS_READERS

@@ -6,7 +6,11 @@ E^2 - 1 and E^2 (the coherence pair bound, E the number of events) and
 sum(2^|t|) - 1 (the complement-index bound).  ``events_list`` is compared at
 E - 1, E and 2^max|t| - 1.  Inputs are the whole corpus, the depth-2
 compounds and forward squares of the corpus whose oracle run stays under
-the work budgets below, and random small spaces.  ``_is_antichain`` must
+the work budgets below, and random small spaces.  ``regular`` and
+``algebraic`` decide one complement bucket per intersection of two tests,
+so they are also compared on stars (every test meets every other in one
+outcome), on depth-2 compounds whose first failing bucket is the empty one,
+and on the heavier compounds and squares up to ``BUILD_CAP``.  ``_is_antichain`` must
 return the oracle's (small, large) pair on test families, their traces on
 outcome subsets, and random set families.  ``is_support`` must agree with
 the perspectivity criterion of the oracles.  ``is_event``, ``complements``,
@@ -101,15 +105,19 @@ def test_corpus_space_matches_oracle(index):
 
 
 @lru_cache(maxsize=None)
-def constructed_spaces():
-    """Depth-2 compounds and forward squares of the corpus within the index budget."""
+def built_spaces():
+    """Depth-2 compounds and forward squares of the corpus, with their index bounds."""
     out = []
     for model in corpus_models(6, 3):
         for built in (truncated_compound(model, 2, BUILD_CAP), forward_product(model, model, BUILD_CAP)):
             space = built.model.space
-            if sum(2 ** len(t) for t in space.tests) <= INDEX_BUDGET:
-                out.append(space)
+            out.append((space, sum(2 ** len(t) for t in space.tests)))
     return out
+
+
+def constructed_spaces():
+    """The built spaces within the index budget."""
+    return [space for space, index in built_spaces() if index <= INDEX_BUDGET]
 
 
 def test_constructed_spaces_match_oracle():
@@ -135,6 +143,60 @@ def test_constructed_spaces_any_cap(data):
     top = n_events**2 if name == "coherent" else index
     cap = data.draw(st.integers(min_value=0, max_value=top + 2))
     assert_agrees(space, name, (cap,))
+
+
+def test_heavier_constructed_spaces_match_oracle():
+    """``regular`` and ``algebraic`` on the built spaces over the index budget
+    and within ``BUILD_CAP``, at caps index - 1 and index."""
+    heavy = [(s, index) for s, index in built_spaces() if INDEX_BUDGET < index <= BUILD_CAP]
+    for space, index in heavy:
+        for name in ("regular", "algebraic"):
+            assert_agrees(space, name, (index - 1, index))
+    assert len(heavy) >= 20
+
+
+def star_space(arms, width, chord):
+    """Tests {c} ∪ arm over disjoint arms of ``width`` outcomes; with ``chord``
+    one more test joins the first outcomes of the first two arms."""
+    tests = [["c"] + [f"x{i}.{j}" for j in range(width)] for i in range(arms)]
+    if chord:
+        tests.append(["x0.0", "x1.0"])
+    return testspace.build_test_space(tests)
+
+
+@pytest.mark.parametrize("chord", [False, True])
+@pytest.mark.parametrize("arms, width", [(2, 1), (3, 2), (60, 3), (200, 1)])
+def test_star_matches_oracle(arms, width, chord):
+    """One intersection holds every test: regular and algebraic without a
+    chord, neither with one."""
+    space = star_space(arms, width, chord)
+    check_space(space, ("regular", "algebraic"))
+    assert bool(space.regular()) == bool(space.algebraic()) == (not chord)
+
+
+def test_third_event_of_a_bucket_matches_oracle():
+    """Tests {a, d}, {b, d}, {d, e}, {c, e}: the bucket of {d} holds {a}, {b}
+    and {e}, and only the third has another orthocomplement."""
+    space = testspace.build_test_space([["a", "d"], ["b", "d"], ["d", "e"], ["c", "e"]])
+    check_space(space)
+    assert space.regular().witness == (frozenset({0}), frozenset({4}))
+
+
+def test_empty_bucket_witness_matches_oracle():
+    """A depth-2 compound's unit test is disjoint from every other test, so its
+    first failing bucket can be the empty one: regular's witness is two tests."""
+    found = 0
+    for space, index in built_spaces():
+        if index > BUILD_CAP:
+            continue
+        witness = space.regular(index).witness
+        if witness and all(e in space.test_set for e in witness):
+            assert_agrees(space, "regular", (index - 1, index))
+            found += 1
+    assert found >= 6
+    model = list(corpus_models(6, 3))[7]
+    space = truncated_compound(model, 2, BUILD_CAP).model.space
+    assert space.regular().witness == (frozenset({0}), frozenset({1, 2}))
 
 
 @st.composite
