@@ -9,8 +9,9 @@ compounds and forward squares of the corpus whose oracle run stays under
 the work budgets below, and random small spaces.  ``regular`` and
 ``algebraic`` decide one complement bucket per intersection of two tests,
 so they are also compared on stars (every test meets every other in one
-outcome), on depth-2 compounds whose first failing bucket is the empty one,
-and on the heavier compounds and squares up to ``BUILD_CAP``.  ``_is_antichain`` must
+outcome), on a bucket whose third event is the first to differ, on depth-2
+compounds whose first failing bucket is the empty one, and on the heavier
+compounds and squares up to ``BUILD_CAP``.  ``_is_antichain`` must
 return the oracle's (small, large) pair on test families, their traces on
 outcome subsets, and random set families.  ``is_support`` must agree with
 the perspectivity criterion of the oracles.  ``is_event``, ``complements``,
