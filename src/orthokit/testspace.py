@@ -328,6 +328,7 @@ class TestSpace:
         return [self._test_masks[i] ^ a for i in _ids(self._tests_holding(a))]
 
     def _complement_set(self, a: int) -> frozenset[int]:
+        """The complements of an event mask, as a set of masks."""
         return frozenset(self._complement_masks(a))
 
     def perspective(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:

@@ -165,7 +165,7 @@ def test_complement_buckets(name, index, record):
         return getattr(testspace.TestSpace(space.labels, space._test_masks), name)(cap)
 
     calls = record(testspace.TestSpace, "_intersections")
-    record(testspace, "_submasks")
+    record(testspace, "_submasks")  # appends to the same list
     raises_before_work(call, "complement buckets", bound, calls)
     assert call(bound) == call(None)
     calls.clear()
