@@ -339,8 +339,8 @@ def classify_projectivity(
     projective = bool(space.projective())
     algebraic = bool(space.algebraic(cap))
     constant = True
-    for evs in space._complement_index(cap)[0].values():
-        vals = {checked.table[mask_event(a)] for a in evs if a}
+    for c in space._checked_event_masks(cap):  # the bucket of c: the events it complements
+        vals = {checked.table[mask_event(a)] for a in space._complement_masks(c) if a}
         if len(vals) > 1:
             constant = False
             break

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .errors import CapCounter, LawViolation, NotAlgebraic, UsageError, check_cap
+from .errors import CapCounter, LawViolation, NotAlgebraic, UnknownLabel, UsageError, check_cap
 from .states import Model
-from .testspace import PredicateResult, TestSpace, build_test_space, mask_event, mask_key
+from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event, mask_key
 
 if TYPE_CHECKING:
     from .morphisms import Morphism
@@ -185,36 +185,31 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
             f"not algebraic: {space.labels_of(a)} ~ {space.labels_of(b)} oc "
             f"{space.labels_of(c)} but the transfer fails"
         )
-    # Classes are fibers of the complement-set map (valid because algebraic),
-    # read off the complement index, which holds every event.
-    _, comps = space._complement_index(cap)
+    # Every split of a test into two disjoint events: checked before any event's
+    # class is built.  The event caps cannot trip, since 2^max|t| <= E <=
+    # sum 2^|t|, which algebraic has checked.
+    check_cap("logic sum table", sum(3 ** m.bit_count() for m in space._test_masks), cap)
+    # Classes are fibers of the complement-set map (valid because algebraic).
     key_to_class: dict[frozenset, int] = {}
     reps: list[frozenset] = []
-    class_of: dict[frozenset, int] = {}
-    for m in sorted(comps, key=mask_key):
-        key = frozenset(comps[m])
-        cls = key_to_class.get(key)
-        a = mask_event(m)
-        if cls is None:
-            cls = len(reps)
-            key_to_class[key] = cls
-            reps.append(a)  # the least event of its class, in this order
-        class_of[a] = cls
-    zero = class_of[frozenset()]
-    one = class_of[space.tests[0]]
+    mask_class: dict[int, int] = {}
+    for m in sorted(space._checked_event_masks(cap), key=mask_key):
+        cls = key_to_class.setdefault(space._complement_set(m), len(reps))
+        if cls == len(reps):
+            reps.append(mask_event(m))  # the least event of its class, in this order
+        mask_class[m] = cls
     # Partial sum: enumerate ordered disjoint event pairs inside each test.
     # Every orthogonal pair appears under the test containing its union, so
     # recording sums this way both builds the table and verifies that the sum
     # depends only on the classes.
-    check_cap("logic sum table", sum(3 ** len(t) for t in space.tests), cap)
     oplus: dict[tuple[int, int], int] = {}
-    for t in space.tests:
-        members = sorted(t)
-        for split in product((0, 1, 2), repeat=len(members)):
-            a = frozenset(x for x, side in zip(members, split) if side == 1)
-            b = frozenset(x for x, side in zip(members, split) if side == 2)
-            pq = (class_of[a], class_of[b])
-            s = class_of[a | b]
+    for t in space._test_masks:
+        bits = [1 << x for x in _ids(t)]
+        for split in product((0, 1, 2), repeat=len(bits)):
+            a = sum(bit for bit, side in zip(bits, split) if side == 1)
+            b = sum(bit for bit, side in zip(bits, split) if side == 2)
+            pq = (mask_class[a], mask_class[b])
+            s = mask_class[a | b]
             prior = oplus.get(pq)
             if prior is None:
                 oplus[pq] = s
@@ -222,6 +217,9 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
                 raise LawViolation(
                     f"sum of classes {pq} is ambiguous: {prior} vs {s}"
                 )
+    class_of = {mask_event(m): cls for m, cls in mask_class.items()}
+    zero = mask_class[0]
+    one = mask_class[space._test_masks[0]]
     labels = ["[" + ",".join(space.labels_of(r)) + "]" for r in reps]
     algebra = Orthoalgebra(reps, class_of, oplus, zero, one, labels=labels)
     return algebra
@@ -240,13 +238,12 @@ def atomic_outcomes(space: TestSpace) -> list[int]:
 
 
 def outcome_is_atomic(space: TestSpace, x: int) -> bool:
-    singleton = frozenset([x])
-    for c in space.complements(singleton):
-        for t in space.tests:
-            if c <= t and len(t - c) != 1:
-                # t - c is an event complementary to c, hence perspective to {x}.
-                return False
-    return True
+    """Every event perspective to {x} is a singleton: each complement of each
+    complement of {x}."""
+    m = space._mask_of([x])
+    if m is None:
+        raise UnknownLabel(f"{x!r} is not an outcome id")
+    return all(r.bit_count() == 1 for c in space._complement_masks(m) for r in space._complement_masks(c))
 
 
 def is_totally_nonatomic(space: TestSpace) -> bool:

@@ -46,7 +46,6 @@ order finds the witness of the full pass.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -161,7 +160,6 @@ class TestSpace:
         "_events_cache",
         "_event_masks",
         "_perp_masks",
-        "_comp_index",
     )
 
     def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
@@ -178,7 +176,6 @@ class TestSpace:
         self._events_cache: list[frozenset] | None = None
         self._event_masks: list[int] | None = None
         self._perp_masks: dict[int, int] = {}
-        self._comp_index: tuple[dict[int, list[int]], dict[int, set[int]]] | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -363,26 +360,6 @@ class TestSpace:
                 got &= orth[x]
             self._perp_masks[a] = got
         return got
-
-    def _complement_index(
-        self, cap: int | None = None
-    ) -> tuple[dict[int, list[int]], dict[int, set[int]]]:
-        """Complement mask -> event masks it complements, and event mask -> its complements.
-
-        Built by one submask pass per test and cached, for the logic and the
-        projectivity classification.  Buckets and their members appear in
-        event enumeration order.  The cap bounds the pass length, sum of 2^|t|.
-        """
-        check_cap("complement buckets", sum(1 << m.bit_count() for m in self._test_masks), cap)
-        if self._comp_index is None:
-            buckets: dict[int, list[int]] = defaultdict(list)
-            comps: dict[int, set[int]] = defaultdict(set)
-            for test in self._test_masks:
-                for a in _submasks(test):
-                    buckets[test ^ a].append(a)
-                    comps[a].add(test ^ a)
-            self._comp_index = (buckets, comps)
-        return self._comp_index
 
     # -- structural predicates ----------------------------------------------------
 

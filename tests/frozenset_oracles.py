@@ -2,8 +2,9 @@
 
 These are the straightforward event-by-event versions of ``events``,
 ``is_event``, ``complements``, ``perspective``, ``orthocomplement``, the
-complement buckets, ``algebraic``, ``regular`` and ``coherent``, and the
-pairwise antichain scan.  The library decides the same questions on integer
+complement buckets, ``algebraic``, ``regular`` and ``coherent``, the
+pairwise antichain scan, and the classes, sum table and atomic outcomes of
+the logic.  The library decides the same questions on integer
 bitmasks; the oracle tests require both to agree on verdict, witness and
 whether the cap is exceeded.  ``support_by_perspectivity`` is a second
 criterion for ``TestSpace.is_support``, which decides supports by traces.
@@ -12,7 +13,7 @@ criterion for ``TestSpace.is_support``, which decides supports by traces.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from orthokit.errors import CapCounter
 from orthokit.testspace import PredicateResult, event_key
@@ -162,4 +163,39 @@ def support_by_perspectivity(space, s, buckets=None):
         hit = [bool(a & s) for a in evs]
         if any(hit) and not all(hit):
             return False
+    return True
+
+
+def logic(space):
+    """(reps, class_of, oplus) of the logic of an algebraic space.
+
+    Events in ``event_key`` order fall into classes keyed by their complement
+    sets, each represented by its first event; ``oplus`` records each split of
+    each test, in test order, into two disjoint events.  Raises ``ValueError``
+    when a sum of classes is ambiguous.
+    """
+    key_to_class, reps, class_of = {}, [], {}
+    for a in sorted(events(space, 10**12), key=event_key):
+        cls = key_to_class.setdefault(frozenset(complements(space, a)), len(reps))
+        if cls == len(reps):
+            reps.append(a)
+        class_of[a] = cls
+    oplus = {}
+    for t in space.tests:
+        members = sorted(t)
+        for split in product((0, 1, 2), repeat=len(members)):
+            a = frozenset(x for x, side in zip(members, split) if side == 1)
+            b = frozenset(x for x, side in zip(members, split) if side == 2)
+            s = oplus.setdefault((class_of[a], class_of[b]), class_of[a | b])
+            if s != class_of[a | b]:
+                raise ValueError(f"sum of classes {class_of[a]}, {class_of[b]} is ambiguous")
+    return reps, class_of, oplus
+
+
+def outcome_is_atomic(space, x):
+    """No test holding a complement c of {x} leaves more than one outcome outside c."""
+    for c in complements(space, {x}):
+        for t in space.tests:
+            if c <= t and len(t - c) != 1:
+                return False
     return True

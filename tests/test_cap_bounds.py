@@ -189,10 +189,17 @@ def algebraic_spaces():
 
 
 @pytest.mark.parametrize("index", range(len(algebraic_spaces())))
-def test_logic_sum_table(index, monkeypatch):
-    """Each test's members split three ways (left, right, neither): sum of 3^|t|."""
+def test_logic_sum_table(index, monkeypatch, record):
+    """Each test's members split three ways (left, right, neither): sum of 3^|t|.
+
+    The bound is checked before any event's class is built, so at cap B - 1
+    the only complement sets read are those of the ``algebraic`` verdict."""
     space = algebraic_spaces()[index]
     bound = sum(3 ** len(t) for t in space.tests)
+    comps = record(testspace.TestSpace, "_complement_set")
+    space.algebraic(bound - 1)
+    verdict_comps = list(comps)
+    comps.clear()
     splits = []
     product = logic.product
 
@@ -204,6 +211,7 @@ def test_logic_sum_table(index, monkeypatch):
 
     monkeypatch.setattr(logic, "product", counting)
     raises_before_work(lambda cap: build_logic(space, cap), "logic sum table", bound, splits)
+    assert comps == verdict_comps
     got, want = build_logic(space, bound), build_logic(space)
     assert (got.reps, got.oplus) == (want.reps, want.oplus)
     splits.clear()

@@ -1,9 +1,13 @@
 """Orthoalgebra logics: quotient construction, order, classification, round trips."""
 
+from functools import lru_cache
+
 import pytest
 
-from orthokit.errors import LawViolation, NotAlgebraic
-from orthokit.corpus import enumerate_test_spaces, named
+import frozenset_oracles as oracle
+from orthokit.compounding import forward_product
+from orthokit.errors import LawViolation, NotAlgebraic, UnknownLabel
+from orthokit.corpus import corpus_models, enumerate_test_spaces, named
 from orthokit.logic import (
     Orthoalgebra,
     atomic_outcomes,
@@ -136,6 +140,11 @@ class TestAtoms:
         s = build_test_space([["a", "b"]])
         assert atomic_outcomes(s) == [0, 1]
 
+    @pytest.mark.parametrize("x", [99, -1, "q"])
+    def test_ids_that_are_not_outcomes_refused(self, x):
+        with pytest.raises(UnknownLabel):
+            outcome_is_atomic(named("wright").space, x)
+
     def test_loop_outcome_not_atomic(self):
         m = named("wright")
         assert not outcome_is_atomic(m.space, m.space.outcome("q"))
@@ -234,3 +243,52 @@ def test_order_map_into_closure_lattice():
                     ca = space.orthocomplement(space.orthocomplement(a))
                     cb = space.orthocomplement(space.orthocomplement(b))
                     assert ca <= cb
+
+
+# -- the frozenset oracle ----------------------------------------------------------
+
+# Forward squares of the corpus whose sum table (sum of 3^|t|) is at most this;
+# the 17 such squares build their logics in about 3 s, most of it law validation.
+SQUARE_BUDGET = 30_000
+# Algebraic but not regular, so some perspective events have different
+# orthocomplements: classes keyed by orthocomplement would split them.
+# None of the other inputs is such a space.
+NOT_REGULAR = (
+    [["0", "1", "2", "4"], ["0", "1", "5", "6"], ["0", "3", "6"], ["2", "5", "7"]],
+    [["0", "3", "6"], ["0", "4", "5"], ["1", "3", "4"], ["2", "5", "6"], ["6", "7"]],
+)
+
+
+@lru_cache(maxsize=None)
+def oracle_spaces():
+    """The corpus, the (5, 2) enumeration, the corpus forward squares within
+    budget and the spaces of ``NOT_REGULAR``."""
+    squares = [forward_product(m, m, 100_000).model.space for m in corpus_models()]
+    return [
+        *(m.space for m in corpus_models()),
+        *enumerate_test_spaces(5, 2),
+        *(s for s in squares if sum(3 ** len(t) for t in s.tests) <= SQUARE_BUDGET),
+        *map(build_test_space, NOT_REGULAR),
+    ]
+
+
+def test_logics_match_oracle():
+    """Classes, representatives and sums, each in order, as the frozenset oracle."""
+    built = 0
+    for space in oracle_spaces():
+        if not space.algebraic():
+            continue
+        got = build_logic(space)
+        reps, class_of, oplus = oracle.logic(space)
+        assert got.reps == tuple(reps), repr(space)
+        assert list(got.class_of.items()) == list(class_of.items()), repr(space)
+        assert list(got.oplus.items()) == list(oplus.items()), repr(space)
+        built += 1
+    assert built == 99
+    assert not any(s.regular() for s in oracle_spaces()[-len(NOT_REGULAR):])
+
+
+def test_atomic_outcomes_match_oracle():
+    for space in oracle_spaces():
+        want = [x for x in range(space.n_outcomes) if oracle.outcome_is_atomic(space, x)]
+        assert atomic_outcomes(space) == want, repr(space)

@@ -25,9 +25,7 @@ rests on seeded draws.
 
 It keeps each rule in few places: only ``compounding.py`` compares against the
 rules for undefined sequential products, and inside it ``undefined_means`` is
-read only by ``SequentialProduct.products`` and ``validate_sequential``.  Only
-``build_logic`` and ``classify_projectivity`` build the complement index;
-``regular`` and ``algebraic`` check one bucket per intersection of two tests.
+read only by ``SequentialProduct.products`` and ``validate_sequential``.
 """
 
 import ast
@@ -391,25 +389,6 @@ def test_test_spaces_are_validated_one_way():
     validators = {scope for _, kind, name, scope in hits
                   if kind == "raise" and name in VALIDATION_ERRORS}
     assert validators == {"build_test_space"}
-
-
-# -- the complement index ----------------------------------------------------------
-
-# the two readers of every event's complements; ``regular`` and ``algebraic``
-# check one bucket per intersection of two tests (lemmas 3-5 of ``testspace``)
-COMPLEMENT_INDEX_CALLERS = {("coarsening.py", "classify_projectivity"), ("logic.py", "build_logic")}
-
-
-def test_bucket_predicates_do_not_build_the_complement_index():
-    callers, testspace_scopes = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        for _, kind, name, scope in raises_and_calls(path.read_text(encoding="utf-8")):
-            if path.name == "testspace.py":
-                testspace_scopes.add(scope)
-            if kind == "call" and name == "_complement_index":
-                callers.add((path.name, scope))
-    assert {"TestSpace.regular", "TestSpace.algebraic"} <= testspace_scopes
-    assert callers == COMPLEMENT_INDEX_CALLERS
 
 
 # -- undefined sequential products ----------------------------------------------------

@@ -233,7 +233,7 @@ class TestPredicates:
 
     def test_bounds_fail_before_enumeration(self):
         # 10 events: the coherence scan needs 100 pairs, the complement
-        # index 2^3 + 2^2 = 12 subsets
+        # buckets 2^3 + 2^2 = 12 subsets
         wright = build_test_space([["x", "y", "z"], ["q", "z"]])
         with pytest.raises(EnumerationCapExceeded) as err:
             wright.coherent(cap=99)
@@ -247,7 +247,6 @@ class TestPredicates:
             with pytest.raises(EnumerationCapExceeded) as err:
                 getattr(wright, name)(cap=11)
             assert (err.value.what, err.value.bound) == ("complement buckets", 12)
-        assert wright._comp_index is None
         assert wright.algebraic(cap=12) and wright.regular(cap=12)
 
     def test_coherent_regular_iff_algebraic_on_corpus(self):

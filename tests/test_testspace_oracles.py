@@ -3,7 +3,7 @@
 For every input the two sides must give the same verdict, the same witness
 and the same raise-or-not at the caps that sit on each side of the bounds:
 E^2 - 1 and E^2 (the coherence pair bound, E the number of events) and
-sum(2^|t|) - 1 (the complement-index bound).  ``events_list`` is compared at
+sum(2^|t|) - 1 (the complement-bucket bound).  ``events_list`` is compared at
 E - 1, E and 2^max|t| - 1.  Inputs are the whole corpus, the depth-2
 compounds and forward squares of the corpus whose oracle run stays under
 the work budgets below, and random small spaces.  ``regular`` and
@@ -35,7 +35,7 @@ from orthokit import testspace
 
 PREDICATES = ("algebraic", "regular", "coherent")
 # Work budgets for the frozenset oracles on constructed spaces: the
-# complement-index pass (sum of 2^|t|) and the coherence pair scan (E^2).
+# complement-bucket pass (sum of 2^|t|) and the coherence pair scan (E^2).
 INDEX_BUDGET = 20_000
 PAIR_BUDGET = 1_000_000
 BUILD_CAP = 100_000
