@@ -193,7 +193,7 @@ def logic(space):
 
 
 def outcome_is_atomic(space, x):
-    """No test holding a complement c of {x} leaves more than one outcome outside c."""
+    """Every test holding a complement c of {x} leaves exactly one outcome outside c."""
     for c in complements(space, {x}):
         for t in space.tests:
             if c <= t and len(t - c) != 1:
