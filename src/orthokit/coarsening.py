@@ -24,7 +24,7 @@ from .errors import (
     check_cap,
 )
 from .logic import Orthoalgebra, OrthoMap, build_logic
-from .morphisms import Morphism, validate_morphism
+from .morphisms import Morphism, _image_mask, validate_morphism
 from .states import Model, StateSpace, Weight
 from .testspace import PredicateResult, TestSpace, _ids, mask_event, mask_key
 
@@ -54,13 +54,13 @@ def _bell_numbers(n: int) -> list[int]:
 class Coarsening:
     """A coarsened model plus the interning between outcomes and base events.
 
-    Outcome i is the base event ``outcome_event[i]``, whose mask (bit x for
-    base outcome x) is ``outcome_mask[i]``; ``mask_outcome`` inverts the masks.
+    Events are masks (bit x for base outcome x) and nothing else: outcome i
+    is the base event whose mask is ``outcome_mask[i]``, and ``mask_outcome``
+    inverts the masks.  ``to_event`` is the frozenset view of one outcome.
     """
 
     base: Model
     model: Model
-    outcome_event: tuple[frozenset, ...]
     outcome_mask: tuple[int, ...]
     mask_outcome: Mapping[int, int]
 
@@ -71,9 +71,9 @@ class Coarsening:
         return self.mask_outcome[m]
 
     def to_event(self, outcome: int) -> frozenset:
-        if not 0 <= outcome < len(self.outcome_event):
+        if not 0 <= outcome < len(self.outcome_mask):
             raise _not_an_id(outcome)
-        return self.outcome_event[outcome]
+        return mask_event(self.outcome_mask[outcome])
 
     def collapse(self, outcomes: Iterable[int]) -> int:
         """The monad multiplication: the outcome whose event is the union of theirs."""
@@ -86,6 +86,10 @@ class Coarsening:
                 m |= masks[i]
             except IndexError:
                 raise _not_an_id(i) from None
+        return self._outcome_of(m)
+
+    def _outcome_of(self, m: int) -> int:
+        """The outcome whose event has mask ``m``."""
         try:
             return self.mask_outcome[m]
         except KeyError:
@@ -115,13 +119,13 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
         for blocks in set_partitions([1 << x for x in _ids(t)]):
             tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
     coarse_space = TestSpace(labels, tests)
-    events = tuple(map(frozenset, members))
     if model.states.is_full:
         states = StateSpace.full()
-    else:
+    else:  # float weights add in frozenset order, which fixes the bits documents print
+        events = list(map(frozenset, members))
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
-    return Coarsening(model, coarse_model, events, tuple(masks), mask_outcome)
+    return Coarsening(model, coarse_model, tuple(masks), mask_outcome)
 
 
 def functor_sharp(
@@ -133,7 +137,7 @@ def functor_sharp(
     """Lift a morphism to the coarsenings by direct image of events."""
     sc = source_coarse if source_coarse is not None else coarsen(phi.source, cap)
     tc = target_coarse if target_coarse is not None else coarsen(phi.target, cap)
-    mapping = tuple(tc.to_coarse(phi.image(ev)) for ev in sc.outcome_event)
+    mapping = tuple(tc._outcome_of(_image_mask(phi.mapping, m)) for m in sc.outcome_mask)
     return validate_morphism(sc.model, tc.model, mapping, cap)
 
 
@@ -153,11 +157,15 @@ def mult_mu(
     """Union collapse of the double coarsening onto the single one."""
     if double.base is not coarse.model:
         raise UsageError("second argument must be the coarsening of the first's model")
-    mapping = tuple(coarse.collapse(ev) for ev in double.outcome_event)
-    mu = validate_morphism(double.model, coarse.model, mapping, cap)
+    mu = validate_morphism(double.model, coarse.model, _union_collapse(coarse, double), cap)
     if not mu.test_preserving:
         raise LawViolation("the union collapse must be test-preserving")
     return mu
+
+
+def _union_collapse(coarse: Coarsening, double: Coarsening) -> tuple[int, ...]:
+    """mu on outcome ids: each outcome of the double coarsening to its union."""
+    return tuple(coarse.collapse(_ids(d)) for d in double.outcome_mask)
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,7 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     tests = double.model.space._test_masks
     bound = sum((1 << t.bit_count()) - 1 for t in tests)
     check_cap("triple-coarsening outcomes", bound, cap)
-    mu = [coarse.collapse(_ids(d)) for d in double.outcome_mask]
+    mu = _union_collapse(coarse, double)
     cmask, cmo = coarse.outcome_mask, coarse.mask_outcome
     dmask, dmo = double.outcome_mask, double.mask_outcome
     for t in tests:
@@ -197,14 +205,14 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
                     raise LawViolation(f"associativity square fails at {failed}")
         except KeyError as exc:  # a union that is not an event
             raise UsageError(f"{_ids(exc.args[0])} is not a nonempty event of the base") from None
-    for i, ev in enumerate(coarse.outcome_event):
+    for i, m in enumerate(cmask):
         # mu after sharp(eta): split into singletons, then union.
-        if coarse.collapse(coarse.mask_outcome[1 << x] for x in ev) != i:
+        if coarse.collapse(cmo[1 << x] for x in _ids(m)) != i:
             raise LawViolation("left unit triangle fails")
         # mu after eta of the coarsening: wrap as one block, then union.
-        if coarse.to_coarse(frozenset(ev)) != i:
+        if coarse._outcome_of(m) != i:
             raise LawViolation("right unit triangle fails")
-    return MonadLawReport(bound, len(coarse.outcome_event))
+    return MonadLawReport(bound, len(cmask))
 
 
 # -- coherences and cohesions ---------------------------------------------------
@@ -254,29 +262,26 @@ def validate_coherence(
         sigma = CoherenceMap(sigma)
     coarse = coarse if coarse is not None else coarsen(model, cap)
     space = model.space
-    table = {ev: sigma(ev) for ev in coarse.outcome_event}
+    events = list(map(mask_event, coarse.outcome_mask))
+    image = tuple(map(sigma, events))  # coarse outcome -> its collapse in the model
     for x in range(space.n_outcomes):
-        if table[frozenset([x])] != x:
+        if image[coarse.mask_outcome[1 << x]] != x:
             raise NotCoherence(
                 f"singleton {space.labels[x]} is not fixed", witness=x
             )
     try:
-        phi = validate_morphism(
-            coarse.model, model, tuple(table[ev] for ev in coarse.outcome_event), cap
-        )
+        phi = validate_morphism(coarse.model, model, image, cap)
     except MorphismError as exc:
         raise NotCoherence(f"structure map is not a morphism: {exc}", witness=exc.witness)
     # Grouped refinement: collapsing a jointly orthogonal family member-wise
     # and then collapsing the result agrees with collapsing the union.
-    bound = sum((1 << len(t)) - 1 for t in coarse.model.space.tests)
-    check_cap("coherence families", bound, cap)
-    image = phi.mapping  # coarse outcome -> its collapse in the model
-    for t in coarse.model.space._test_masks:
+    tests = coarse.model.space._test_masks
+    check_cap("coherence families", sum((1 << t.bit_count()) - 1 for t in tests), cap)
+    for t in tests:
         fam = 0
         while fam := (fam - t) & t:  # the nonempty submasks of t, ascending
-            members = _ids(fam)
-            union = coarse.collapse(members)
-            inner = coarse.to_coarse([image[i] for i in members])
+            union = coarse.collapse(_ids(fam))
+            inner = coarse._outcome_of(_image_mask(image, fam))
             if image[union] != image[inner]:
                 raise NotCoherence(
                     "grouped refinement identity fails",
@@ -296,19 +301,21 @@ def validate_coherence(
                 )
             if space._axis(1 << x, sub) is None:
                 raise LawViolation("an event must be perspective to its collapse")
-    return CheckedCoherence(model, coarse, phi, table)
+    return CheckedCoherence(model, coarse, phi, dict(zip(events, image)))
 
 
 def is_cohesion(checked: CheckedCoherence, cap: int | None = None) -> PredicateResult:
     """Substitution the other way: an event may replace its collapse in any test."""
     space = checked.model.space
-    holding = space._holder_bits()
+    holding, tests = space._holder_bits(), space._test_masks
     check_cap("cohesion pairs", sum(holding[cx].bit_count() for cx in checked.table.values()), cap)
+    test_masks = set(tests)
     for ev, cx in checked.table.items():
+        e = space._mask_of(ev)  # None when ev holds an id that is not an outcome
         for i in _ids(holding[cx]):
-            t = space.tests[i]
-            if (t - {cx}) | ev not in space.test_set:
-                return PredicateResult(False, (t, ev))
+            t = tests[i]
+            if e is None or (t & ~(1 << cx)) | e not in test_masks:
+                return PredicateResult(False, (mask_event(t), ev))
     return PredicateResult(True)
 
 
@@ -386,12 +393,11 @@ def check_sharp_algebra_laws(checked: CheckedCoherence, cap: int | None = None) 
     number of points checked.
     """
     coarse, table = checked.coarse, checked.table
+    masks = coarse.model.space._checked_event_masks(cap)
+    image = [table[ev] for ev in map(mask_event, coarse.outcome_mask)]
     points = 0
-    for ev in coarse.model.space.events_list(cap):
-        if not ev:
-            continue
-        inner = frozenset(table[coarse.to_event(i)] for i in ev)
-        if table[coarse.to_event(coarse.collapse(ev))] != table[inner]:
+    for m in filter(None, masks):
+        if image[coarse.collapse(_ids(m))] != image[coarse.mask_outcome[_image_mask(image, m)]]:
             raise LawViolation("coarsening-algebra associativity fails")
         points += 1
     return points

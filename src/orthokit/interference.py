@@ -38,7 +38,7 @@ from .errors import (
 from .logic import build_logic
 from .morphisms import Morphism, validate_morphism
 from .states import Model, Weight
-from .testspace import PredicateResult, event_key
+from .testspace import PredicateResult, _ids, event_key, mask_event
 
 BaseString = tuple  # strings over base outcome ids
 
@@ -80,12 +80,11 @@ def check_distributive_diagrams(
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     coarse = coarsen(model, cap)
+    events = list(map(mask_event, coarse.outcome_mask))  # sorted by event_key
     double_outcomes = [
-        frozenset(coarse.to_event(i) for i in ev)
-        for ev in coarse.model.space.events_list(cap)
-        if ev
+        frozenset(events[i] for i in _ids(d))
+        for d in filter(None, coarse.model.space._checked_event_masks(cap))
     ]
-    events = coarse.outcome_event  # sorted by event_key
     n = model.space.n_outcomes
     # One point per word of each square and triangle; a word of length k has
     # 2^(k-1) splits (one for k = 0).
@@ -168,10 +167,10 @@ def distributive_ell(model: Model, depth: int, cap: int | None = None) -> Distri
     source = truncated_compound(coarse.model, depth, cap)
     compound = truncated_compound(model, depth, cap)
     target = coarsen(compound.model, cap)
+    events = list(map(mask_event, coarse.outcome_mask))
     mapping = []
     for s in source.strings:
-        events = [coarse.to_event(i) for i in s]
-        block = frozenset(compound.id_of(w) for w in concat_product(events))
+        block = frozenset(compound.id_of(w) for w in concat_product([events[i] for i in s]))
         mapping.append(target.to_coarse(block))
     phi = validate_morphism(source.model, target.model, tuple(mapping), cap)
     if not phi.embedding:
@@ -463,10 +462,10 @@ def coarse_setwise_product(
     if unit is None:
         raise UsageError("the base unit must be an outcome of the coarsening")
     table = {}
-    n = len(coarse.outcome_event)
-    for i in range(n):
-        for j in range(n):
-            ev = sp.event_product(coarse.to_event(i), coarse.to_event(j))
+    events = list(map(mask_event, coarse.outcome_mask))
+    for i, a in enumerate(events):
+        for j, b in enumerate(events):
+            ev = sp.event_product(a, b)
             if ev is None or not ev:
                 continue
             k = coarse.mask_outcome.get(space._mask_of(ev))

@@ -90,16 +90,17 @@ class Orthoalgebra:
         for (p, q), s in op.items():
             if op.get((q, p)) != s:
                 raise LawViolation("partial sum is not commutative")
-        # associativity in the orthoalgebra sense
+        # associativity in the orthoalgebra sense, over the r with s + r defined
+        partners: dict = {}
         for p in range(n):
             for q in range(n):
                 s = op.get((p, q))
                 if s is None:
                     continue
-                for r in range(n):
-                    sr = op.get((s, r))
-                    if sr is None:
-                        continue
+                if s not in partners:
+                    partners[s] = [r for r in range(n) if op.get((s, r)) is not None]
+                for r in partners[s]:
+                    sr = op[(s, r)]
                     qr = op.get((q, r))
                     if qr is None or op.get((p, qr)) != sr:
                         raise LawViolation(

@@ -11,6 +11,7 @@ full weight polytope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     UsageError,
 )
 from .states import GENERATORS, Model, Weight
+from .testspace import TestSpace, _ids, mask_event
 
 D_IMPLIED = "implied"  # full source: pullbacks are multiples of states by perspectivity
 D_EXACT = "exact"  # checked against generators or enumerated vertices
@@ -76,21 +78,26 @@ def validate_morphism(
     if callable(mapping):
         mapping = tuple(mapping(x) for x in range(src.n_outcomes))
     elif isinstance(mapping, dict):
-        mapping = tuple(mapping[x] for x in range(src.n_outcomes))
+        try:
+            mapping = tuple(mapping[x] for x in range(src.n_outcomes))
+        except KeyError:
+            raise UsageError("mapping must be total on the source outcomes") from None
     else:
         mapping = tuple(mapping)
     if len(mapping) != src.n_outcomes:
         raise UsageError("mapping must be total on the source outcomes")
-    for fx in mapping:
-        if not 0 <= fx < dst.n_outcomes:
-            raise UsageError(f"image id {fx} outside the target outcome range")
+    for fx in mapping:  # checked before any 1 << fx, as TestSpace._mask_of checks ids
+        if not (isinstance(fx, int) and 0 <= fx < dst.n_outcomes):
+            raise UsageError(f"image id {fx!r} outside the target outcome range")
 
     # (a) orthogonality preservation; implies injectivity on each test.
-    for t in src.tests:
-        members = sorted(t)
+    orth = dst._orth_table()
+    for t in src._test_masks:
+        members = _ids(t)
         for i, x in enumerate(members):
+            ox = orth[mapping[x]]
             for y in members[i + 1 :]:
-                if not dst.orthogonal(mapping[x], mapping[y]):
+                if not ox >> mapping[y] & 1:
                     raise NotLocallyInjective(
                         f"{src.labels[x]},{src.labels[y]} are orthogonal but their "
                         "images are not",
@@ -98,45 +105,37 @@ def validate_morphism(
                     )
 
     # (b) tests land on events.
-    images = [frozenset(mapping[x] for x in t) for t in src.tests]
-    for t, img in zip(src.tests, images):
-        if not dst.is_event(img):
+    images = [_image_mask(mapping, t) for t in src._test_masks]
+    for t, img in zip(src._test_masks, images):
+        if not dst._tests_holding(img):
             raise ImageNotEvent(
-                f"image of test {src.labels_of(t)} is not an event", witness=t
+                f"image of test {src.labels_of(_ids(t))} is not an event", witness=mask_event(t)
             )
 
-    test_preserving, embedding = _flags(source, target, mapping)
+    test_preserving, embedding = _flags(images, dst, mapping)
 
     # (c) images of tests are mutually perspective (automatic when each image
     # is itself a test: any two tests share the empty complement).
     if not test_preserving:
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                if not dst.is_perspective(images[i], images[j]):
-                    raise ImagesNotPerspective(
-                        "test images are not perspective",
-                        witness=(src.tests[i], src.tests[j]),
-                    )
+        for (s, a), (t, b) in combinations(zip(src._test_masks, images), 2):
+            if dst._axis(a, b) is None:
+                raise ImagesNotPerspective(
+                    "test images are not perspective", witness=(mask_event(s), mask_event(t))
+                )
 
     # (d) state pullbacks are multiples of source states.
     d_status = _check_state_condition(source, target, mapping, cap)
-
-    return Morphism(
-        source=source,
-        target=target,
-        mapping=mapping,
-        test_preserving=test_preserving,
-        embedding=embedding,
-        d_status=d_status,
-    )
+    return Morphism(source, target, mapping, test_preserving, embedding, d_status)
 
 
-def _flags(source: Model, target: Model, mapping: tuple[int, ...]) -> tuple[bool, bool]:
-    """The derived flags of an outcome map: (test_preserving, embedding)."""
-    test_set = target.space.test_set
-    test_preserving = all(
-        frozenset(mapping[x] for x in t) in test_set for t in source.space.tests
-    )
+def _image_mask(mapping: Sequence[int], m: int) -> int:
+    """The mask of the image of the event mask ``m`` under an outcome map."""
+    return sum({1 << mapping[x] for x in _ids(m)})  # distinct bits: the sum is the OR
+
+
+def _flags(images: list[int], target: TestSpace, mapping: tuple[int, ...]) -> tuple[bool, bool]:
+    """The derived flags of an outcome map with these test images: (test_preserving, embedding)."""
+    test_preserving = set(images) <= set(target._test_masks)
     return test_preserving, test_preserving and len(set(mapping)) == len(mapping)
 
 
@@ -181,15 +180,10 @@ def compose(psi: Morphism, phi: Morphism) -> Morphism:
     if phi.target is not psi.source:
         raise DomainMismatch("codomain of the first factor must be the domain of the second")
     mapping = tuple(psi.mapping[fx] for fx in phi.mapping)
-    test_preserving, embedding = _flags(phi.source, psi.target, mapping)
-    return Morphism(
-        source=phi.source,
-        target=psi.target,
-        mapping=mapping,
-        test_preserving=test_preserving,
-        embedding=embedding,
-        d_status=D_IMPLIED if phi.d_status == psi.d_status == D_IMPLIED else D_EXACT,
-    )
+    images = [_image_mask(mapping, t) for t in phi.source.space._test_masks]
+    test_preserving, embedding = _flags(images, psi.target.space, mapping)
+    d_status = D_IMPLIED if phi.d_status == psi.d_status == D_IMPLIED else D_EXACT
+    return Morphism(phi.source, psi.target, mapping, test_preserving, embedding, d_status)
 
 
 def morphisms_equal(f: Morphism, g: Morphism) -> bool:
@@ -216,8 +210,7 @@ def check_retraction_test_preserving(phi: Morphism, psi: Morphism) -> bool:
 
 def image_core(phi: Morphism) -> frozenset:
     """Core of the image test family: outcomes common to every test image."""
-    images = [phi.image(t) for t in phi.source.space.tests]
-    out = images[0]
-    for img in images[1:]:
-        out &= img
-    return out
+    out = -1
+    for t in phi.source.space._test_masks:
+        out &= _image_mask(phi.mapping, t)
+    return mask_event(out)

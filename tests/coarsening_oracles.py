@@ -2,10 +2,13 @@
 
 These write the union collapse (the monad multiplication) out by hand at each
 use, build the double coarsening as a model wherever its outcomes are read,
-and special-case singleton collapses.  The library goes through one
-``Coarsening.collapse`` and reads the double coarsening's outcomes from the
-coarse space's event list; the oracle tests require both sides to agree on
-reports, point counts, exception class, message and witness.
+special-case singleton collapses, and read every event as a frozenset: the
+outcomes of a coarsening through ``to_event``, the tests of a space through
+``tests`` and ``test_set``, and morphisms through the frozenset
+``frozenset_oracles.validate_morphism``.  The library goes through one
+``Coarsening.collapse`` and reads events only as masks; the oracle tests
+require both sides to agree on reports, point counts, exception class,
+message and witness.
 """
 
 from __future__ import annotations
@@ -35,8 +38,13 @@ from orthokit.interference import (
     concat_product,
     concat_string_sets,
 )
-from orthokit.morphisms import validate_morphism
-from orthokit.testspace import event_key
+from orthokit.testspace import PredicateResult, event_key
+from frozenset_oracles import validate_morphism
+
+
+def outcome_events(coarse):
+    """The base event of each outcome of a coarsening, in outcome order."""
+    return [coarse.to_event(i) for i in range(len(coarse.outcome_mask))]
 
 
 def _nonempty_subsets(members):
@@ -45,11 +53,18 @@ def _nonempty_subsets(members):
         yield frozenset(members[i] for i in range(n) if mask >> i & 1)
 
 
+def functor_sharp(phi, source_coarse, target_coarse, cap=None):
+    mapping = tuple(
+        target_coarse.to_coarse(phi.image(ev)) for ev in outcome_events(source_coarse)
+    )
+    return validate_morphism(source_coarse.model, target_coarse.model, mapping, cap)
+
+
 def mult_mu(coarse, double, cap=None):
     if double.base is not coarse.model:
         raise UsageError("second argument must be the coarsening of the first's model")
     mapping = []
-    for ev in double.outcome_event:
+    for ev in outcome_events(double):
         union = frozenset().union(*(coarse.to_event(i) for i in ev))
         mapping.append(coarse.to_coarse(union))
     mu = validate_morphism(double.model, coarse.model, tuple(mapping), cap)
@@ -62,7 +77,7 @@ def check_monad_laws_sharp(model, cap=None):
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
     mu1 = [coarse.to_coarse(frozenset().union(*(coarse.to_event(i) for i in ev)))
-           for ev in double.outcome_event]
+           for ev in outcome_events(double)]
     counter = CapCounter("triple-coarsening outcomes", cap)
     points = 0
     for t in double.model.space.tests:
@@ -79,7 +94,7 @@ def check_monad_laws_sharp(model, cap=None):
             if left != right:
                 raise LawViolation(f"associativity square fails at {sorted(sub)}")
     unit_points = 0
-    for i, ev in enumerate(coarse.outcome_event):
+    for i, ev in enumerate(outcome_events(coarse)):
         singletons = frozenset(coarse.to_coarse(frozenset([x])) for x in ev)
         union = frozenset().union(*(coarse.to_event(j) for j in singletons))
         if coarse.to_coarse(union) != i:
@@ -95,13 +110,13 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
         sigma = CoherenceMap(sigma)
     coarse = coarse if coarse is not None else coarsen(model, cap)
     space = model.space
-    table = {ev: sigma(ev) for ev in coarse.outcome_event}
+    table = {ev: sigma(ev) for ev in outcome_events(coarse)}
     for x in range(space.n_outcomes):
         if table[frozenset([x])] != x:
             raise NotCoherence(f"singleton {space.labels[x]} is not fixed", witness=x)
     try:
         phi = validate_morphism(
-            coarse.model, model, tuple(table[ev] for ev in coarse.outcome_event), cap
+            coarse.model, model, tuple(table[ev] for ev in outcome_events(coarse)), cap
         )
     except MorphismError as exc:
         raise NotCoherence(f"structure map is not a morphism: {exc}", witness=exc.witness)
@@ -112,7 +127,7 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
             blocks = [coarse.to_event(i) for i in fam]
             union = frozenset().union(*blocks)
             inner = frozenset(table[b] for b in blocks)
-            if inner not in coarse.outcome_event and len(inner) > 1:
+            if inner not in outcome_events(coarse) and len(inner) > 1:
                 raise NotCoherence(
                     "member-wise collapse of a jointly orthogonal family is not an event",
                     witness=fam,
@@ -132,11 +147,23 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
     return CheckedCoherence(model, coarse, phi, table)
 
 
+def is_cohesion(checked, cap=None):
+    """Each table entry against each test holding its collapse, on frozensets."""
+    space = checked.model.space
+    pairs = [(ev, cx, t) for ev, cx in checked.table.items() for t in space.tests if cx in t]
+    counter = CapCounter("cohesion pairs", cap)
+    counter.tick(len(pairs))
+    for ev, cx, t in pairs:
+        if (t - {cx}) | ev not in space.test_set:
+            return PredicateResult(False, (t, ev))
+    return PredicateResult(True)
+
+
 def check_sharp_algebra_laws(checked, cap=None):
     coarse = checked.coarse
     double = coarsen(coarse.model, cap)
     points = 0
-    for ev in double.outcome_event:
+    for ev in outcome_events(double):
         blocks = [coarse.to_event(i) for i in ev]
         union = frozenset().union(*blocks)
         inner = frozenset(checked.table[b] for b in blocks)
@@ -152,7 +179,7 @@ def check_distributive_diagrams(model, depth, cap=None):
     coarse = coarsen(model, cap)
     double = coarsen(coarse.model, cap)
     double_outcomes = [
-        frozenset(coarse.to_event(i) for i in ev) for ev in double.outcome_event
+        frozenset(coarse.to_event(i) for i in ev) for ev in outcome_events(double)
     ]
     sq1 = 0
     for k in range(depth + 1):
@@ -165,7 +192,7 @@ def check_distributive_diagrams(model, depth, cap=None):
             if via_member != concat_product(unions):
                 raise LawViolation("distributive square over coarsening fails")
             sq1 += 1
-    events = sorted((ev for ev in coarse.outcome_event), key=event_key)
+    events = sorted((ev for ev in outcome_events(coarse)), key=event_key)
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):

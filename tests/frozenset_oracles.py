@@ -3,8 +3,9 @@
 These are the straightforward event-by-event versions of ``events``,
 ``is_event``, ``complements``, ``perspective``, ``orthocomplement``, the
 complement buckets, ``algebraic``, ``regular`` and ``coherent``, the
-pairwise antichain scan, and the classes, sum table and atomic outcomes of
-the logic.  The library decides the same questions on integer
+pairwise antichain scan, the classes, sum table and atomic outcomes of
+the logic, and the four morphism conditions with the derived flags and the
+image core.  The library decides the same questions on integer
 bitmasks; the oracle tests require both to agree on verdict, witness and
 whether the cap is exceeded.  ``support_by_perspectivity`` is a second
 criterion for ``TestSpace.is_support``, which decides supports by traces.
@@ -15,7 +16,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from orthokit.errors import CapCounter
+from orthokit.errors import (
+    CapCounter,
+    ImageNotEvent,
+    ImagesNotPerspective,
+    NotLocallyInjective,
+    NumericKindMismatch,
+    UsageError,
+)
+from orthokit.morphisms import Morphism, _check_state_condition
 from orthokit.testspace import PredicateResult, event_key
 
 # Work cap of ``support_by_perspectivity``: the complement-bucket pass
@@ -199,3 +208,62 @@ def outcome_is_atomic(space, x):
             if c <= t and len(t - c) != 1:
                 return False
     return True
+
+
+def validate_morphism(source, target, mapping, cap=None):
+    """The four morphism conditions, with each test image built as a frozenset."""
+    if source.exact != target.exact:
+        raise NumericKindMismatch("a morphism joins two exact or two float models")
+    src, dst = source.space, target.space
+    if callable(mapping):
+        mapping = tuple(mapping(x) for x in range(src.n_outcomes))
+    elif isinstance(mapping, dict):
+        if any(x not in mapping for x in range(src.n_outcomes)):
+            raise UsageError("mapping must be total on the source outcomes")
+        mapping = tuple(mapping[x] for x in range(src.n_outcomes))
+    else:
+        mapping = tuple(mapping)
+    if len(mapping) != src.n_outcomes:
+        raise UsageError("mapping must be total on the source outcomes")
+    for fx in mapping:
+        if not (isinstance(fx, int) and 0 <= fx < dst.n_outcomes):
+            raise UsageError(f"image id {fx!r} outside the target outcome range")
+    for t in src.tests:
+        members = sorted(t)
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if not dst.orthogonal(mapping[x], mapping[y]):
+                    raise NotLocallyInjective(
+                        f"{src.labels[x]},{src.labels[y]} are orthogonal but their "
+                        "images are not",
+                        witness=(x, y),
+                    )
+    images = [frozenset(mapping[x] for x in t) for t in src.tests]
+    for t, img in zip(src.tests, images):
+        if not dst.is_event(img):
+            raise ImageNotEvent(f"image of test {src.labels_of(t)} is not an event", witness=t)
+    test_preserving, embedding = flags(src, dst, mapping)
+    if not test_preserving:
+        for i in range(len(images)):
+            for j in range(i + 1, len(images)):
+                if not dst.is_perspective(images[i], images[j]):
+                    raise ImagesNotPerspective(
+                        "test images are not perspective", witness=(src.tests[i], src.tests[j])
+                    )
+    d_status = _check_state_condition(source, target, mapping, cap)
+    return Morphism(source, target, mapping, test_preserving, embedding, d_status)
+
+
+def flags(src, dst, mapping):
+    """(test_preserving, embedding) of an outcome map between two spaces."""
+    test_preserving = all(frozenset(mapping[x] for x in t) in dst.test_set for t in src.tests)
+    return test_preserving, test_preserving and len(set(mapping)) == len(mapping)
+
+
+def image_core(phi):
+    """The outcomes common to the image of every source test."""
+    images = [phi.image(t) for t in phi.source.space.tests]
+    out = images[0]
+    for img in images[1:]:
+        out &= img
+    return out

@@ -21,7 +21,7 @@ from math import comb
 import pytest
 
 from lp_oracles import polytope_rows
-from orthokit import corpus, errors, interference, linprog, logic, quantum, testspace
+from orthokit import coarsening, corpus, errors, interference, linprog, logic, quantum, testspace
 from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
 from orthokit.compounding import SequentialProduct, truncated_compound, validate_sequential
 from orthokit.corpus import corpus_models, named
@@ -222,29 +222,23 @@ def test_logic_sum_table(index, monkeypatch, record):
 # -- is_cohesion -------------------------------------------------------------------------
 
 
-class CountingTests(frozenset):
-    """A test set that records every membership query."""
-
-    def __new__(cls, tests, calls):
-        self = super().__new__(cls, tests)
-        self.calls = calls
-        return self
-
-    def __contains__(self, item):
-        self.calls.append(item)
-        return super().__contains__(item)
-
-
 @pytest.mark.parametrize("n, bound", [(2, 4), (3, 17), (4, 79)])
-def test_cohesion_pairs(n, bound):
+def test_cohesion_pairs(n, bound, monkeypatch):
     """Each table entry against each test holding its collapse: sum of deg(sigma(a))."""
     cm = classical_model(n)
     checked = validate_coherence(cm.model, cm.sigma)
     space = checked.model.space
     degree = {x: sum(x in t for t in space.tests) for x in range(space.n_outcomes)}
     assert sum(degree[cx] for cx in checked.table.values()) == bound
-    calls = []
-    space._test_set = CountingTests(space.test_set, calls)  # the cache behind the view
+    calls = []  # each test index read off the holders of a collapse
+    ids = coarsening._ids
+
+    def holders(m):
+        out = ids(m)
+        calls.extend(out)
+        return out
+
+    monkeypatch.setattr(coarsening, "_ids", holders)
     raises_before_work(lambda cap: is_cohesion(checked, cap), "cohesion pairs", bound, calls)
     assert is_cohesion(checked, bound) == is_cohesion(checked)
     calls.clear()
@@ -269,7 +263,7 @@ def test_distributive_diagrams(name, depth, record):
     model = named(name)
     coarse = coarsen(model)
     d = sum(1 for ev in coarse.model.space.events_list() if ev)
-    e, n = len(coarse.outcome_event), model.space.n_outcomes
+    e, n = len(coarse.outcome_mask), model.space.n_outcomes
     splits = [1] + [2 ** (k - 1) for k in range(1, depth + 1)]
     bound = e + sum(d**k + e**k * splits[k] + n**k for k in range(depth + 1))
     calls = record(interference, "concat_product")

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from coarsening_oracles import outcome_events
 from orthokit import coarsening
 from orthokit.errors import EnumerationCapExceeded, HypothesisUnmet, NotCoherence, UsageError
 from orthokit.coarsening import (
@@ -36,7 +37,7 @@ from orthokit.morphisms import (
 )
 from orthokit.quantum import classical_model
 from orthokit.states import Weight, full_model, generator_model
-from orthokit.testspace import build_test_space
+from orthokit.testspace import build_test_space, mask_event
 
 
 def union_collapse_table(coarse):
@@ -81,7 +82,7 @@ class TestConstruction:
         g = Weight([F(1, 3), F(2, 3)])
         m = generator_model(s, [g, Weight([F(1), F(0)])])
         c = coarsen(m)
-        lifted = lift_weight(c.outcome_event, g)
+        lifted = lift_weight(outcome_events(c), g)
         assert lifted[c.to_coarse(frozenset([0, 1]))] == 1
         assert lifted in c.model.states.generators
 
@@ -106,7 +107,7 @@ class TestConstruction:
     def test_collapse_and_to_event_reject_out_of_range_ids(self, bad):
         """Ids outside range(n) raise UsageError; -1 used to wrap round to the last outcome."""
         c = coarsen(named("wright"))
-        n = len(c.outcome_event)
+        n = len(c.outcome_mask)
         i = {"-1": -1, "n": n, "n + 5": n + 5}[bad]
         with pytest.raises(UsageError):
             c.collapse([i])
@@ -114,7 +115,7 @@ class TestConstruction:
             c.collapse([0, i])
         with pytest.raises(UsageError):
             c.to_event(i)
-        assert c.to_event(n - 1) == c.outcome_event[-1]
+        assert c.to_event(n - 1) == mask_event(c.outcome_mask[-1])
         assert c.collapse([n - 1]) == n - 1
 
 
@@ -331,7 +332,7 @@ class TestCoherences:
         table = {frozenset([x]): x for x in range(sp.n_outcomes)}
         q = sp.outcome("q")
         z = sp.outcome("z")
-        for ev in c.outcome_event:
+        for ev in outcome_events(c):
             if len(ev) > 1:
                 table[ev] = q if ev == sp.event_of(["x", "y"]) else z
         with pytest.raises(NotCoherence):
@@ -431,7 +432,7 @@ class TestSupportTransport:
                 if not space.is_support(s):
                     continue
                 lifted = frozenset(
-                    i for i, ev in enumerate(c.outcome_event) if ev & s
+                    i for i, ev in enumerate(outcome_events(c)) if ev & s
                 )
                 assert c.model.space.is_support(lifted), (repr(space), sorted(s))
 
@@ -449,7 +450,7 @@ class TestSupportTransport:
                 x for x in range(space.n_outcomes)
                 if c.to_coarse(frozenset([x])) in t
             )
-            lifted = frozenset(i for i, ev in enumerate(c.outcome_event) if ev & s)
+            lifted = frozenset(i for i, ev in enumerate(outcome_events(c)) if ev & s)
             assert t == lifted, sorted(t)
 
 
@@ -467,7 +468,7 @@ def test_corpus_coherences_are_cohesive():
     for m in corpus_models(4, 3):
         space = m.space
         c = coarsen(m)
-        events = list(c.outcome_event)
+        events = [c.to_event(i) for i in range(len(c.outcome_mask))]
         cands = []
         for ev in events:
             if len(ev) == 1:

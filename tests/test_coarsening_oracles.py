@@ -19,12 +19,17 @@ from importlib import resources
 import pytest
 
 import coarsening_oracles as oracle
+import frozenset_oracles
 from orthokit import coarsening, interference
 from orthokit.coarsening import (
+    CheckedCoherence,
     check_monad_laws_sharp,
     check_sharp_algebra_laws,
     coarsen,
+    functor_sharp,
+    is_cohesion,
     mult_mu,
+    unit_eta,
     validate_coherence,
 )
 from orthokit.compounding import validate_sequential
@@ -32,6 +37,7 @@ from orthokit.corpus import corpus_models
 from orthokit.document import load_document
 from orthokit.errors import LawViolation, NotCoherence, OrthokitError, UsageError
 from orthokit.interference import check_distributive_diagrams, validate_g_algebra
+from orthokit.morphisms import identity_morphism
 from orthokit.quantum import classical_model
 from orthokit.testspace import event_key
 
@@ -57,6 +63,11 @@ def coarsening_of(index):
     return coarsen(corpus()[index])
 
 
+@lru_cache(maxsize=None)
+def double_of(index):
+    return coarsen(coarsening_of(index).model)
+
+
 def nonempty_events(space):
     return [a for a in space.events_list() if a]
 
@@ -79,8 +90,12 @@ def outcome(call, snapshot):
         return (type(exc), str(exc), getattr(exc, "witness", None))
 
 
+def morphism_snapshot(phi):
+    return ("ok", phi.mapping, phi.test_preserving, phi.embedding, phi.d_status)
+
+
 def coherence_snapshot(checked):
-    return ("ok", checked.table, checked.morphism.mapping)
+    return ("ok", checked.table, morphism_snapshot(checked.morphism))
 
 
 def g_algebra_snapshot(galg):
@@ -152,11 +167,35 @@ def test_tampered_coarsening_fails_like_the_oracle(index, monkeypatch):
 @pytest.mark.parametrize("index", range(112))
 def test_mult_mu_mapping_matches_oracle(index):
     coarse = coarsening_of(index)
-    double = coarsen(coarse.model)
+    double = double_of(index)
     got = mult_mu(coarse, double)
     want = oracle.mult_mu(coarse, double)
-    assert got.mapping == want.mapping
-    assert (got.test_preserving, got.embedding) == (want.test_preserving, want.embedding)
+    assert morphism_snapshot(got) == morphism_snapshot(want)
+
+
+@pytest.mark.parametrize("index", range(112))
+def test_unit_and_functor_match_oracle(index):
+    """The unit, the lift of the identity, and the lift of the unit to the
+    double coarsening, against the frozenset forms."""
+    model, coarse = corpus()[index], coarsening_of(index)
+    eta = unit_eta(coarse)
+    want = frozenset_oracles.validate_morphism(model, coarse.model, eta.mapping)
+    assert morphism_snapshot(eta) == morphism_snapshot(want)
+    ident = identity_morphism(model)
+    for phi, source, target in [(ident, coarse, coarse), (eta, coarse, double_of(index))]:
+        got = functor_sharp(phi, source, target)
+        want = oracle.functor_sharp(phi, source, target)
+        assert morphism_snapshot(got) == morphism_snapshot(want)
+
+
+def test_functor_into_a_foreign_coarsening_fails_like_the_oracle():
+    """A target coarsening of another model: the same image is not one of its events."""
+    wright = fixture_model("wright")
+    ident, source = identity_morphism(wright), coarsen(wright)
+    target = coarsen(corpus()[0])
+    got = outcome(lambda: functor_sharp(ident, source, target), morphism_snapshot)
+    assert got == outcome(lambda: oracle.functor_sharp(ident, source, target), morphism_snapshot)
+    assert got[0] is UsageError
 
 
 def small_indices():
@@ -214,6 +253,9 @@ def test_corrupted_classical_sigma_matches_oracle():
         )
         assert got == want
         raised.add(got[0])
+        if got[0] == "ok":
+            checked = validate_coherence(cm.model, table)
+            assert is_cohesion(checked) == oracle.is_cohesion(checked)
     assert raised == {"ok", NotCoherence}
 
 
@@ -244,7 +286,7 @@ def test_corrupted_union_collapse_tables_match_oracle():
     for i in indices:
         coarse = coarsening_of(i)
         model = coarse.model
-        double = coarsen(model)
+        double = double_of(i)
         table = union_collapse_table(coarse)
         for bad in [table, *corruptions(table, model.space.n_outcomes)]:
             got = outcome(
@@ -255,6 +297,9 @@ def test_corrupted_union_collapse_tables_match_oracle():
             )
             assert got == want, (i, bad)
             messages.add(got[1].split(":")[0] if got[0] != "ok" else "ok")
+            if got[0] == "ok":
+                checked = validate_coherence(model, bad, coarse=double)
+                assert is_cohesion(checked) == oracle.is_cohesion(checked), (i, bad)
     # some one-entry changes are coherences too; the others fail each check
     assert {
         "ok",
@@ -262,6 +307,22 @@ def test_corrupted_union_collapse_tables_match_oracle():
         "grouped refinement identity fails",
     } <= messages
     assert any(m.endswith("is not fixed") for m in messages)
+
+
+def test_cohesion_of_unvalidated_tables_matches_oracle():
+    """Tables that skip validation, as a hand-built ``CheckedCoherence`` may: the
+    small union-collapse tables and each of their corruptions."""
+    verdicts = set()
+    for i in corrupted_corpus_indices():
+        model = coarsening_of(i).model
+        table = union_collapse_table(coarsening_of(i))
+        ident = identity_morphism(model)
+        for bad in [table, *corruptions(table, model.space.n_outcomes)]:
+            fake = CheckedCoherence(model, double_of(i), ident, bad)
+            verdict = is_cohesion(fake)
+            assert verdict == oracle.is_cohesion(fake), (i, bad)
+            verdicts.add(verdict.holds)
+    assert verdicts == {True, False}
 
 
 class _CountingCoarsen:

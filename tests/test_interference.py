@@ -2,6 +2,7 @@
 
 import pytest
 
+from coarsening_oracles import outcome_events
 from orthokit.errors import HypothesisUnmet, NotGAlgebra, UsageError
 from orthokit.coarsening import coarsen
 from orthokit.compounding import (
@@ -132,7 +133,7 @@ class TestCombinedAlgebras:
         coarse = coarsen(tc.model)
         sigma = union_collapse_table(coarse)
         pi = coarse_setwise_product(coarse, concatenation_product(tc))
-        spanning = [lift_weight(coarse.outcome_event, w) for w in transition_vertex_pool(tc)]
+        spanning = [lift_weight(outcome_events(coarse), w) for w in transition_vertex_pool(tc)]
         g = validate_g_algebra(coarse.model, sigma, pi, probe_depth=1, states=spanning)
         assert not g.commutative
         assert find_interference(
@@ -153,7 +154,7 @@ class TestCombinedAlgebras:
         coarse = coarsen(tc.model)
         sigma = union_collapse_table(coarse)
         pi = coarse_setwise_product(coarse, concatenation_product(tc))
-        spanning = [lift_weight(coarse.outcome_event, w) for w in transition_vertex_pool(tc)]
+        spanning = [lift_weight(outcome_events(coarse), w) for w in transition_vertex_pool(tc)]
         g = validate_g_algebra(coarse.model, sigma, pi, probe_depth=1, states=spanning)
         with pytest.raises(HypothesisUnmet):
             check_commutative_boolean(g)

@@ -272,13 +272,16 @@ def oracle_spaces():
     ]
 
 
+@lru_cache(maxsize=None)
+def oracle_logics():
+    """(space, logic) for each algebraic space of ``oracle_spaces``."""
+    return [(s, build_logic(s)) for s in oracle_spaces() if s.algebraic()]
+
+
 def test_logics_match_oracle():
     """Classes, representatives and sums, each in order, as the frozenset oracle."""
     built = 0
-    for space in oracle_spaces():
-        if not space.algebraic():
-            continue
-        got = build_logic(space)
+    for space, got in oracle_logics():
         reps, class_of, oplus = oracle.logic(space)
         assert got.reps == tuple(reps), repr(space)
         assert list(got.class_of.items()) == list(class_of.items()), repr(space)
@@ -292,3 +295,91 @@ def test_atomic_outcomes_match_oracle():
     for space in oracle_spaces():
         want = [x for x in range(space.n_outcomes) if oracle.outcome_is_atomic(space, x)]
         assert atomic_outcomes(space) == want, repr(space)
+
+
+def full_scan_laws(alg):
+    """``Orthoalgebra._validate_laws`` with associativity scanning every r for
+    each defined (p, q), not only the r with (p + q) + r defined."""
+    n, op = len(alg.reps), alg.oplus
+    for (p, q), s in op.items():
+        if op.get((q, p)) != s:
+            raise LawViolation("partial sum is not commutative")
+    for p in range(n):
+        for q in range(n):
+            s = op.get((p, q))
+            if s is None:
+                continue
+            for r in range(n):
+                sr = op.get((s, r))
+                if sr is None:
+                    continue
+                qr = op.get((q, r))
+                if qr is None or op.get((p, qr)) != sr:
+                    raise LawViolation(
+                        f"associativity fails at {alg.labels[p]},{alg.labels[q]},{alg.labels[r]}"
+                    )
+    for p in range(n):
+        if (p, p) in op and p != alg.zero:
+            raise LawViolation(f"{alg.labels[p]} is orthogonal to itself")
+    if op.get((alg.zero, alg.zero)) != alg.zero:
+        raise LawViolation("zero must satisfy 0 + 0 = 0")
+    for p in range(n):
+        if not alg.leq(alg.zero, p) or not alg.leq(p, alg.one):
+            raise LawViolation("order is not bounded by 0 and 1")
+
+
+def unchecked(n, oplus, zero=0, one=None):
+    """An ``Orthoalgebra`` on ids 0..n-1 built without running its checks."""
+    alg = Orthoalgebra.__new__(Orthoalgebra)
+    alg.reps, alg.labels = tuple(range(n)), tuple(map(str, range(n)))
+    alg.oplus, alg.zero, alg.one = dict(oplus), zero, n - 1 if one is None else one
+    alg.le = alg._order()
+    return alg
+
+
+def law_outcome(check, alg):
+    try:
+        check(alg)
+    except LawViolation as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_law_check_matches_full_scan_on_logics():
+    logics = [logic for _, logic in oracle_logics()]
+    assert len(logics) == 99
+    for logic in logics:
+        assert law_outcome(Orthoalgebra._validate_laws, logic) == "ok"
+        assert law_outcome(full_scan_laws, logic) == "ok"
+
+
+def test_associativity_fails_at_the_known_triple():
+    """0 is zero and 4 is one; 1 + 2 = 3 and 3 + 1 = 4, but 1 + 1 is undefined.
+
+    The first (p, q) in order with some r failing is (2, 1): (2 + 1) + 1 = 4
+    needs 1 + 1.  (1, 2) comes earlier and passes, as 1 + (2 + 1) = 4."""
+    oplus = {(0, x): x for x in range(5)} | {(x, 0): x for x in range(5)}
+    oplus |= {(1, 2): 3, (2, 1): 3, (1, 3): 4, (3, 1): 4}
+    alg = unchecked(5, oplus)
+    want = "associativity fails at 2,1,1"
+    assert law_outcome(Orthoalgebra._validate_laws, alg) == want
+    assert law_outcome(full_scan_laws, alg) == want
+
+
+def test_corrupted_sum_tables_fail_like_the_full_scan(boolean8):
+    """Each commuting pair of entries of the Boolean cube's table dropped, or sent
+    to each other element: the first violation and its message agree."""
+    n, table = len(boolean8), boolean8.oplus
+    seen = set()
+    for p, q in sorted(table):
+        if p > q:
+            continue
+        for value in [None, *range(n)]:
+            oplus = {k: v for k, v in table.items() if k not in {(p, q), (q, p)}}
+            if value is not None:
+                oplus[(p, q)] = oplus[(q, p)] = value
+            alg = unchecked(n, oplus, boolean8.zero, boolean8.one)
+            got = law_outcome(Orthoalgebra._validate_laws, alg)
+            assert got == law_outcome(full_scan_laws, alg), (p, q, value)
+            seen.add(got.split(" at ")[0])
+    assert {"ok", "associativity fails"} <= seen

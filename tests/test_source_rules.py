@@ -26,6 +26,11 @@ rests on seeded draws.
 It keeps each rule in few places: only ``compounding.py`` compares against the
 rules for undefined sequential products, and inside it ``undefined_means`` is
 read only by ``SequentialProduct.products`` and ``validate_sequential``.
+
+It keeps one event form where events are most numerous: ``coarsening.py`` and
+``morphisms.py`` read events only as masks, never through the frozenset views
+``tests``, ``test_set``, ``events_list`` or ``events()``, and no coarsening
+carries an ``outcome_event`` table.
 """
 
 import ast
@@ -459,3 +464,52 @@ def test_undefined_means_is_read_in_two_places():
     scopes = {scope for _, _, name, scope in undefined_rule_comparisons(source)
               if name == "undefined_means"}
     assert scopes == UNDEFINED_MEANS_READERS
+
+
+# -- one event form in the coarsening and morphism layers -------------------------------
+
+MASK_ONLY = ("coarsening.py", "morphisms.py")
+FROZENSET_VIEWS = {"tests", "test_set", "events_list", "outcome_event"}
+
+
+def frozenset_reads(source, filename="<string>"):
+    """(line, name) of every attribute or name in ``FROZENSET_VIEWS`` and every
+    call of an ``events`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Attribute) and node.attr in FROZENSET_VIEWS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id == "outcome_event":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "events":
+            found.append((node.lineno, "events"))
+    return sorted(found)
+
+
+def test_scanner_flags_frozenset_reads():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "class Coarsening:\n"
+        "    outcome_event: tuple\n"
+        "def f(space, c):\n"
+        "    a = space.tests, space.test_set\n"
+        "    b = space.events_list(3), list(space.events())\n"
+        "    return c.outcome_event, space._test_masks, space.events\n"
+    )
+    assert frozenset_reads(source) == [
+        (2, "outcome_event"),
+        (4, "test_set"),
+        (4, "tests"),
+        (5, "events"),
+        (5, "events_list"),
+        (6, "outcome_event"),
+    ]
+
+
+def test_coarsening_and_morphisms_read_events_as_masks():
+    found = {}
+    for name in MASK_ONLY:
+        hits = frozenset_reads((SRC / name).read_text(encoding="utf-8"))
+        if hits:
+            found[name] = hits
+    assert not found, f"frozenset views of events read in: {found}"
