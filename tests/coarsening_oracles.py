@@ -110,14 +110,13 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
         sigma = CoherenceMap(sigma)
     coarse = coarse if coarse is not None else coarsen(model, cap)
     space = model.space
-    table = {ev: sigma(ev) for ev in outcome_events(coarse)}
+    events = outcome_events(coarse)
+    table = {ev: sigma(ev) for ev in events}
     for x in range(space.n_outcomes):
         if table[frozenset([x])] != x:
             raise NotCoherence(f"singleton {space.labels[x]} is not fixed", witness=x)
     try:
-        phi = validate_morphism(
-            coarse.model, model, tuple(table[ev] for ev in outcome_events(coarse)), cap
-        )
+        phi = validate_morphism(coarse.model, model, tuple(table[ev] for ev in events), cap)
     except MorphismError as exc:
         raise NotCoherence(f"structure map is not a morphism: {exc}", witness=exc.witness)
     counter = CapCounter("coherence families", cap)
@@ -127,7 +126,7 @@ def validate_coherence(model, sigma, cap=None, coarse=None):
             blocks = [coarse.to_event(i) for i in fam]
             union = frozenset().union(*blocks)
             inner = frozenset(table[b] for b in blocks)
-            if inner not in outcome_events(coarse) and len(inner) > 1:
+            if inner not in events and len(inner) > 1:
                 raise NotCoherence(
                     "member-wise collapse of a jointly orthogonal family is not an event",
                     witness=fam,
@@ -192,7 +191,7 @@ def check_distributive_diagrams(model, depth, cap=None):
             if via_member != concat_product(unions):
                 raise LawViolation("distributive square over coarsening fails")
             sq1 += 1
-    events = sorted((ev for ev in outcome_events(coarse)), key=event_key)
+    events = sorted(outcome_events(coarse), key=event_key)
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
