@@ -14,13 +14,20 @@ intersection) or because it falls outside the truncation window.  One rule,
 ``defined_products``, reads a missing product: under ``IMPOSSIBLE`` it carries
 no mass and is dropped, under ``OUT_OF_WINDOW`` the whole collection it
 belongs to is unknown.
+
+The sequential checks read each product once per call, as none depends on
+the state or the triple checked, and sum an exact state as int numerators
+over the lcm of its denominators, which compare as its ``Fraction`` sums do;
+float sums keep their member order, so every output is the per-state loops'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
+from operator import add, and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import math
@@ -40,7 +47,7 @@ from .errors import (
 )
 from .morphisms import Morphism, image_core, validate_morphism
 from .states import Model, StateSpace, Weight
-from .testspace import PredicateResult, TestSpace, _ids, event_key
+from .testspace import PredicateResult, TestSpace, _ids, event_key, mask_event
 
 EPSILON_LABEL = "ε"
 JOIN = "·"
@@ -474,8 +481,13 @@ class SequentialProduct:
                 return None
         return acc
 
+    @property
+    def out_of_window(self) -> bool:
+        """Whether an undefined product falls outside the window (else it is impossible)."""
+        return self.undefined_means == OUT_OF_WINDOW
+
     def products(self, pairs: Iterable[tuple]) -> list[int] | None:
-        return defined_products(self.prod, self.undefined_means == OUT_OF_WINDOW, pairs)
+        return defined_products(self.prod, self.out_of_window, pairs)
 
     def event_product(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:
         """Setwise product of events; None when a needed pair is out of window."""
@@ -532,7 +544,7 @@ def validate_sequential(
     the unit test, and that evaluating strings of the probe-depth compound
     lands test-preservingly back in the model.  The state conditions run on
     ``states`` when given, else on ``model.state_vertices(cap)``, which
-    raises past the cap.
+    raises past the cap.  A product that is no outcome id fails after the unit law.
 
     Inductivity (for a test t = {x_1 < ... < x_k}, every assignment f of
     tests whose images are defined gives a test x_1·t_f(1) ∪ ... ∪ x_k·t_f(k))
@@ -548,6 +560,9 @@ def validate_sequential(
     image of x_i, and ``inductivity_skipped`` = Σ_t (|T|^k − Π_i d_i); a
     failure's witness is the first failing t with its lexicographically
     first failing f.
+
+    Heads x ⊥ y pass when y's row mask lies in the orthocomplement of every
+    entry of x's row; a failing block is rescanned in loop order for its witness.
     """
     if probe_depth < 1:
         raise UsageError("probe depth must be at least 1")
@@ -559,62 +574,62 @@ def validate_sequential(
         if sp.prod(e, x) != x or sp.prod(x, e) != x:
             raise NotSequential("unit law fails", witness=x)
     unit_points = n
+    rows = [[sp.prod(x, y) for y in range(n)] for x in range(n)]
+    image = [space._mask_of(p for p in row if p is not None) for row in rows]
+    if None in image:
+        raise NotSequential("product is not an outcome", witness=image.index(None))
+    defined = [n - row.count(None) for row in rows]
 
-    assoc_checked = assoc_skipped = 0
-    for x in range(n):
-        for y in range(n):
-            xy = sp.prod(x, y)
-            for z in range(n):
-                yz = sp.prod(y, z)
-                lhs = sp.prod(xy, z) if xy is not None else None
-                rhs = sp.prod(x, yz) if yz is not None else None
-                if lhs is None or rhs is None:
-                    assoc_skipped += 1
-                    continue
-                if lhs != rhs:
-                    raise NotSequential("associativity fails", witness=(x, y, z))
-                assoc_checked += 1
+    assoc_checked = 0
+    for x, row in enumerate(rows):
+        for y, xy in enumerate(row):
+            for z, yz in enumerate(rows[y] if xy is not None else ()):
+                lhs = rows[xy][z]
+                if lhs is not None and yz is not None and row[yz] is not None:
+                    if lhs != row[yz]:
+                        raise NotSequential("associativity fails", witness=(x, y, z))
+                    assoc_checked += 1
+    assoc_skipped = n**3 - assoc_checked
 
-    orth_checked = 0
     orth = space._orth_table()
+    perp = [reduce(and_, (orth[p] for p in row if p is not None), ~0) for row in rows]
+    left = [sum(1 << z for z in range(n) if rows[z][x] is not None) for x in range(n)]
+    orth_checked = 0
     for x in range(n):
         for y in _ids(orth[x]):
-            for z in range(n):
-                zx, zy = sp.prod(z, x), sp.prod(z, y)
-                if zx is not None and zy is not None:
-                    orth_checked += 1
-                    if not orth[zx] >> zy & 1:
-                        raise NotSequential(
-                            "left translation breaks orthogonality", witness=(z, x, y)
-                        )
-            for z in range(n):
-                for w in range(n):
-                    xz, yw = sp.prod(x, z), sp.prod(y, w)
-                    if xz is not None and yw is not None:
-                        orth_checked += 1
-                        if not orth[xz] >> yw & 1:
-                            raise NotSequential(
-                                "products of orthogonal heads are not orthogonal",
-                                witness=(x, z, y, w),
-                            )
+            both = left[x] & left[y]
+            for z in _ids(both):
+                if not orth[rows[z][x]] >> rows[z][y] & 1:
+                    raise NotSequential(
+                        "left translation breaks orthogonality", witness=(z, x, y)
+                    )
+            if image[y] & ~perp[x]:
+                xz = next(p for p in rows[x] if p is not None and image[y] & ~orth[p])
+                yw = next(p for p in rows[y] if p is not None and not orth[xz] >> p & 1)
+                z, w = rows[x].index(xz), rows[y].index(yw)
+                raise NotSequential(
+                    "products of orthogonal heads are not orthogonal", witness=(x, z, y, w)
+                )
+            orth_checked += both.bit_count() + defined[x] * defined[y]
 
-    if frozenset([e]) not in space.test_set:
+    if space._mask_of([e]) not in space._test_masks:
         raise NotSequential("the unit must carry its own test", witness=e)
 
-    # Inductivity, by counting distinct images (see the docstring).
-    tests = space.tests
-    rows = [[sp.event_product((x,), s) for s in tests] for x in range(n)]
-    images = [set(row) - {None} for row in rows]
-    regions = [frozenset().union(*distinct) for distinct in images]
+    # Inductivity, by counting distinct images (see the docstring); -1 is out of window.
+    tests = space._test_masks
+    cols = _product_masks(sp, n)
+    branch = list(zip(*(_joined(cols, t, n) for t in tests)))  # branch[x][i] = x·tests[i]
+    images = [set(row) - {-1} for row in branch]
+    regions = [reduce(or_, distinct, 0) for distinct in images]
     ind_checked = ind_skipped = 0
     for t in tests:
-        xs = sorted(t)
-        covered = frozenset().union(*(regions[x] for x in xs))
-        parts = [tuple(u & regions[x] for x in xs) for u in tests if u <= covered]
+        xs = _ids(t)
+        covered = reduce(or_, (regions[x] for x in xs), 0)
+        parts = [tuple(u & regions[x] for x in xs) for u in tests if not u & ~covered]
         parts = [p for p in parts if all(q in images[x] for q, x in zip(p, xs))]
-        defined = math.prod(len(tests) - rows[x].count(None) for x in xs)
-        ind_checked += defined
-        ind_skipped += len(tests) ** len(xs) - defined
+        assigned = math.prod(len(tests) - branch[x].count(-1) for x in xs)
+        ind_checked += assigned
+        ind_skipped += len(tests) ** len(xs) - assigned
         if len(parts) == math.prod(len(images[x]) for x in xs):
             continue
         # the first failing choice: fix each position to the first test whose
@@ -622,59 +637,50 @@ def validate_sequential(
         choice = []
         for i, x in enumerate(xs):
             completions = math.prod(len(images[y]) for y in xs[i + 1 :])
-            for fi, image in enumerate(rows[x]):
-                matching = [p for p in parts if p[i] == image]
-                if image is not None and len(matching) < completions:
+            for fi, image_mask in enumerate(branch[x]):
+                matching = [p for p in parts if p[i] == image_mask]
+                if image_mask != -1 and len(matching) < completions:
                     choice.append(fi)
                     parts = matching
                     break
         raise NotSequential(
-            "branch assignment leaves the test family", witness=(t, tuple(choice))
+            "branch assignment leaves the test family", witness=(mask_event(t), tuple(choice))
         )
 
     # States: marginals equal the state itself; conditionals stay states.
     candidates = list(states) if states is not None else model.state_vertices(cap)
+    chain_rule = _chain_rule(model, sp)
+    whole = [x for x in range(n) if all(col[x] != -1 for col in cols)]  # x·y all in window
     zero = Fraction(0) if model.exact else 0.0
     rows_checked = 0
     for w in candidates:
-        verdict = check_chain_rule(model, sp, w)
+        verdict = chain_rule(w)
         if not verdict:
             raise NotSequential(
                 "marginal over a follow-up test differs from the state", witness=verdict.witness
             )
-        for x in range(n):
-            if model._eq(w[x], 0) or sp.products((x, y) for y in range(n)) is None:
+        for x in whole:
+            if model._eq(w[x], 0):
                 continue
-            row = [sp.prod(x, y) for y in range(n)]
-            cond = Weight(tuple(zero if p is None else w[p] / w[x] for p in row))
+            cond = Weight(tuple(zero if p is None else w[p] / w[x] for p in rows[x]))
             rows_checked += 1
             if not model.contains_state(cond):
                 raise NotSequential("conditional state escapes the state space", witness=x)
 
     # Evaluation of short strings back into the model.
     tc = truncated_compound(model, probe_depth, cap)
-    domain = []
-    values = {}
-    for sid, s in enumerate(tc.strings):
-        v = sp.prod_string(s)
-        if v is not None:
-            domain.append(sid)
-            values[sid] = v
-    dom = frozenset(domain)
+    values = {sid: v for sid, v in enumerate(map(sp.prod_string, tc.strings)) if v is not None}
     for x in range(n):
         if values.get(tc.id_of((x,))) != x:
             raise NotSequential("string evaluation does not extend the identity", witness=x)
-    cspace = tc.model.space
-    for t in cspace.tests:
-        live = sorted(t & dom)
-        img = frozenset(values[i] for i in live)
-        if len(img) != len(live):
-            raise NotSequential("string evaluation collapses a test", witness=t)
-        if sp.undefined_means == IMPOSSIBLE or len(live) == len(t):
-            if img and img not in space.test_set:
-                raise NotSequential(
-                    "string evaluation does not preserve tests", witness=t
-                )
+    dom = sum(1 << sid for sid in values)
+    for t in tc.model.space._test_masks:
+        live = _ids(t & dom)
+        img = space._mask_of(values[i] for i in live)
+        if img.bit_count() != len(live):
+            raise NotSequential("string evaluation collapses a test", witness=mask_event(t))
+        if img and (not sp.out_of_window or t & dom == t) and img not in tests:
+            raise NotSequential("string evaluation does not preserve tests", witness=mask_event(t))
     report = SequentialReport(
         unit_points=unit_points,
         associativity_checked=assoc_checked,
@@ -685,15 +691,13 @@ def validate_sequential(
         state_candidates=len(candidates),
         conditional_rows_checked=rows_checked,
         evaluation_depth=probe_depth,
-        evaluation_domain=len(domain),
+        evaluation_domain=len(values),
         evaluation_total=len(tc.strings),
     )
     return CheckedSequential(model, sp, report)
 
 
-def check_chain_rule(
-    model: Model, sp: SequentialProduct, w: Weight
-) -> PredicateResult:
+def check_chain_rule(model: Model, sp: SequentialProduct, w: Weight) -> PredicateResult:
     """Compound probabilities factor as marginal times conditional.
 
     Concretely: the marginal of w over any in-window follow-up test equals w
@@ -701,20 +705,58 @@ def check_chain_rule(
     conditional w_x(y) = w(xy)/w(x).  Fails on weights that do not arise
     from transition data; the witness is the first (x, t), tests first.
     """
-    n = model.space.n_outcomes
-    if len(w) != n:
-        raise NotAState("weight length does not match outcome count")
-    for t in model.space.tests:
-        for x in range(n):
+    return _chain_rule(model, sp)(w)
+
+
+def _chain_rule(model: Model, sp: SequentialProduct) -> Callable[[Weight], PredicateResult]:
+    """``check_chain_rule`` for any w, with each (test, outcome) product list
+    built once; a test's members run in frozenset order, as the sums always did."""
+    chain = []
+    for t in map(mask_event, model.space._test_masks):
+        for x in range(model.space.n_outcomes):
             defined = sp.products((x, y) for y in t)
-            if defined is None:
-                continue
-            total = 0
-            for p in defined:
-                total = total + w[p]
-            if not model._eq(total, w[x]):
+            if defined is not None:
+                chain.append((x, t, defined))
+
+    def verdict(w: Weight) -> PredicateResult:
+        if len(w) != model.space.n_outcomes:
+            raise NotAState("weight length does not match outcome count")
+        vals = _summands(model, w)
+        for x, t, defined in chain:
+            if not model._eq(_mass(vals, defined), vals[x]):
                 return PredicateResult(False, (x, t))
-    return PredicateResult(True)
+        return PredicateResult(True)
+
+    return verdict
+
+
+def _summands(model: Model, w):
+    """w, or for an exact w of ints and Fractions its numerators over the lcm of
+    its denominators: their int sums compare exactly as the Fraction sums do."""
+    vals = tuple(w)
+    if model.exact and all(isinstance(v, (int, Fraction)) for v in vals):
+        d = math.lcm(*(v.denominator for v in vals))
+        return [v.numerator * (d // v.denominator) for v in vals]
+    return w
+
+
+def _mass(vals, ids):
+    """0 + vals[i] + ... left to right over ``ids``, as the state loops always summed."""
+    return reduce(add, map(vals.__getitem__, ids), 0)
+
+
+def _product_masks(sp: SequentialProduct, n: int) -> list[list[int]]:
+    """Column y holds x·y for each outcome x < n as a mask, by ``sp.products``: one
+    bit, 0 when the product is impossible, -1 (which absorbs every OR) when out of window."""
+    found = [[sp.products([(x, y)]) for x in range(n)] for y in range(n)]
+    return [[-1 if d is None else sum(1 << p for p in d) for d in col] for col in found]
+
+
+def _joined(rows: Sequence[Sequence[int]], m: int, width: int) -> list[int]:
+    """The entrywise OR of rows[i] over the ids i of mask m (all -1 for m = -1)."""
+    if m < 0:
+        return [-1] * width
+    return reduce(lambda out, i: list(map(or_, out, rows[i])), _ids(m), [0] * width)
 
 
 def nonatomicity_report(tc: TruncatedCompound) -> list[tuple[tuple[int, ...], frozenset, frozenset]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product as iproduct
+from itertools import accumulate, chain, product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
@@ -23,6 +23,10 @@ from .compounding import (
     CheckedSequential,
     SequentialProduct,
     TruncatedCompound,
+    _joined,
+    _mass,
+    _product_masks,
+    _summands,
     defined_products,
     truncated_compound,
     validate_sequential,
@@ -110,11 +114,7 @@ def check_distributive_diagrams(
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
             for split in _compositions(total):
-                chunks = []
-                start = 0
-                for part in split:
-                    chunks.append(word[start : start + part])
-                    start += part
+                chunks = [word[end - part : end] for end, part in zip(accumulate(split), split)]
                 nested = concat_string_sets([concat_product(c) for c in chunks])
                 flat = concat_product(word)
                 if nested != flat:
@@ -240,6 +240,10 @@ def validate_g_algebra(
     gives nothing more: since prod(unit, y) = y, when every string of the
     word is defined the left fold of ``event_product`` over the word is
     {prod_string(s) : s in concat_product(word)}.
+
+    The folds run on masks: x·b is built once per outcome x and factor b (an
+    event, or the collapse of one) through ``products``, as -1 out of window,
+    which every OR keeps, so each word gets the frozenset folds' verdict.
     """
     if probe_depth < 1:
         raise UsageError("probe depth must be at least 1")
@@ -255,54 +259,47 @@ def validate_g_algebra(
     table = checked_sigma.table
     events = sorted(table.keys(), key=event_key)
     check_cap_sum("event strings", (len(events) ** k for k in range(1, probe_depth + 1)), cap)
+    n, size = model.space.n_outcomes, len(events)
+    masks = [sum(1 << x for x in ev) for ev in events]
+    collapse = dict(zip(masks, map(table.__getitem__, events)))
+    if probe_depth > 1:  # a word of one entry needs no product
+        cols = _product_masks(prod, n)
+        times_event = list(zip(*(_joined(cols, m, n) for m in masks)))
+        times_collapse = list(zip(*(cols[collapse[m]] for m in masks)))
 
-    def fold(factors):  # None out of window, empty when impossible
-        acc = factors[0]
-        for nxt in factors[1:]:
-            acc = prod.event_product(acc, nxt)
-            if acc is None:
-                break
-        return acc
+    def words(k):  # (word, event product, product of collapses), iproduct order
+        if k == 1:
+            yield from (((i,), m, 1 << collapse[m]) for i, m in enumerate(masks))
+            return
+        for word, ev, out in words(k - 1):
+            longer = ((*word, i) for i in range(size))
+            yield from zip(longer, _joined(times_event, ev, size), _joined(times_collapse, out, size))
 
     checked = skipped = 0
     for k in range(1, probe_depth + 1):
-        for word in iproduct(events, repeat=k):
-            ev_prod = fold(word)
-            # the product of the collapses, as an event of at most one outcome
-            out_prod = fold([frozenset([table[ev]]) for ev in word])
-            if ev_prod is None or out_prod is None or not (ev_prod or out_prod):
+        for word, ev_prod, out_prod in words(k):
+            if ev_prod < 0 or out_prod < 0 or not (ev_prod or out_prod):
                 skipped += 1
                 continue
             if not ev_prod:
-                raise NotGAlgebra(
-                    "collapsed product defined on an impossible event string", witness=word
-                )
-            if not out_prod:
-                raise NotGAlgebra(
-                    "product of collapses undefined on a possible event string",
-                    witness=word,
-                )
-            lhs = table.get(ev_prod)
-            if lhs is None:
-                raise NotGAlgebra(
-                    "setwise product of events is not an event", witness=word
-                )
-            if out_prod != {lhs}:
-                raise NotGAlgebra(
-                    "collapse is not multiplicative over the product", witness=word
-                )
-            checked += 1
+                problem = "collapsed product defined on an impossible event string"
+            elif not out_prod:
+                problem = "product of collapses undefined on a possible event string"
+            elif (lhs := collapse.get(ev_prod)) is None:
+                problem = "setwise product of events is not an event"
+            elif out_prod != 1 << lhs:
+                problem = "collapse is not multiplicative over the product"
+            else:
+                checked += 1
+                continue
+            raise NotGAlgebra(problem, witness=tuple(events[i] for i in word))
     commutative = _is_commutative(model, prod)
     return GAlgebra(model, checked_sigma, checked_sp, commutative, checked, skipped)
 
 
 def _is_commutative(model: Model, prod: SequentialProduct) -> bool:
     n = model.space.n_outcomes
-    for x in range(n):
-        for y in range(x + 1, n):
-            if prod.prod(x, y) != prod.prod(y, x):
-                return False
-    return True
+    return all(prod.prod(x, y) == prod.prod(y, x) for x in range(n) for y in range(x + 1, n))
 
 
 def check_commutative_boolean(g: GAlgebra, cap: int | None = None):
@@ -371,7 +368,8 @@ def find_interference(
     missing compounds are out of window.  With a ``SequentialProduct`` the
     ``witnesses_from`` ids must be outcomes of the model.  The states default
     to ``model.state_vertices(cap)``, which raises past the cap.  A given
-    ``tol`` must be finite and nonnegative.
+    ``tol`` must be finite and nonnegative.  The product lists do not depend on
+    the state, so they are built once (see ``compounding`` for the sums).
     """
     check_tolerance(tol)
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
@@ -387,23 +385,21 @@ def find_interference(
         states = model.state_vertices(cap)
     if tol is None:
         tol = 0.0 if model.exact else model.tol
-    scan_events = sorted(table, key=event_key)
+    scan = []  # the product lists do not depend on the state
+    for a in sorted(table, key=event_key):
+        for y in witness_pool:
+            cy = products([(table[a], y)])
+            members = products((x, y) for x in sorted(a))
+            if cy is not None and members is not None:
+                scan.append((a, y, cy, members))
     out: list[InterferenceWitness] = []
     for si, w in enumerate(states):
-        for a in scan_events:
-            collapsed = table[a]
-            for y in witness_pool:
-                cy = products([(collapsed, y)])
-                members = products((x, y) for x in sorted(a))
-                if cy is None or members is None:
-                    continue
+        vals = _summands(model, w)
+        for a, y, cy, members in scan:
+            gap = (vals[cy[0]] if cy else 0) - _mass(vals, members)
+            if (model.exact and gap != 0) or (not model.exact and abs(gap) > tol):
                 coherent = w[cy[0]] if cy else 0
-                incoherent = 0
-                for xy in members:
-                    incoherent = incoherent + w[xy]
-                gap = coherent - incoherent
-                if (model.exact and gap != 0) or (not model.exact and abs(gap) > tol):
-                    out.append(InterferenceWitness(si, a, y, coherent, incoherent))
+                out.append(InterferenceWitness(si, a, y, coherent, _mass(w, members)))
     return out
 
 

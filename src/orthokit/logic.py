@@ -90,23 +90,22 @@ class Orthoalgebra:
         for (p, q), s in op.items():
             if op.get((q, p)) != s:
                 raise LawViolation("partial sum is not commutative")
-        # associativity in the orthoalgebra sense, over the r with s + r defined
+        # associativity in the orthoalgebra sense, over the defined pairs (p, q)
+        # and the r with s + r defined, each ascending
+        pairs = sorted(op)
         partners: dict = {}
-        for p in range(n):
-            for q in range(n):
-                s = op.get((p, q))
-                if s is None:
-                    continue
-                if s not in partners:
-                    partners[s] = [r for r in range(n) if op.get((s, r)) is not None]
-                for r in partners[s]:
-                    sr = op[(s, r)]
-                    qr = op.get((q, r))
-                    if qr is None or op.get((p, qr)) != sr:
-                        raise LawViolation(
-                            f"associativity fails at {self.labels[p]},"
-                            f"{self.labels[q]},{self.labels[r]}"
-                        )
+        for p, q in pairs:
+            partners.setdefault(p, []).append(q)
+        for p, q in pairs:
+            s = op[(p, q)]
+            for r in partners.get(s, ()):
+                sr = op[(s, r)]
+                qr = op.get((q, r))
+                if qr is None or op.get((p, qr)) != sr:
+                    raise LawViolation(
+                        f"associativity fails at {self.labels[p]},"
+                        f"{self.labels[q]},{self.labels[r]}"
+                    )
         # consistency
         for p in range(n):
             if (p, p) in op and p != self.zero:

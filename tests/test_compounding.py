@@ -401,6 +401,46 @@ class TestSequential:
         with pytest.raises(NotSequential):
             validate_sequential(cm.model, bad, probe_depth=1)
 
+    @pytest.mark.parametrize("value", [-1, 3, 99, 1.0])
+    def test_a_product_that_is_no_outcome_is_refused(self, value):
+        """x·y must name an outcome; a table value outside them used to index the
+        orthogonality table (wrapping at -1) or fail with IndexError later."""
+        cm = classical_model(2)
+        one = cm.subset_id[frozenset({1})]
+        table = dict(cm.product.table)
+        table[(one, one)] = value
+        for semantics in (IMPOSSIBLE, OUT_OF_WINDOW):
+            bad = SequentialProduct(cm.product.unit, table, undefined_means=semantics)
+            with pytest.raises(NotSequential, match="product is not an outcome") as info:
+                validate_sequential(cm.model, bad, probe_depth=1, states=[])
+            assert info.value.witness == one
+
+    def test_out_of_window_names_the_semantics(self):
+        unit, table = 0, {(0, 0): 0}
+        assert not SequentialProduct(unit, table).out_of_window
+        assert not SequentialProduct(unit, table, undefined_means=IMPOSSIBLE).out_of_window
+        assert SequentialProduct(unit, table, undefined_means=OUT_OF_WINDOW).out_of_window
+
+    def test_products_are_read_once_per_call(self):
+        """The state loop asks the product nothing: more states, same product calls."""
+        cm = classical_model(3)
+        calls = []
+
+        class Counting(SequentialProduct):
+            def prod(self, x, y):
+                calls.append((x, y))
+                return super().prod(x, y)
+
+        sp = Counting(cm.product.unit, cm.product.table)
+        vertices = cm.model.state_vertices()
+        counts = []
+        for states in (vertices[:1], vertices * 3):
+            calls.clear()
+            report = validate_sequential(cm.model, sp, probe_depth=1, states=states).report
+            assert report.state_candidates == len(states)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_chain_rule(self):
         cm = classical_model(2)
         for w in cm.model.state_vertices():

@@ -297,3 +297,21 @@ def test_left_products_respect_event_classes():
                     if ab is None or ab2 is None or not ab or not ab2:
                         continue
                     assert space.is_perspective(ab, ab2), (a, b, b2)
+
+
+def test_interference_product_lists_are_built_once():
+    """Two ``products`` calls per (event, follow-up), however many states."""
+    cm = classical_model(3)
+    calls = []
+
+    class Counting(SequentialProduct):
+        def products(self, pairs):
+            calls.append(pairs)
+            return super().products(pairs)
+
+    sp = Counting(cm.product.unit, cm.product.table)
+    vertices = cm.model.state_vertices()
+    for states in (vertices[:1], vertices * 3):
+        calls.clear()
+        assert find_interference(cm.model, cm.sigma, sp, states=states) == []
+        assert len(calls) == 2 * len(cm.sigma) * cm.model.space.n_outcomes

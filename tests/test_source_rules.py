@@ -25,12 +25,15 @@ rests on seeded draws.
 
 It keeps each rule in few places: only ``compounding.py`` compares against the
 rules for undefined sequential products, and inside it ``undefined_means`` is
-read only by ``SequentialProduct.products`` and ``validate_sequential``.
+read only by ``SequentialProduct.out_of_window``, which ``products`` and the
+string evaluation of ``validate_sequential`` both ask.
 
 It keeps one event form where events are most numerous: ``coarsening.py`` and
 ``morphisms.py`` read events only as masks, never through the frozenset views
 ``tests``, ``test_set``, ``events_list`` or ``events()``, and no coarsening
-carries an ``outcome_event`` table.
+carries an ``outcome_event`` table.  The sequential-product checks
+``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra`` and
+``find_interference`` read no ``tests``, ``test_set`` or ``events_list`` view.
 """
 
 import ast
@@ -454,12 +457,12 @@ def test_undefined_products_are_read_in_compounding_only():
     assert found == UNDEFINED_RULE_READERS
 
 
-# inside compounding.py: the product's own rule, and the rule for whole strings
-# in ``validate_sequential``'s evaluation block
-UNDEFINED_MEANS_READERS = {"SequentialProduct.products", "validate_sequential"}
+# inside compounding.py: the product's own rule, which ``products`` and
+# ``validate_sequential``'s rule for whole strings both read
+UNDEFINED_MEANS_READERS = {"SequentialProduct.out_of_window"}
 
 
-def test_undefined_means_is_read_in_two_places():
+def test_undefined_means_is_read_in_one_place():
     source = (SRC / "compounding.py").read_text(encoding="utf-8")
     scopes = {scope for _, _, name, scope in undefined_rule_comparisons(source)
               if name == "undefined_means"}
@@ -513,3 +516,53 @@ def test_coarsening_and_morphisms_read_events_as_masks():
         if hits:
             found[name] = hits
     assert not found, f"frozenset views of events read in: {found}"
+
+
+# the sequential-product checks, which read tests and events as masks
+MASK_ONLY_FUNCTIONS = {
+    "compounding.py": ("validate_sequential", "check_chain_rule"),
+    "interference.py": ("validate_g_algebra", "find_interference"),
+}
+SET_VIEWS = {"tests", "test_set", "events_list"}
+
+
+def set_view_reads(source, functions, filename="<string>"):
+    """(line, view, enclosing qualified name) of every ``tests``, ``test_set``
+    or ``events_list`` attribute read inside the named functions or the
+    functions nested in them."""
+    return sorted(
+        (node.lineno, node.attr, scope)
+        for node, scope in scoped_nodes(source, filename)
+        if isinstance(node, ast.Attribute) and node.attr in SET_VIEWS
+        and scope is not None and scope.split(".")[0] in functions
+    )
+
+
+def test_scanner_flags_set_view_reads():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "def validate_sequential(model, tc):\n"
+        "    tests = model.space._test_masks\n"
+        "    def inner():\n"
+        "        return tc.model.space.tests, model.space.events_list(3)\n"
+        "    return model.space.test_set, inner\n"
+        "def nonatomicity_report(tc):\n"
+        "    return tc.base.space.tests\n"
+    )
+    assert set_view_reads(source, ("validate_sequential",)) == [
+        (4, "events_list", "validate_sequential.inner"),
+        (4, "tests", "validate_sequential.inner"),
+        (5, "test_set", "validate_sequential"),
+    ]
+
+
+def test_sequential_checks_read_events_as_masks():
+    found = {}
+    for name, functions in MASK_ONLY_FUNCTIONS.items():
+        source = (SRC / name).read_text(encoding="utf-8")
+        defined = {scope for _, scope in scoped_nodes(source) if scope in functions}
+        assert defined == set(functions)
+        hits = set_view_reads(source, functions)
+        if hits:
+            found[name] = hits
+    assert not found, f"frozenset views read in the sequential checks: {found}"
