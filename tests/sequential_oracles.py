@@ -1,10 +1,10 @@
 """Frozenset reference versions of the sequential-product checks.
 
-These are ``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra``
-and ``find_interference`` as they were before the library moved them onto
-masks: every product is asked of ``sp.prod`` or ``sp.products`` inside the
-state and word loops, events and tests are frozensets, and exact masses are
-summed as ``Fraction``s.  The library builds each product row, image mask and
+These are the straightforward versions of ``validate_sequential``,
+``check_chain_rule``, ``validate_g_algebra`` and ``find_interference``: every
+product is asked of ``sp.prod`` or ``sp.products`` inside the state, triple
+and word loops, events and tests are frozensets, and exact masses are summed
+as ``Fraction``s.  The library builds each product row, image mask and
 product list once per call and sums exact states as integer numerators; the
 oracle tests require both sides to agree on reports, counts, witness lists,
 exception class, message and witness.
@@ -27,7 +27,14 @@ from orthokit.compounding import (
     defined_products,
     truncated_compound,
 )
-from orthokit.errors import NotAState, NotGAlgebra, NotSequential, UsageError, check_cap_sum, check_tolerance
+from orthokit.errors import (
+    NotAState,
+    NotGAlgebra,
+    NotSequential,
+    UsageError,
+    check_cap_sum,
+    check_tolerance,
+)
 from orthokit.interference import GAlgebra, InterferenceWitness, _is_commutative
 from orthokit.states import Model, Weight
 from orthokit.testspace import PredicateResult, _ids, event_key
