@@ -369,7 +369,8 @@ def find_interference(
     ``witnesses_from`` ids must be outcomes of the model.  The states default
     to ``model.state_vertices(cap)``, which raises past the cap.  A given
     ``tol`` must be finite and nonnegative.  The product lists do not depend on
-    the state, so they are built once (see ``compounding`` for the sums).
+    the state and are built once; an exact state is summed as int numerators
+    over the lcm of its denominators, which give exactly its ``Fraction`` sums.
     """
     check_tolerance(tol)
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
@@ -385,7 +386,7 @@ def find_interference(
         states = model.state_vertices(cap)
     if tol is None:
         tol = 0.0 if model.exact else model.tol
-    scan = []  # the product lists do not depend on the state
+    scan = []
     for a in sorted(table, key=event_key):
         for y in witness_pool:
             cy = products([(table[a], y)])

@@ -7,8 +7,8 @@ hoisted product lists, and sum exact states as integer numerators;
 ``sp.products`` per state and per triple and summed ``Fraction``s.  Both
 sides must give the same report, string counts, witness list (values and
 their types included) or exception class, message and witness on the
-classical models at probe depths 1 and 2, the beam presets, the
-``classical3`` fixture, the concatenation products of truncated compounds,
+classical models at probe depths 1 and 2, the beam presets and their exact
+twins, the ``classical3`` fixture, the concatenation products of truncated compounds,
 the missing-follow-up tables, products corrupted to break each law,
 hypothesis-random tables and exact states with nonzero gaps.
 """
@@ -42,7 +42,7 @@ from orthokit.quantum import (
     preset_spin1,
     preset_spin32,
 )
-from orthokit.states import Weight
+from orthokit.states import Weight, full_model
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +131,12 @@ def test_beam_presets(build):
     found = same_interference(beam.model, beam.sigma, beam.path_product, witnesses_from=pool)
     assert found and all(t is float for row in found for t in row[5:])
     same_interference(beam.model, beam.sigma, beam.path_product, witnesses_from=pool, tol=1e-3)
+    # the exact twin, on the generators read as Fractions (binary denominators)
+    exact = full_model(beam.model.space)
+    states = [Weight(tuple(map(F, g.values))) for g in beam.model.states.generators]
+    found = same_interference(exact, beam.sigma, beam.path_product, states=states,
+                              witnesses_from=pool)
+    assert found and all(F in row[5:] for row in found)
 
 
 def test_classical3_fixture():
