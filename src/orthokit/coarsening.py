@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     HypothesisUnmet,
@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
     check_cap,
 )
-from .logic import Orthoalgebra, OrthoMap, build_logic
+from .logic import Orthoalgebra, OrthoMap, build_logic, induced_logic_map
 from .morphisms import Morphism, _image_mask, validate_morphism
 from .states import Model, StateSpace, Weight
 from .testspace import PredicateResult, TestSpace, _ids, mask_event, mask_key
@@ -218,20 +218,6 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
 # -- coherences and cohesions ---------------------------------------------------
 
 
-class CoherenceMap:
-    """Total map from nonempty events to outcomes of the same model."""
-
-    def __init__(self, fn: Callable[[frozenset], int] | Mapping[frozenset, int]):
-        if callable(fn):
-            self._fn = fn
-        else:
-            table = {frozenset(k): v for k, v in fn.items()}
-            self._fn = table.__getitem__
-
-    def __call__(self, event: Iterable[int]) -> int:
-        return self._fn(frozenset(event))
-
-
 @dataclass(frozen=True)
 class CheckedCoherence:
     """A validated coarsening-algebra structure on a model."""
@@ -247,23 +233,25 @@ class CheckedCoherence:
 
 def validate_coherence(
     model: Model,
-    sigma: CoherenceMap | Mapping[frozenset, int],
+    sigma: Mapping[frozenset, int],
     cap: int | None = None,
     coarse: Coarsening | None = None,
 ) -> CheckedCoherence:
     """Validate a structure map for the coarsening construction.
 
-    Checks: the map is a morphism from the coarsening to the model; it fixes
-    singletons; it satisfies the grouped-refinement identity on jointly
-    orthogonal families; and the derived substitution facts (image tests,
-    perspectivity of an event with its collapse) hold.
+    Checks: the table has an entry for every nonempty event; the map is a
+    morphism from the coarsening to the model; it fixes singletons; it
+    satisfies the grouped-refinement identity on jointly orthogonal families;
+    and the derived substitution facts (image tests, perspectivity of an
+    event with its collapse) hold.
     """
-    if not isinstance(sigma, CoherenceMap):
-        sigma = CoherenceMap(sigma)
     coarse = coarse if coarse is not None else coarsen(model, cap)
     space = model.space
     events = list(map(mask_event, coarse.outcome_mask))
-    image = tuple(map(sigma, events))  # coarse outcome -> its collapse in the model
+    try:
+        image = tuple(map(sigma.__getitem__, events))  # coarse outcome -> its collapse
+    except KeyError as exc:
+        raise NotCoherence("structure map misses a nonempty event", witness=exc.args[0]) from None
     for x in range(space.n_outcomes):
         if image[coarse.mask_outcome[1 << x]] != x:
             raise NotCoherence(
@@ -406,25 +394,10 @@ def check_sharp_algebra_laws(checked: CheckedCoherence, cap: int | None = None) 
 def sharp_logic_iso(model: Model, cap: int | None = None) -> OrthoMap:
     """The logic of a model and of its coarsening agree, class by class.
 
-    Builds both logics and the canonical singleton map, verifying it is a
-    sum-preserving bijection.
+    Transports the classes along the singleton unit and verifies that the
+    induced sum-preserving map is a bijection.
     """
-    coarse = coarsen(model, cap)
-    src_logic = build_logic(model.space, cap)
-    dst_logic = build_logic(coarse.model.space, cap)
-    table: list[int | None] = [None] * len(src_logic)
-    for a, cls in src_logic.class_of.items():
-        if not a:
-            image_cls = dst_logic.zero
-        else:
-            image_cls = dst_logic.class_of[frozenset([coarse.to_coarse(a)])]
-        if table[cls] is None:
-            table[cls] = image_cls
-        elif table[cls] != image_cls:
-            raise LawViolation("singleton logic map is ill-defined")
-    if len(set(table)) != len(table) or len(src_logic) != len(dst_logic):
+    iso = induced_logic_map(unit_eta(coarsen(model, cap), cap), cap=cap)
+    if len(set(iso.table)) != len(iso.table) or len(iso.source) != len(iso.target):
         raise LawViolation("logics of the model and its coarsening are not in bijection")
-    for (p, q), s in src_logic.oplus.items():
-        if dst_logic.oplus.get((table[p], table[q])) != table[s]:
-            raise LawViolation("singleton logic map does not preserve sums")
-    return OrthoMap(src_logic, dst_logic, tuple(table))
+    return iso

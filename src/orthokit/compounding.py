@@ -358,6 +358,17 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
     return TruncatedCompound(model, depth, compound_model, tuple(strings), string_id)
 
 
+def concat_masks(a: int, b: int, width: int) -> int:
+    """The concatenations s·t, s in a and t in b, of two string sets as masks.
+
+    A set of length-k strings over n outcomes is a mask over the n^k codes of
+    its strings; the code of x_1...x_k is the base-n number x_1...x_k, so codes
+    follow ``TruncatedCompound.strings`` within one length.  ``width`` is the
+    number of codes of b's length, and the length-0 set {ε} is the mask 1.
+    """
+    return sum(b << s * width for s in _ids(a))
+
+
 def transition_state(
     tc: TruncatedCompound, rows: Mapping[tuple[int, ...], Weight] | Callable
 ) -> Weight:

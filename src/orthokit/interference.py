@@ -9,13 +9,19 @@ construction; such structures provably show no interference.  Interference
 itself is witnessed numerically: a state, an event, and a follow-up outcome
 where conditioning on the collapsed event disagrees with summing over its
 members.
+
+The checks read events as masks.  A set of strings of one length is a mask over
+their codes (``compounding.concat_masks``), and a setwise product a·b is the
+OR of the outcome products x·y in one table (``compounding._product_masks``),
+where -1 marks a product out of window and absorbs every OR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, chain, product as iproduct
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
@@ -27,6 +33,7 @@ from .compounding import (
     _mass,
     _product_masks,
     _summands,
+    concat_masks,
     defined_products,
     truncated_compound,
     validate_sequential,
@@ -40,27 +47,15 @@ from .errors import (
     check_tolerance,
 )
 from .logic import build_logic
-from .morphisms import Morphism, validate_morphism
+from .morphisms import Morphism, _image_mask, validate_morphism
 from .states import Model, Weight
-from .testspace import PredicateResult, _ids, event_key, mask_event
-
-BaseString = tuple  # strings over base outcome ids
+from .testspace import PredicateResult, _ids, event_key
 
 
-def concat_product(events: Sequence[frozenset]) -> frozenset:
-    """Setwise concatenation product of outcome sets, as a set of strings."""
-    out = [()]
-    for ev in events:
-        out = [s + (x,) for s in out for x in sorted(ev)]
-    return frozenset(out)
-
-
-def concat_string_sets(sets: Sequence[frozenset]) -> frozenset:
-    """Concatenation product of sets of strings."""
-    out = [()]
-    for block in sets:
-        out = [s + t for s in out for t in sorted(block)]
-    return frozenset(out)
+def _string_set(events: Iterable[int], n: int) -> int:
+    """The concatenation product of a word of event masks over n outcomes, as a
+    string-set mask (``concat_masks``)."""
+    return reduce(lambda out, m: concat_masks(out, m, n), events, 1)
 
 
 @dataclass(frozen=True)
@@ -84,15 +79,15 @@ def check_distributive_diagrams(
     if depth < 0:
         raise UsageError("depth must be nonnegative")
     coarse = coarsen(model, cap)
-    events = list(map(mask_event, coarse.outcome_mask))  # sorted by event_key
-    double_outcomes = [
-        frozenset(events[i] for i in _ids(d))
+    events = coarse.outcome_mask  # sorted by mask_key
+    families = [  # each double-coarse outcome: its member outcomes and their union
+        (_ids(d), reduce(or_, (events[i] for i in _ids(d))))
         for d in filter(None, coarse.model.space._checked_event_masks(cap))
     ]
     n = model.space.n_outcomes
     # One point per word of each square and triangle; a word of length k has
     # 2^(k-1) splits (one for k = 0).
-    d, e = len(double_outcomes), len(events)
+    d, e = len(families), len(events)
     terms = (d**k + e**k * (2 ** (k - 1) if k else 1) + n**k for k in range(depth + 1))
     check_cap_sum("distributive diagrams", chain([e], terms), cap)
 
@@ -100,12 +95,11 @@ def check_distributive_diagrams(
     # before or after distributing.
     sq1 = 0
     for k in range(depth + 1):
-        for word in iproduct(double_outcomes, repeat=k):
-            via_member = frozenset()
-            for choice in iproduct(*[sorted(fam, key=event_key) for fam in word]):
-                via_member |= concat_product(choice)
-            unions = [frozenset().union(*fam) for fam in word]
-            if via_member != concat_product(unions):
+        for word in iproduct(families, repeat=k):
+            via_member = 0
+            for choice in iproduct(*(members for members, _ in word)):
+                via_member |= _string_set((events[i] for i in choice), n)
+            if via_member != _string_set((union for _, union in word), n):
                 raise LawViolation("distributive square over coarsening fails")
             sq1 += 1
 
@@ -113,28 +107,29 @@ def check_distributive_diagrams(
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
+            flat = _string_set(word, n)
             for split in _compositions(total):
-                chunks = [word[end - part : end] for end, part in zip(accumulate(split), split)]
-                nested = concat_string_sets([concat_product(c) for c in chunks])
-                flat = concat_product(word)
+                nested = 1
+                for end, part in zip(accumulate(split), split):
+                    nested = concat_masks(nested, _string_set(word[end - part : end], n), n**part)
                 if nested != flat:
                     raise LawViolation("distributive square over flattening fails")
                 sq2 += 1
 
     # Triangle 1: an event, viewed as a one-letter string, distributes to
-    # its set of one-letter strings.
+    # its set of one-letter strings, whose codes are its outcomes.
     tri1 = 0
-    for ev in events:
-        if concat_product([ev]) != frozenset((x,) for x in ev):
+    for m in events:
+        if _string_set([m], n) != m:
             raise LawViolation("coarse unit triangle fails")
         tri1 += 1
 
     # Triangle 2: a string of singletons distributes to the singleton of
-    # the string.
+    # the string, whose code is its index in iproduct order.
     tri2 = 0
     for k in range(depth + 1):
-        for s in iproduct(range(n), repeat=k):
-            if concat_product([frozenset([x]) for x in s]) != frozenset([s]):
+        for code, s in enumerate(iproduct(range(n), repeat=k)):
+            if _string_set((1 << x for x in s), n) != 1 << code:
                 raise LawViolation("compound unit triangle fails")
             tri2 += 1
     return DiagramReport(sq1, sq2, tri1, tri2)
@@ -167,12 +162,12 @@ def distributive_ell(model: Model, depth: int, cap: int | None = None) -> Distri
     source = truncated_compound(coarse.model, depth, cap)
     compound = truncated_compound(model, depth, cap)
     target = coarsen(compound.model, cap)
-    events = list(map(mask_event, coarse.outcome_mask))
+    n, events = model.space.n_outcomes, coarse.outcome_mask
     mapping = []
-    for s in source.strings:
-        block = frozenset(compound.id_of(w) for w in concat_product([events[i] for i in s]))
-        mapping.append(target.to_coarse(block))
-    phi = validate_morphism(source.model, target.model, tuple(mapping), cap)
+    for s in source.strings:  # the length-k strings have the compound ids from that of (0,) * k on
+        strings = _string_set((events[i] for i in s), n) << compound.id_of((0,) * len(s))
+        mapping.append(target._outcome_of(strings))
+    phi = validate_morphism(source.model, target.model, mapping, cap)
     if not phi.embedding:
         raise LawViolation("the interchange map must be an embedding")
     return DistributiveCell(model, depth, source, target, phi)
@@ -187,15 +182,17 @@ def check_ell_naturality(phi: Morphism, depth: int, cap: int | None = None) -> i
     """
     if not phi.test_preserving:
         raise HypothesisUnmet("naturality window needs a test-preserving morphism")
-    src_events = sorted((a for a in phi.source.space.events_list(cap) if a), key=event_key)
-    check_cap_sum("naturality points", (len(src_events) ** k for k in range(depth + 1)), cap)
-    points = 0
+    src = phi.source.space
+    events = [(m, _image_mask(phi.mapping, m)) for m in src._checked_event_masks(cap) if m]
+    check_cap_sum("naturality points", (len(events) ** k for k in range(depth + 1)), cap)
+    n, n_dst = src.n_outcomes, phi.target.space.n_outcomes
+    points, push = 0, [0]  # push[c]: the code of the pushed string of code c, at length k
     for k in range(depth + 1):
-        for word in iproduct(src_events, repeat=k):
-            pushed = [phi.image(ev) for ev in word]
-            lhs = concat_product(pushed)
-            rhs = frozenset(tuple(phi.mapping[x] for x in s) for s in concat_product(word))
-            if lhs != rhs:
+        if k:
+            push = [p * n_dst + fx for p in push for fx in phi.mapping]
+        for word in iproduct(events, repeat=k):
+            pushed = _string_set((f for _, f in word), n_dst)
+            if _image_mask(push, _string_set((m for m, _ in word), n)) != pushed:
                 raise LawViolation("interchange naturality fails")
             points += 1
     return points
@@ -238,8 +235,8 @@ def validate_g_algebra(
     must agree with the product of the collapses.  The interchange route
     (distribute to a string set, evaluate each string, collapse the set)
     gives nothing more: since prod(unit, y) = y, when every string of the
-    word is defined the left fold of ``event_product`` over the word is
-    {prod_string(s) : s in concat_product(word)}.
+    word is defined the left fold of setwise products over the word is
+    {prod_string(s) : s a string of the word's concatenation product}.
 
     The folds run on masks: x·b is built once per outcome x and factor b (an
     event, or the collapse of one) through ``products``, as -1 out of window,
@@ -314,17 +311,18 @@ def check_commutative_boolean(g: GAlgebra, cap: int | None = None):
         raise HypothesisUnmet("product is not commutative")
     if not space.algebraic(cap):
         raise HypothesisUnmet("model is not algebraic")
-    prod = g.product
-    for e in space.tests:
-        for f in space.tests:
-            refined = prod.event_product(e, f)
-            if refined is None:
+    n, tests = space.n_outcomes, space._test_masks
+    rows = list(zip(*_product_masks(g.product, n)))  # rows[x][y] is x·y
+    for e in tests:
+        fibers = _joined(rows, e, n)  # e·y for each outcome y
+        for f in tests:
+            refined = reduce(or_, (fibers[y] for y in _ids(f)), 0)
+            if refined < 0:
                 raise LawViolation("test product fell outside the window")
-            if refined not in space.test_set:
+            if refined not in tests:
                 raise LawViolation("test product is not a common refinement test")
-            for y in sorted(f):
-                fiber = prod.event_product(e, frozenset([y]))
-                if fiber is None or not space.is_perspective(frozenset([y]), fiber):
+            for y in _ids(f):
+                if fibers[y] < 0 or space._axis(1 << y, fibers[y]) is None:
                     raise LawViolation("refinement fiber is not perspective to its outcome")
     logic = build_logic(space, cap)
     verdict = logic.is_boolean()
@@ -410,18 +408,14 @@ def check_collapse_perspectivity(g: GAlgebra) -> int:
     Returns the number of (event, outcome) pairs verified.
     """
     space = g.model.space
-    prod = g.product
-    table = g.sigma
+    n = space.n_outcomes
+    rows = list(zip(*_product_masks(g.product, n)))  # rows[x][y] is x·y
     points = 0
-    for a in sorted(table, key=event_key):
-        for y in range(space.n_outcomes):
-            ay = prod.event_product(a, frozenset([y]))
-            cy = prod.prod(table[a], y)
-            if ay is None or cy is None:
+    for a in sorted(g.sigma, key=event_key):
+        for ay, cy in zip(_joined(rows, space._mask_of(a), n), rows[g.sigma[a]]):
+            if ay <= 0 or cy <= 0:  # out of window, or impossible
                 continue
-            if not ay:
-                continue
-            if not space.is_perspective(ay, frozenset([cy])):
+            if space._axis(ay, cy) is None:
                 raise LawViolation(
                     "event-then-outcome is not perspective to collapse-then-outcome"
                 )
@@ -434,18 +428,24 @@ def check_left_equivariance(
     sigma: Mapping[frozenset, int] | CheckedCoherence,
     prod: SequentialProduct,
 ) -> PredicateResult:
-    """Weaker compatibility: left translation commutes with collapsing."""
+    """Weaker compatibility: left translation commutes with collapsing.
+
+    Every key of ``sigma`` must be a set of outcome ids and every value an
+    outcome id; UsageError refuses any other entry before a product is read.
+    """
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
-    for a in sorted(table, key=event_key):
-        for x in range(model.space.n_outcomes):
-            xa = prod.event_product(frozenset([x]), a)
-            lhs = prod.prod(x, table[a])
-            if xa is None or lhs is None:
+    space, n = model.space, model.space.n_outcomes
+    entries = [(a, space._mask_of(a), table[a]) for a in sorted(table, key=event_key)]
+    for a, m, c in entries:
+        if m is None or space._mask_of([c]) is None:
+            raise UsageError(f"not a σ entry of outcome ids: {sorted(a)} -> {c!r}")
+    cols = _product_masks(prod, n)  # cols[y][x] is x·y
+    collapse = {m: 1 << c for _, m, c in entries}
+    for a, m, c in entries:
+        for x, (xa, lhs) in enumerate(zip(_joined(cols, m, n), cols[c])):
+            if xa <= 0 or lhs <= 0:  # out of window, or impossible
                 continue
-            if not xa:
-                continue
-            rhs = table.get(xa) if len(xa) > 1 else next(iter(xa))
-            if rhs is None or lhs != rhs:
+            if lhs != (collapse.get(xa) if xa & (xa - 1) else xa):  # a singleton is its collapse
                 return PredicateResult(False, (x, a))
     return PredicateResult(True)
 
@@ -458,14 +458,13 @@ def coarse_setwise_product(
     unit = coarse.mask_outcome.get(space._mask_of([sp.unit]))
     if unit is None:
         raise UsageError("the base unit must be an outcome of the coarsening")
+    events = coarse.outcome_mask
+    cols = _product_masks(sp, space.n_outcomes)
+    right = list(zip(*(_joined(cols, b, space.n_outcomes) for b in events)))  # x·b_j
     table = {}
-    events = list(map(mask_event, coarse.outcome_mask))
     for i, a in enumerate(events):
-        for j, b in enumerate(events):
-            ev = sp.event_product(a, b)
-            if ev is None or not ev:
-                continue
-            k = coarse.mask_outcome.get(space._mask_of(ev))
+        for j, ab in enumerate(_joined(right, a, len(events))):
+            k = coarse.mask_outcome.get(ab)  # none for -1 (out of window) and 0 (impossible)
             if k is not None:
                 table[(i, j)] = k
     return SequentialProduct(unit, table, undefined_means=sp.undefined_means)

@@ -5,17 +5,20 @@ use, build the double coarsening as a model wherever its outcomes are read,
 special-case singleton collapses, and read every event as a frozenset: the
 outcomes of a coarsening through ``to_event``, the tests of a space through
 ``tests`` and ``test_set``, and morphisms through the frozenset
-``frozenset_oracles.validate_morphism``.  The library goes through one
-``Coarsening.collapse`` and reads events only as masks; the oracle tests
-require both sides to agree on reports, point counts, exception class,
-message and witness.
+``frozenset_oracles.validate_morphism``.  ``validate_coherence`` reads its
+table through ``CoherenceMap``, a callable wrapper the library no longer has,
+and ``sharp_logic_iso`` walks the singleton map class by class where the
+library transports classes along the unit with ``induced_logic_map``.  The
+library goes through one ``Coarsening.collapse`` and reads events only as
+masks; the oracle tests require both sides to agree on reports, point
+counts, exception class, message and witness.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from orthokit.coarsening import CheckedCoherence, CoherenceMap, MonadLawReport, coarsen
+from orthokit.coarsening import CheckedCoherence, MonadLawReport, coarsen
 from orthokit.compounding import (
     IMPOSSIBLE,
     OUT_OF_WINDOW,
@@ -30,16 +33,11 @@ from orthokit.errors import (
     NotGAlgebra,
     UsageError,
 )
-from orthokit.interference import (
-    DiagramReport,
-    GAlgebra,
-    _compositions,
-    _is_commutative,
-    concat_product,
-    concat_string_sets,
-)
+from orthokit.interference import DiagramReport, GAlgebra, _compositions, _is_commutative
+from orthokit.logic import OrthoMap, build_logic
 from orthokit.testspace import PredicateResult, event_key
 from frozenset_oracles import validate_morphism
+from interchange_oracles import concat_product, concat_string_sets
 
 
 def outcome_events(coarse):
@@ -103,6 +101,21 @@ def check_monad_laws_sharp(model, cap=None):
             raise LawViolation("right unit triangle fails")
         unit_points += 1
     return MonadLawReport(points, unit_points)
+
+
+class CoherenceMap:
+    """Total map from nonempty events to outcomes of the same model: a
+    callable, or a mapping whose keys are read as frozensets."""
+
+    def __init__(self, fn):
+        if callable(fn):
+            self._fn = fn
+        else:
+            table = {frozenset(k): v for k, v in fn.items()}
+            self._fn = table.__getitem__
+
+    def __call__(self, event):
+        return self._fn(frozenset(event))
 
 
 def validate_coherence(model, sigma, cap=None, coarse=None):
@@ -286,3 +299,26 @@ def validate_g_algebra(model, sigma, sp, probe_depth=2, cap=None, states=None):
             checked += 1
     commutative = _is_commutative(model, prod)
     return GAlgebra(model, checked_sigma, checked_sp, commutative, checked, skipped)
+
+
+def sharp_logic_iso(model, cap=None):
+    """Both logics built, and the singleton map walked class by class."""
+    coarse = coarsen(model, cap)
+    src_logic = build_logic(model.space, cap)
+    dst_logic = build_logic(coarse.model.space, cap)
+    table = [None] * len(src_logic)
+    for a, cls in src_logic.class_of.items():
+        if not a:
+            image_cls = dst_logic.zero
+        else:
+            image_cls = dst_logic.class_of[frozenset([coarse.to_coarse(a)])]
+        if table[cls] is None:
+            table[cls] = image_cls
+        elif table[cls] != image_cls:
+            raise LawViolation("singleton logic map is ill-defined")
+    if len(set(table)) != len(table) or len(src_logic) != len(dst_logic):
+        raise LawViolation("logics of the model and its coarsening are not in bijection")
+    for (p, q), s in src_logic.oplus.items():
+        if dst_logic.oplus.get((table[p], table[q])) != table[s]:
+            raise LawViolation("singleton logic map does not preserve sums")
+    return OrthoMap(src_logic, dst_logic, tuple(table))

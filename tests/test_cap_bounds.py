@@ -266,7 +266,7 @@ def test_distributive_diagrams(name, depth, record):
     e, n = len(coarse.outcome_mask), model.space.n_outcomes
     splits = [1] + [2 ** (k - 1) for k in range(1, depth + 1)]
     bound = e + sum(d**k + e**k * splits[k] + n**k for k in range(depth + 1))
-    calls = record(interference, "concat_product")
+    calls = record(interference, "concat_masks")
     raises_before_work(
         lambda cap: check_distributive_diagrams(model, depth, cap),
         "distributive diagrams",
@@ -305,7 +305,7 @@ def test_ell_naturality(index, depth, record):
     assert phi.test_preserving
     e = sum(1 for ev in phi.source.space.events_list() if ev)
     bound = sum(e**k for k in range(depth + 1))
-    calls = record(interference, "concat_product")
+    calls = record(interference, "concat_masks")
     raises_before_work(
         lambda cap: check_ell_naturality(phi, depth, cap), "naturality points", bound, calls
     )
@@ -403,7 +403,7 @@ def test_large_classical_model_stops_at_the_subsets(record):
 
 
 def test_deep_distributive_window_stops_at_the_cap(record):
-    calls = record(interference, "concat_product")
+    calls = record(interference, "concat_masks")
     small_bound_over_cap(
         lambda: check_distributive_diagrams(named("wright"), 5000), "distributive diagrams"
     )
@@ -413,7 +413,7 @@ def test_deep_distributive_window_stops_at_the_cap(record):
 @pytest.mark.parametrize("index", range(4))
 def test_deep_naturality_window_stops_at_the_cap(index, record):
     phi = naturality_cases()[index]
-    calls = record(interference, "concat_product")
+    calls = record(interference, "concat_masks")
     small_bound_over_cap(lambda: check_ell_naturality(phi, 20000), "naturality points")
     assert calls == []
 

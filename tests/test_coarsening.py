@@ -325,6 +325,18 @@ class TestCoherences:
         with pytest.raises(NotCoherence):
             validate_coherence(cm.model, bad)
 
+    def test_missing_entry_is_a_coherence_violation(self):
+        """A table without a nonempty event names the first one it misses, in
+        the coarsening's outcome order, instead of raising a bare KeyError."""
+        cm = classical_model(3)
+        kept = dict(list(cm.sigma.items())[:5])
+        c = coarsen(cm.model)
+        events = [c.to_event(i) for i in range(len(c.outcome_mask))]
+        first = next(ev for ev in events if ev not in kept)
+        with pytest.raises(NotCoherence, match="misses a nonempty event") as info:
+            validate_coherence(cm.model, kept, coarse=c)
+        assert info.value.witness == first
+
     def test_no_coherence_on_wright(self):
         m = named("wright")
         c = coarsen(m)

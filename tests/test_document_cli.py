@@ -393,6 +393,17 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["holds"] is False and report["violation"]
 
+    def test_g_algebra_on_a_partial_coherence_exits_one(self, tmp_path, capsys):
+        """classical3 cut to 5 of its 14 coherence entries: a JSON violation, no traceback."""
+        doc = json.loads(Path(classical_path()).read_text(encoding="utf-8"))
+        assert len(doc["coherence"]) == 14
+        doc["coherence"] = doc["coherence"][:5]
+        broken = tmp_path / "partial.json"
+        broken.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["laws", str(broken), "g-algebra"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"holds": False, "violation": "structure map misses a nonempty event"}
+
     def test_logic_of_non_algebraic_space_exits_two(self, tmp_path):
         model = next(m for m in corpus_models(6, 3) if not m.space.algebraic())
         path = tmp_path / "non-algebraic.json"

@@ -9,6 +9,7 @@ from orthokit.compounding import (
     IMPOSSIBLE,
     OUT_OF_WINDOW,
     SequentialProduct,
+    concat_masks,
     concatenation_product,
     truncated_compound,
     validate_sequential,
@@ -21,7 +22,6 @@ from orthokit.interference import (
     check_ell_naturality,
     check_left_equivariance,
     coarse_setwise_product,
-    concat_product,
     distributive_ell,
     find_interference,
     validate_g_algebra,
@@ -59,9 +59,9 @@ class TestDiagrams:
         assert rep.unit_compound == 1
 
     def test_single_letter_restriction_is_eventwise(self, binary):
-        for ev in binary.space.events_list():
-            if ev:
-                assert concat_product([ev]) == frozenset((x,) for x in ev)
+        """The one-letter strings of an event have its outcomes as codes."""
+        for m in binary.space._checked_event_masks():
+            assert concat_masks(1, m, binary.space.n_outcomes) == m
 
 
 class TestInterchangeMorphism:

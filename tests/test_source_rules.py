@@ -28,10 +28,11 @@ rules for undefined sequential products, and inside it ``undefined_means`` is
 read only by ``SequentialProduct.out_of_window``, which ``products`` and the
 string evaluation of ``validate_sequential`` both ask.
 
-It keeps one event form where events are most numerous: ``coarsening.py`` and
-``morphisms.py`` read events only as masks, never through the frozenset views
-``tests``, ``test_set``, ``events_list`` or ``events()``, and no coarsening
-carries an ``outcome_event`` table.  The sequential-product checks
+It keeps one event form where events are most numerous: ``coarsening.py``,
+``morphisms.py`` and ``interference.py`` read events only as masks, never
+through the frozenset views ``tests``, ``test_set``, ``events_list``,
+``events()`` or ``event_product``, and no coarsening carries an
+``outcome_event`` table.  The sequential-product checks
 ``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra`` and
 ``find_interference`` read no ``tests``, ``test_set`` or ``events_list`` view.
 """
@@ -469,10 +470,10 @@ def test_undefined_means_is_read_in_one_place():
     assert scopes == UNDEFINED_MEANS_READERS
 
 
-# -- one event form in the coarsening and morphism layers -------------------------------
+# -- one event form in the coarsening, morphism and interchange layers ---------------------
 
-MASK_ONLY = ("coarsening.py", "morphisms.py")
-FROZENSET_VIEWS = {"tests", "test_set", "events_list", "outcome_event"}
+MASK_ONLY = ("coarsening.py", "morphisms.py", "interference.py")
+FROZENSET_VIEWS = {"tests", "test_set", "events_list", "outcome_event", "event_product"}
 
 
 def frozenset_reads(source, filename="<string>"):
@@ -498,6 +499,8 @@ def test_scanner_flags_frozenset_reads():
         "    a = space.tests, space.test_set\n"
         "    b = space.events_list(3), list(space.events())\n"
         "    return c.outcome_event, space._test_masks, space.events\n"
+        "def g(sp, a, b):\n"
+        "    return sp.event_product(a, b)\n"
     )
     assert frozenset_reads(source) == [
         (2, "outcome_event"),
@@ -506,6 +509,7 @@ def test_scanner_flags_frozenset_reads():
         (5, "events"),
         (5, "events_list"),
         (6, "outcome_event"),
+        (8, "event_product"),
     ]
 
 
