@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import coarsening_oracles
 import interchange_oracles as oracle
 from orthokit import interference
-from orthokit.coarsening import CheckedCoherence, coarsen, sharp_logic_iso, validate_coherence
+from orthokit.coarsening import CheckedCoherence, coarsen, sharp_logic_iso
 from orthokit.compounding import (
     IMPOSSIBLE,
     OUT_OF_WINDOW,
@@ -42,8 +42,8 @@ from orthokit.quantum import classical_model
 from orthokit.states import full_model
 from orthokit.testspace import _ids, build_test_space, mask_event
 
-# the caps under which the interchange map of a depth-2 compound is compared;
-# past them both sides raise the same cap error
+# the cap under which the interchange maps and the diagrams of classical 4 are
+# compared; past it both sides raise the same cap error
 ELL_CAP = 20_000
 # the cap under which a compound is coarsened to compare its blockwise product
 SMALL_COARSE = 1100
@@ -193,8 +193,8 @@ def naturality_morphisms():
     """Identities on the corpus and the classical models, the map from classical 2
     to classical 3 splitting point 2 in two, and a map that is not test-preserving."""
     yield from map(identity_morphism, corpus())
-    cm2, cm3 = classical(2), classical(3)
     yield from (identity_morphism(classical(n).model) for n in (1, 2, 3))
+    cm2, cm3 = classical(2), classical(3)
     fibers = {1: frozenset({1}), 2: frozenset({2, 3})}
     split = [cm3.subset_id[frozenset().union(*(fibers[p] for p in s))] for s in cm2.subsets]
     yield validate_morphism(cm2.model, cm3.model, split)
