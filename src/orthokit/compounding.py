@@ -117,7 +117,12 @@ def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
 
 
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
-    """All two-stage tests: a first test, then a chosen follow-up per outcome."""
+    """All two-stage tests: a first test, then a chosen follow-up per outcome.
+
+    Pairs (x, y) and (u, v) share a test exactly when x ⊥ u in the first
+    factor (follow-ups are chosen per outcome), or when x = u and y ⊥ v in
+    the second; ``forward_unitality`` reads orthogonality this way.
+    """
     ls, rs = left.space, right.space
     lt, rt = ls._test_masks, rs._test_masks
     cap = check_cap("forward-product tests", _branch_count(lt, len(rt)), cap)
@@ -325,6 +330,12 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
     transition states; for generator models the generators are all
     assignments of generator rows to proper prefixes, at most
     ``COMPOUND_GENERATOR_CAP`` of them.
+
+    A test holds no string and a proper prefix of it, and strings that part
+    at k share a test exactly when their letters at k share a base test.  So
+    distinct strings s, t are orthogonal exactly when they part at some k
+    and s[k] ⊥ t[k] in the base; ``compound_unitality`` reads orthogonality
+    this way.
     """
     if depth < 0:
         raise UsageError("depth must be nonnegative")
@@ -852,6 +863,11 @@ def compound_unitality(tc: TruncatedCompound):
     ``positive_witness`` supply them.  Every verdict is re-verified by
     evaluating the constructed transition state, to one tol per letter on
     float models.
+
+    Pairs are orthogonal by the base (see ``truncated_compound``).  For s, t
+    agreeing before k, the read on s depends on t only through (k, t[k]) and
+    the read on t on s through (k, s[k]), or both on k alone when one string
+    extends the other; each distinct read is checked once, in pair order.
     """
     base = tc.base
     certain, positive, strong = _witness_tables(base)
@@ -868,36 +884,51 @@ def compound_unitality(tc: TruncatedCompound):
         elif not certain_at[len(s)](evaluate(pins, s)):
             raise LawViolation(f"certainty witness fails on string {s}")
     su_ok = True
-    n = len(tc.strings)
-    orth = tc.model.space._orth_table()
-    for i in range(n):
-        s = tc.strings[i]
-        for j in range(n):
-            t = tc.strings[j]
-            if i == j or orth[i] >> j & 1:
-                continue
+    orth = base.space._orth_table()
+    t_seen = set()  # (j, k, s[k]) or (j, k) whose read on string j passed
+    for i, s in enumerate(tc.strings):
+        s_seen = set()  # (k, t[k]) or k whose read on s passed
+        for j, t in enumerate(tc.strings):
             k = 0
             while k < len(s) and k < len(t) and s[k] == t[k]:
                 k += 1
+            diverge = k < len(s) and k < len(t)
+            if i == j or diverge and orth[s[k]] >> t[k] & 1:
+                continue
+            s_key, t_key = ((k, t[k]), (j, k, s[k])) if diverge else (k, (j, k))
+            if s_key in s_seen and t_key in t_seen:
+                continue
             pins = {s[:idx]: certain[x] for idx, x in enumerate(s)}
             # diverging strings need a strong-unitality witness where they
             # part; when one extends the other, certainty along the shorter
             # chain rides for free on the longer one
-            if k < len(s) and k < len(t):
+            if diverge:
                 pins[s[:k]] = strong[s[k], t[k]]
-            if any(w is None for w in pins.values()):
-                su_ok = False
-                continue
-            for idx in range(k, len(t)):
-                pins.setdefault(t[:idx], positive[t[idx]])
-            if not (certain_at[len(s)](evaluate(pins, s)) and evaluate(pins, t) > 0):
-                raise LawViolation(f"strong-unitality witness fails on strings {s}, {t}")
+            if s_key not in s_seen:
+                if any(w is None for w in pins.values()):
+                    su_ok = False
+                    continue
+                if not certain_at[len(s)](evaluate(pins, s)):
+                    raise LawViolation(f"strong-unitality witness fails on strings {s}, {t}")
+                s_seen.add(s_key)
+            if t_key not in t_seen:
+                for idx in range(k, len(t)):
+                    pins.setdefault(t[:idx], positive[t[idx]])
+                if not evaluate(pins, t) > 0:
+                    raise LawViolation(f"strong-unitality witness fails on strings {s}, {t}")
+                t_seen.add(t_key)
     # with diagonal pairs included, strong unitality subsumes unitality
     return unital_ok, su_ok and unital_ok
 
 
 def forward_unitality(fp: ForwardProduct):
-    """Unitality predicates of a forward product, by explicit pair states."""
+    """Unitality predicates of a forward product, by explicit pair states.
+
+    Pairs are orthogonal by the factors (see ``forward_product``) and come in
+    ``outcome_pair`` order.  For (x, y), (u, v) with x = u both entries read
+    (x, y, v), which no other pair does; otherwise entry i reads (x, u, y)
+    and entry j (x, u, v), and each distinct read is checked once.
+    """
     left, right = fp.left, fp.right
     certain_left, _, strong_left = _witness_tables(left)
     certain_right, positive_right, strong_right = _witness_tables(right)
@@ -907,24 +938,40 @@ def forward_unitality(fp: ForwardProduct):
         for (x, y) in fp.outcome_pair
     )
     su_ok = True
-    orth = fp.model.space._orth_table()
-    for i, (x, y) in enumerate(fp.outcome_pair):
-        for j, (u, v) in enumerate(fp.outcome_pair):
-            if i == j or orth[i] >> j & 1:
-                continue
+
+    def violation(x, y, u, v) -> LawViolation:
+        return LawViolation(f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}")
+
+    lorth, rorth = left.space._orth_table(), right.space._orth_table()
+    outcomes_right = range(right.space.n_outcomes)
+    j_seen = set()  # (x, u, v) with x ≠ u whose entry j passed
+    for x, y in fp.outcome_pair:
+        for u in range(left.space.n_outcomes):
             if x == u:
-                alpha, rows = certain_left[x], {x: strong_right[y, v]}
-            else:
-                alpha, rows = strong_left[x, u], {x: certain_right[y], u: positive_right[v]}
-            if alpha is None or any(b is None for b in rows.values()):
-                su_ok = False
-                continue
-            # entries i and j of the pair state running alpha, then rows
-            at_i, at_j = _pair_weight(((x, y), (u, v)), alpha, rows.__getitem__).values
-            if not (certain_pair(at_i) and at_j > 0):
-                raise LawViolation(
-                    f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
-                )
+                alpha = certain_left[x]
+                for v in outcomes_right:
+                    if v == y or rorth[y] >> v & 1:
+                        continue
+                    beta = strong_right[y, v]
+                    if alpha is None or beta is None:
+                        su_ok = False
+                    elif not (certain_pair(alpha[x] * beta[y]) and alpha[x] * beta[v] > 0):
+                        raise violation(x, y, u, v)
+            elif not lorth[x] >> u & 1:
+                # entry i reads alpha and beta, entry j alpha and gamma
+                alpha, beta = strong_left[x, u], certain_right[y]
+                i_ok = False
+                for v in outcomes_right:
+                    gamma = positive_right[v]
+                    if alpha is None or beta is None or gamma is None:
+                        su_ok = False
+                        continue
+                    if not (i_ok or certain_pair(alpha[x] * beta[y])) or (
+                        (x, u, v) not in j_seen and not alpha[u] * gamma[v] > 0
+                    ):
+                        raise violation(x, y, u, v)
+                    i_ok = True
+                    j_seen.add((x, u, v))
     return unital_ok, su_ok and unital_ok
 
 

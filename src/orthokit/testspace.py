@@ -66,6 +66,7 @@ from .errors import (
 
 Event = frozenset  # events are frozensets of outcome ids
 _SWAP = str.maketrans("01", "10")  # the digit swap of mask_key
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def event_key(a: Iterable[int]) -> tuple[int, ...]:
@@ -165,10 +166,12 @@ class TestSpace:
     def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
         self.labels = tuple(labels)
         self.label_id = {lab: i for i, lab in enumerate(self.labels)}
-        width = f"0{len(self.labels)}b"  # lemma 2: the masks' bits reversed, descending
-        self._test_masks = tuple(
-            sorted(test_masks, key=lambda m: int(format(m, width)[::-1], 2), reverse=True)
-        )
+        n, nb = len(self.labels), (len(self.labels) + 7) // 8
+
+        def key(m: int) -> int:  # lemma 2: the masks' n bits reversed, descending
+            return int.from_bytes(m.to_bytes(nb, "little").translate(_REV8), "big") >> 8 * nb - n
+
+        self._test_masks = tuple(sorted(test_masks, key=key, reverse=True))
         self._orth_masks: tuple[int, ...] | None = None
         self._tests: tuple[frozenset, ...] | None = None
         self._test_set: frozenset | None = None
@@ -415,14 +418,25 @@ class TestSpace:
         """The first complement bucket whose events differ on ``key``, as
         (its first event, its first event that differs), or None (lemmas 3-5).
 
+        Each event is keyed once per pass: a dict local to the pass maps its
+        mask to a class id, one per distinct key, and buckets compare ids.
         The cap bounds the full bucket pass, sum of 2^|t|, that this replaces.
         """
         check_cap("complement buckets", sum(1 << m.bit_count() for m in self._test_masks), cap)
         tests = self._test_masks
+        class_of: dict[int, int] = {}
+        interned: dict[object, int] = {}
+
+        def cls(a: int) -> int:
+            c = class_of.get(a)
+            if c is None:
+                c = class_of[a] = interned.setdefault(key(a), len(interned))
+            return c
+
         for i, inter in self._intersections():
             rests = [tests[j] ^ inter for j in _ids(self._tests_holding(inter))]
-            k0 = key(rests[0])
-            if any(key(r) != k0 for r in rests[1:]):
+            k0 = cls(rests[0])
+            if any(cls(r) != k0 for r in rests[1:]):
                 break
         else:
             return None
@@ -430,10 +444,10 @@ class TestSpace:
         s = tests[i]
         for a in _submasks(s):
             c = s ^ a
-            k0 = key(a)
+            k0 = cls(a)
             for j in _ids(self._tests_holding(c) >> i + 1):
                 b = tests[i + 1 + j] ^ c
-                if key(b) != k0:
+                if cls(b) != k0:
                     return a, b
         raise LawViolation(f"no split bucket in test {i}, against lemma 5")
 

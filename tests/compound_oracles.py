@@ -17,7 +17,10 @@ positivity and strong-unitality witnesses; the library asks the model's
 ``certainty_witness``, ``positive_witness`` and ``strong_witness``, which
 solve covering LPs and enumerate no vertex.  ``pair_state_forward_unitality``
 reads the two entries it checks off a whole pair state; the library
-evaluates only those two.
+evaluates only those two.  ``pair_loop_compound_unitality`` reads the pairs
+off the compound's orthogonality table and evaluates both reads of every
+pair; the library decides orthogonality from the base and evaluates each
+distinct read once.
 
 ``exhaustive_inductivity`` tries every branch assignment of every test, all
 |T|^k of them for a test of k outcomes; the library decides the same by
@@ -34,6 +37,9 @@ from orthokit.compounding import (
     JOIN,
     SequentialProduct,
     TruncatedCompound,
+    _certainty_test,
+    _prefix_product,
+    _witness_tables,
     string_label,
     transition_state,
 )
@@ -297,6 +303,52 @@ def pair_state_forward_unitality(fp: ForwardProduct):
                 raise LawViolation(
                     f"strong-unitality witness fails on outcome pairs {(x, y)}, {(u, v)}"
                 )
+    return unital_ok, su_ok and unital_ok
+
+
+def pair_loop_compound_unitality(tc: TruncatedCompound):
+    """``compound_unitality`` over every pair of strings that the compound's
+    own orthogonality table does not exclude, both reads evaluated per pair."""
+    base = tc.base
+    certain, positive, strong = _witness_tables(base)
+    certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, tc.strings)) + 1)]
+
+    def evaluate(rows: dict, s: tuple) -> object:
+        return _prefix_product(rows.__getitem__, s, 1)
+
+    unital_ok = True
+    for s in tc.strings:
+        pins = {s[:i]: certain[x] for i, x in enumerate(s)}
+        if any(w is None for w in pins.values()):
+            unital_ok = False
+        elif not certain_at[len(s)](evaluate(pins, s)):
+            raise LawViolation(f"certainty witness fails on string {s}")
+    su_ok = True
+    n = len(tc.strings)
+    orth = tc.model.space._orth_table()
+    for i in range(n):
+        s = tc.strings[i]
+        for j in range(n):
+            t = tc.strings[j]
+            if i == j or orth[i] >> j & 1:
+                continue
+            k = 0
+            while k < len(s) and k < len(t) and s[k] == t[k]:
+                k += 1
+            pins = {s[:idx]: certain[x] for idx, x in enumerate(s)}
+            # diverging strings need a strong-unitality witness where they
+            # part; when one extends the other, certainty along the shorter
+            # chain rides for free on the longer one
+            if k < len(s) and k < len(t):
+                pins[s[:k]] = strong[s[k], t[k]]
+            if any(w is None for w in pins.values()):
+                su_ok = False
+                continue
+            for idx in range(k, len(t)):
+                pins.setdefault(t[:idx], positive[t[idx]])
+            if not (certain_at[len(s)](evaluate(pins, s)) and evaluate(pins, t) > 0):
+                raise LawViolation(f"strong-unitality witness fails on strings {s}, {t}")
+    # with diagonal pairs included, strong unitality subsumes unitality
     return unital_ok, su_ok and unital_ok
 
 

@@ -21,6 +21,15 @@ oracle's Σ_t |T|^|t| assignments stay under ``INDUCTIVITY_ASSIGNMENTS``: on
 truncations at depths 1-2, and on hypothesis-random corruptions of the
 classical products under both semantics, where a table that breaks the
 counting's disjointness premise must raise in the orthogonality checks first.
+
+Both unitality checks read pair orthogonality from the factors; the closed
+forms must give the built tables on the corpus compounds at depths 1-3
+within ``LEMMA_CAP``, the corpus forward products and random spaces.
+``compound_unitality`` must give the verdict or ``LawViolation`` text of
+``pair_loop_compound_unitality`` on every corpus model and its float twin
+at depths 1 and 2 and on positive generator models, and both checks must
+fail at their oracles' pair under witness accessors patched to fail at
+chosen reads.
 """
 
 from functools import lru_cache
@@ -40,7 +49,7 @@ from orthokit.compounding import (
     validate_sequential,
 )
 from orthokit.corpus import corpus_models
-from orthokit.errors import EnumerationCapExceeded, NotSequential, OrthokitError
+from orthokit.errors import EnumerationCapExceeded, LawViolation, NotSequential, OrthokitError
 from orthokit.states import Model, StateSpace, Weight
 from orthokit import testspace
 
@@ -50,6 +59,8 @@ DEPTH3_CHOICES = 300_000
 GENERATOR_CAP = 50_000
 HULL_PRODUCT_CAP = 2_000
 INDUCTIVITY_ASSIGNMENTS = 1_000_000
+# Test cap for the compounds whose orthogonality and unitality are compared.
+LEMMA_CAP = 100_000
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +291,207 @@ def test_random_compounds_and_products_match(models, depth):
     assume(oracle.worklist_choices(model.space, depth) <= 20_000)
     assert_compound_agrees(model, depth)
     assert_forward_agrees(model, other, cap=GENERATOR_CAP)
+
+
+# -- orthogonality from the factors, unitality ----------------------------------------
+
+
+def compound_orth_by_letters(tc):
+    """Per string, the mask of the strings orthogonal to it by the closed form:
+    they part at some k and their letters there are orthogonal in the base."""
+    base = tc.base.space
+    rows = []
+    for s in tc.strings:
+        row = 0
+        for j, t in enumerate(tc.strings):
+            k = next((k for k, (a, b) in enumerate(zip(s, t)) if a != b), None)
+            if k is not None and base.orthogonal(s[k], t[k]):
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
+def forward_orth_by_factors(fp):
+    """Per pair, the mask of the pairs orthogonal to it by the closed form:
+    (x, y) ⊥ (u, v) when x ⊥ u in L, or x = u and y ⊥ v in R."""
+    ls, rs = fp.left.space, fp.right.space
+    return tuple(
+        sum(
+            1 << j
+            for j, (u, v) in enumerate(fp.outcome_pair)
+            if ls.orthogonal(x, u) or x == u and rs.orthogonal(y, v)
+        )
+        for x, y in fp.outcome_pair
+    )
+
+
+def built_compounds(model, depths, cap=LEMMA_CAP):
+    """The compounds of ``model`` at ``depths`` that build under ``cap``."""
+    out = []
+    for depth in depths:
+        try:
+            out.append(truncated_compound(model, depth, cap))
+        except EnumerationCapExceeded:
+            pass
+    return out
+
+
+def test_corpus_compound_orthogonality_is_letterwise():
+    """Depths 1-3 within the cap: 112 + 112 + 20 compounds."""
+    built = [tc for model in corpus() for tc in built_compounds(model, (1, 2, 3))]
+    assert len(built) == 244
+    for tc in built:
+        assert compound_orth_by_letters(tc) == tc.model.space._orth_table()
+
+
+def test_corpus_forward_orthogonality_is_by_factors():
+    models = corpus()
+    for i, model in enumerate(models):
+        for other in (model, models[(i + 1) % len(models)]):
+            fp = forward_product(model, other)
+            assert forward_orth_by_factors(fp) == fp.model.space._orth_table()
+
+
+@given(random_spaces(), random_spaces(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_random_orthogonality_is_by_factors(space, other, depth):
+    fp = forward_product(full(space), full(other))
+    assert forward_orth_by_factors(fp) == fp.model.space._orth_table()
+    for tc in built_compounds(full(space), (depth,)):
+        assert compound_orth_by_letters(tc) == tc.model.space._orth_table()
+
+
+def unitality(check, built):
+    """The verdict pair of a unitality check, or the text of its violation."""
+    try:
+        return check(built)
+    except LawViolation as exc:
+        return str(exc)
+
+
+def float_twin(model):
+    return Model(model.space, model.states, exact=False)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_corpus_compound_unitality_matches_the_pair_loop(exact):
+    """Every corpus model (or its float twin) at depths 1 and 2; 26 of each
+    kind are unital but not strongly unital."""
+    verdicts = []
+    for model in corpus():
+        for tc in built_compounds(model if exact else float_twin(model), (1, 2)):
+            got = unitality(compounding.compound_unitality, tc)
+            assert got == unitality(oracle.pair_loop_compound_unitality, tc)
+            verdicts.append(got)
+    assert len(verdicts) == 224
+    assert verdicts.count((True, False)) == 26
+
+
+def test_generator_compound_unitality_matches_the_pair_loop():
+    """The positive hulls of corpus vertices and the quantum presets, where
+    witnesses go missing (every model is positive, so no positivity witness does)."""
+    models = [m for m in hull_models() + preset_models() if not m.positivity_failures()]
+    built = [tc for model in models for tc in built_compounds(model, (1, 2))]
+    verdicts = [unitality(compounding.compound_unitality, tc) for tc in built]
+    assert verdicts == [unitality(oracle.pair_loop_compound_unitality, tc) for tc in built]
+    assert len(set(verdicts)) > 1
+
+
+def mean_vertex(model):
+    vertices = model.state_vertices()
+    return Weight([sum(col) / len(vertices) for col in zip(*vertices)])
+
+
+def zero_vertex(model, x):
+    """A vertex with no weight at x, if there is one."""
+    return next((w for w in model.state_vertices() if w[x] == 0), None)
+
+
+# Witness accessors patched onto Model: (certainty, positive, strong), each
+# given the unpatched accessors and returning the witness to use.
+WITNESS_PATCHES = {
+    "uncertain certainty and strong": (
+        lambda real, m, x: mean_vertex(m),
+        None,
+        lambda real, m, x, y: mean_vertex(m),
+    ),
+    "uncertain certainty at the last outcome": (
+        lambda real, m, x: mean_vertex(m) if x == m.space.n_outcomes - 1 else real(m, x),
+        None,
+        None,
+    ),
+    "uncertain strong": (None, None, lambda real, m, x, y: mean_vertex(m)),
+    "uncertain strong at the last outcome": (
+        None,
+        None,
+        lambda real, m, x, y: mean_vertex(m) if y == m.space.n_outcomes - 1 else real(m, x, y),
+    ),
+    "missing strong at 0, uncertain at the last outcome": (
+        None,
+        None,
+        lambda real, m, x, y: None
+        if y == 0
+        else mean_vertex(m)
+        if y == m.space.n_outcomes - 1
+        else real(m, x, y),
+    ),
+    "strong without weight": (None, None, lambda real, m, x, y: m.certainty_witness(x)),
+    "positive without weight": (
+        None,
+        lambda real, m, x: zero_vertex(m, x) or real(m, x),
+        None,
+    ),
+}
+ACCESSORS = ("certainty_witness", "positive_witness", "strong_witness")
+
+
+@pytest.mark.parametrize("patch", sorted(WITNESS_PATCHES))
+def test_patched_witnesses_fail_the_same_pair(patch, monkeypatch):
+    """Both unitality checks against their oracles under witnesses that fail
+    at chosen pairs, on every fourth corpus model: the same verdict or the
+    same first failing pair."""
+    models = corpus()[::4]
+    for name, make in zip(ACCESSORS, WITNESS_PATCHES[patch]):
+        if make is not None:
+            real = getattr(Model, name)
+            # Model has __slots__, so the accessors are patched on the class
+            monkeypatch.setattr(Model, name, lambda m, *xs, make=make, real=real: make(real, m, *xs))
+    outcomes = []
+    for model in models:
+        for tc in built_compounds(model, (1, 2)):
+            got = unitality(compounding.compound_unitality, tc)
+            assert got == unitality(oracle.pair_loop_compound_unitality, tc), repr(model.space)
+            outcomes.append(got)
+        fp = forward_product(model, model)
+        got = unitality(compounding.forward_unitality, fp)
+        assert got == unitality(oracle.pair_state_forward_unitality, fp), repr(model.space)
+        outcomes.append(got)
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "pair, witness, failing",
+    [
+        ((1, 2), [0, 1, 0, 0], "(1, 0), (2, 0)"),  # entry j, though (a, p), (c, p) passed
+        ((0, 3), [0, 0, 0, 1], "(0, 0), (3, 0)"),  # entry i, though (a, p), (c, p) passed
+    ],
+)
+def test_forward_entries_are_read_per_pair_of_first_outcomes(pair, witness, failing, monkeypatch):
+    """L has tests {a, b}, {c, d}, so a and b each reach c and d; R is one
+    test {p, q}.  One strong witness of L is a point mass that fails entry j
+    (no weight at u) or entry i (no weight at x) of a later pair."""
+    left = full(testspace.build_test_space([["a", "b"], ["c", "d"]]))
+    right = full(testspace.build_test_space([["p", "q"]]))
+    real = Model.strong_witness
+    monkeypatch.setattr(
+        Model,
+        "strong_witness",
+        lambda m, x, y: Weight(witness) if (m, (x, y)) == (left, pair) else real(m, x, y),
+    )
+    fp = forward_product(left, right)
+    want = f"strong-unitality witness fails on outcome pairs {failing}"
+    assert unitality(compounding.forward_unitality, fp) == want
+    assert unitality(oracle.pair_state_forward_unitality, fp) == want
 
 
 # -- caps --------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from compound_oracles import (
     _pool_strongly_unital,
     _pool_unital,
     forward_vertex_pool,
+    pair_loop_compound_unitality,
     pair_state_forward_unitality,
     transition_vertex_pool,
 )
@@ -650,20 +651,26 @@ class TestPreservation:
             assert forward_unitality(fp) == pair_state_forward_unitality(fp)
 
     def test_forward_unitality_violation_matches_whole_pair_states(self, monkeypatch):
-        """Witnesses that are not certain at their outcome fail the same pair."""
+        """Witnesses that are not certain at their outcome fail the same pair,
+        in a forward square and in a depth-2 compound."""
         wright = named("wright")
         fp = forward_product(wright, wright)
+        tc = truncated_compound(wright, 2)
         vertices = wright.state_vertices()
         uncertain = Weight([sum(col) / len(vertices) for col in zip(*vertices)])
         # Model has __slots__, so the accessors are patched on the class
         monkeypatch.setattr(Model, "certainty_witness", lambda self, x: uncertain)
         monkeypatch.setattr(Model, "strong_witness", lambda self, x, y: uncertain)
-        messages = []
-        for check in (forward_unitality, pair_state_forward_unitality):
-            with pytest.raises(LawViolation) as info:
-                check(fp)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        for built, checks in (
+            (fp, (forward_unitality, pair_state_forward_unitality)),
+            (tc, (compound_unitality, pair_loop_compound_unitality)),
+        ):
+            messages = []
+            for check in checks:
+                with pytest.raises(LawViolation) as info:
+                    check(built)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
 
     def test_reports_identical_under_optimize(self):
         """Witness re-verification raises instead of asserting, so -O changes nothing."""

@@ -13,7 +13,10 @@ outcome), on a bucket whose third event is the first to differ, on depth-2
 compounds whose first failing bucket is the empty one, and on the heavier
 compounds and squares up to ``BUILD_CAP``.  ``_is_antichain`` must
 return the oracle's (small, large) pair on test families, their traces on
-outcome subsets, and random set families.  ``is_support`` must agree with
+outcome subsets, and random set families.  The canonical test order must be
+the one the formatted, reversed and parsed string key gives, on the corpus
+coarsenings, double coarsenings and depth-2 compounds and on random
+antichains of up to 80 outcomes.  ``is_support`` must agree with
 the perspectivity criterion of the oracles.  ``is_event``, ``complements``,
 ``perspective`` and ``orthocomplement`` must answer as the oracles on every
 event and every event plus one outcome of each corpus space, its coarsening
@@ -264,6 +267,48 @@ def test_constructed_antichain_matches_oracle():
 @settings(max_examples=300, deadline=None)
 def test_random_family_antichain_matches_oracle(family):
     assert testspace._is_antichain(family) == oracle.is_antichain(family)
+
+
+# -- canonical test order ---------------------------------------------------------
+
+
+def string_key_order(masks, n):
+    """Test masks in lemma 2's order by the string key: each mask formatted to
+    n binary digits, reversed and parsed, descending."""
+    width = f"0{n}b"
+    return tuple(sorted(masks, key=lambda m: int(format(m, width)[::-1], 2), reverse=True))
+
+
+def test_constructed_test_order_matches_the_string_key():
+    """Corpus coarsenings, their double coarsenings and depth-2 compounds."""
+    spaces = []
+    for model in corpus_models(6, 3):
+        coarse = coarsen(model)
+        spaces += [
+            coarse.model.space,
+            coarsen(coarse.model).model.space,
+            truncated_compound(model, 2, BUILD_CAP).model.space,
+        ]
+    assert len(spaces) == 336
+    assert max(space.n_outcomes for space in spaces) == 876
+    for space in spaces:
+        assert space._test_masks == string_key_order(space._test_masks, space.n_outcomes)
+
+
+@st.composite
+def random_antichains(draw):
+    """n outcomes, up to 80 so that masks span several bytes, and an antichain."""
+    n = draw(st.integers(min_value=1, max_value=80))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=10))
+    return n, [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
+
+
+@given(random_antichains())
+@settings(max_examples=300, deadline=None)
+def test_random_test_order_matches_the_string_key(case):
+    n, antichain = case
+    space = testspace.TestSpace([f"o{i}" for i in range(n)], antichain)
+    assert space._test_masks == string_key_order(antichain, n)
 
 
 # -- supports: traces against perspectivity -----------------------------------------
