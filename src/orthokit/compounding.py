@@ -925,9 +925,9 @@ def forward_unitality(fp: ForwardProduct):
     """Unitality predicates of a forward product, by explicit pair states.
 
     Pairs are orthogonal by the factors (see ``forward_product``) and come in
-    ``outcome_pair`` order.  For (x, y), (u, v) with x = u both entries read
-    (x, y, v), which no other pair does; otherwise entry i reads (x, u, y)
-    and entry j (x, u, v), and each distinct read is checked once.
+    ``outcome_pair`` order, first outcome major.  With x = u both entries of
+    (x, y), (u, v) read (x, y, v), which no other pair does; otherwise entry i
+    reads (x, u, y) and entry j (x, u, v), and each distinct read is checked once.
     """
     left, right = fp.left, fp.right
     certain_left, _, strong_left = _witness_tables(left)

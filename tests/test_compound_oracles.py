@@ -453,9 +453,12 @@ def test_patched_witnesses_fail_the_same_pair(patch, monkeypatch):
     models = corpus()[::4]
     for name, make in zip(ACCESSORS, WITNESS_PATCHES[patch]):
         if make is not None:
-            real = getattr(Model, name)
+
+            def patched(m, *xs, make=make, real=getattr(Model, name)):
+                return make(real, m, *xs)
+
             # Model has __slots__, so the accessors are patched on the class
-            monkeypatch.setattr(Model, name, lambda m, *xs, make=make, real=real: make(real, m, *xs))
+            monkeypatch.setattr(Model, name, patched)
     outcomes = []
     for model in models:
         for tc in built_compounds(model, (1, 2)):

@@ -299,7 +299,8 @@ def test_constructed_test_order_matches_the_string_key():
 def random_antichains(draw):
     """n outcomes, up to 80 so that masks span several bytes, and an antichain."""
     n = draw(st.integers(min_value=1, max_value=80))
-    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=10))
+    mask = st.integers(min_value=1, max_value=(1 << n) - 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=10))
     return n, [m for m in set(masks) if not any(m != o and m & o == m for o in masks)]
 
 
