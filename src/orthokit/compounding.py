@@ -46,7 +46,7 @@ from .errors import (
     resolve_cap,
 )
 from .morphisms import Morphism, image_core, validate_morphism
-from .states import Model, StateSpace, Weight
+from .states import Model, StateSpace, Weight, _require_positive
 from .testspace import PredicateResult, TestSpace, _ids, event_key, mask_event
 
 EPSILON_LABEL = "ε"
@@ -585,6 +585,15 @@ def validate_sequential(
 
     Heads x ⊥ y pass when y's row mask lies in the orthocomplement of every
     entry of x's row; a failing block is rescanned in loop order for its witness.
+
+    A conditional row w_x(y) = w(x·y)/w(x) is checked only for x whose
+    products x·y are all in window.  Lemma: on an exact model, once the chain
+    rule has passed for w, every test sum of w_x is exactly 1.  For each test
+    t the chain rule compared the exact sum of w(x·y) over the possible
+    products x·y, y in t, with w(x); the impossible ones are 0 in w_x, so
+    Σ_{y in t} w_x(y) = w(x)/w(x) = 1.  There the row's entries (scalar kind,
+    range) and, on a hull, its membership are all ``contains_state`` has
+    left to decide; float models keep the full ``contains_state``.
     """
     if probe_depth < 1:
         raise UsageError("probe depth must be at least 1")
@@ -674,6 +683,8 @@ def validate_sequential(
     chain_rule = _chain_rule(model, sp)
     whole = [x for x in range(n) if all(col[x] != -1 for col in cols)]  # x·y all in window
     zero = Fraction(0) if model.exact else 0.0
+    # the chain rule fixes each test sum of an exact conditional row (see above)
+    member = model._contains_summed_state if model.exact else model.contains_state
     rows_checked = 0
     for w in candidates:
         verdict = chain_rule(w)
@@ -686,7 +697,7 @@ def validate_sequential(
                 continue
             cond = Weight(tuple(zero if p is None else w[p] / w[x] for p in rows[x]))
             rows_checked += 1
-            if not model.contains_state(cond):
+            if not member(cond):
                 raise NotSequential("conditional state escapes the state space", witness=x)
 
     # Evaluation of short strings back into the model.
@@ -837,7 +848,12 @@ def _model_properties(model: Model, cap: int | None):
 
 def _witness_tables(model: Model):
     """The model's certainty and positivity witnesses per outcome, and its
-    strong-unitality witnesses per pair (None where there is none)."""
+    strong-unitality witnesses per pair (None where there is none).
+
+    A model with an outcome that no state weighs breaks the standing
+    positivity assumption: ``PositivityViolation`` names those outcomes.
+    """
+    _require_positive(model)
     outcomes = range(model.space.n_outcomes)
     return (
         [model.certainty_witness(x) for x in outcomes],

@@ -18,6 +18,12 @@ LP first asks for it (``linprog.factor``): the polytope rows (one 0/1 row
 per test, rhs 1) for the state LPs and ``state_vertices``, and the
 generator table of hull membership, one per ``conic`` flag.  A query
 applies the stored row operations to its right-hand side.
+
+Hull membership tries a candidate mixture first: a float least-squares
+mixture whose exact residual can confirm membership on its own (see
+``Model._hull_membership``).  Only a query it cannot confirm poses the LP,
+so the generator table is factored on the first such query, and a model
+whose queries are all confirmed never builds it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -137,7 +144,8 @@ class Model:
         self.exact = exact
         self.tol = DEFAULT_FLOAT_TOL if (tol is None and not exact) else (tol or 0.0)
         # reduced constraint systems: "polytope", and the hull tables by
-        # their ``conic`` flag; built when an LP first asks
+        # their ``conic`` flag, built when an LP first asks; and the tables
+        # of the candidate mixtures, ("mixture", conic), built on first use
         self._systems: dict = {}
         # LP optima kept as witness states, in insertion order, and the
         # memoised answers of ``_cover``
@@ -147,6 +155,15 @@ class Model:
     # -- scalar plumbing -------------------------------------------------------
 
     def _validate_weight(self, w: Weight) -> None:
+        self._validate_entries(w)
+        for t in self.space.tests:
+            if not self._eq(w.of(t), 1):
+                raise NotAState(
+                    f"weight sums to {w.of(t)} on test {self.space.labels_of(t)}"
+                )
+
+    def _validate_entries(self, w: Weight) -> None:
+        """The length, and each value's scalar kind and range [0, 1]."""
         if len(w) != self.space.n_outcomes:
             raise NotAState("weight length does not match outcome count")
         for v in w.values:
@@ -156,11 +173,6 @@ class Model:
                 raise NumericKindMismatch("float model got a Fraction scalar")
             if not self._geq(v, 0) or not self._geq(1, v):
                 raise NotAState(f"weight value {v} outside [0,1]")
-        for t in self.space.tests:
-            if not self._eq(w.of(t), 1):
-                raise NotAState(
-                    f"weight sums to {w.of(t)} on test {self.space.labels_of(t)}"
-                )
 
     def _eq(self, a, b) -> bool:
         if self.exact:
@@ -233,6 +245,15 @@ class Model:
             return True
         return self._hull_membership(w, conic=False)
 
+    def _contains_summed_state(self, w: Weight) -> bool:
+        """``contains_state`` for a weight whose every test sum is known to be
+        exactly 1: its entries are checked, its test sums are not added again."""
+        try:
+            self._validate_entries(w)
+        except (NotAState, NumericKindMismatch):
+            return False
+        return self.states.is_full or self._hull_membership(w, conic=False)
+
     def contains_ray(self, w: Weight) -> bool:
         """Is ``w`` a nonnegative multiple of a state (zero included)?
 
@@ -259,11 +280,29 @@ class Model:
     def _hull_membership(self, w: Weight, conic: bool) -> bool:
         """Is ``w`` a mixture (``conic``: a nonnegative combination) of the generators?
 
-        The table of generator columns is reduced once per model and per
-        ``conic`` flag: G, with a row of ones unless conic.  A float model
+        The LP: the table of generator columns is reduced once per model and
+        per ``conic`` flag, G with a row of ones unless conic.  A float model
         adds residual columns +I and -I, minimizes their total and then
         re-validates each coordinate against the tolerance.
+
+        A candidate mixture comes first (``_mixture``): weights λ̂ >= 0, with
+        Σλ̂ = 1 unless conic, and B = Σ_x |(G λ̂)_x - w_x| computed exactly.
+        Lemma: the float LP minimizes exactly this L1 residual over the same
+        feasible set, so its optimum is at most B, and its optimum λ* has
+        |(G λ*)_x - w_x| <= B at every x.  The re-validation rounds (G λ*)_x,
+        at most |w_x| + B in size, to a float (relative error 2^-53; below
+        the normal range the error is under half the spacing of the floats,
+        which cannot carry a difference of floats past the float ``tol``) and
+        rounds the difference once more.  So a float model whose
+        (B + 2^-53·(2·max|w_x| + B))·(1 + 2^-53) <= tol passes at every x,
+        and on an exact model B = 0 makes λ̂ a feasible point.  In both cases
+        the answer is True with no LP; in every other case the LP decides,
+        and its table is built only then.  The candidate never answers
+        False, so every failure comes from the LP.
         """
+        _, bound = self._mixture(w, conic)
+        if bound == 0 if self.exact else _float_margin(bound, w) <= self.tol:
+            return True
         gens = self.states.generators
         m = len(gens)
         n = self.space.n_outcomes
@@ -292,6 +331,49 @@ class Model:
             if abs(float(approx) - float(target[x])) > self.tol:
                 return False
         return True
+
+    def _mixture(self, w: Weight, conic: bool) -> tuple[list[Fraction], Fraction]:
+        """The candidate mixture λ̂ of ``_hull_membership`` and its exact residual B.
+
+        λ̂ is the float least-squares solution of G λ ≈ w, with the row
+        Σλ = 1 unless ``conic``, from the normal equations (``_least_squares``);
+        negative weights are clipped to 0, the rest taken exactly as
+        ``Fraction``s and, unless conic, divided by their sum (λ̂ = e_1 when
+        every weight was clipped), so Σλ̂ = 1 exactly.  The Gram matrix and G
+        as integers over one common denominator are built once per model and
+        per flag.
+        """
+        table = self._systems.get(("mixture", conic))
+        if table is None:
+            gens = self.states.generators
+            cols = [[float(v) for v in g.values] for g in gens]
+            ones = 0.0 if conic else 1.0
+            gram = [[math.fsum(map(mul, a, b)) + ones for b in cols] for a in cols]
+            exact = [[self._rationalize(g[x]) for g in gens] for x in range(self.space.n_outcomes)]
+            den = math.lcm(*[v.denominator for row in exact for v in row])
+            ints = [[v.numerator * (den // v.denominator) for v in row] for row in exact]
+            table = self._systems[("mixture", conic)] = (cols, gram, ints, den)
+        cols, gram, ints, den = table
+        target = [self._rationalize(v) for v in w.values]
+        b = [float(v) for v in w.values]
+        ones = 0.0 if conic else 1.0
+        lam = _least_squares(gram, [math.fsum(map(mul, col, b)) + ones for col in cols])
+        # nonnegative weights as integers over a common power of two, then
+        # over their sum when they must mix
+        ratios = [v.as_integer_ratio() if 0 < v < math.inf else (0, 1) for v in lam]
+        lam_den = max(q for _, q in ratios)
+        nums = [p * (lam_den // q) for p, q in ratios]
+        if not conic:
+            lam_den = sum(nums)
+            if not lam_den:
+                nums[0] = lam_den = 1
+        w_den = math.lcm(*[v.denominator for v in target])
+        scale = den * lam_den
+        residual = sum(
+            abs(sum(map(mul, row, nums)) * w_den - v.numerator * (w_den // v.denominator) * scale)
+            for row, v in zip(ints, target)
+        )
+        return [Fraction(p, lam_den) for p in nums], Fraction(residual, scale * w_den)
 
     # -- state-dependent predicates ---------------------------------------------------
     #
@@ -479,6 +561,46 @@ class Model:
             return []
         a = [nums[:-1] for nums, _ in rows]
         return [Weight(v) for v in enumerate_vertices(a, [nums[-1] for nums, _ in rows], cap)]
+
+
+_HALF_ULP = Fraction(1, 2**53)
+
+
+def _float_margin(bound: Fraction, w: Weight) -> Fraction:
+    """(B + 2^-53·(2·max|w_x| + B))·(1 + 2^-53): the largest value the float
+    re-validation of ``_hull_membership`` can compute from a residual of at most B."""
+    big = Fraction(max(map(abs, w.values), default=0))
+    return (bound + _HALF_ULP * (2 * big + bound)) * (1 + _HALF_ULP)
+
+
+def _least_squares(gram: list[list[float]], rhs: list[float]) -> list[float]:
+    """A float solution of the normal equations gram·λ = rhs.
+
+    Elimination with partial pivoting, column by column; a column whose best
+    pivot is at most 1e-12 of the largest diagonal entry depends on the
+    earlier ones, and its weight is 0.
+    """
+    m = len(rhs)
+    rows = [[*row, v] for row, v in zip(gram, rhs)]
+    tiny = 1e-12 * max((gram[i][i] for i in range(m)), default=0.0)
+    free = list(range(m))
+    pivots = []
+    for col in range(m):
+        r = max(free, key=lambda i: abs(rows[i][col]), default=None)
+        if r is None or not abs(rows[r][col]) > tiny:
+            continue
+        free.remove(r)
+        p = rows[r]
+        for i in free:
+            f = rows[i][col] / p[col]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], p)]
+        pivots.append((r, col))
+    lam = [0.0] * m
+    for r, col in reversed(pivots):
+        row = rows[r]
+        lam[col] = (row[m] - math.fsum(row[j] * lam[j] for j in range(col + 1, m))) / row[col]
+    return lam
 
 
 def _clears(v, floor) -> bool:

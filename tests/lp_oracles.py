@@ -21,6 +21,12 @@ model from the test masks.
 ``transversal_weights`` finds the 0/1 vertices of a state polytope by a
 search over transversals, sets that meet every test exactly once.
 
+``hull_membership`` is ``Model._hull_membership`` with the LP alone: the
+library first tries a candidate mixture whose exact residual can confirm
+membership with no LP, and poses this LP only when it cannot.  The oracle
+tests require ``contains_state`` and ``contains_ray`` to give the verdicts
+they give with ``hull_membership`` in its place.
+
 ``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
 the straightforward versions of the ``Model`` predicates: on full models one
 fresh LP per outcome or per non-orthogonal pair, with nothing remembered
@@ -34,10 +40,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from orthokit.errors import CapCounter, check_cap
-from orthokit.linprog import ZERO, LPResult, dedupe_rows
+from orthokit.linprog import ZERO, LPResult, dedupe_rows, factor
 from orthokit.states import StateReport, Weight
 from orthokit.testspace import _ids
 
@@ -287,6 +294,47 @@ def transversal_weights(space, cap=None):
     extend(0, (1 << n) - 1)
     out.sort(key=lambda w: w.values)
     return out
+
+
+def hull_membership(model, w, conic):
+    """Is ``w`` a mixture (``conic``: a nonnegative combination) of the generators?
+
+    The table of generator columns is reduced once per model and per
+    ``conic`` flag: G, with a row of ones unless conic.  A float model adds
+    residual columns +I and -I, minimizes their total and then re-validates
+    each coordinate against the tolerance.
+    """
+    gens = model.states.generators
+    m = len(gens)
+    n = model.space.n_outcomes
+    system = _membership_system(model.states, n, model.exact, conic)
+    target = [Fraction(v) for v in w.values]
+    rhs = target if conic else [*target, 1]
+    if model.exact:
+        return system.solve(rhs, [ZERO] * m).optimal
+    res = system.solve(rhs, [ZERO] * m + [Fraction(-1)] * (2 * n))
+    if not res.optimal:
+        return False
+    lam = res.x[:m]
+    for x in range(n):
+        approx = sum((Fraction(g[x]) * l for g, l in zip(gens, lam)), ZERO)
+        if abs(float(approx) - float(target[x])) > model.tol:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _membership_system(states, n, exact, conic):
+    gens = states.generators
+    m = len(gens)
+    width = m if exact else m + 2 * n
+    rows = [[Fraction(g[x]) for g in gens] + [0] * (width - m) for x in range(n)]
+    if not exact:
+        for x, row in enumerate(rows):
+            row[m + 2 * x], row[m + 2 * x + 1] = 1, -1
+    if not conic:
+        rows.append([1] * m + [0] * (width - m))
+    return factor(rows, width)
 
 
 def _indicator(n, x):

@@ -20,6 +20,7 @@ from orthokit.errors import (
     NotAState,
     NotSequential,
     OrthokitError,
+    PositivityViolation,
     ZeroMarginal,
 )
 from compound_oracles import (
@@ -619,6 +620,34 @@ class TestPreservation:
             for rep in (preservation_compound(m, 2), preservation_forward(m, m)):
                 assert rep.properties["unital"] == (True, True)
                 assert rep.properties["strongly_unital"] == (su, su)
+
+    def test_non_positive_models_are_refused_before_any_pair(self):
+        """A directly built hull of two vertices can leave outcomes that no state
+        weighs: 12 of these 14 corpus hulls do.  Both constructions refuse them
+        with ``PositivityViolation`` naming those outcomes, as ``generator_model``
+        would, whichever factor of a forward product they are."""
+        spaces = [m.space for m in corpus_models(6, 3)]
+        refused = 0
+        for i in range(0, 105, 8):
+            full = full_model(spaces[i])
+            m = Model(spaces[i], StateSpace.hull(full.state_vertices()[:2]))
+            dead = [m.space.labels[x] for x in m.positivity_failures()]
+            checks = [
+                lambda: preservation_compound(m, 2),
+                lambda: compound_unitality(truncated_compound(m, 2)),
+                lambda: preservation_forward(m, m),
+                lambda: preservation_forward(full, m),
+                lambda: forward_unitality(forward_product(full, m)),
+            ]
+            for check in checks:
+                if not dead:
+                    check()
+                    continue
+                with pytest.raises(PositivityViolation) as info:
+                    check()
+                assert str(info.value) == f"no state is positive at {dead}"
+            refused += bool(dead)
+        assert refused == 12
 
     def test_vacuous_strong_unitality_gated(self):
         loops = full_model(build_test_space([["a", "b"], ["a", "c"], ["b", "c"]]))

@@ -8,7 +8,8 @@ list of ``fraction_enumerate_vertices`` (the basis scan); ``row_reduce``
 must return ``fraction_row_reduce``'s rows.  The LPs are the ones the
 library itself poses: every LP of building the 112 corpus models and their
 float twins and of their per-query state predicates, hull membership on
-the quantum presets, the vertex enumerations of
+the quantum presets (posed through the LP fallback, since a candidate
+mixture confirms those points with no LP), the vertex enumerations of
 ``state_vertices``, plus hypothesis-random LPs.  The state layer solves
 against systems it reduced once, so each of its LPs is recorded as the
 unreduced system it stands for and checked in that form.
@@ -247,8 +248,10 @@ def preset_models():
 
 
 @pytest.mark.parametrize("index", range(3))
-def test_quantum_preset_lps_match_oracle(index, posed):
-    """Hull membership of generators and seeded random mixtures, one LP each."""
+def test_quantum_preset_lps_match_oracle(index, posed, monkeypatch):
+    """Hull membership of generators and seeded random mixtures: the candidate
+    mixture confirms each with no LP, and the LP fallback, posed with the
+    candidate switched off, solves one LP each."""
     lps, _ = posed
     preset = preset_models()[index]
     model = Model(preset.space, preset.states, exact=preset.exact, tol=preset.tol)
@@ -261,6 +264,10 @@ def test_quantum_preset_lps_match_oracle(index, posed):
         mixtures.append(
             Weight(tuple(sum(l * g[x] for l, g in zip(lam, gens)) / total for x in range(len(gens[0]))))
         )
+    for w in [*gens[:4], *mixtures]:
+        assert model.contains_state(w)
+    assert lps == []
+    monkeypatch.setattr(Model, "_mixture", lambda self, w, conic: ([], math.inf))
     for w in [*gens[:4], *mixtures]:
         assert model.contains_state(w)
     assert len(lps) == len(gens[:4]) + len(mixtures)

@@ -42,7 +42,7 @@ from orthokit.quantum import (
     preset_spin1,
     preset_spin32,
 )
-from orthokit.states import Weight, full_model
+from orthokit.states import Model, StateSpace, Weight, full_model
 
 
 @lru_cache(maxsize=None)
@@ -316,3 +316,30 @@ def test_exact_states_with_nonzero_gaps(n):
     floats = [Weight(tuple(float(v) for v in w.values)) for w in states]
     same_interference(cm.model, cm.sigma, cm.product, states=floats)
     same_chain_rule(cm.model, cm.product, floats[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conditional_rows_on_exact_hulls_and_odd_states(n):
+    """On exact models the conditional rows skip the test sums the chain rule
+    has fixed; they must still fail where ``contains_state`` fails them.
+
+    Hulls of every vertex, of every other vertex and of one mixture of two
+    vertices (its conditional rows are those vertices, outside that hull),
+    and states that pass the chain rule with rows out of kind (int vertices:
+    int/int is a float) or out of range (the affine combination 2·v1 - v2).
+    """
+    cm = classical(n)
+    vertices = cm.model.state_vertices()
+    mixture = Weight(tuple((a + b) / 2 for a, b in zip(vertices[0].values, vertices[-1].values)))
+    escapes = ("NotSequential", "conditional state escapes the state space")
+    got = []
+    for gens in (vertices, vertices[::2], [mixture]):
+        hull = Model(cm.model.space, StateSpace.hull(gens))
+        got.append(same_sequential(hull, cm.product, probe_depth=1))
+    assert got[0][0] == got[1][0] == cm.model.space.n_outcomes and got[2][:2] == escapes
+    ints = Weight(tuple(int(v) for v in vertices[0].values))
+    affine = Weight(tuple(2 * a - b for a, b in zip(vertices[0].values, vertices[-1].values)))
+    assert min(affine.values) < 0
+    for states in ([ints], [affine], [*vertices[:2], affine]):
+        assert same_chain_rule(cm.model, cm.product, states[-1]) == (True, None)
+        assert same_sequential(cm.model, cm.product, probe_depth=1, states=states)[:2] == escapes

@@ -13,7 +13,10 @@ its own seed, ``first_seed + i``.
 
 The record holds, per workload, every run's five end-to-end metrics, and
 per metric each side's median and quartiles, the parent's interquartile
-range, and the number of pairs in which the change was better.  It also
+range, and the number of pairs in which the change was better.  After the
+pairs, each side also runs once with ``--trace 1`` on the first seed; its
+per-layer metrics (spans' busy and self times, work counts) are stored
+under ``"traced"``, to show where a change in the end-to-end numbers sits.  It also
 holds the Python version, the machine, both commit hashes and, as
 ``src_lines``, the lines of the Python files under each export's ``src/``.
 Exits 1 when any run was not correct.
@@ -53,10 +56,10 @@ def src_lines(root: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -127,7 +130,14 @@ def main() -> int:
                         record["machine"] = environment
                 pairs.append(pair)
                 print(workload, i, {s: pair[s].get("metrics") for s in SIDES}, flush=True)
-            record["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
+            traced = {}
+            for side in SIDES:
+                traced[side] = run_once(roots[side], workload, args.first_seed, seconds, trace=1)
+                traced[side].pop("environment", None)
+                ok = ok and traced[side]["correct"]
+            record["workloads"][workload] = {
+                "runs": pairs, "summary": summarize(pairs, better), "traced": traced,
+            }
     finally:
         shutil.rmtree(work, ignore_errors=True)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
