@@ -189,7 +189,7 @@ def test_corpus_hulls_use_both_paths():
 # -- at the tolerance ---------------------------------------------------------------------
 
 
-def boundary_points(g, tol_scale):
+def boundary_points(g):
     """For each outcome x, g moved at x alone, with the tolerance that puts the
     exact residual |w_x - g_x| at tol·(1 ± 2^-20)."""
     for x in range(len(g)):
@@ -197,7 +197,7 @@ def boundary_points(g, tol_scale):
         w[x] = g[x] + 3e-9 if g[x] < 0.5 else g[x] - 3e-9
         residual = abs(F(w[x]) - F(g[x]))
         for sign in (-1, 1):
-            tol = float(residual / (1 + sign * F(1, 2**20)) * tol_scale)
+            tol = float(residual / (1 + sign * F(1, 2**20)))
             yield Weight(w), tol, sign
 
 
@@ -208,7 +208,7 @@ def test_residual_at_the_tolerance_matches_the_lp(index):
     the LP rejects it."""
     preset = preset_models()[index]
     for g in preset.states.generators:
-        for w, tol, sign in boundary_points(g, 1):
+        for w, tol, sign in boundary_points(g):
             model = hull(preset, [g], exact=False, tol=tol)
             assert model._hull_membership(w, conic=False) == (sign < 0)
             assert_membership(model, w)
@@ -218,7 +218,7 @@ def test_corpus_residual_at_the_tolerance_matches_the_lp():
     for model in CORPUS[::5]:
         for g in model.state_vertices()[:2]:
             g = float_weight(g)
-            for w, tol, sign in boundary_points(g, 1):
+            for w, tol, sign in boundary_points(g):
                 single = hull(model, [g], exact=False, tol=tol)
                 assert single._hull_membership(w, conic=False) == (sign < 0)
                 assert_membership(single, w)

@@ -16,10 +16,11 @@ per metric each side's median and quartiles, the parent's interquartile
 range, and the number of pairs in which the change was better.  After the
 pairs, each side also runs once with ``--trace 1`` on the first seed; its
 per-layer metrics (spans' busy and self times, work counts) are stored
-under ``"traced"``, to show where a change in the end-to-end numbers sits.  It also
-holds the Python version, the machine, both commit hashes and, as
-``src_lines``, the lines of the Python files under each export's ``src/``.
-Exits 1 when any run was not correct.
+under ``"traced"``, to show where a change in the end-to-end numbers
+sits.  The record also holds the Python version, the machine, both commit
+hashes and, as ``src_lines``, the lines of the Python files under each
+export's ``src/``.  Exits 1 when any run (traced runs included) was not
+correct.
 """
 
 from __future__ import annotations
