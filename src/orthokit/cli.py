@@ -7,7 +7,9 @@ for checks), 1 means a requested property failed or a law was violated, and
 environment variable overrides the global enumeration cap.
 
 Each command imports the layers it runs inside its own branch, so a cold
-``check`` loads only the document, test-space, state and LP layers.
+``check`` loads only the document, test-space, state and LP layers, plus
+the compounding and morphism layers when the document has a ``product``
+section: ``document`` builds its ``SequentialProduct`` from ``compounding``.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    if args.out is not None and args.kind in ("logic", "closure-lattice"):
+        raise UsageError(f"--out takes a document; {args.kind} writes a report to stdout")
     bundle = _load(args.path)
     model = bundle.model
     if args.kind == "coarsen":
@@ -174,8 +178,11 @@ def cmd_transform(args) -> int:
 def _write_doc(bundle: DocumentBundle, args) -> int:
     text = dumps_canonical(bundle_to_document(bundle))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text, end="")

@@ -11,10 +11,10 @@ refinement.  Coherences satisfying the stronger substitution property
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Mapping
 
+from ._record import Frozen, setfield
 from .errors import (
     HypothesisUnmet,
     LawViolation,
@@ -50,8 +50,7 @@ def _bell_numbers(n: int) -> list[int]:
     return bells
 
 
-@dataclass(frozen=True)
-class Coarsening:
+class Coarsening(Frozen):
     """A coarsened model plus the interning between outcomes and base events.
 
     Events are masks (bit x for base outcome x) and nothing else: outcome i
@@ -59,10 +58,19 @@ class Coarsening:
     inverts the masks.  ``to_event`` is the frozenset view of one outcome.
     """
 
-    base: Model
-    model: Model
-    outcome_mask: tuple[int, ...]
-    mask_outcome: Mapping[int, int]
+    __slots__ = ("base", "model", "outcome_mask", "mask_outcome")
+
+    def __init__(
+        self,
+        base: Model,
+        model: Model,
+        outcome_mask: tuple[int, ...],
+        mask_outcome: Mapping[int, int],
+    ):
+        setfield(self, "base", base)
+        setfield(self, "model", model)
+        setfield(self, "outcome_mask", outcome_mask)
+        setfield(self, "mask_outcome", mask_outcome)
 
     def to_coarse(self, event: Iterable[int]) -> int:
         m = self.base.space._mask_of(event)
@@ -168,10 +176,12 @@ def _union_collapse(coarse: Coarsening, double: Coarsening) -> tuple[int, ...]:
     return tuple(coarse.collapse(_ids(d)) for d in double.outcome_mask)
 
 
-@dataclass(frozen=True)
-class MonadLawReport:
-    associativity_points: int
-    unit_points: int
+class MonadLawReport(Frozen):
+    __slots__ = ("associativity_points", "unit_points")
+
+    def __init__(self, associativity_points: int, unit_points: int):
+        setfield(self, "associativity_points", associativity_points)
+        setfield(self, "unit_points", unit_points)
 
 
 def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawReport:
@@ -218,14 +228,23 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
 # -- coherences and cohesions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckedCoherence:
+class CheckedCoherence(Frozen):
     """A validated coarsening-algebra structure on a model."""
 
-    model: Model
-    coarse: Coarsening
-    morphism: Morphism  # the structure map from the coarsening back to the model
-    table: Mapping[frozenset, int]
+    __slots__ = ("model", "coarse", "morphism", "table")
+
+    def __init__(
+        self,
+        model: Model,
+        coarse: Coarsening,
+        morphism: Morphism,
+        table: Mapping[frozenset, int],
+    ):
+        setfield(self, "model", model)
+        setfield(self, "coarse", coarse)
+        # the structure map from the coarsening back to the model
+        setfield(self, "morphism", morphism)
+        setfield(self, "table", table)
 
     def __call__(self, event: Iterable[int]) -> int:
         return self.table[frozenset(event)]
@@ -307,11 +326,22 @@ def is_cohesion(checked: CheckedCoherence, cap: int | None = None) -> PredicateR
     return PredicateResult(True)
 
 
-@dataclass(frozen=True)
-class ProjectivityClassification:
-    cohesive_and_projective: bool
-    cohesive_and_collapse_constant: bool
-    algebraic_and_projective: bool
+class ProjectivityClassification(Frozen):
+    __slots__ = (
+        "cohesive_and_projective",
+        "cohesive_and_collapse_constant",
+        "algebraic_and_projective",
+    )
+
+    def __init__(
+        self,
+        cohesive_and_projective: bool,
+        cohesive_and_collapse_constant: bool,
+        algebraic_and_projective: bool,
+    ):
+        setfield(self, "cohesive_and_projective", cohesive_and_projective)
+        setfield(self, "cohesive_and_collapse_constant", cohesive_and_collapse_constant)
+        setfield(self, "algebraic_and_projective", algebraic_and_projective)
 
     @property
     def all_equal(self) -> bool:

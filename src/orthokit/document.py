@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
+from ._record import Record
 from .errors import MissingStructure, ParseError
 from .states import Model, Weight, full_model, generator_model
 from .testspace import build_test_space
@@ -28,15 +28,24 @@ if TYPE_CHECKING:
 FORMAT_VERSION = "1"
 
 
-@dataclass
-class DocumentBundle:
+class DocumentBundle(Record):
     """A loaded document: the model plus whatever structure it carried."""
 
-    model: Model
-    coherence: dict[frozenset, int] | None = None
-    product: SequentialProduct | None = None
-    followups: tuple[tuple[str, ...], Mapping[tuple[int, int], int]] | None = None
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("model", "coherence", "product", "followups", "metadata")
+
+    def __init__(
+        self,
+        model: Model,
+        coherence: dict[frozenset, int] | None = None,
+        product: SequentialProduct | None = None,
+        followups: tuple[tuple[str, ...], Mapping[tuple[int, int], int]] | None = None,
+        metadata: dict | None = None,
+    ):
+        self.model = model
+        self.coherence = coherence
+        self.product = product
+        self.followups = followups
+        self.metadata = {} if metadata is None else metadata
 
     def require_coherence(self) -> dict[frozenset, int]:
         if self.coherence is None:

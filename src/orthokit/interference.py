@@ -18,12 +18,12 @@ where -1 marks a product out of window and absorbs every OR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain, product as iproduct
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import Frozen, setfield
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
 from .compounding import (
     CheckedSequential,
@@ -58,12 +58,20 @@ def _string_set(events: Iterable[int], n: int) -> int:
     return reduce(lambda out, m: concat_masks(out, m, n), events, 1)
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    multiplication_outer: int
-    multiplication_inner: int
-    unit_coarse: int
-    unit_compound: int
+class DiagramReport(Frozen):
+    __slots__ = ("multiplication_outer", "multiplication_inner", "unit_coarse", "unit_compound")
+
+    def __init__(
+        self,
+        multiplication_outer: int,
+        multiplication_inner: int,
+        unit_coarse: int,
+        unit_compound: int,
+    ):
+        setfield(self, "multiplication_outer", multiplication_outer)
+        setfield(self, "multiplication_inner", multiplication_inner)
+        setfield(self, "unit_coarse", unit_coarse)
+        setfield(self, "unit_compound", unit_compound)
 
 
 def check_distributive_diagrams(
@@ -145,15 +153,24 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class DistributiveCell:
+class DistributiveCell(Frozen):
     """Materialized interchange morphism at a depth, with its interning."""
 
-    model: Model
-    depth: int
-    source: TruncatedCompound  # compounds of the coarsening
-    target: Coarsening  # coarsening of the compound
-    morphism: Morphism
+    __slots__ = ("model", "depth", "source", "target", "morphism")
+
+    def __init__(
+        self,
+        model: Model,
+        depth: int,
+        source: TruncatedCompound,
+        target: Coarsening,
+        morphism: Morphism,
+    ):
+        setfield(self, "model", model)
+        setfield(self, "depth", depth)
+        setfield(self, "source", source)  # compounds of the coarsening
+        setfield(self, "target", target)  # coarsening of the compound
+        setfield(self, "morphism", morphism)
 
 
 def distributive_ell(model: Model, depth: int, cap: int | None = None) -> DistributiveCell:
@@ -201,16 +218,33 @@ def check_ell_naturality(phi: Morphism, depth: int, cap: int | None = None) -> i
 # -- combined algebras -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GAlgebra:
+class GAlgebra(Frozen):
     """A model with a coherence multiplicative over its sequential product."""
 
-    model: Model
-    coherence: CheckedCoherence
-    sequential: CheckedSequential
-    commutative: bool
-    strings_checked: int
-    strings_skipped: int
+    __slots__ = (
+        "model",
+        "coherence",
+        "sequential",
+        "commutative",
+        "strings_checked",
+        "strings_skipped",
+    )
+
+    def __init__(
+        self,
+        model: Model,
+        coherence: CheckedCoherence,
+        sequential: CheckedSequential,
+        commutative: bool,
+        strings_checked: int,
+        strings_skipped: int,
+    ):
+        setfield(self, "model", model)
+        setfield(self, "coherence", coherence)
+        setfield(self, "sequential", sequential)
+        setfield(self, "commutative", commutative)
+        setfield(self, "strings_checked", strings_checked)
+        setfield(self, "strings_skipped", strings_skipped)
 
     @property
     def sigma(self) -> Mapping[frozenset, int]:
@@ -334,13 +368,22 @@ def check_commutative_boolean(g: GAlgebra, cap: int | None = None):
 # -- interference ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterferenceWitness:
-    state_index: int
-    event: frozenset
-    outcome: int
-    coherent: object
-    incoherent: object
+class InterferenceWitness(Frozen):
+    __slots__ = ("state_index", "event", "outcome", "coherent", "incoherent")
+
+    def __init__(
+        self,
+        state_index: int,
+        event: frozenset,
+        outcome: int,
+        coherent: object,
+        incoherent: object,
+    ):
+        setfield(self, "state_index", state_index)
+        setfield(self, "event", event)
+        setfield(self, "outcome", outcome)
+        setfield(self, "coherent", coherent)
+        setfield(self, "incoherent", incoherent)
 
     @property
     def gap(self):

@@ -40,22 +40,30 @@ for an LP posed once: it reduces [A | b] alone and keeps nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import countOf
 from typing import Sequence
 
+from ._record import Record
 from .errors import CapCounter
 
 ZERO = Fraction(0)
 
 
-@dataclass
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None
-    x: list[Fraction] | None
-    pivots: int = 0  # simplex pivots: phase 1, artificials driven out, phase 2
+class LPResult(Record):
+    __slots__ = ("status", "value", "x", "pivots")
+
+    def __init__(
+        self,
+        status: str,
+        value: Fraction | None,
+        x: list[Fraction] | None,
+        pivots: int = 0,
+    ):
+        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.value = value
+        self.x = x
+        self.pivots = pivots  # simplex pivots: phase 1, artificials driven out, phase 2
 
     @property
     def optimal(self) -> bool:

@@ -15,10 +15,10 @@ fail algebraicity, construction refuses rather than quotienting anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
+from ._record import Frozen, setfield
 from .errors import CapCounter, LawViolation, NotAlgebraic, UnknownLabel, UsageError, check_cap
 from .states import Model
 from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event, mask_key
@@ -306,13 +306,15 @@ def orthopartition_round_trip(algebra: Orthoalgebra, cap: int | None = None):
 # -- transport along morphisms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrthoMap:
+class OrthoMap(Frozen):
     """Class-level map induced by a morphism between algebraic models."""
 
-    source: Orthoalgebra
-    target: Orthoalgebra
-    table: tuple[int, ...]
+    __slots__ = ("source", "target", "table")
+
+    def __init__(self, source: Orthoalgebra, target: Orthoalgebra, table: tuple[int, ...]):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "table", table)
 
     def __call__(self, p: int) -> int:
         return self.table[p]

@@ -14,10 +14,10 @@ what makes recombination interfere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 from typing import Mapping, Sequence
 
+from ._record import Frozen, setfield
 from .coarsening import _bell_numbers, set_partitions
 from .compounding import JOIN, SequentialProduct
 from .errors import (
@@ -41,16 +41,26 @@ MAX_PLAN_DEPTH = 3  # deepest splitter plan ``beam_model`` builds
 # -- classical (partition) models -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalModel:
+class ClassicalModel(Frozen):
     """Partition test space of a finite set, with union and intersection data."""
 
-    model: Model
-    points: int
-    subset_id: Mapping[frozenset, int]
-    subsets: tuple[frozenset, ...]
-    sigma: Mapping[frozenset, int]
-    product: SequentialProduct
+    __slots__ = ("model", "points", "subset_id", "subsets", "sigma", "product")
+
+    def __init__(
+        self,
+        model: Model,
+        points: int,
+        subset_id: Mapping[frozenset, int],
+        subsets: tuple[frozenset, ...],
+        sigma: Mapping[frozenset, int],
+        product: SequentialProduct,
+    ):
+        setfield(self, "model", model)
+        setfield(self, "points", points)
+        setfield(self, "subset_id", subset_id)
+        setfield(self, "subsets", subsets)
+        setfield(self, "sigma", sigma)
+        setfield(self, "product", product)
 
     @property
     def unit(self) -> int:
@@ -245,8 +255,7 @@ def _born_weight(space: TestSpace, vec_of, state, tol) -> Weight:
 # -- iterated beam experiments ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitterPlan:
+class SplitterPlan(Frozen):
     """One analysis stage: a frame, beam blocking, loops, and continuations.
 
     ``groups`` lists disjoint recombination loops (index sets into the
@@ -255,29 +264,51 @@ class SplitterPlan:
     ``group_next`` maps a group position to the follow-up after its loop.
     """
 
-    basis: tuple[Vec, ...]
-    labels: tuple[str, ...]
-    blocked: frozenset = frozenset()
-    groups: tuple[frozenset, ...] = ()
-    group_labels: tuple[str, ...] = ()
-    fine_next: Mapping[int, "SplitterPlan"] = field(default_factory=dict)
-    group_next: Mapping[int, "SplitterPlan"] = field(default_factory=dict)
+    __slots__ = ("basis", "labels", "blocked", "groups", "group_labels", "fine_next", "group_next")
+
+    def __init__(
+        self,
+        basis: tuple[Vec, ...],
+        labels: tuple[str, ...],
+        blocked: frozenset = frozenset(),
+        groups: tuple[frozenset, ...] = (),
+        group_labels: tuple[str, ...] = (),
+        fine_next: Mapping[int, SplitterPlan] | None = None,
+        group_next: Mapping[int, SplitterPlan] | None = None,
+    ):
+        setfield(self, "basis", basis)
+        setfield(self, "labels", labels)
+        setfield(self, "blocked", blocked)
+        setfield(self, "groups", groups)
+        setfield(self, "group_labels", group_labels)
+        setfield(self, "fine_next", {} if fine_next is None else fine_next)
+        setfield(self, "group_next", {} if group_next is None else group_next)
 
     def depth(self) -> int:
         nxt = list(self.fine_next.values()) + list(self.group_next.values())
         return 1 + max((p.depth() for p in nxt), default=0)
 
 
-@dataclass(frozen=True)
-class BeamModel:
+class BeamModel(Frozen):
     """Compound beam-experiment model with collapse and path-product data."""
 
-    model: Model
-    paths: tuple[tuple[str, ...], ...]
-    sigma: Mapping[frozenset, int]
-    witness_labels: tuple[str, ...]
-    _products: Mapping[tuple[int, int], int]
-    initial_state: int = 0
+    __slots__ = ("model", "paths", "sigma", "witness_labels", "_products", "initial_state")
+
+    def __init__(
+        self,
+        model: Model,
+        paths: tuple[tuple[str, ...], ...],
+        sigma: Mapping[frozenset, int],
+        witness_labels: tuple[str, ...],
+        _products: Mapping[tuple[int, int], int],
+        initial_state: int = 0,
+    ):
+        setfield(self, "model", model)
+        setfield(self, "paths", paths)
+        setfield(self, "sigma", sigma)
+        setfield(self, "witness_labels", witness_labels)
+        setfield(self, "_products", _products)
+        setfield(self, "initial_state", initial_state)
 
     def path_product(self, branch: int, witness: int) -> int | None:
         return self._products.get((branch, witness))

@@ -29,11 +29,11 @@ whose queries are all confirmed never builds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Frozen, setfield
 from .errors import (
     NotAState,
     NumericKindMismatch,
@@ -87,12 +87,14 @@ def weight_from_labels(space: TestSpace, assignment: Mapping[str, object]) -> We
     return Weight(vals)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Frozen):
     """Full polytope of probability weights, or a finite generator hull."""
 
-    kind: str
-    generators: tuple[Weight, ...] = ()
+    __slots__ = ("kind", "generators")
+
+    def __init__(self, kind: str, generators: tuple[Weight, ...] = ()):
+        setfield(self, "kind", kind)
+        setfield(self, "generators", generators)
 
     @staticmethod
     def full() -> "StateSpace":
@@ -110,13 +112,15 @@ class StateSpace:
         return self.kind == FULL
 
 
-@dataclass(frozen=True)
-class StateReport:
+class StateReport(Frozen):
     """Per-outcome (or per-pair) verdicts for a state-dependent predicate."""
 
-    name: str
-    holds: bool
-    failures: tuple = ()
+    __slots__ = ("name", "holds", "failures")
+
+    def __init__(self, name: str, holds: bool, failures: tuple = ()):
+        setfield(self, "name", name)
+        setfield(self, "holds", holds)
+        setfield(self, "failures", failures)
 
 
 class Model:

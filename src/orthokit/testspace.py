@@ -46,11 +46,11 @@ order finds the witness of the full pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._record import Frozen, setfield
 from .errors import (
     CapCounter,
     EmptyTest,
@@ -105,12 +105,14 @@ def _submasks(test: int) -> Iterator[int]:
         yield from map(sum, combinations(bits, r))
 
 
-@dataclass(frozen=True)
-class PredicateResult:
+class PredicateResult(Frozen):
     """Boolean verdict plus a counterexample witness when it fails."""
 
-    holds: bool
-    witness: tuple | None = None
+    __slots__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: tuple | None = None):
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -275,7 +275,7 @@ def test_distributive_diagrams(name, depth, record):
     )
     report = check_distributive_diagrams(model, depth, bound)
     assert report == check_distributive_diagrams(model, depth)
-    assert sum(vars(report).values()) == bound
+    assert sum(getattr(report, name) for name in report.__slots__) == bound
 
 
 def naturality_cases():

@@ -1,6 +1,5 @@
 """Coarse-graining: construction, functor and monad laws, coherences, cohesions."""
 
-import dataclasses
 from fractions import Fraction as F
 from importlib import resources
 
@@ -197,7 +196,7 @@ class TestLawLoopCaps:
             c = build(model, cap)
             made.append(Counting(c.mask_outcome))
             made[-1].calls = []
-            return dataclasses.replace(c, mask_outcome=made[-1])
+            return coarsening.Coarsening(c.base, c.model, c.outcome_mask, made[-1])
 
         monkeypatch.setattr(coarsening, "coarsen", counting)
         return made

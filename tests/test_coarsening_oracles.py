@@ -12,7 +12,6 @@ message and witness.  With one ``mask_outcome`` entry of a coarsening changed,
 the monad laws must fail on both sides with the same class and message.
 """
 
-import dataclasses
 from functools import lru_cache
 from importlib import resources
 
@@ -151,7 +150,7 @@ def test_tampered_coarsening_fails_like_the_oracle(index, monkeypatch):
     kinds = set()
     for key, i in single.mask_outcome.items():
         table = {**single.mask_outcome, key: (i + 1) % len(single.outcome_mask)}
-        tampered = dataclasses.replace(single, mask_outcome=table)
+        tampered = coarsening.Coarsening(single.base, single.model, single.outcome_mask, table)
 
         def patched(model, cap=None):
             return tampered if model is m else build(model, cap)

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import astuple
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -507,7 +506,8 @@ class TestSequential:
                 rest = {k: v for k, v in table.items() if k != key}
                 sp = SequentialProduct(cm.product.unit, rest, undefined_means=semantics)
                 try:
-                    got = astuple(validate_sequential(cm.model, sp).report)
+                    report = validate_sequential(cm.model, sp).report
+                    got = tuple(getattr(report, name) for name in report.__slots__)
                 except OrthokitError as exc:
                     got = (type(exc).__name__, str(exc), getattr(exc, "witness", None))
                 lines.append(f"{semantics} {key} {got!r}")

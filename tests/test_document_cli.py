@@ -457,6 +457,22 @@ class TestExitCodes:
         assert main(["interference", "qubit-mz", "--tolerance", tolerance]) == 2
         assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "coarse.json"
+        assert main(["transform", wright_path(), "coarsen", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["logic", "closure-lattice"])
+    def test_out_on_a_report_transform_exits_two(self, kind, tmp_path, capsys):
+        """``--out`` takes a document; the report transforms refuse it rather
+        than print to stdout and leave the file unwritten."""
+        out = tmp_path / "report.json"
+        assert main(["transform", wright_path(), kind, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --out ")
+        assert not out.exists()
+
     def test_parse_and_usage_errors_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -582,11 +598,12 @@ import contextlib, io, json, sys
 from orthokit import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("orthokit."))]))
+print(json.dumps([rc, sorted(sys.modules)]))
 """
 
 
-def loaded_modules(args):
+def child_modules(args):
+    """Every module loaded in a child process that ran ``cli.main(args)``, which exited 0."""
     src = str(Path(coarsening.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -595,7 +612,12 @@ def loaded_modules(args):
     assert proc.returncode == 0, proc.stderr
     rc, modules = json.loads(proc.stdout)
     assert rc == 0
-    return {m.removeprefix("orthokit.") for m in modules}
+    return set(modules)
+
+
+def loaded_modules(args):
+    """The orthokit layers loaded in a child that ran ``cli.main(args)``."""
+    return {m.removeprefix("orthokit.") for m in child_modules(args) if m.startswith("orthokit.")}
 
 
 @pytest.mark.parametrize(
@@ -616,6 +638,21 @@ def test_each_command_imports_only_its_layers(args, needed, unneeded):
     loaded = loaded_modules([command, wright_path(), *rest])
     assert needed <= loaded
     assert not loaded & unneeded, sorted(loaded & unneeded)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "wright"], ["transform", "wright", "coarsen"], ["transform", "wright", "logic"],
+     ["interference", "qubit-mz"]],
+    ids=["check", "transform-coarsen", "transform-logic", "interference"],
+)
+def test_commands_do_not_load_dataclasses(args):
+    """``dataclasses`` and the ``inspect`` it imports cost a cold start more
+    than many commands do; the records are plain slotted classes."""
+    command, name, *rest = args
+    path = wright_path() if name == "wright" else name
+    loaded = child_modules([command, path, *rest])
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded & {"dataclasses", "inspect"})
 
 
 def test_cap_env_override(tmp_path):

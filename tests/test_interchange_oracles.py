@@ -15,7 +15,6 @@ products and tables corrupted to reach every raise path.  ``sharp_logic_iso``
 is compared with the class walk it replaced on the whole corpus.
 """
 
-from dataclasses import astuple, replace
 from functools import lru_cache
 
 import pytest
@@ -57,6 +56,11 @@ def corpus():
 @lru_cache(maxsize=None)
 def classical(n):
     return classical_model(n)
+
+
+def field_tuple(record):
+    """A record's fields, in order, as a plain tuple."""
+    return tuple(getattr(record, name) for name in record.__slots__)
 
 
 def outcome(run, snapshot):
@@ -106,8 +110,8 @@ def same_products(model, table, sp, coarse=None):
     got = [
         same("check_collapse_perspectivity", g),
         same("check_commutative_boolean", g, snapshot=logic),
-        same("check_commutative_boolean", replace(g, commutative=True), snapshot=logic),
-        same("check_left_equivariance", model, table, sp, snapshot=astuple),
+        same("check_commutative_boolean", forged(model, table, sp, True), snapshot=logic),
+        same("check_left_equivariance", model, table, sp, snapshot=field_tuple),
     ]
     if coarse is not None:
         got.append(same("coarse_setwise_product", coarse, sp, snapshot=product_table))
@@ -160,10 +164,10 @@ def test_diagrams_match_oracle(depth):
     indices = _small_coarsenings()
     assert len(indices) == 92
     for i in indices:
-        assert same("check_distributive_diagrams", corpus()[i], depth, snapshot=astuple)[0] > 0
+        assert same("check_distributive_diagrams", corpus()[i], depth, snapshot=field_tuple)[0] > 0
     for n in (1, 2, 3):
-        same("check_distributive_diagrams", classical(n).model, depth, snapshot=astuple)
-    same("check_distributive_diagrams", classical(4).model, depth, ELL_CAP, snapshot=astuple)
+        same("check_distributive_diagrams", classical(n).model, depth, snapshot=field_tuple)
+    same("check_distributive_diagrams", classical(4).model, depth, ELL_CAP, snapshot=field_tuple)
 
 
 def test_depth_three_diagrams_match_oracle():
@@ -172,7 +176,7 @@ def test_depth_three_diagrams_match_oracle():
     models = [m for m in corpus() if len(coarsen(m).model.space._checked_event_masks()) <= 13]
     assert len(models) == 15
     for m in [*models, classical(1).model, classical(2).model]:
-        assert same("check_distributive_diagrams", m, 3, snapshot=astuple)[1] > 0
+        assert same("check_distributive_diagrams", m, 3, snapshot=field_tuple)[1] > 0
 
 
 def test_negative_diagram_depth_matches_oracle():
@@ -229,7 +233,9 @@ def test_classical_combined_algebras_match_oracle(n):
     assert perspective > 0 and boolean[0] == 2**n and holds == (True, None)
     assert same("check_collapse_perspectivity", g) == perspective
     assert same("check_commutative_boolean", g, snapshot=logic) == boolean
-    checked = same("check_left_equivariance", cm.model, g.coherence, cm.product, snapshot=astuple)
+    checked = same(
+        "check_left_equivariance", cm.model, g.coherence, cm.product, snapshot=field_tuple
+    )
     assert checked == holds
     # the blockwise product, on the coarse model's own union collapse
     pi = interference.coarse_setwise_product(coarse, cm.product)

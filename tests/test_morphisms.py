@@ -16,6 +16,7 @@ from orthokit.errors import (
 )
 from orthokit.corpus import named
 from orthokit.morphisms import (
+    Morphism,
     check_retraction_test_preserving,
     compose,
     identity_morphism,
@@ -237,10 +238,11 @@ class TestPerspectivityTransport:
     def test_corrupted_map_detected(self, disjoint_pair):
         small, big, phi = disjoint_pair
         # Point one outcome somewhere that breaks perspectivity of images
-        # but survives the raw dataclass (bypassing validation).
-        from dataclasses import replace
-
-        broken = replace(phi, mapping=corrupt_mapping(phi, 0, big.space.outcome("w")))
+        # but survives the raw record (bypassing validation).
+        mapping = corrupt_mapping(phi, 0, big.space.outcome("w"))
+        broken = Morphism(
+            phi.source, phi.target, mapping, phi.test_preserving, phi.embedding, phi.d_status
+        )
         ok, witness = check_preserves_perspectivity(broken)
         assert not ok and witness is not None
 

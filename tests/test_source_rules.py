@@ -21,7 +21,9 @@ the trusted ``TestSpace.__init__`` raises nothing and calls neither
 ``_is_antichain`` nor ``mask_event``.
 
 It decides without sampling: no module imports ``random``, so no verdict
-rests on seeded draws.
+rests on seeded draws.  And no module imports ``dataclasses``: it pulls in
+``inspect``, and with the classes it builds it costs a cold CLI start more
+than many commands do.
 
 It keeps each rule in few places: only ``compounding.py`` compares against the
 rules for undefined sequential products, and inside it ``undefined_means`` is
@@ -285,7 +287,7 @@ def test_cap_errors_propagate():
     assert handlers == CAP_HANDLERS
 
 
-# -- no sampling -------------------------------------------------------------------
+# -- no sampling, no dataclasses ----------------------------------------------------
 
 
 def imported_modules(source, filename="<string>"):
@@ -311,14 +313,25 @@ def test_scanner_flags_imports():
     assert imported_modules(source) == [(1, "math"), (1, "random"), (4, "random")]
 
 
-def test_src_does_not_import_random():
+def imports_of(refused):
+    """{file name: lines} of the library's imports of the module ``refused``."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
         hits = [line for line, module in imported_modules(path.read_text(encoding="utf-8"))
-                if module == "random"]
+                if module == refused]
         if hits:
             found[path.name] = hits
+    return found
+
+
+def test_src_does_not_import_random():
+    found = imports_of("random")
     assert not found, f"sampling in the library: {found}"
+
+
+def test_src_does_not_import_dataclasses():
+    found = imports_of("dataclasses")
+    assert not found, f"dataclasses in the library: {found}"
 
 
 # -- test-space validation -------------------------------------------------------
