@@ -29,11 +29,11 @@ class Record:
         if not cls.__slots__:  # Frozen itself
             return
         get = attrgetter(*cls.__slots__)
-        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields(self) == other._fields(other)
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -41,14 +41,14 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._fields(self)
+        return self.__class__, self._values(self)
 
 
 class Frozen(Record):
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._fields(self))
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
