@@ -177,7 +177,7 @@ def cmd_transform(args) -> int:
 
 def _write_doc(bundle: DocumentBundle, args) -> int:
     text = dumps_canonical(bundle_to_document(bundle))
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

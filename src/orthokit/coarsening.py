@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import (
     HypothesisUnmet,
     LawViolation,
@@ -59,18 +59,6 @@ class Coarsening(Frozen):
     """
 
     __slots__ = ("base", "model", "outcome_mask", "mask_outcome")
-
-    def __init__(
-        self,
-        base: Model,
-        model: Model,
-        outcome_mask: tuple[int, ...],
-        mask_outcome: Mapping[int, int],
-    ):
-        setfield(self, "base", base)
-        setfield(self, "model", model)
-        setfield(self, "outcome_mask", outcome_mask)
-        setfield(self, "mask_outcome", mask_outcome)
 
     def to_coarse(self, event: Iterable[int]) -> int:
         m = self.base.space._mask_of(event)
@@ -179,10 +167,6 @@ def _union_collapse(coarse: Coarsening, double: Coarsening) -> tuple[int, ...]:
 class MonadLawReport(Frozen):
     __slots__ = ("associativity_points", "unit_points")
 
-    def __init__(self, associativity_points: int, unit_points: int):
-        setfield(self, "associativity_points", associativity_points)
-        setfield(self, "unit_points", unit_points)
-
 
 def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawReport:
     """Pointwise commutation of the associativity square and unit triangles.
@@ -231,20 +215,8 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
 class CheckedCoherence(Frozen):
     """A validated coarsening-algebra structure on a model."""
 
+    # morphism: the structure map from the coarsening back to the model
     __slots__ = ("model", "coarse", "morphism", "table")
-
-    def __init__(
-        self,
-        model: Model,
-        coarse: Coarsening,
-        morphism: Morphism,
-        table: Mapping[frozenset, int],
-    ):
-        setfield(self, "model", model)
-        setfield(self, "coarse", coarse)
-        # the structure map from the coarsening back to the model
-        setfield(self, "morphism", morphism)
-        setfield(self, "table", table)
 
     def __call__(self, event: Iterable[int]) -> int:
         return self.table[frozenset(event)]
@@ -332,16 +304,6 @@ class ProjectivityClassification(Frozen):
         "cohesive_and_collapse_constant",
         "algebraic_and_projective",
     )
-
-    def __init__(
-        self,
-        cohesive_and_projective: bool,
-        cohesive_and_collapse_constant: bool,
-        algebraic_and_projective: bool,
-    ):
-        setfield(self, "cohesive_and_projective", cohesive_and_projective)
-        setfield(self, "cohesive_and_collapse_constant", cohesive_and_collapse_constant)
-        setfield(self, "algebraic_and_projective", algebraic_and_projective)
 
     @property
     def all_equal(self) -> bool:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import math
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import (
     EnumerationCapExceeded,
     HypothesisUnmet,
@@ -63,20 +63,6 @@ class ForwardProduct(Frozen):
     """Two-stage compound of two models, with pair interning."""
 
     __slots__ = ("left", "right", "model", "outcome_pair", "pair_id")
-
-    def __init__(
-        self,
-        left: Model,
-        right: Model,
-        model: Model,
-        outcome_pair: tuple[tuple[int, int], ...],
-        pair_id: Mapping[tuple[int, int], int],
-    ):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-        setfield(self, "model", model)
-        setfield(self, "outcome_pair", outcome_pair)
-        setfield(self, "pair_id", pair_id)
 
     def pair(self, x: int, y: int) -> int:
         return self.pair_id[(x, y)]
@@ -273,20 +259,6 @@ class TruncatedCompound(Frozen):
     """The depth-limited closure of a model under branching sequential tests."""
 
     __slots__ = ("base", "depth", "model", "strings", "string_id")
-
-    def __init__(
-        self,
-        base: Model,
-        depth: int,
-        model: Model,
-        strings: tuple[tuple[int, ...], ...],
-        string_id: Mapping[tuple[int, ...], int],
-    ):
-        setfield(self, "base", base)
-        setfield(self, "depth", depth)
-        setfield(self, "model", model)
-        setfield(self, "strings", strings)
-        setfield(self, "string_id", string_id)
 
     def id_of(self, string: Sequence[int]) -> int:
         return self.string_id[tuple(string)]
@@ -502,16 +474,7 @@ class SequentialProduct(Frozen):
     """A (possibly partial) associative unital product on outcomes."""
 
     __slots__ = ("unit", "table", "undefined_means")
-
-    def __init__(
-        self,
-        unit: int,
-        table: Mapping[tuple[int, int], int],
-        undefined_means: str = IMPOSSIBLE,
-    ):
-        setfield(self, "unit", unit)
-        setfield(self, "table", table)
-        setfield(self, "undefined_means", undefined_means)
+    _defaults = {"undefined_means": IMPOSSIBLE}
 
     def prod(self, x: int, y: int) -> int | None:
         if x == self.unit:
@@ -569,40 +532,9 @@ class SequentialReport(Frozen):
         "evaluation_total",
     )
 
-    def __init__(
-        self,
-        unit_points: int,
-        associativity_checked: int,
-        associativity_skipped: int,
-        orthogonality_checked: int,
-        inductivity_checked: int,
-        inductivity_skipped: int,
-        state_candidates: int,
-        conditional_rows_checked: int,
-        evaluation_depth: int,
-        evaluation_domain: int,
-        evaluation_total: int,
-    ):
-        setfield(self, "unit_points", unit_points)
-        setfield(self, "associativity_checked", associativity_checked)
-        setfield(self, "associativity_skipped", associativity_skipped)
-        setfield(self, "orthogonality_checked", orthogonality_checked)
-        setfield(self, "inductivity_checked", inductivity_checked)
-        setfield(self, "inductivity_skipped", inductivity_skipped)
-        setfield(self, "state_candidates", state_candidates)
-        setfield(self, "conditional_rows_checked", conditional_rows_checked)
-        setfield(self, "evaluation_depth", evaluation_depth)
-        setfield(self, "evaluation_domain", evaluation_domain)
-        setfield(self, "evaluation_total", evaluation_total)
-
 
 class CheckedSequential(Frozen):
     __slots__ = ("model", "product", "report")
-
-    def __init__(self, model: Model, product: SequentialProduct, report: SequentialReport):
-        setfield(self, "model", model)
-        setfield(self, "product", product)
-        setfield(self, "report", report)
 
 
 def validate_sequential(
@@ -877,13 +809,8 @@ def nonatomicity_report(tc: TruncatedCompound) -> list[tuple[tuple[int, ...], fr
 
 
 class PreservationReport(Frozen):
+    # properties: name -> (input_holds, output_holds or None when skipped)
     __slots__ = ("construction", "properties", "skipped")
-
-    def __init__(self, construction: str, properties: dict, skipped: tuple[str, ...]):
-        setfield(self, "construction", construction)
-        # name -> (input_holds, output_holds or None when skipped)
-        setfield(self, "properties", properties)
-        setfield(self, "skipped", skipped)
 
     def verified(self, name: str) -> bool:
         pair = self.properties.get(name)

@@ -15,11 +15,11 @@ import json
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ._record import Record
 from .errors import MissingStructure, ParseError
-from .states import Model, Weight, full_model, generator_model
+from .states import Weight, full_model, generator_model
 from .testspace import build_test_space
 
 if TYPE_CHECKING:
@@ -32,20 +32,7 @@ class DocumentBundle(Record):
     """A loaded document: the model plus whatever structure it carried."""
 
     __slots__ = ("model", "coherence", "product", "followups", "metadata")
-
-    def __init__(
-        self,
-        model: Model,
-        coherence: dict[frozenset, int] | None = None,
-        product: SequentialProduct | None = None,
-        followups: tuple[tuple[str, ...], Mapping[tuple[int, int], int]] | None = None,
-        metadata: dict | None = None,
-    ):
-        self.model = model
-        self.coherence = coherence
-        self.product = product
-        self.followups = followups
-        self.metadata = {} if metadata is None else metadata
+    _defaults = {"coherence": None, "product": None, "followups": None, "metadata": {}}
 
     def require_coherence(self) -> dict[frozenset, int]:
         if self.coherence is None:

@@ -23,7 +23,7 @@ from itertools import accumulate, chain, product as iproduct
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
 from .compounding import (
     CheckedSequential,
@@ -60,18 +60,6 @@ def _string_set(events: Iterable[int], n: int) -> int:
 
 class DiagramReport(Frozen):
     __slots__ = ("multiplication_outer", "multiplication_inner", "unit_coarse", "unit_compound")
-
-    def __init__(
-        self,
-        multiplication_outer: int,
-        multiplication_inner: int,
-        unit_coarse: int,
-        unit_compound: int,
-    ):
-        setfield(self, "multiplication_outer", multiplication_outer)
-        setfield(self, "multiplication_inner", multiplication_inner)
-        setfield(self, "unit_coarse", unit_coarse)
-        setfield(self, "unit_compound", unit_compound)
 
 
 def check_distributive_diagrams(
@@ -156,21 +144,8 @@ def _compositions(total: int):
 class DistributiveCell(Frozen):
     """Materialized interchange morphism at a depth, with its interning."""
 
+    # source: compounds of the coarsening; target: coarsening of the compound
     __slots__ = ("model", "depth", "source", "target", "morphism")
-
-    def __init__(
-        self,
-        model: Model,
-        depth: int,
-        source: TruncatedCompound,
-        target: Coarsening,
-        morphism: Morphism,
-    ):
-        setfield(self, "model", model)
-        setfield(self, "depth", depth)
-        setfield(self, "source", source)  # compounds of the coarsening
-        setfield(self, "target", target)  # coarsening of the compound
-        setfield(self, "morphism", morphism)
 
 
 def distributive_ell(model: Model, depth: int, cap: int | None = None) -> DistributiveCell:
@@ -203,13 +178,21 @@ def check_ell_naturality(phi: Morphism, depth: int, cap: int | None = None) -> i
     events = [(m, _image_mask(phi.mapping, m)) for m in src._checked_event_masks(cap) if m]
     check_cap_sum("naturality points", (len(events) ** k for k in range(depth + 1)), cap)
     n, n_dst = src.n_outcomes, phi.target.space.n_outcomes
+
+    def words(k):  # (string set, string set of the pushed word) per word, iproduct order
+        if not k:
+            yield 1, 1
+            return
+        for strings, pushed in words(k - 1):
+            for m, fm in events:
+                yield concat_masks(strings, m, n), concat_masks(pushed, fm, n_dst)
+
     points, push = 0, [0]  # push[c]: the code of the pushed string of code c, at length k
     for k in range(depth + 1):
         if k:
             push = [p * n_dst + fx for p in push for fx in phi.mapping]
-        for word in iproduct(events, repeat=k):
-            pushed = _string_set((f for _, f in word), n_dst)
-            if _image_mask(push, _string_set((m for m, _ in word), n)) != pushed:
+        for strings, pushed in words(k):
+            if _image_mask(push, strings) != pushed:
                 raise LawViolation("interchange naturality fails")
             points += 1
     return points
@@ -229,22 +212,6 @@ class GAlgebra(Frozen):
         "strings_checked",
         "strings_skipped",
     )
-
-    def __init__(
-        self,
-        model: Model,
-        coherence: CheckedCoherence,
-        sequential: CheckedSequential,
-        commutative: bool,
-        strings_checked: int,
-        strings_skipped: int,
-    ):
-        setfield(self, "model", model)
-        setfield(self, "coherence", coherence)
-        setfield(self, "sequential", sequential)
-        setfield(self, "commutative", commutative)
-        setfield(self, "strings_checked", strings_checked)
-        setfield(self, "strings_skipped", strings_skipped)
 
     @property
     def sigma(self) -> Mapping[frozenset, int]:
@@ -370,20 +337,6 @@ def check_commutative_boolean(g: GAlgebra, cap: int | None = None):
 
 class InterferenceWitness(Frozen):
     __slots__ = ("state_index", "event", "outcome", "coherent", "incoherent")
-
-    def __init__(
-        self,
-        state_index: int,
-        event: frozenset,
-        outcome: int,
-        coherent: object,
-        incoherent: object,
-    ):
-        setfield(self, "state_index", state_index)
-        setfield(self, "event", event)
-        setfield(self, "outcome", outcome)
-        setfield(self, "coherent", coherent)
-        setfield(self, "incoherent", incoherent)
 
     @property
     def gap(self):

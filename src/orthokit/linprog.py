@@ -51,19 +51,10 @@ ZERO = Fraction(0)
 
 
 class LPResult(Record):
+    # status: "optimal" | "infeasible" | "unbounded"; pivots: simplex pivots
+    # (phase 1, artificials driven out, phase 2)
     __slots__ = ("status", "value", "x", "pivots")
-
-    def __init__(
-        self,
-        status: str,
-        value: Fraction | None,
-        x: list[Fraction] | None,
-        pivots: int = 0,
-    ):
-        self.status = status  # "optimal" | "infeasible" | "unbounded"
-        self.value = value
-        self.x = x
-        self.pivots = pivots  # simplex pivots: phase 1, artificials driven out, phase 2
+    _defaults = {"pivots": 0}
 
     @property
     def optimal(self) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import TYPE_CHECKING
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import CapCounter, LawViolation, NotAlgebraic, UnknownLabel, UsageError, check_cap
 from .states import Model
 from .testspace import PredicateResult, TestSpace, _ids, build_test_space, mask_event, mask_key
@@ -310,11 +310,6 @@ class OrthoMap(Frozen):
     """Class-level map induced by a morphism between algebraic models."""
 
     __slots__ = ("source", "target", "table")
-
-    def __init__(self, source: Orthoalgebra, target: Orthoalgebra, table: tuple[int, ...]):
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "table", table)
 
     def __call__(self, p: int) -> int:
         return self.table[p]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Sequence
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import (
     DomainMismatch,
     HypothesisUnmet,
@@ -34,22 +34,6 @@ D_EXACT = "exact"  # checked against generators or enumerated vertices
 
 class Morphism(Frozen):
     __slots__ = ("source", "target", "mapping", "test_preserving", "embedding", "d_status")
-
-    def __init__(
-        self,
-        source: Model,
-        target: Model,
-        mapping: tuple[int, ...],
-        test_preserving: bool,
-        embedding: bool,
-        d_status: str,
-    ):
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "mapping", mapping)
-        setfield(self, "test_preserving", test_preserving)
-        setfield(self, "embedding", embedding)
-        setfield(self, "d_status", d_status)
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]

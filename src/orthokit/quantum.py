@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product as iproduct
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .coarsening import _bell_numbers, set_partitions
 from .compounding import JOIN, SequentialProduct
 from .errors import (
@@ -45,22 +45,6 @@ class ClassicalModel(Frozen):
     """Partition test space of a finite set, with union and intersection data."""
 
     __slots__ = ("model", "points", "subset_id", "subsets", "sigma", "product")
-
-    def __init__(
-        self,
-        model: Model,
-        points: int,
-        subset_id: Mapping[frozenset, int],
-        subsets: tuple[frozenset, ...],
-        sigma: Mapping[frozenset, int],
-        product: SequentialProduct,
-    ):
-        setfield(self, "model", model)
-        setfield(self, "points", points)
-        setfield(self, "subset_id", subset_id)
-        setfield(self, "subsets", subsets)
-        setfield(self, "sigma", sigma)
-        setfield(self, "product", product)
 
     @property
     def unit(self) -> int:
@@ -265,24 +249,13 @@ class SplitterPlan(Frozen):
     """
 
     __slots__ = ("basis", "labels", "blocked", "groups", "group_labels", "fine_next", "group_next")
-
-    def __init__(
-        self,
-        basis: tuple[Vec, ...],
-        labels: tuple[str, ...],
-        blocked: frozenset = frozenset(),
-        groups: tuple[frozenset, ...] = (),
-        group_labels: tuple[str, ...] = (),
-        fine_next: Mapping[int, SplitterPlan] | None = None,
-        group_next: Mapping[int, SplitterPlan] | None = None,
-    ):
-        setfield(self, "basis", basis)
-        setfield(self, "labels", labels)
-        setfield(self, "blocked", blocked)
-        setfield(self, "groups", groups)
-        setfield(self, "group_labels", group_labels)
-        setfield(self, "fine_next", {} if fine_next is None else fine_next)
-        setfield(self, "group_next", {} if group_next is None else group_next)
+    _defaults = {
+        "blocked": frozenset(),
+        "groups": (),
+        "group_labels": (),
+        "fine_next": {},
+        "group_next": {},
+    }
 
     def depth(self) -> int:
         nxt = list(self.fine_next.values()) + list(self.group_next.values())
@@ -293,22 +266,7 @@ class BeamModel(Frozen):
     """Compound beam-experiment model with collapse and path-product data."""
 
     __slots__ = ("model", "paths", "sigma", "witness_labels", "_products", "initial_state")
-
-    def __init__(
-        self,
-        model: Model,
-        paths: tuple[tuple[str, ...], ...],
-        sigma: Mapping[frozenset, int],
-        witness_labels: tuple[str, ...],
-        _products: Mapping[tuple[int, int], int],
-        initial_state: int = 0,
-    ):
-        setfield(self, "model", model)
-        setfield(self, "paths", paths)
-        setfield(self, "sigma", sigma)
-        setfield(self, "witness_labels", witness_labels)
-        setfield(self, "_products", _products)
-        setfield(self, "initial_state", initial_state)
+    _defaults = {"initial_state": 0}
 
     def path_product(self, branch: int, witness: int) -> int | None:
         return self._products.get((branch, witness))

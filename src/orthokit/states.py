@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import (
     NotAState,
     NumericKindMismatch,
@@ -91,10 +91,7 @@ class StateSpace(Frozen):
     """Full polytope of probability weights, or a finite generator hull."""
 
     __slots__ = ("kind", "generators")
-
-    def __init__(self, kind: str, generators: tuple[Weight, ...] = ()):
-        setfield(self, "kind", kind)
-        setfield(self, "generators", generators)
+    _defaults = {"generators": ()}
 
     @staticmethod
     def full() -> "StateSpace":
@@ -116,11 +113,7 @@ class StateReport(Frozen):
     """Per-outcome (or per-pair) verdicts for a state-dependent predicate."""
 
     __slots__ = ("name", "holds", "failures")
-
-    def __init__(self, name: str, holds: bool, failures: tuple = ()):
-        setfield(self, "name", name)
-        setfield(self, "holds", holds)
-        setfield(self, "failures", failures)
+    _defaults = {"failures": ()}
 
 
 class Model:

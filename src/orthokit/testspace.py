@@ -50,7 +50,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
-from ._record import Frozen, setfield
+from ._record import Frozen
 from .errors import (
     CapCounter,
     EmptyTest,
@@ -109,10 +109,7 @@ class PredicateResult(Frozen):
     """Boolean verdict plus a counterexample witness when it fails."""
 
     __slots__ = ("holds", "witness")
-
-    def __init__(self, holds: bool, witness: tuple | None = None):
-        setfield(self, "holds", holds)
-        setfield(self, "witness", witness)
+    _defaults = {"witness": None}
 
     def __bool__(self) -> bool:
         return self.holds

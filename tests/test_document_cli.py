@@ -463,6 +463,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["coarsen", "compound"])
+    def test_empty_out_exits_two(self, kind, capsys):
+        """An empty ``--out`` is a path that cannot be written, not a request
+        for stdout."""
+        assert main(["transform", wright_path(), kind, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: cannot write : ")
+
     @pytest.mark.parametrize("kind", ["logic", "closure-lattice"])
     def test_out_on_a_report_transform_exits_two(self, kind, tmp_path, capsys):
         """``--out`` takes a document; the report transforms refuse it rather

@@ -5,7 +5,8 @@ order and defaults; ``==`` on the fields, false when one field differs and
 between two classes holding the same values; the exact ``repr``; a copy
 equal to the original; ``hash`` from the fields and no assignment for a
 frozen record; and a mutable record (``LPResult``, ``DocumentBundle``) that
-takes assignment and has no hash.
+takes assignment and has no hash.  The one ``__init__`` they share binds
+arguments as a ``def`` would.
 """
 
 import copy
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orthokit._record import Frozen, Record
 from orthokit.coarsening import (
     CheckedCoherence,
     Coarsening,
@@ -190,3 +192,26 @@ def test_record_semantics(cls, names, values, defaults, text):
         with pytest.raises(AttributeError):
             record.not_a_field = 1
         assert [getattr(record, name) for name in names] == list(values)
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, defaults", [r[:4] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS]
+)
+def test_binding_errors(cls, names, values, defaults):
+    required = [v for name, v in zip(names, values) if name not in defaults]
+    with pytest.raises(TypeError, match="missing"):
+        cls(*required[:-1])
+    with pytest.raises(TypeError, match="positional"):
+        cls(*values, "surplus")
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cls(*values, not_a_field=1)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*values, **{names[0]: values[0]})
+
+
+@pytest.mark.parametrize("base", [Record, Frozen])
+def test_a_default_must_not_precede_a_required_field(base):
+    with pytest.raises(TypeError, match="'b'"):
+        type("Bad", (base,), {"__slots__": ("a", "b", "c"), "_defaults": {"a": 0, "c": 0}})
+    good = type("Good", (base,), {"__slots__": ("a", "b"), "_defaults": {"b": 0}})
+    assert (good(1).a, good(1).b) == (1, 0)

@@ -37,6 +37,11 @@ through the frozenset views ``tests``, ``test_set``, ``events_list``,
 ``outcome_event`` table.  The sequential-product checks
 ``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra`` and
 ``find_interference`` read no ``tests``, ``test_set`` or ``events_list`` view.
+
+It stores record fields one way: no ``Record`` or ``Frozen`` class writes an
+``__init__``, since ``Record.__init__`` binds every record's fields from its
+``__slots__``, and only ``_record.py`` names ``setfield`` or
+``object.__setattr__``, the way past a frozen record's ``__setattr__``.
 """
 
 import ast
@@ -583,3 +588,62 @@ def test_sequential_checks_read_events_as_masks():
         if hits:
             found[name] = hits
     assert not found, f"frozenset views read in the sequential checks: {found}"
+
+
+# -- record fields -------------------------------------------------------------------
+
+RECORD_BASES = {"Record", "Frozen"}
+
+
+def record_field_writes(source, filename="<string>"):
+    """(line, what) of every ``__init__`` of a class based on ``Record`` or
+    ``Frozen``, every ``setfield`` (read or imported) and every
+    ``object.__setattr__``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.ClassDef):
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                     for b in node.bases}
+            if bases & RECORD_BASES:
+                found.extend(
+                    (item.lineno, f"{node.name}.__init__") for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                )
+        elif (isinstance(node, ast.Name) and node.id == "setfield"
+              or isinstance(node, ast.alias) and node.name == "setfield"):
+            found.append((node.lineno, "setfield"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            found.append((node.lineno, "object.__setattr__"))
+    return sorted(found)
+
+
+def test_scanner_flags_record_field_writes():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "from ._record import Frozen, setfield\n"
+        "class Report(_record.Frozen):\n"
+        "    __slots__ = ('holds',)\n"
+        "    def __init__(self, holds):\n"
+        "        setfield(self, 'holds', holds)\n"
+        "class Space:\n"
+        "    def __init__(self, n):\n"
+        "        object.__setattr__(self, 'n', n)\n"
+    )
+    assert record_field_writes(source) == [
+        (1, "setfield"),
+        (4, "Report.__init__"),
+        (5, "setfield"),
+        (8, "object.__setattr__"),
+    ]
+
+
+def test_records_store_fields_in_record_only():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        hits = record_field_writes(path.read_text(encoding="utf-8"), str(path))
+        if path.name == "_record.py":
+            hits = [hit for hit in hits if hit[1].endswith("__init__")]
+        if hits:
+            found[path.name] = hits
+    assert not found, f"record fields stored outside _record.py: {found}"
