@@ -19,7 +19,7 @@ where -1 marks a product out of window and absorbs every OR.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import accumulate, chain, product as iproduct
+from itertools import chain, product as iproduct
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,7 +28,6 @@ from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherenc
 from .compounding import (
     CheckedSequential,
     SequentialProduct,
-    TruncatedCompound,
     _joined,
     _mass,
     _product_masks,
@@ -87,28 +86,46 @@ def check_distributive_diagrams(
     terms = (d**k + e**k * (2 ** (k - 1) if k else 1) + n**k for k in range(depth + 1))
     check_cap_sum("distributive diagrams", chain([e], terms), cap)
 
+    # Each word of a square extends a shorter one by a letter, in iproduct order.
+    def coarse_words(k):  # (string set of each member choice, string set of the unions)
+        if not k:
+            yield [1], 1
+            return
+        for choices, unions in coarse_words(k - 1):
+            for members, union in families:
+                longer = [concat_masks(s, events[i], n) for s in choices for i in members]
+                yield longer, concat_masks(unions, union, n)
+
+    # A split of a word is (its closed parts concatenated, its last part, that
+    # part's length); the next letter extends the last part or starts a new one.
+    def split_words(total):  # (string set of the word, its splits)
+        if not total:
+            yield 1, [(1, 1, 0)]
+            return
+        for flat, splits in split_words(total - 1):
+            for m in events:
+                longer = []
+                for closed, last, k in splits:
+                    longer.append((closed, concat_masks(last, m, n), k + 1))
+                    if k:
+                        longer.append((concat_masks(closed, last, n**k), m, 1))
+                yield concat_masks(flat, m, n), longer
+
     # Square 1: strings of double-coarse outcomes; collapse inner unions
     # before or after distributing.
     sq1 = 0
     for k in range(depth + 1):
-        for word in iproduct(families, repeat=k):
-            via_member = 0
-            for choice in iproduct(*(members for members, _ in word)):
-                via_member |= _string_set((events[i] for i in choice), n)
-            if via_member != _string_set((union for _, union in word), n):
+        for choices, unions in coarse_words(k):
+            if reduce(or_, choices) != unions:
                 raise LawViolation("distributive square over coarsening fails")
             sq1 += 1
 
     # Square 2: strings of strings of events; flatten before or after.
     sq2 = 0
     for total in range(depth + 1):
-        for word in iproduct(events, repeat=total):
-            flat = _string_set(word, n)
-            for split in _compositions(total):
-                nested = 1
-                for end, part in zip(accumulate(split), split):
-                    nested = concat_masks(nested, _string_set(word[end - part : end], n), n**part)
-                if nested != flat:
+        for flat, splits in split_words(total):
+            for closed, last, k in splits:
+                if concat_masks(closed, last, n**k) != flat:
                     raise LawViolation("distributive square over flattening fails")
                 sq2 += 1
 
@@ -129,16 +146,6 @@ def check_distributive_diagrams(
                 raise LawViolation("compound unit triangle fails")
             tri2 += 1
     return DiagramReport(sq1, sq2, tri1, tri2)
-
-
-def _compositions(total: int):
-    """Ordered splits of ``total`` into positive parts (one empty split for 0)."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
 
 
 class DistributiveCell(Frozen):

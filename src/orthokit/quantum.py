@@ -8,7 +8,15 @@ weights.  The beam-experiment generator builds iterated splitter setups
 with blocking, coherent recombination loops, and per-branch follow-up
 stages; conditioning on a detected beam collapses to it, conditioning on a
 recombined loop projects onto its span and renormalizes, which is exactly
-what makes recombination interfere.
+what makes recombination interfere.  It builds in one pass: each stage
+returns its run-and-stop tests as sets of path ids, and each beam and loop,
+follow-up tests included, is computed once and shared by the fine and the
+recombined readout.
+
+Every frame, state vector, density matrix and initial vector of one model
+must share a dimension; a mismatch is refused (``NotOrthonormal`` between
+frames, ``NotAState`` for a state) before any Born weight or projection is
+computed.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import (
     check_cap_sum,
 )
 from .states import Model, Weight, full_model, generator_model
-from .testspace import TestSpace, build_test_space
+from .testspace import TestSpace, _ids, build_test_space, mask_event
 
 Vec = tuple[complex, ...]
 Matrix = tuple[tuple[complex, ...], ...]
@@ -74,11 +82,9 @@ def classical_model(n: int, cap: int | None = None) -> ClassicalModel:
     model = full_model(space)
     # Union collapse on all nonempty events (pairwise disjoint families).
     sigma: dict[frozenset, int] = {}
-    for ev in space.events_list(cap):
-        if not ev:
-            continue
-        union = frozenset().union(*(subsets[i] for i in ev))
-        sigma[ev] = subset_id[union]
+    for m in space._checked_event_masks(cap):
+        if m:
+            sigma[mask_event(m)] = subset_id[frozenset().union(*(subsets[i] for i in _ids(m)))]
     table = {}
     for i, a in enumerate(subsets):
         for j, b in enumerate(subsets):
@@ -100,14 +106,9 @@ def vnorm2(v: Vec) -> float:
     return sum(abs(c) ** 2 for c in v)
 
 
-def normalize(v: Vec) -> Vec:
-    n = math.sqrt(vnorm2(v))
-    if n == 0:
-        raise NotAState("cannot normalize the zero vector")
-    return tuple(c / n for c in v)
-
-
 def check_orthonormal(basis: Sequence[Vec], tol: float = DEFAULT_QTOL) -> None:
+    if not basis:
+        raise NotOrthonormal("a basis needs at least one vector")
     dim = len(basis[0])
     for v in basis:
         if len(v) != dim:
@@ -189,11 +190,12 @@ def hilbert_slice_model(
     """
     if not bases:
         raise UsageError("need at least one basis")
-    dim = len(bases[0][0])
     for basis in bases:
         check_orthonormal(basis, tol)
-        if len(basis[0]) != dim:
+        if len(basis[0]) != len(bases[0][0]):
             raise NotOrthonormal("bases live in different dimensions")
+    for st in states:
+        _check_dimension(st, len(bases[0][0]), "state")
     if labels is None:
         labels = [
             [f"b{i}.{j}" for j in range(len(basis))] for i, basis in enumerate(bases)
@@ -214,8 +216,18 @@ def hilbert_slice_model(
     return generator_model(space, weights, exact=False, tol=tol)
 
 
+def _is_density(state) -> bool:
+    return isinstance(state, tuple) and bool(state) and isinstance(state[0], tuple)
+
+
+def _check_dimension(state, dim: int, what: str) -> None:
+    """Refuse a state vector or density matrix that does not live in ``dim``."""
+    if len(state) != dim or _is_density(state) and any(len(row) != dim for row in state):
+        raise NotAState(f"{what} does not have the frames' dimension {dim}")
+
+
 def _born_weight(space: TestSpace, vec_of, state, tol) -> Weight:
-    if isinstance(state, tuple) and state and isinstance(state[0], tuple):
+    if _is_density(state):
         w = state
         dim = len(w)
         if any(abs(w[i][j] - w[j][i].conjugate()) > tol for i in range(dim) for j in range(dim)):
@@ -265,8 +277,7 @@ class SplitterPlan(Frozen):
 class BeamModel(Frozen):
     """Compound beam-experiment model with collapse and path-product data."""
 
-    __slots__ = ("model", "paths", "sigma", "witness_labels", "_products", "initial_state")
-    _defaults = {"initial_state": 0}
+    __slots__ = ("model", "paths", "sigma", "witness_labels", "_products")
 
     def path_product(self, branch: int, witness: int) -> int | None:
         return self._products.get((branch, witness))
@@ -288,136 +299,77 @@ def beam_model(
     continues into its planned follow-up stage.  The state family holds the
     Born path weights of the initial vector and of the maximally mixed
     background, so every operationally live path is positive; dead paths
-    are pruned.
+    are pruned.  Every frame and the initial vector must share one dimension.
     """
     if plan.depth() > MAX_PLAN_DEPTH:
         raise DepthCapExceeded(f"plan depth {plan.depth()} exceeds {MAX_PLAN_DEPTH}")
-    _validate_plan(plan, tol)
-    dim = len(initial)
+    dim = _validate_plan(plan, tol)
+    _check_dimension(initial, dim, "initial vector")
     if abs(vnorm2(initial) - 1.0) > tol:
         raise NotAState("initial vector is not normalized")
     states = [pure_density(initial), mixed_density(dim)]
 
-    paths: list[tuple[str, ...]] = []
-    path_id: dict[tuple[str, ...], int] = {}
-    masses: list[list[float]] = [[] for _ in states]
+    # First-visit order fixes the ids: path -> (id, mass under each state),
+    # witness label -> id.
+    paths: dict[tuple[str, ...], tuple[int, list[float]]] = {}
+    witnesses: dict[str, int] = {}
     sigma_raw: list[tuple[frozenset, int]] = []
     products_raw: dict[tuple[int, int], int] = {}
-    witness_labels: list[str] = []
-    witness_id: dict[str, int] = {}
 
-    def intern_path(p: tuple[str, ...], mass: list[float]) -> int:
-        if p in path_id:
-            return path_id[p]
-        pid = len(paths)
-        path_id[p] = pid
-        paths.append(p)
-        for k in range(len(states)):
-            masses[k].append(mass[k])
-        return pid
+    def tests_of(stage: SplitterPlan, conds: list[Matrix], probs: list[float], prefix):
+        """The stage's run-and-stop tests, as sets of path ids.
 
-    def witness(lab: str) -> int:
-        if lab not in witness_id:
-            witness_id[lab] = len(witness_labels)
-            witness_labels.append(lab)
-        return witness_id[lab]
-
-    def build(stage: SplitterPlan, conds: list[Matrix], probs: list[float], prefix):
-        """Returns the list of alternative test families at this node.
-
-        Each family is a list of per-branch option lists; a test picks one
-        option per branch.  An option is a frozenset of path ids.
+        A beam's options are stopping (its own path) or one test of its
+        follow-up stage; a readout takes one option per beam.  Each beam and
+        loop is computed once, for both readouts.
         """
-        unblocked = [i for i in range(len(stage.basis)) if i not in stage.blocked]
+        open_beams = [i for i in range(len(stage.basis)) if i not in stage.blocked]
         if stage.blocked:
             # Blocking post-selects on passage: the surviving state is the
             # renormalized compression onto the open beams, at full mass.
-            conds2, probs2 = [], []
-            dirs = [stage.basis[i] for i in unblocked]
-            for w, p in zip(conds, probs):
-                compressed, tr = project_density(w, dirs)
-                if tr > tol:
-                    conds2.append(scale_density(compressed, 1.0 / tr))
-                    probs2.append(p)
-                elif p > tol:
-                    raise NotAState("a live branch is fully blocked downstream")
-                else:
-                    conds2.append(compressed)
-                    probs2.append(0.0)
-            conds, probs = conds2, probs2
-        grouped = set().union(*stage.groups) if stage.groups else set()
-        modes = []
-        # fine mode: every surviving beam separately
-        fine_branches = []
-        for i in unblocked:
-            fine_branches.append(("fine", i))
-        modes.append(fine_branches)
-        if stage.groups:
-            coarse_branches = [("group", gi) for gi in range(len(stage.groups))]
-            for i in unblocked:
-                if i not in grouped:
-                    coarse_branches.append(("fine", i))
-            modes.append(coarse_branches)
-        families = []
-        fine_ids: dict[int, int] = {}
-        group_ids: dict[int, int] = {}
-        for branches in modes:
-            family = []
-            for kind, idx in branches:
-                if kind == "fine":
-                    dirs = [stage.basis[idx]]
-                    label = stage.labels[idx]
-                    nxt = stage.fine_next.get(idx)
-                else:
-                    dirs = [stage.basis[i] for i in sorted(stage.groups[idx])]
-                    label = stage.group_labels[idx]
-                    nxt = stage.group_next.get(idx)
-                branch_conds, branch_probs = [], []
-                for w, p in zip(conds, probs):
-                    compressed, tr = project_density(w, dirs)
-                    branch_probs.append(p * tr)
-                    branch_conds.append(
-                        scale_density(compressed, 1.0 / tr) if tr > tol else compressed
-                    )
-                path = prefix + (label,)
-                pid = intern_path(path, branch_probs)
-                if kind == "fine":
-                    fine_ids[idx] = pid
-                else:
-                    group_ids[idx] = pid
-                options = [frozenset([pid])]
-                if nxt is not None:
-                    sub_families = build(nxt, branch_conds, branch_probs, path)
-                    for fam in sub_families:
-                        for combo in iproduct(*fam):
-                            options.append(frozenset().union(*combo))
-                    for j, lab in enumerate(nxt.labels):
-                        if j in nxt.blocked:
-                            continue
-                        products_raw[(pid, witness(lab))] = path_id[path + (lab,)]
-                family.append(options)
-            families.append(family)
-        for gi, g in enumerate(stage.groups):
-            if gi in group_ids:
-                members = frozenset(fine_ids[i] for i in sorted(g))
-                sigma_raw.append((members, group_ids[gi]))
-        return families
+            passed = [project_density(w, [stage.basis[i] for i in open_beams]) for w in conds]
+            if any(tr <= tol < p for p, (_, tr) in zip(probs, passed)):
+                raise NotAState("a live branch is fully blocked downstream")
+            conds = [scale_density(c, 1.0 / tr) if tr > tol else c for c, tr in passed]
+            probs = [p if tr > tol else 0.0 for p, (_, tr) in zip(probs, passed)]
 
-    families = build(plan, [w for w in states], [1.0] * len(states), ())
-    tests_raw = set()
-    for fam in families:
-        for combo in iproduct(*fam):
-            tests_raw.add(frozenset().union(*combo))
+        def beam(dirs: list[Vec], label: str, nxt: SplitterPlan | None):
+            path = prefix + (label,)
+            projected = [project_density(w, dirs) for w in conds]
+            mass = [p * tr for p, (_, tr) in zip(probs, projected)]
+            pid = paths.setdefault(path, (len(paths), mass))[0]
+            options = [frozenset([pid])]
+            if nxt is not None:
+                sub = [scale_density(c, 1.0 / tr) if tr > tol else c for c, tr in projected]
+                options += tests_of(nxt, sub, mass, path)
+                for j, lab in enumerate(nxt.labels):
+                    if j not in nxt.blocked:
+                        wid = witnesses.setdefault(lab, len(witnesses))
+                        products_raw[(pid, wid)] = paths[path + (lab,)][0]
+            return pid, options
+
+        fine = {i: beam([stage.basis[i]], stage.labels[i], stage.fine_next.get(i))
+                for i in open_beams}
+        loops = [beam([stage.basis[i] for i in sorted(g)], stage.group_labels[gi],
+                      stage.group_next.get(gi)) for gi, g in enumerate(stage.groups)]
+        for g, (q, _) in zip(stage.groups, loops):
+            sigma_raw.append((frozenset(fine[i][0] for i in sorted(g)), q))
+        readouts = [[options for _, options in fine.values()]]
+        if stage.groups:
+            grouped = set().union(*stage.groups)
+            readouts.append([options for _, options in loops]
+                            + [fine[i][1] for i in open_beams if i not in grouped])
+        return [frozenset().union(*pick) for beams in readouts for pick in iproduct(*beams)]
+
+    tests_raw = set(tests_of(plan, states, [1.0] * len(states), ()))
 
     # prune paths dead under every state
-    alive = [
-        i for i in range(len(paths)) if any(masses[k][i] > tol for k in range(len(states)))
-    ]
-    remap = {old: new for new, old in enumerate(alive)}
-    names = [JOIN.join(p) for p in paths]
-    tests = [[names[i] for i in t if i in remap] for t in tests_raw]
-    space = build_test_space(tests, labels=[names[i] for i in alive])
-    weights = [Weight(tuple(masses[k][i] for i in alive)) for k in range(len(states))]
+    alive = [(pid, p, mass) for p, (pid, mass) in paths.items() if any(m > tol for m in mass)]
+    remap = {pid: new for new, (pid, _, _) in enumerate(alive)}
+    names = [JOIN.join(path) for _, path, _ in alive]
+    tests = [[names[remap[i]] for i in t if i in remap] for t in tests_raw]
+    space = build_test_space(tests, labels=names)
+    weights = [Weight(tuple(mass[k] for *_, mass in alive)) for k in range(len(states))]
     model = generator_model(space, weights, exact=False, tol=tol)
     sigma = {
         frozenset(remap[i] for i in ev): remap[q]
@@ -429,30 +381,38 @@ def beam_model(
         for (b, wit), p in products_raw.items()
         if b in remap and p in remap
     }
-    return BeamModel(
-        model,
-        tuple(tuple(paths[i]) for i in alive),
-        sigma,
-        tuple(witness_labels),
-        products,
-    )
+    return BeamModel(model, tuple(p for _, p, _ in alive), sigma, tuple(witnesses), products)
 
 
-def _validate_plan(plan: SplitterPlan, tol: float) -> None:
-    check_orthonormal(plan.basis, tol)
-    if len(plan.labels) != len(plan.basis):
-        raise UsageError("stage needs one label per basis vector")
+def _validate_plan(plan: SplitterPlan, tol: float) -> int:
+    """Check each distinct stage of a plan once, depth first, and return the
+    dimension that all its frames must share."""
+    dim = len(plan.basis[0]) if plan.basis else 0  # an empty frame fails check_orthonormal
     seen = set()
-    for g in plan.groups:
-        if not g or g & seen:
-            raise UsageError("recombination groups must be nonempty and disjoint")
-        if any(i in plan.blocked for i in g):
-            raise UsageError("cannot recombine a blocked beam")
-        seen |= g
-    if len(plan.group_labels) != len(plan.groups):
-        raise UsageError("need one label per recombination group")
-    for sub in list(plan.fine_next.values()) + list(plan.group_next.values()):
-        _validate_plan(sub, tol)
+
+    def check(stage: SplitterPlan) -> None:
+        if id(stage) in seen:
+            return
+        seen.add(id(stage))
+        check_orthonormal(stage.basis, tol)
+        if len(stage.basis[0]) != dim:
+            raise NotOrthonormal("bases live in different dimensions")
+        if len(stage.labels) != len(stage.basis):
+            raise UsageError("stage needs one label per basis vector")
+        grouped = set()
+        for g in stage.groups:
+            if not g or g & grouped:
+                raise UsageError("recombination groups must be nonempty and disjoint")
+            if any(i in stage.blocked for i in g):
+                raise UsageError("cannot recombine a blocked beam")
+            grouped |= g
+        if len(stage.group_labels) != len(stage.groups):
+            raise UsageError("need one label per recombination group")
+        for sub in (*stage.fine_next.values(), *stage.group_next.values()):
+            check(sub)
+
+    check(plan)
+    return dim
 
 
 # -- presets --------------------------------------------------------------------------

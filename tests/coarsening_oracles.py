@@ -33,11 +33,11 @@ from orthokit.errors import (
     NotGAlgebra,
     UsageError,
 )
-from orthokit.interference import DiagramReport, GAlgebra, _compositions, _is_commutative
+from orthokit.interference import DiagramReport, GAlgebra, _is_commutative
 from orthokit.logic import OrthoMap, build_logic
 from orthokit.testspace import PredicateResult, event_key
 from frozenset_oracles import validate_morphism
-from interchange_oracles import concat_product, concat_string_sets
+from interchange_oracles import compositions, concat_product, concat_string_sets
 
 
 def outcome_events(coarse):
@@ -208,7 +208,7 @@ def check_distributive_diagrams(model, depth, cap=None):
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
-            for split in _compositions(total):
+            for split in compositions(total):
                 counter.tick()
                 chunks = []
                 start = 0

@@ -25,7 +25,6 @@ from orthokit.interference import (
     DiagramReport,
     DistributiveCell,
     GAlgebra,
-    _compositions,
 )
 from orthokit.logic import build_logic
 from orthokit.morphisms import Morphism, validate_morphism
@@ -39,6 +38,16 @@ def concat_product(events: Sequence[frozenset]) -> frozenset:
     for ev in events:
         out = [s + (x,) for s in out for x in sorted(ev)]
     return frozenset(out)
+
+
+def compositions(total: int):
+    """Ordered splits of ``total`` into positive parts (one empty split for 0)."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
 
 
 def concat_string_sets(sets: Sequence[frozenset]) -> frozenset:
@@ -91,7 +100,7 @@ def check_distributive_diagrams(
     sq2 = 0
     for total in range(depth + 1):
         for word in iproduct(events, repeat=total):
-            for split in _compositions(total):
+            for split in compositions(total):
                 chunks = [word[end - part : end] for end, part in zip(accumulate(split), split)]
                 nested = concat_string_sets([concat_product(c) for c in chunks])
                 flat = concat_product(word)

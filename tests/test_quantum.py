@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from orthokit import quantum
 from orthokit.errors import DepthCapExceeded, NotAState, NotOrthonormal, UsageError
 from orthokit.interference import find_interference
 from orthokit.quantum import (
@@ -188,50 +189,76 @@ class TestBeamPresets:
             check_orthonormal(spin1_rotation(theta))
 
 
+Z0, Z1 = (1 + 0j, 0j), (0j, 1 + 0j)
+PLUS, MINUS = (1 / SQ2 + 0j, 1 / SQ2 + 0j), (1 / SQ2 + 0j, -1 / SQ2 + 0j)
+REANALYZE = SplitterPlan(basis=(PLUS, MINUS), labels=("plus", "minus"))
+RESPLIT = SplitterPlan(basis=(Z0, Z1), labels=("s0", "s1"))
+
+
+def deep_plan():
+    plan = SplitterPlan(basis=(Z0, Z1), labels=("0", "1"))
+    for _ in range(4):
+        plan = SplitterPlan(basis=(Z0, Z1), labels=("0", "1"), fine_next={0: plan})
+    return plan
+
+
+# name -> (plan, initial vector): every plan the beam tests build, which
+# test_quantum_oracles also hands to the reference builder
+PLANS = {
+    "no loops": (
+        SplitterPlan(basis=(Z0, Z1), labels=("0", "1"), fine_next={0: REANALYZE, 1: REANALYZE}),
+        PLUS,
+    ),
+    "singleton loop": (
+        SplitterPlan(
+            basis=(Z0, Z1),
+            labels=("0", "1"),
+            groups=(frozenset({0}),),
+            group_labels=("q",),
+            fine_next={0: REANALYZE, 1: REANALYZE},
+            group_next={0: REANALYZE},
+        ),
+        PLUS,
+    ),
+    "same basis": (
+        SplitterPlan(
+            basis=(Z0, Z1),
+            labels=("0", "1"),
+            groups=(frozenset({0, 1}),),
+            group_labels=("q",),
+            fine_next={0: RESPLIT, 1: RESPLIT},
+            group_next={0: RESPLIT},
+        ),
+        Z0,  # a basis state
+    ),
+    "too deep": (deep_plan(), Z0),
+    "overlapping loops": (
+        SplitterPlan(
+            basis=(Z0, Z1),
+            labels=("0", "1"),
+            groups=(frozenset({0}), frozenset({0})),
+            group_labels=("q", "r"),
+        ),
+        Z0,
+    ),
+    "fully blocked": (
+        SplitterPlan(basis=(Z0, Z1), labels=("0", "1"), blocked=frozenset({0})),
+        Z0,
+    ),
+}
+
+
 class TestBeamSemantics:
     def test_no_loops_no_interference(self):
-        z0, z1 = (1 + 0j, 0j), (0j, 1 + 0j)
-        plus = (1 / SQ2 + 0j, 1 / SQ2 + 0j)
-        minus = (1 / SQ2 + 0j, -1 / SQ2 + 0j)
-        second = SplitterPlan(basis=(plus, minus), labels=("plus", "minus"))
-        plan = SplitterPlan(
-            basis=(z0, z1),
-            labels=("0", "1"),
-            fine_next={0: second, 1: second},
-        )
-        bm = beam_model(plan, (1 / SQ2 + 0j, 1 / SQ2 + 0j))
+        bm = beam_model(*PLANS["no loops"])
         assert bm.sigma == {}
         assert scan(bm) == []
 
     def test_singleton_loop_no_gap(self):
-        z0, z1 = (1 + 0j, 0j), (0j, 1 + 0j)
-        plus = (1 / SQ2 + 0j, 1 / SQ2 + 0j)
-        minus = (1 / SQ2 + 0j, -1 / SQ2 + 0j)
-        second = SplitterPlan(basis=(plus, minus), labels=("plus", "minus"))
-        plan = SplitterPlan(
-            basis=(z0, z1),
-            labels=("0", "1"),
-            groups=(frozenset({0}),),
-            group_labels=("q",),
-            fine_next={0: second, 1: second},
-            group_next={0: second},
-        )
-        bm = beam_model(plan, (1 / SQ2 + 0j, 1 / SQ2 + 0j))
-        assert scan(bm) == []
+        assert scan(beam_model(*PLANS["singleton loop"])) == []
 
     def test_reanalysis_in_same_basis_diagonal(self):
-        z0, z1 = (1 + 0j, 0j), (0j, 1 + 0j)
-        second = SplitterPlan(basis=(z0, z1), labels=("s0", "s1"))
-        plan = SplitterPlan(
-            basis=(z0, z1),
-            labels=("0", "1"),
-            groups=(frozenset({0, 1}),),
-            group_labels=("q",),
-            fine_next={0: second, 1: second},
-            group_next={0: second},
-        )
-        bm = beam_model(plan, (1 + 0j, 0j))  # a basis state
-        assert scan(bm) == []
+        assert scan(beam_model(*PLANS["same basis"])) == []
 
     def test_blocking_post_selects(self):
         bm = preset_spin32()
@@ -240,29 +267,58 @@ class TestBeamSemantics:
             assert abs(w.of(t) - 1.0) < 1e-8
 
     def test_depth_cap(self):
-        z = ((1 + 0j, 0j), (0j, 1 + 0j))
-        plan = SplitterPlan(basis=z, labels=("0", "1"))
-        for _ in range(4):
-            plan = SplitterPlan(basis=z, labels=("0", "1"), fine_next={0: plan})
         with pytest.raises(DepthCapExceeded):
-            beam_model(plan, (1 + 0j, 0j))
+            beam_model(*PLANS["too deep"])
 
     def test_group_validation(self):
-        z = ((1 + 0j, 0j), (0j, 1 + 0j))
-        plan = SplitterPlan(
-            basis=z,
-            labels=("0", "1"),
-            groups=(frozenset({0}), frozenset({0})),
-            group_labels=("q", "r"),
-        )
         with pytest.raises(UsageError):
-            beam_model(plan, (1 + 0j, 0j))
+            beam_model(*PLANS["overlapping loops"])
 
     def test_fully_blocked_state_rejected(self):
-        z0, z1 = (1 + 0j, 0j), (0j, 1 + 0j)
-        plan = SplitterPlan(basis=(z0, z1), labels=("0", "1"), blocked=frozenset({0}))
         with pytest.raises(NotAState):
-            beam_model(plan, (1 + 0j, 0j))
+            beam_model(*PLANS["fully blocked"])
+
+
+class TestDimensions:
+    """Frames, states and initial vectors share one dimension, checked before
+    any Born weight or projection is computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_born_rule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Born rule applied before the dimensions were checked")
+
+        monkeypatch.setattr(quantum, "project_density", refuse)
+        monkeypatch.setattr(quantum, "_born_weight", refuse)
+
+    def test_empty_basis(self):
+        with pytest.raises(NotOrthonormal):
+            check_orthonormal([])
+        with pytest.raises(NotOrthonormal):
+            hilbert_slice_model([()], [Z0])
+        with pytest.raises(NotOrthonormal):
+            beam_model(SplitterPlan(basis=(), labels=()), Z0)
+
+    def test_initial_vector_of_another_dimension(self):
+        plan, _ = PLANS["no loops"]
+        with pytest.raises(NotAState, match="dimension 2"):
+            beam_model(plan, (1 + 0j,))
+
+    def test_follow_up_frame_of_another_dimension(self):
+        e = [tuple(complex(i == j) for j in range(3)) for i in range(3)]
+        wide = SplitterPlan(basis=tuple(e), labels=("a", "b", "c"))
+        plan = SplitterPlan(basis=(Z0, Z1), labels=("0", "1"), fine_next={0: wide})
+        with pytest.raises(NotOrthonormal, match="different dimensions"):
+            beam_model(plan, Z0)
+
+    @pytest.mark.parametrize(
+        "state",
+        [(0.6, 0.8, 0), (1 + 0j,), mixed_density(3), ((1 + 0j, 0j), (0j,))],
+        ids=["long vector", "short vector", "wide matrix", "ragged matrix"],
+    )
+    def test_state_of_another_dimension(self, state):
+        with pytest.raises(NotAState, match="dimension 2"):
+            hilbert_slice_model([(Z0, Z1)], [Z0, state])
 
 
 def test_pure_density_matches_vector_born():

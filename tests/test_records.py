@@ -139,10 +139,10 @@ RECORDS = [
      "SplitterPlan(basis=(0.0, 1.0), labels=('0', '1'), blocked=frozenset({1}), "
      "groups=(frozenset({0, 1}),), group_labels=('g',), fine_next='fine', "
      "group_next='group')"),
-    (BeamModel, ("model", "paths", "sigma", "witness_labels", "_products", "initial_state"),
-     ("model", (("a",),), "sigma", ("w",), "products", 1), {"initial_state": 0},
+    (BeamModel, ("model", "paths", "sigma", "witness_labels", "_products"),
+     ("model", (("a",),), "sigma", ("w",), "products"), {},
      "BeamModel(model='model', paths=(('a',),), sigma='sigma', witness_labels=('w',), "
-     "_products='products', initial_state=1)"),
+     "_products='products')"),
 ]
 MUTABLE = (LPResult, DocumentBundle)
 

@@ -31,10 +31,10 @@ read only by ``SequentialProduct.out_of_window``, which ``products`` and the
 string evaluation of ``validate_sequential`` both ask.
 
 It keeps one event form where events are most numerous: ``coarsening.py``,
-``morphisms.py`` and ``interference.py`` read events only as masks, never
-through the frozenset views ``tests``, ``test_set``, ``events_list``,
-``events()`` or ``event_product``, and no coarsening carries an
-``outcome_event`` table.  The sequential-product checks
+``morphisms.py``, ``interference.py``, ``logic.py`` and ``quantum.py`` read
+events only as masks, never through the frozenset views ``tests``,
+``test_set``, ``events_list``, ``events()`` or ``event_product``, and no
+coarsening carries an ``outcome_event`` table.  The sequential-product checks
 ``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra`` and
 ``find_interference`` read no ``tests``, ``test_set`` or ``events_list`` view.
 
@@ -490,7 +490,7 @@ def test_undefined_means_is_read_in_one_place():
 
 # -- one event form in the coarsening, morphism and interchange layers ---------------------
 
-MASK_ONLY = ("coarsening.py", "morphisms.py", "interference.py")
+MASK_ONLY = ("coarsening.py", "morphisms.py", "interference.py", "logic.py", "quantum.py")
 FROZENSET_VIEWS = {"tests", "test_set", "events_list", "outcome_event", "event_product"}
 
 
