@@ -146,7 +146,8 @@ def cmd_transform(args) -> int:
             "one": logic.one,
             "complement": list(logic.comp),
             "sum_table": sorted([p, q, s] for (p, q), s in logic.oplus.items()),
-            "order": sorted([p, q] for (p, q) in logic.le),
+            "order": [[p, q] for p in range(len(logic)) for q in range(len(logic))
+                      if logic.leq(p, q)],
             "atoms": logic.atoms(),
             "atomic_outcomes": [
                 model.space.labels[x] for x in atomic_outcomes(model.space)

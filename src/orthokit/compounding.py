@@ -45,9 +45,9 @@ from .errors import (
     check_cap,
     resolve_cap,
 )
-from .morphisms import Morphism, image_core, validate_morphism
+from .morphisms import Morphism, _image_mask, image_core, validate_morphism
 from .states import Model, StateSpace, Weight, _require_positive
-from .testspace import PredicateResult, TestSpace, _ids, event_key, mask_event
+from .testspace import PredicateResult, TestSpace, _ids, mask_event, mask_key
 
 EPSILON_LABEL = "ε"
 JOIN = "·"
@@ -66,14 +66,6 @@ class ForwardProduct(Frozen):
 
     def pair(self, x: int, y: int) -> int:
         return self.pair_id[(x, y)]
-
-    def decompose(self, event: Iterable[int]):
-        """Split a product event into its first-stage event and fibers."""
-        first: dict[int, set[int]] = {}
-        for i in event:
-            x, y = self.outcome_pair[i]
-            first.setdefault(x, set()).add(y)
-        return frozenset(first), {x: frozenset(ys) for x, ys in first.items()}
 
     def state(self, alpha: Weight, beta: Callable[[int], Weight] | Weight) -> Weight:
         """The state running ``alpha`` first and the ``beta`` family after."""
@@ -111,6 +103,21 @@ def _unique_hull(weights: Iterable[Weight]) -> StateSpace:
     return StateSpace.hull(dict.fromkeys(weights))
 
 
+def _rows_on_support(alpha: Weight, rgens: Sequence[Weight]) -> Iterator[list[Weight]]:
+    """A follow-up row per outcome that ``alpha`` weighs, ``rgens[0]`` at the rest.
+
+    A row where alpha[x] = 0 adds only zero pair weights, and the first of all
+    n-tuples of rows to give a pair weight has ``rgens[0]`` there, so this
+    gives the full product's weights in first-occurrence order.
+    """
+    support = [x for x in range(len(alpha)) if alpha[x] != 0]
+    for chosen in iproduct(rgens, repeat=len(support)):
+        rows = [rgens[0]] * len(alpha)
+        for x, row in zip(support, chosen):
+            rows[x] = row
+        yield rows
+
+
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome.
 
@@ -140,7 +147,7 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
         states = _unique_hull(
             _pair_weight(pairs, alpha, rows.__getitem__)
             for alpha in lgens
-            for rows in iproduct(rgens, repeat=ls.n_outcomes)
+            for rows in _rows_on_support(alpha, rgens)
         )
     model = Model(space, states, exact=left.exact, tol=left.tol)
     return ForwardProduct(left, right, model, tuple(pairs), pair_id)
@@ -155,17 +162,24 @@ def fp_perspective_by_parts(fp: ForwardProduct, a, b) -> bool:
     ``fp.model.space.is_perspective``, the direct common-complement search;
     acceptance criterion 2 compares the two.
     """
-    a, b = frozenset(a), frozenset(b)
-    ao, afib = fp.decompose(a)
-    bo, bfib = fp.decompose(b)
+    (ao, afib), (bo, bfib) = (_stages(fp.outcome_pair, event) for event in (a, b))
     ls, rs = fp.left.space, fp.right.space
-    if not ls.is_perspective(ao, bo):
+    if ls._axis(ao, bo) is None:
         return False
-    if not all(rs.is_perspective(afib[z], bfib[z]) for z in ao & bo):
+    if any(rs._axis(afib[z], bfib[z]) is None for z in _ids(ao & bo)):
         return False
-    return all(afib[x] in rs.test_set for x in ao - bo) and all(
-        bfib[y] in rs.test_set for y in bo - ao
-    )
+    unshared, whole = {**afib, **bfib}, set(rs._test_masks)
+    return all(unshared[x] in whole for x in _ids(ao ^ bo))
+
+
+def _stages(outcome_pair, event: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """A product event as masks: its first-stage event, and each first outcome's fiber."""
+    first, fibers = 0, {}
+    for i in event:
+        x, y = outcome_pair[i]
+        first |= 1 << x
+        fibers[x] = fibers.get(x, 0) | 1 << y
+    return first, fibers
 
 
 def pair_morphism(
@@ -204,15 +218,11 @@ def marginal_and_conditional(fp: ForwardProduct, w: Weight, x: int):
     The marginal at an outcome must not depend on which follow-up test is
     summed over; a dependence raises LawViolation.
     """
-    model = fp.model
-    rs = fp.right.space
-    sums = [
-        sum((w[fp.pair(x, y)] for y in t), start=0) for t in rs.tests
-    ]
-    for s in sums[1:]:
-        if not model._eq(s, sums[0]):
-            raise LawViolation("marginal depends on the follow-up test")
+    model, rs = fp.model, fp.right.space
+    sums = [w.of(fp.pair(x, y) for y in _ids(t)) for t in rs._test_masks]
     marg = sums[0]
+    if not all(model._eq(s, marg) for s in sums[1:]):
+        raise LawViolation("marginal depends on the follow-up test")
     if model._eq(marg, 0):
         raise ZeroMarginal(f"outcome {fp.left.space.labels[x]} has zero marginal")
     cond = Weight(tuple(w[fp.pair(x, y)] / marg for y in range(rs.n_outcomes)))
@@ -220,19 +230,14 @@ def marginal_and_conditional(fp: ForwardProduct, w: Weight, x: int):
 
 
 def marginal_weight(fp: ForwardProduct, w: Weight) -> Weight:
-    vals = []
-    t0 = fp.right.space.tests[0]
-    for x in range(fp.left.space.n_outcomes):
-        vals.append(sum((w[fp.pair(x, y)] for y in t0), start=0))
-    return Weight(vals)
+    t0 = _ids(fp.right.space._test_masks[0])
+    return Weight([w.of(fp.pair(x, y) for y in t0) for x in range(fp.left.space.n_outcomes)])
 
 
 def retrodictive_marginal(fp: ForwardProduct, w: Weight, first_test: frozenset) -> Weight:
     """Second-stage marginal relative to a chosen first test (test-dependent)."""
-    vals = []
-    for y in range(fp.right.space.n_outcomes):
-        vals.append(sum((w[fp.pair(x, y)] for x in first_test), start=0))
-    return Weight(vals)
+    ys = range(fp.right.space.n_outcomes)
+    return Weight([w.of(fp.pair(x, y) for x in first_test) for y in ys])
 
 
 # -- unit adjunction at the model level -------------------------------------------
@@ -265,7 +270,7 @@ class TruncatedCompound(Frozen):
 
     def tests_as_strings(self) -> set[frozenset]:
         return {
-            frozenset(self.strings[i] for i in t) for t in self.model.space.tests
+            frozenset(self.strings[i] for i in _ids(t)) for t in self.model.space._test_masks
         }
 
 
@@ -388,13 +393,9 @@ def check_unit_level(model: Model, cap: int | None = None) -> None:
     tc = truncated_compound(model, 1, cap)
     prime, unit = adjoin_unit_model(model, label="@unit@")
     base_n = model.space.n_outcomes
-
-    def translate(sid: int) -> int:
-        s = tc.strings[sid]
-        return unit if not s else s[0]
-
-    tc_tests = {frozenset(translate(i) for i in t) for t in tc.model.space.tests}
-    if tc_tests != set(prime.space.tests):
+    translate = [s[0] if s else unit for s in tc.strings]
+    tc_tests = {_image_mask(translate, t) for t in tc.model.space._test_masks}
+    if tc_tests != set(prime.space._test_masks):
         raise LawViolation("depth-one compound tests differ from the unit adjunction")
     if not model.states.is_full:
         lhs = {
@@ -419,15 +420,12 @@ def check_tower_recursion(model: Model, depth: int, cap: int | None = None) -> i
     tc_n1 = truncated_compound(model, depth + 1, cap)
     prime, unit = adjoin_unit_model(model, label="@unit@")
     fp = forward_product(prime, tc_n.model, cap)
-    image = set()
-    for t in fp.model.space.tests:
-        out = set()
-        for i in t:
-            x, sid = fp.outcome_pair[i]
-            s = tc_n.strings[sid]
-            out.add(s if x == unit else (x,) + s)
-        image.add(frozenset(tc_n1.id_of(s) for s in out))
-    actual = set(tc_n1.model.space.tests)
+    collapse = []  # the product outcome (x, s) as the string x·s, or s after the unit
+    for x, sid in fp.outcome_pair:
+        s = tc_n.strings[sid]
+        collapse.append(tc_n1.id_of(s if x == unit else (x,) + s))
+    image = {_image_mask(collapse, t) for t in fp.model.space._test_masks}
+    actual = set(tc_n1.model.space._test_masks)
     if image != actual:
         raise LawViolation("tower recursion mismatch between depths")
     return len(actual)
@@ -786,22 +784,20 @@ def nonatomicity_report(tc: TruncatedCompound) -> list[tuple[tuple[int, ...], fr
     outcomes.  Raises HypothesisUnmet when every base test is a singleton.
     """
     base = tc.base.space
-    wide = [t for t in base.tests if len(t) >= 2]
+    wide = [t for t in base._test_masks if t.bit_count() >= 2]
     if not wide:
         raise HypothesisUnmet("nonatomicity needs a base test with two outcomes")
-    target_test = min(wide, key=event_key)
+    target_test = _ids(min(wide, key=mask_key))
     space = tc.model.space
     out = []
     for sid, s in enumerate(tc.strings):
         if len(s) > tc.depth - 1:
             continue
-        extension = frozenset(tc.id_of(s + (x,)) for x in target_test)
-        axis = space.perspective(frozenset([sid]), extension)
+        extension = sum(1 << tc.id_of(s + (x,)) for x in target_test)
+        axis = space._axis(1 << sid, extension)
         if axis is None:
-            raise LawViolation(
-                f"string {string_label(base, s)} has no axis to its extension"
-            )
-        out.append((s, extension, axis))
+            raise LawViolation(f"string {string_label(base, s)} has no axis to its extension")
+        out.append((s, mask_event(extension), mask_event(axis)))
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Iterator
 from .errors import PositivityViolation, UnknownName, check_cap_sum
 from .quantum import classical_model, hilbert_slice_model
 from .states import Model, full_model
-from .testspace import TestSpace, build_test_space
+from .testspace import TestSpace, _ids, build_test_space
 
 _cache: dict[tuple[int, int], list[TestSpace]] = {}
 
@@ -94,9 +94,7 @@ def corpus_digest(max_outcomes: int = 6, max_tests: int = 3) -> str:
     """Stable hash of the generated corpus, for regression pinning."""
     h = hashlib.sha256()
     for space in enumerate_test_spaces(max_outcomes, max_tests):
-        enc = ";".join(
-            ",".join(space.labels_of(t)) for t in space.tests
-        )
+        enc = ";".join(",".join(space.labels_of(_ids(t))) for t in space._test_masks)
         h.update(enc.encode())
         h.update(b"|")
     return h.hexdigest()

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from ._record import Record
 from .errors import MissingStructure, ParseError
 from .states import Weight, full_model, generator_model
-from .testspace import build_test_space
+from .testspace import _ids, build_test_space
 
 if TYPE_CHECKING:
     from .compounding import SequentialProduct
@@ -74,7 +74,7 @@ def bundle_to_document(bundle: DocumentBundle) -> dict:
     space = model.space
     order = sorted(range(space.n_outcomes), key=lambda x: space.labels[x])
     outcomes = [space.labels[x] for x in order]
-    tests = sorted(sorted(space.labels[x] for x in t) for t in space.tests)
+    tests = sorted(sorted(space.labels[x] for x in _ids(t)) for t in space._test_masks)
     doc: dict = {
         "format_version": FORMAT_VERSION,
         "outcomes": outcomes,

@@ -15,8 +15,9 @@ fail algebraicity, construction refuses rather than quotienting anyway.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ._record import Frozen
 from .errors import CapCounter, LawViolation, NotAlgebraic, UnknownLabel, UsageError, check_cap
@@ -74,14 +75,21 @@ class Orthoalgebra:
             comp.append(mates[0])
         return tuple(comp)
 
-    def _order(self) -> frozenset:
-        le = {(p, p) for p in range(len(self.reps))}
-        for (p, c), s in self.oplus.items():
-            le.add((p, s))
-        return frozenset(le)
+    def _order(self) -> tuple[int, ...]:
+        """Per element p, the mask of the elements above it: p and each sum p + c."""
+        up = [1 << p for p in range(len(self.reps))]
+        for (p, _), s in self.oplus.items():
+            up[p] |= 1 << s
+        return tuple(up)
+
+    @cached_property
+    def _below(self) -> list[int]:
+        """Per element q, the mask of the elements below it: ``le`` transposed."""
+        le = self.le
+        return [sum(1 << p for p, up in enumerate(le) if up >> q & 1) for q in range(len(le))]
 
     def leq(self, p: int, q: int) -> bool:
-        return (p, q) in self.le
+        return self.le[p] >> q & 1 == 1
 
     def _validate_laws(self) -> None:
         n = len(self.reps)
@@ -113,66 +121,57 @@ class Orthoalgebra:
         if op.get((self.zero, self.zero)) != self.zero:
             raise LawViolation("zero must satisfy 0 + 0 = 0")
         # order sanity
-        for p in range(n):
-            if not self.leq(self.zero, p) or not self.leq(p, self.one):
-                raise LawViolation("order is not bounded by 0 and 1")
+        if self.le[self.zero] != (1 << n) - 1 or not all(up >> self.one & 1 for up in self.le):
+            raise LawViolation("order is not bounded by 0 and 1")
 
     # -- classification ----------------------------------------------------------
 
-    def upper_bounds(self, p: int, q: int) -> list[int]:
-        return [u for u in range(len(self.reps)) if self.leq(p, u) and self.leq(q, u)]
-
-    def lower_bounds(self, p: int, q: int) -> list[int]:
-        return [v for v in range(len(self.reps)) if self.leq(v, p) and self.leq(v, q)]
-
     def join(self, p: int, q: int) -> int | None:
-        ubs = self.upper_bounds(p, q)
-        least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
-        return least[0] if least else None
+        return _least(self.le[p] & self.le[q], self.le)
 
     def meet(self, p: int, q: int) -> int | None:
-        lbs = self.lower_bounds(p, q)
-        greatest = [v for v in lbs if all(self.leq(u, v) for u in lbs)]
-        return greatest[0] if greatest else None
+        return _least(self._below[p] & self._below[q], self._below)
 
     def is_omp(self) -> PredicateResult:
         """Orthogonal sums are joins (so the order is an orthomodular poset)."""
+        le = self.le
         for (p, q), s in self.oplus.items():
-            for u in self.upper_bounds(p, q):
-                if not self.leq(s, u):
-                    return PredicateResult(False, (p, q, u))
+            missed = le[p] & le[q] & ~le[s]  # upper bounds of p and q not above s
+            if missed:
+                return PredicateResult(False, (p, q, (missed & -missed).bit_length() - 1))
         return PredicateResult(True)
 
     def is_boolean(self) -> PredicateResult:
         omp = self.is_omp()
         if not omp:
             return omp
-        n = len(self.reps)
-        joins = {}
-        meets = {}
-        for p in range(n):
-            for q in range(n):
-                j, m = self.join(p, q), self.meet(p, q)
-                if j is None or m is None:
-                    return PredicateResult(False, (p, q))
-                joins[(p, q)] = j
-                meets[(p, q)] = m
-        for p, q, r in product(range(n), repeat=3):
-            lhs = meets[(p, joins[(q, r)])]
-            rhs = joins[(meets[(p, q)], meets[(p, r)])]
+        n, up, down = len(self.reps), self.le, self._below
+        joins = [[_least(up[p] & up[q], up) for q in range(n)] for p in range(n)]
+        meets = [[_least(down[p] & down[q], down) for q in range(n)] for p in range(n)]
+        for p, q in product(range(n), repeat=2):
+            if joins[p][q] is None or meets[p][q] is None:
+                return PredicateResult(False, (p, q))
+        # distributivity: p ∧ (q ∨ r) = (p ∧ q) ∨ (p ∧ r), a row of r at a time
+        for p, q in product(range(n), repeat=2):
+            meet_p, join_pq = meets[p], joins[meets[p][q]]
+            lhs = list(map(meet_p.__getitem__, joins[q]))
+            rhs = list(map(join_pq.__getitem__, meet_p))
             if lhs != rhs:
+                r = next(r for r in range(n) if lhs[r] != rhs[r])
                 return PredicateResult(False, (p, q, r))
         return PredicateResult(True)
 
     def atoms(self) -> list[int]:
-        out = []
-        for p in range(len(self.reps)):
-            if p == self.zero:
-                continue
-            below = [q for q in range(len(self.reps)) if self.leq(q, p) and q not in (p, self.zero)]
-            if not below:
-                out.append(p)
-        return out
+        down, zero = self._below, self.zero
+        return [p for p in range(len(down)) if p != zero and down[p] & ~(1 << zero | 1 << p) == 0]
+
+
+def _least(bounds: int, above: Sequence[int]) -> int | None:
+    """The first element u of the mask ``bounds`` that ``above[u]`` covers whole."""
+    for u in _ids(bounds):
+        if bounds & ~above[u] == 0:
+            return u
+    return None
 
 
 def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
@@ -221,8 +220,7 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
     zero = mask_class[0]
     one = mask_class[space._test_masks[0]]
     labels = ["[" + ",".join(space.labels_of(r)) + "]" for r in reps]
-    algebra = Orthoalgebra(reps, class_of, oplus, zero, one, labels=labels)
-    return algebra
+    return Orthoalgebra(reps, class_of, oplus, zero, one, labels=labels)
 
 
 # -- outcome-level atomicity ----------------------------------------------------
@@ -230,11 +228,7 @@ def build_logic(space_or_model, cap: int | None = None) -> Orthoalgebra:
 
 def atomic_outcomes(space: TestSpace) -> list[int]:
     """Outcomes perspective only to singleton events."""
-    out = []
-    for x in range(space.n_outcomes):
-        if outcome_is_atomic(space, x):
-            out.append(x)
-    return out
+    return [x for x in range(space.n_outcomes) if outcome_is_atomic(space, x)]
 
 
 def outcome_is_atomic(space: TestSpace, x: int) -> bool:

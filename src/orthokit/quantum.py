@@ -301,9 +301,9 @@ def beam_model(
     background, so every operationally live path is positive; dead paths
     are pruned.  Every frame and the initial vector must share one dimension.
     """
+    dim = _validate_plan(plan, tol)
     if plan.depth() > MAX_PLAN_DEPTH:
         raise DepthCapExceeded(f"plan depth {plan.depth()} exceeds {MAX_PLAN_DEPTH}")
-    dim = _validate_plan(plan, tol)
     _check_dimension(initial, dim, "initial vector")
     if abs(vnorm2(initial) - 1.0) > tol:
         raise NotAState("initial vector is not normalized")
@@ -386,7 +386,8 @@ def beam_model(
 
 def _validate_plan(plan: SplitterPlan, tol: float) -> int:
     """Check each distinct stage of a plan once, depth first, and return the
-    dimension that all its frames must share."""
+    dimension that all its frames must share.  Indices must name beams of the
+    frame, follow-ups open beams or loops, and the labels of a stage differ."""
     dim = len(plan.basis[0]) if plan.basis else 0  # an empty frame fails check_orthonormal
     seen = set()
 
@@ -399,6 +400,9 @@ def _validate_plan(plan: SplitterPlan, tol: float) -> int:
             raise NotOrthonormal("bases live in different dimensions")
         if len(stage.labels) != len(stage.basis):
             raise UsageError("stage needs one label per basis vector")
+        beams = set(range(len(stage.basis)))
+        if not beams.issuperset(set(stage.blocked).union(*stage.groups)):
+            raise UsageError("blocked beams and loops must be indices into the frame")
         grouped = set()
         for g in stage.groups:
             if not g or g & grouped:
@@ -408,6 +412,12 @@ def _validate_plan(plan: SplitterPlan, tol: float) -> int:
             grouped |= g
         if len(stage.group_labels) != len(stage.groups):
             raise UsageError("need one label per recombination group")
+        names = (*stage.labels, *stage.group_labels)
+        if len(set(names)) != len(names):
+            raise UsageError(f"stage labels {list(names)} repeat a label")
+        open_beams, loops = beams.difference(stage.blocked), set(range(len(stage.groups)))
+        if not open_beams.issuperset(stage.fine_next) or not loops.issuperset(stage.group_next):
+            raise UsageError("a follow-up must be keyed to an open beam or to a loop")
         for sub in (*stage.fine_next.values(), *stage.group_next.values()):
             check(sub)
 

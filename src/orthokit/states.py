@@ -44,7 +44,7 @@ from .errors import (
 # ``solve_lp`` has no caller here; it stays importable as ``states.solve_lp``,
 # the name the benchmark's traced run wraps.
 from .linprog import ZERO, LPResult, enumerate_vertices, factor, solve_lp  # noqa: F401
-from .testspace import TestSpace
+from .testspace import TestSpace, _ids
 
 FULL = "full"
 GENERATORS = "generators"
@@ -153,11 +153,9 @@ class Model:
 
     def _validate_weight(self, w: Weight) -> None:
         self._validate_entries(w)
-        for t in self.space.tests:
+        for t in map(_ids, self.space._test_masks):
             if not self._eq(w.of(t), 1):
-                raise NotAState(
-                    f"weight sums to {w.of(t)} on test {self.space.labels_of(t)}"
-                )
+                raise NotAState(f"weight sums to {w.of(t)} on test {self.space.labels_of(t)}")
 
     def _validate_entries(self, w: Weight) -> None:
         """The length, and each value's scalar kind and range [0, 1]."""
@@ -264,7 +262,7 @@ class Model:
         if any(not self._geq(v, 0) for v in w.values):
             return False
         if self.states.is_full:
-            sums = [w.of(t) for t in self.space.tests]
+            sums = [w.of(_ids(t)) for t in self.space._test_masks]
             return all(self._eq(s, sums[0]) for s in sums)
         return self._hull_membership(w, conic=True)
 
@@ -541,7 +539,7 @@ class Model:
             raise UsageError("argument must be an event")
         lo = self.min_event_weight(a)
         hypothesis = self._eq_float_ok(lo, 1)
-        if hypothesis and a not in self.space.test_set:
+        if hypothesis and self.space._mask_of(a) not in self.space._test_masks:
             raise PositivityViolation(
                 f"event {self.space.labels_of(a)} is certain but is not a test"
             )

@@ -533,9 +533,9 @@ class TestSpace:
     def closed_set_lattice(self, cap: int | None = None) -> "ClosedSetLattice":
         """All ortho-closed outcome sets, as a complete ortholattice."""
         counter = CapCounter("closed sets", cap)
-        full = frozenset(range(self.n_outcomes))
-        gens = {self.orthocomplement(frozenset([x])) for x in range(self.n_outcomes)}
-        closed: set[frozenset] = {full} | gens
+        full = (1 << self.n_outcomes) - 1
+        gens = {self._perp_mask(1 << x) for x in range(self.n_outcomes)}
+        closed = {full} | gens
         frontier = list(closed)
         while frontier:
             s = frontier.pop()
@@ -545,7 +545,7 @@ class TestSpace:
                     counter.tick()
                     closed.add(t)
                     frontier.append(t)
-        return ClosedSetLattice(self, tuple(sorted(closed, key=event_key)))
+        return ClosedSetLattice(self, tuple(map(mask_event, sorted(closed, key=mask_key))))
 
 
 class ClosedSetLattice:

@@ -5,7 +5,9 @@ point: starting from the root test, every test branches each of its strings
 that is shorter than the depth into a base test (or lets it stop), and every
 new union is queued until nothing new appears.  ``enumerated_forward_product``
 lists the two-stage tests one follow-up choice at a time and de-duplicates
-the product generators with a seen set.  The library builds both by the tower
+the product generators with a seen set; it builds a pair row for every
+choice of follow-up rows, also at outcomes the first state does not weigh,
+where the library keeps the first row.  The library builds both by the tower
 recursion on one branching kernel; the oracle tests require the two sides to
 agree on strings, labels, tests (in order) and generators (in order), and on
 where the test caps raise.

@@ -4,10 +4,12 @@ These are the straightforward event-by-event versions of ``events``,
 ``is_event``, ``complements``, ``perspective``, ``orthocomplement``, the
 complement buckets, ``algebraic``, ``regular`` and ``coherent``, the
 pairwise antichain scan, the classes, sum table and atomic outcomes of
-the logic, and the four morphism conditions with the derived flags and the
-image core.  The library decides the same questions on integer
-bitmasks; the oracle tests require both to agree on verdict, witness and
-whether the cap is exceeded.  ``support_by_perspectivity`` is a second
+the logic, the four morphism conditions with the derived flags and the
+image core, the componentwise perspectivity, marginals, unit-level and
+tower checks and nonatomicity witnesses of forward products and compounds,
+and the closed sets of the ortho-closure lattice.  The library decides the
+same questions on integer bitmasks; the oracle tests require both to agree
+on verdict, witness and whether the cap is exceeded.  ``support_by_perspectivity`` is a second
 criterion for ``TestSpace.is_support``, which decides supports by traces.
 """
 
@@ -16,15 +18,25 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
+from orthokit.compounding import (
+    adjoin_unit_model,
+    forward_product,
+    string_label,
+    truncated_compound,
+)
 from orthokit.errors import (
     CapCounter,
+    HypothesisUnmet,
     ImageNotEvent,
     ImagesNotPerspective,
+    LawViolation,
     NotLocallyInjective,
     NumericKindMismatch,
     UsageError,
+    ZeroMarginal,
 )
 from orthokit.morphisms import Morphism, _check_state_condition
+from orthokit.states import Weight
 from orthokit.testspace import PredicateResult, event_key
 
 # Work cap of ``support_by_perspectivity``: the complement-bucket pass
@@ -267,3 +279,136 @@ def image_core(phi):
     for img in images[1:]:
         out &= img
     return out
+
+
+# -- forward products, compounds and the closure lattice ------------------------------
+
+
+def decompose(fp, event):
+    """A product event's first-stage event and its fiber after each first outcome."""
+    first = {}
+    for i in event:
+        x, y = fp.outcome_pair[i]
+        first.setdefault(x, set()).add(y)
+    return frozenset(first), {x: frozenset(ys) for x, ys in first.items()}
+
+
+def fp_perspective_by_parts(fp, a, b):
+    """Perspective first stages, perspective shared fibers, whole unshared fibers."""
+    ao, afib = decompose(fp, frozenset(a))
+    bo, bfib = decompose(fp, frozenset(b))
+    ls, rs = fp.left.space, fp.right.space
+    if perspective(ls, ao, bo) is None:
+        return False
+    if not all(perspective(rs, afib[z], bfib[z]) is not None for z in ao & bo):
+        return False
+    return all(afib[x] in rs.test_set for x in ao - bo) and all(
+        bfib[y] in rs.test_set for y in bo - ao
+    )
+
+
+def marginal_and_conditional(fp, w, x):
+    """The first-stage marginal at x, summed over each follow-up test, and the
+    conditional state after x."""
+    model, rs = fp.model, fp.right.space
+    sums = [sum((w[fp.pair(x, y)] for y in t), start=0) for t in rs.tests]
+    for s in sums[1:]:
+        if not model._eq(s, sums[0]):
+            raise LawViolation("marginal depends on the follow-up test")
+    marg = sums[0]
+    if model._eq(marg, 0):
+        raise ZeroMarginal(f"outcome {fp.left.space.labels[x]} has zero marginal")
+    return marg, Weight(tuple(w[fp.pair(x, y)] / marg for y in range(rs.n_outcomes)))
+
+
+def marginal_weight(fp, w):
+    t0 = fp.right.space.tests[0]
+    return Weight(
+        [sum((w[fp.pair(x, y)] for y in t0), start=0) for x in range(fp.left.space.n_outcomes)]
+    )
+
+
+def tests_as_strings(tc):
+    return {frozenset(tc.strings[i] for i in t) for t in tc.model.space.tests}
+
+
+def check_unit_level(model, cap=None):
+    """The depth-one compound's tests and generators, each string sent to its
+    letter and the empty string to the adjoined unit, are the unit adjunction's."""
+    tc = truncated_compound(model, 1, cap)
+    prime, unit = adjoin_unit_model(model, label="@unit@")
+
+    def translate(sid):
+        s = tc.strings[sid]
+        return unit if not s else s[0]
+
+    tc_tests = {frozenset(translate(i) for i in t) for t in tc.model.space.tests}
+    if tc_tests != set(prime.space.tests):
+        raise LawViolation("depth-one compound tests differ from the unit adjunction")
+    if not model.states.is_full:
+        n = model.space.n_outcomes
+        lhs = {
+            tuple(g[tc.id_of((x,))] for x in range(n)) + (g[tc.id_of(())],)
+            for g in tc.model.states.generators
+        }
+        if lhs != {g.values for g in prime.states.generators}:
+            raise LawViolation("depth-one compound states differ from the unit adjunction")
+
+
+def check_tower_recursion(model, depth, cap=None):
+    """The two-stage tests of (unit-adjoined model, depth-d compound), each
+    (unit, s) sent to s and (x, s) to x·s, are the depth-(d+1) tests."""
+    tc_n = truncated_compound(model, depth, cap)
+    tc_n1 = truncated_compound(model, depth + 1, cap)
+    prime, unit = adjoin_unit_model(model, label="@unit@")
+    fp = forward_product(prime, tc_n.model, cap)
+    image = set()
+    for t in fp.model.space.tests:
+        out = set()
+        for i in t:
+            x, sid = fp.outcome_pair[i]
+            s = tc_n.strings[sid]
+            out.add(s if x == unit else (x,) + s)
+        image.add(frozenset(tc_n1.id_of(s) for s in out))
+    actual = set(tc_n1.model.space.tests)
+    if image != actual:
+        raise LawViolation("tower recursion mismatch between depths")
+    return len(actual)
+
+
+def nonatomicity_report(tc):
+    """(string, its extension by the least wide base test, their axis) for each
+    string shorter than the depth."""
+    base = tc.base.space
+    wide = [t for t in base.tests if len(t) >= 2]
+    if not wide:
+        raise HypothesisUnmet("nonatomicity needs a base test with two outcomes")
+    target_test = min(wide, key=event_key)
+    out = []
+    for sid, s in enumerate(tc.strings):
+        if len(s) > tc.depth - 1:
+            continue
+        extension = frozenset(tc.id_of(s + (x,)) for x in target_test)
+        axis = perspective(tc.model.space, frozenset([sid]), extension)
+        if axis is None:
+            raise LawViolation(f"string {string_label(base, s)} has no axis to its extension")
+        out.append((s, extension, axis))
+    return out
+
+
+def closed_set_lattice(space, cap=None):
+    """The ortho-closed sets: the whole outcome set and the intersections of the
+    outcomes' orthocomplements, in ``event_key`` order."""
+    counter = CapCounter("closed sets", cap)
+    gens = {orthocomplement(space, {x}) for x in range(space.n_outcomes)}
+    closed = {frozenset(range(space.n_outcomes))} | gens
+    frontier = list(closed)
+    while frontier:
+        s = frontier.pop()
+        for g in gens:
+            t = s & g
+            if t not in closed:
+                counter.tick()
+                closed.add(t)
+                frontier.append(t)
+    return tuple(sorted(closed, key=event_key))

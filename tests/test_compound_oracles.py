@@ -11,7 +11,10 @@ never more than the worklist's choices) and sum_e |R|^|e| for forward
 products (exactly the oracle's count).  Inputs are the whole corpus at
 depths 0-2 (and 3 where the worklist stays under ``DEPTH3_CHOICES``),
 generator models (the quantum presets, exact and float hulls of corpus
-vertices) and hypothesis-random spaces.
+vertices) and hypothesis-random spaces.  ``forward_product`` builds pair rows
+only where the first state weighs an outcome; the oracle builds them all,
+and the two must give the same generators on the 2-vertex hulls of the
+corpus, their float twins and a float weight under the tolerance.
 
 ``validate_sequential`` decides inductivity by counting distinct images;
 ``exhaustive_inductivity`` tries every branch assignment.  They must agree on
@@ -48,7 +51,7 @@ from orthokit.compounding import (
     truncated_compound,
     validate_sequential,
 )
-from orthokit.corpus import corpus_models
+from orthokit.corpus import corpus_models, enumerate_test_spaces
 from orthokit.errors import EnumerationCapExceeded, LawViolation, NotSequential, OrthokitError
 from orthokit.states import Model, StateSpace, Weight
 from orthokit import testspace
@@ -224,6 +227,72 @@ def test_generator_cap_is_fixed():
         truncated_compound(model, 2, cap=10**9)
     assert (err.value.what, err.value.cap, err.value.bound) == ("compound generators", 4096, bound)
     assert compounding.COMPOUND_GENERATOR_CAP == 4096
+
+
+# -- forward-product rows on the support of the first state ----------------------------
+
+# Most rows the enumerating oracle builds for one support comparison, and a
+# corpus space past it that is compared too (8,192 rows, about 1.5 s)
+SUPPORT_ROWS = 5_000
+SUPPORT_EXTRA = 60
+
+
+def support_cases():
+    """(left, right) for each corpus space whose 2-vertex hull forward product
+    the oracle enumerates within ``SUPPORT_ROWS``, and for ``SUPPORT_EXTRA``:
+    the exact hull and its float twin against the full model, and the hull
+    against itself."""
+    cases = []
+    for index, space in enumerate(enumerate_test_spaces(6, 3)):
+        right = full(space)
+        try:
+            vertices = right.state_vertices()
+        except OrthokitError:
+            continue
+        rows = 2 * len(vertices) ** space.n_outcomes
+        if not vertices or rows > SUPPORT_ROWS and index != SUPPORT_EXTRA:
+            continue
+        pair = hull(space, vertices[:2])
+        cases += [(pair, right), (hull(space, vertices[:2], exact=False), right), (pair, pair)]
+    return cases
+
+
+def test_forward_rows_on_the_support_match_enumeration():
+    """Rows only where the first state weighs an outcome, ``rgens[0]`` elsewhere:
+    the generators of every row choice, in first-occurrence order."""
+    cases = support_cases()
+    assert len(cases) == 3 * 46
+    for left, right in cases:
+        assert_forward_agrees(left, right)
+
+
+def test_tiny_first_weights_keep_their_rows():
+    """A float weight under the tolerance is still on the support: each of its
+    rows gives another generator."""
+    tiny = Weight((1e-12, 1 - 1e-12))
+    left = hull(testspace.build_test_space([["a", "b"]]), [tiny], exact=False)
+    right = full(testspace.build_test_space([["c", "d"]]))
+    got = assert_forward_agrees(left, right)
+    assert len(got[-1]) == 4
+
+
+def test_hull_rows_are_built_on_the_support_only(monkeypatch):
+    """Corpus space 48, one test of six outcomes: each of two vertices of its
+    hull weighs one outcome, so 2 * 6 rows against the full model's six
+    vertices, not 2 * 6^6 = 93,312."""
+    space = list(enumerate_test_spaces(6, 3))[48]
+    right = full(space)
+    left = hull(space, right.state_vertices()[:2])
+    rows, pair_weight = [], compounding._pair_weight
+
+    def counted(*args):
+        rows.append(None)
+        assert len(rows) <= 12, "a row off the support"
+        return pair_weight(*args)
+
+    monkeypatch.setattr(compounding, "_pair_weight", counted)
+    fp = forward_product(left, right)
+    assert len(rows) == len(fp.model.states.generators) == 12
 
 
 # -- witness accessors ---------------------------------------------------------------

@@ -720,6 +720,27 @@ def test_transform_output_is_byte_stable(args, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of the logic report of each fixture the benchmark transforms,
+# recorded while the order was a set of pairs; a change in the elements,
+# sums, order, atoms or classification shows here.
+LOGIC_DIGESTS = {
+    "classical3": "0d72c8ab9aebdf3ce0daf7e3b31e0c0a6fb2bfbdc5f54444a153919e53ed49d9",
+    "qubit-mz": "5cbe7818e420f8a404c08b0127cd836a4606a02205af674409a8c668fbad4c93",
+    "qubit-zx": "50536068aa624d09899497987239ef0f4589c93ad7fdb93d9908a3d7743989a2",
+    "semiclassical-2x2": "582cf33c1bc23e75b29b8ba2e237c3305f8578ee28fd62efe059a8e7e59ddebc",
+    "single3": "20f74985b95835b1a4207c96f64de4bd4e8452abd8c8b81f5ea81016edf0dc61",
+    "triangle": "5995978c82533b4cb2a01b4fe69907f5b077211536f41e5b7e9a1aa01214fa40",
+    "wright": "91e9b5ae4726727ba83143292b36f29519537c590361e7962f7c62c456dd3d46",
+}
+
+
+@pytest.mark.parametrize("name", LOGIC_DIGESTS)
+def test_logic_report_is_byte_stable(name, capsys):
+    assert main(["transform", fixture_path(name), "logic"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LOGIC_DIGESTS[name]
+
+
 # SHA-256 of the law-suite reports, recorded before the coarsening monad's
 # multiplication got its single definition; point counts and key order show here.
 LAWS_DIGESTS = [

@@ -1,10 +1,12 @@
 """Orthoalgebra logics: quotient construction, order, classification, round trips."""
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 import frozenset_oracles as oracle
+from logic_oracles import PairOrder
 from orthokit.compounding import forward_product
 from orthokit.errors import LawViolation, NotAlgebraic, UnknownLabel
 from orthokit.corpus import corpus_models, enumerate_test_spaces, named
@@ -368,9 +370,12 @@ def test_associativity_fails_at_the_known_triple():
 
 def test_corrupted_sum_tables_fail_like_the_full_scan(boolean8):
     """Each commuting pair of entries of the Boolean cube's table dropped, or sent
-    to each other element: the first violation and its message agree."""
+    to each other element: the first violation and its message agree, and so do
+    the order answers of the pair-set oracle.  Such an order need not be
+    antisymmetric, so a join or meet can have several candidates, and the first
+    is taken."""
     n, table = len(boolean8), boolean8.oplus
-    seen = set()
+    seen, witnesses = set(), set()
     for p, q in sorted(table):
         if p > q:
             continue
@@ -382,4 +387,64 @@ def test_corrupted_sum_tables_fail_like_the_full_scan(boolean8):
             got = law_outcome(Orthoalgebra._validate_laws, alg)
             assert got == law_outcome(full_scan_laws, alg), (p, q, value)
             seen.add(got.split(" at ")[0])
+            order = assert_order_matches(alg)
+            witnesses.add((order[3][1] is None, order[4][1] is None))
     assert {"ok", "associativity fails"} <= seen
+    assert witnesses == {(True, True), (True, False), (False, False)}
+
+
+# -- the pair-set order oracle --------------------------------------------------------
+
+
+def order_answers(order, n):
+    """``leq`` on every pair, ``join`` and ``meet`` of every pair, the omp and
+    Boolean verdicts with their witnesses, and the atoms."""
+    pairs = list(product(range(n), repeat=2))
+    omp, boolean = order.is_omp(), order.is_boolean()
+    return (
+        [order.leq(p, q) for p, q in pairs],
+        [order.join(p, q) for p, q in pairs],
+        [order.meet(p, q) for p, q in pairs],
+        (omp.holds, omp.witness),
+        (boolean.holds, boolean.witness),
+        order.atoms(),
+    )
+
+
+def assert_order_matches(alg):
+    got = order_answers(alg, len(alg))
+    assert got == order_answers(PairOrder(alg), len(alg)), alg.labels
+    return got
+
+
+# Most elements of a logic on which every answer is compared: the oracle's
+# joins take time quartic in the size.  Larger logics compare ``leq`` and
+# ``is_omp`` only.
+ORDER_ELEMENTS = 100
+
+
+def test_order_matches_pair_oracle_on_logics():
+    """The 99 logics of ``oracle_logics``, the corpus's among them."""
+    verdicts, large = [], 0
+    for _, logic in oracle_logics():
+        n = len(logic)
+        if n <= ORDER_ELEMENTS:
+            verdicts.append(assert_order_matches(logic)[4][0])
+            continue
+        pairs, oracle_order = list(product(range(n), repeat=2)), PairOrder(logic)
+        assert [logic.leq(*pair) for pair in pairs] == [oracle_order.leq(*pair) for pair in pairs]
+        got, want = logic.is_omp(), oracle_order.is_omp()
+        assert (got.holds, got.witness) == (want.holds, want.witness)
+        large += 1
+    assert (len(verdicts), large) == (96, 3) and 0 < sum(verdicts) < 96
+
+
+def test_order_matches_pair_oracle_on_orthopartition_algebras():
+    """The logic of the orthopartition space of each logic of at most 16 elements."""
+    seen = 0
+    for _, logic in oracle_logics():
+        if len(logic) <= 16:
+            _, rebuilt, _ = orthopartition_round_trip(logic)
+            assert_order_matches(rebuilt)
+            seen += 1
+    assert seen >= 40

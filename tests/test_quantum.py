@@ -279,17 +279,19 @@ class TestBeamSemantics:
             beam_model(*PLANS["fully blocked"])
 
 
+@pytest.fixture
+def no_born_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Born rule applied before the plan was checked")
+
+    monkeypatch.setattr(quantum, "project_density", refuse)
+    monkeypatch.setattr(quantum, "_born_weight", refuse)
+
+
+@pytest.mark.usefixtures("no_born_rule")
 class TestDimensions:
     """Frames, states and initial vectors share one dimension, checked before
     any Born weight or projection is computed."""
-
-    @pytest.fixture(autouse=True)
-    def no_born_rule(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Born rule applied before the dimensions were checked")
-
-        monkeypatch.setattr(quantum, "project_density", refuse)
-        monkeypatch.setattr(quantum, "_born_weight", refuse)
 
     def test_empty_basis(self):
         with pytest.raises(NotOrthonormal):
@@ -319,6 +321,35 @@ class TestDimensions:
     def test_state_of_another_dimension(self, state):
         with pytest.raises(NotAState, match="dimension 2"):
             hilbert_slice_model([(Z0, Z1)], [Z0, state])
+
+
+def z_stage(**fields):
+    return SplitterPlan(basis=(Z0, Z1), labels=fields.pop("labels", ("0", "1")), **fields)
+
+
+# name -> a z-frame plan with a mistake in one stage
+BAD_PLANS = {
+    "group past the frame": z_stage(groups=(frozenset({0, 5}),), group_labels=("q",)),
+    "blocked past the frame": z_stage(blocked=frozenset({7})),
+    "repeated beam label": z_stage(labels=("0", "0")),
+    "loop label of a beam": z_stage(groups=(frozenset({0, 1}),), group_labels=("0",)),
+    "follow-up past the frame": z_stage(fine_next={5: REANALYZE}),
+    "follow-up after a blocked beam": z_stage(blocked=frozenset({1}), fine_next={1: REANALYZE}),
+    "loop follow-up without loops": z_stage(group_next={0: REANALYZE}),
+    "bad label in a follow-up": z_stage(fine_next={0: z_stage(labels=("a", "a"))}),
+    # the unused stage is refused, not counted toward the depth cap
+    "deep follow-up after a blocked beam": z_stage(
+        blocked=frozenset({1}), fine_next={1: deep_plan()}
+    ),
+}
+
+
+@pytest.mark.usefixtures("no_born_rule")
+@pytest.mark.parametrize("name", BAD_PLANS)
+def test_plan_mistakes_are_usage_errors(name):
+    """Each is refused by the plan check, before any Born weight."""
+    with pytest.raises(UsageError):
+        beam_model(BAD_PLANS[name], (0.6 + 0j, 0.8 + 0j))
 
 
 def test_pure_density_matches_vector_born():

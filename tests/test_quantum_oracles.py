@@ -114,7 +114,8 @@ def frames(draw, d):
 @st.composite
 def stages(draw, d, follow_ups):
     """A stage with some beams blocked, up to two loops and follow-ups drawn
-    from ``follow_ups``, so several branches may share one stage."""
+    from ``follow_ups`` after open beams and loops, so several branches may
+    share one stage."""
     blocked = frozenset(i for i in range(d) if draw(st.integers(0, 4)) == 0)
     open_beams = [i for i in range(d) if i not in blocked]
     tags = [draw(st.sampled_from((None, 0, 1))) for _ in open_beams]
@@ -128,7 +129,7 @@ def stages(draw, d, follow_ups):
         blocked=blocked,
         groups=groups,
         group_labels=("q", "r")[: len(groups)],
-        fine_next={i: n for i in range(d) if (n := draw(nxt)) is not None},
+        fine_next={i: n for i in open_beams if (n := draw(nxt)) is not None},
         group_next={g: n for g in range(len(groups)) if (n := draw(nxt)) is not None},
     )
 

@@ -30,13 +30,11 @@ rules for undefined sequential products, and inside it ``undefined_means`` is
 read only by ``SequentialProduct.out_of_window``, which ``products`` and the
 string evaluation of ``validate_sequential`` both ask.
 
-It keeps one event form where events are most numerous: ``coarsening.py``,
-``morphisms.py``, ``interference.py``, ``logic.py`` and ``quantum.py`` read
-events only as masks, never through the frozenset views ``tests``,
-``test_set``, ``events_list``, ``events()`` or ``event_product``, and no
-coarsening carries an ``outcome_event`` table.  The sequential-product checks
-``validate_sequential``, ``check_chain_rule``, ``validate_g_algebra`` and
-``find_interference`` read no ``tests``, ``test_set`` or ``events_list`` view.
+It keeps one event form: every module but ``testspace.py``, which builds
+the views, reads a space's tests and events as masks, never through the
+frozenset views ``tests``, ``test_set``, ``events_list``, ``events()`` or
+``event_product``, and no coarsening carries an ``outcome_event`` table.
+The module list is read from the directory, so a new module falls under it.
 
 It stores record fields one way: no ``Record`` or ``Frozen`` class writes an
 ``__init__``, since ``Record.__init__`` binds every record's fields from its
@@ -488,9 +486,9 @@ def test_undefined_means_is_read_in_one_place():
     assert scopes == UNDEFINED_MEANS_READERS
 
 
-# -- one event form in the coarsening, morphism and interchange layers ---------------------
+# -- one event form outside testspace.py --------------------------------------------------
 
-MASK_ONLY = ("coarsening.py", "morphisms.py", "interference.py", "logic.py", "quantum.py")
+MASK_ONLY = sorted(path.name for path in SRC.glob("*.py") if path.name != "testspace.py")
 FROZENSET_VIEWS = {"tests", "test_set", "events_list", "outcome_event", "event_product"}
 
 
@@ -531,63 +529,14 @@ def test_scanner_flags_frozenset_reads():
     ]
 
 
-def test_coarsening_and_morphisms_read_events_as_masks():
+def test_src_reads_events_as_masks():
+    assert len(MASK_ONLY) >= 14
     found = {}
     for name in MASK_ONLY:
         hits = frozenset_reads((SRC / name).read_text(encoding="utf-8"))
         if hits:
             found[name] = hits
     assert not found, f"frozenset views of events read in: {found}"
-
-
-# the sequential-product checks, which read tests and events as masks
-MASK_ONLY_FUNCTIONS = {
-    "compounding.py": ("validate_sequential", "check_chain_rule"),
-    "interference.py": ("validate_g_algebra", "find_interference"),
-}
-SET_VIEWS = {"tests", "test_set", "events_list"}
-
-
-def set_view_reads(source, functions, filename="<string>"):
-    """(line, view, enclosing qualified name) of every ``tests``, ``test_set``
-    or ``events_list`` attribute read inside the named functions or the
-    functions nested in them."""
-    return sorted(
-        (node.lineno, node.attr, scope)
-        for node, scope in scoped_nodes(source, filename)
-        if isinstance(node, ast.Attribute) and node.attr in SET_VIEWS
-        and scope is not None and scope.split(".")[0] in functions
-    )
-
-
-def test_scanner_flags_set_view_reads():
-    """The rule below cannot pass just because the scanner sees nothing."""
-    source = (
-        "def validate_sequential(model, tc):\n"
-        "    tests = model.space._test_masks\n"
-        "    def inner():\n"
-        "        return tc.model.space.tests, model.space.events_list(3)\n"
-        "    return model.space.test_set, inner\n"
-        "def nonatomicity_report(tc):\n"
-        "    return tc.base.space.tests\n"
-    )
-    assert set_view_reads(source, ("validate_sequential",)) == [
-        (4, "events_list", "validate_sequential.inner"),
-        (4, "tests", "validate_sequential.inner"),
-        (5, "test_set", "validate_sequential"),
-    ]
-
-
-def test_sequential_checks_read_events_as_masks():
-    found = {}
-    for name, functions in MASK_ONLY_FUNCTIONS.items():
-        source = (SRC / name).read_text(encoding="utf-8")
-        defined = {scope for _, scope in scoped_nodes(source) if scope in functions}
-        assert defined == set(functions)
-        hits = set_view_reads(source, functions)
-        if hits:
-            found[name] = hits
-    assert not found, f"frozenset views read in the sequential checks: {found}"
 
 
 # -- record fields -------------------------------------------------------------------
