@@ -118,6 +118,16 @@ def _rows_on_support(alpha: Weight, rgens: Sequence[Weight]) -> Iterator[list[We
         yield rows
 
 
+def _forward_space(ls: TestSpace, rs: TestSpace, cap: int | None):
+    """The outcome pairs, their ids and the two-stage tests of ``forward_product``."""
+    lt, rt = ls._test_masks, rs._test_masks
+    check_cap("forward-product tests", _branch_count(lt, len(rt)), cap)
+    pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
+    pair_id = {p: i for i, p in enumerate(pairs)}
+    labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
+    return pairs, pair_id, TestSpace(labels, _branch(lt, rt, lambda x, y: pair_id[x, y]))
+
+
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome.
 
@@ -125,13 +135,7 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
     factor (follow-ups are chosen per outcome), or when x = u and y ⊥ v in
     the second; ``forward_unitality`` reads orthogonality this way.
     """
-    ls, rs = left.space, right.space
-    lt, rt = ls._test_masks, rs._test_masks
-    cap = check_cap("forward-product tests", _branch_count(lt, len(rt)), cap)
-    pairs = [(x, y) for x in range(ls.n_outcomes) for y in range(rs.n_outcomes)]
-    pair_id = {p: i for i, p in enumerate(pairs)}
-    labels = [f"{ls.labels[x]}{JOIN}{rs.labels[y]}" for x, y in pairs]
-    space = TestSpace(labels, _branch(lt, rt, lambda x, y: pair_id[x, y]))
+    pairs, pair_id, space = _forward_space(left.space, right.space, cap)
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:
@@ -143,7 +147,8 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
             raise NumericKindMismatch(f"forward-product rows are {kind}, the first factor is not")
         lgens = left.states.generators or tuple(left.state_vertices(cap))
         rgens = right.states.generators or tuple(right.state_vertices(cap))
-        check_cap("forward-product generators", len(lgens) * len(rgens) ** ls.n_outcomes, cap)
+        n_left = left.space.n_outcomes
+        check_cap("forward-product generators", len(lgens) * len(rgens) ** n_left, cap)
         states = _unique_hull(
             _pair_weight(pairs, alpha, rows.__getitem__)
             for alpha in lgens
@@ -315,6 +320,21 @@ def _prefix_product(row_of: Callable[[tuple], Weight], s: tuple, one):
     return v
 
 
+def _compound_space(base: TestSpace, depth: int, cap: int | None):
+    """The strings, their ids and the branch-and-stop tests of ``truncated_compound``."""
+    if depth < 0:
+        raise UsageError("depth must be nonnegative")
+    check_cap("compound tests", _compound_test_bound(base._test_masks, depth, resolve_cap(cap)), cap)
+    strings = [s for k in range(depth + 1) for s in iproduct(range(base.n_outcomes), repeat=k)]
+    string_id = {s: i for i, s in enumerate(strings)}
+    root = 1 << string_id[()]
+    level = [root]
+    for _ in range(depth):
+        branched = _branch(base._test_masks, level, lambda x, i: string_id[(x,) + strings[i]])
+        level = [root, *branched]
+    return strings, string_id, TestSpace([string_label(base, s) for s in strings], level)
+
+
 def truncated_compound(model: Model, depth: int, cap: int | None = None) -> TruncatedCompound:
     """The branch-and-stop tests up to the given depth, by the tower recursion.
 
@@ -332,22 +352,7 @@ def truncated_compound(model: Model, depth: int, cap: int | None = None) -> Trun
     and s[k] ⊥ t[k] in the base; ``compound_unitality`` reads orthogonality
     this way.
     """
-    if depth < 0:
-        raise UsageError("depth must be nonnegative")
-    base = model.space
-    cap = resolve_cap(cap)
-    check_cap("compound tests", _compound_test_bound(base._test_masks, depth, cap), cap)
-    strings = [
-        s for k in range(depth + 1) for s in iproduct(range(base.n_outcomes), repeat=k)
-    ]
-    string_id = {s: i for i, s in enumerate(strings)}
-    root = 1 << string_id[()]
-    level = [root]
-    for _ in range(depth):
-        branched = _branch(base._test_masks, level, lambda x, i: string_id[(x,) + strings[i]])
-        level = [root, *branched]
-    labels = tuple(string_label(base, s) for s in strings)
-    space = TestSpace(labels, level)
+    strings, string_id, space = _compound_space(model.space, depth, cap)
     if model.states.is_full:
         states = StateSpace.full()
     else:
@@ -410,22 +415,18 @@ def check_unit_level(model: Model, cap: int | None = None) -> None:
 def check_tower_recursion(model: Model, depth: int, cap: int | None = None) -> int:
     """One more level of depth equals a forward product with the unit adjunction.
 
-    The canonical collapse (unit, s) -> s and (x, s) -> x.s carries the
-    two-stage tests of (unit-adjoined model, depth-d compound) onto exactly
-    the tests of the depth-(d+1) compound.  Returns the number of tests
-    matched.  The outcome collapse is 2-to-1 on short strings, so this is a
-    test-family correspondence rather than an outcome bijection.
+    The canonical collapse (unit, s) -> s and (x, s) -> x.s, 2-to-1 on short
+    strings, carries the two-stage tests of (unit-adjoined space, depth-d
+    compound) onto exactly the tests of the depth-(d+1) compound: a statement
+    about test families, so no state is built.  Returns the tests matched.
     """
-    tc_n = truncated_compound(model, depth, cap)
-    tc_n1 = truncated_compound(model, depth + 1, cap)
-    prime, unit = adjoin_unit_model(model, label="@unit@")
-    fp = forward_product(prime, tc_n.model, cap)
-    collapse = []  # the product outcome (x, s) as the string x·s, or s after the unit
-    for x, sid in fp.outcome_pair:
-        s = tc_n.strings[sid]
-        collapse.append(tc_n1.id_of(s if x == unit else (x,) + s))
-    image = {_image_mask(collapse, t) for t in fp.model.space._test_masks}
-    actual = set(tc_n1.model.space._test_masks)
+    base, unit = model.space, model.space.n_outcomes
+    strings, _, space_n = _compound_space(base, depth, cap)
+    _, string_id, space_n1 = _compound_space(base, depth + 1, cap)
+    pairs, _, fp_space = _forward_space(base.adjoin_unit_test("@unit@"), space_n, cap)
+    collapse = [string_id[strings[s] if x == unit else (x,) + strings[s]] for x, s in pairs]
+    image = {_image_mask(collapse, t) for t in fp_space._test_masks}
+    actual = set(space_n1._test_masks)
     if image != actual:
         raise LawViolation("tower recursion mismatch between depths")
     return len(actual)
@@ -496,11 +497,6 @@ class SequentialProduct(Frozen):
 
     def products(self, pairs: Iterable[tuple]) -> list[int] | None:
         return defined_products(self.prod, self.out_of_window, pairs)
-
-    def event_product(self, a: Iterable[int], b: Iterable[int]) -> frozenset | None:
-        """Setwise product of events; None when a needed pair is out of window."""
-        out = self.products(iproduct(a, b))
-        return None if out is None else frozenset(out)
 
 
 def concatenation_product(tc: TruncatedCompound) -> SequentialProduct:
@@ -685,13 +681,13 @@ def validate_sequential(
                 raise NotSequential("conditional state escapes the state space", witness=x)
 
     # Evaluation of short strings back into the model.
-    tc = truncated_compound(model, probe_depth, cap)
-    values = {sid: v for sid, v in enumerate(map(sp.prod_string, tc.strings)) if v is not None}
+    strings, string_id, compound = _compound_space(space, probe_depth, cap)
+    values = {sid: v for sid, v in enumerate(map(sp.prod_string, strings)) if v is not None}
     for x in range(n):
-        if values.get(tc.id_of((x,))) != x:
+        if values.get(string_id[(x,)]) != x:
             raise NotSequential("string evaluation does not extend the identity", witness=x)
     dom = sum(1 << sid for sid in values)
-    for t in tc.model.space._test_masks:
+    for t in compound._test_masks:
         live = _ids(t & dom)
         img = space._mask_of(values[i] for i in live)
         if img.bit_count() != len(live):
@@ -709,7 +705,7 @@ def validate_sequential(
         conditional_rows_checked=rows_checked,
         evaluation_depth=probe_depth,
         evaluation_domain=len(values),
-        evaluation_total=len(tc.strings),
+        evaluation_total=len(strings),
     )
     return CheckedSequential(model, sp, report)
 

@@ -68,6 +68,16 @@ def _scalar_from(v, exact: bool):
     raise ParseError(f"float model holds non-numeric value {v!r}")
 
 
+def _once(what: str, entries) -> dict:
+    """The dict of (key, value, shown) entries, refusing a repeated key as ``shown``."""
+    out = {}
+    for key, value, shown in entries:
+        if key in out:
+            raise ParseError(f"{what} {shown!r} appears twice")
+        out[key] = value
+    return out
+
+
 def bundle_to_document(bundle: DocumentBundle) -> dict:
     """Serialize a bundle to a canonical plain-JSON document."""
     model = bundle.model
@@ -165,6 +175,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         for entry in states.get("generators", []):
             if not isinstance(entry, dict):
                 raise ParseError("generator entries must be objects")
+            if stray := [lab for lab in entry if lab not in space.label_id]:
+                raise ParseError(f"generator key {stray[0]!r} is not an outcome")
             vals = [
                 _scalar_from(entry.get(lab, "0" if exact else 0.0), exact)
                 for lab in space.labels
@@ -178,10 +190,9 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     coherence = None
     if "coherence" in doc:
         try:
-            coherence = {
-                space.event_of(ev_labels): space.outcome(target)
-                for ev_labels, target in doc["coherence"]
-            }
+            coherence = _once("coherence event", [
+                (space.event_of(ev), space.outcome(target), ev) for ev, target in doc["coherence"]
+            ])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"coherence entries must be [event, outcome]: {exc}") from exc
     product = None
@@ -195,10 +206,10 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
             semantics = sec.get("semantics", IMPOSSIBLE)
             if semantics not in (IMPOSSIBLE, OUT_OF_WINDOW):
                 raise ParseError(f"unknown product semantics {semantics!r}")
-            table = {
-                (space.outcome(x), space.outcome(y)): space.outcome(z)
+            table = _once("product pair", [
+                ((space.outcome(x), space.outcome(y)), space.outcome(z), (x, y))
                 for x, y, z in sec["table"]
-            }
+            ])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed product section: {exc}") from exc
         product = SequentialProduct(unit, table, undefined_means=semantics)
@@ -209,11 +220,11 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
             raise ParseError("the followups section must be an object")
         try:
             tokens = tuple(sec.get("tokens", []))
-            token_id = {t: i for i, t in enumerate(tokens)}
-            table = {
-                (space.outcome(x), token_id[tok]): space.outcome(p)
+            token_id = _once("followup token", [(t, i, t) for i, t in enumerate(tokens)])
+            table = _once("followup entry", [
+                ((space.outcome(x), token_id[tok]), space.outcome(p), (x, tok))
                 for x, tok, p in sec.get("table", [])
-            }
+            ])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed followups section: {exc}") from exc
         followups = (tokens, table)

@@ -11,6 +11,11 @@ Algebraicity makes the class structure cheap: two events are perspective
 exactly when their complement sets are equal, so classes are fibers of the
 complement-set map and no transitive closure is ever taken.  On inputs that
 fail algebraicity, construction refuses rather than quotienting anyway.
+
+Lemma (Booleanness from the atoms): in a finite orthomodular poset an orthogonal
+sum is a join and each element an orthogonal sum of atoms, hence the join of the
+atoms below it.  So p -> {atoms <= p} is an order embedding, and the logic is
+Boolean exactly when it has 2^|atoms| elements (Kalmbach, *Orthomodular Lattices*).
 """
 
 from __future__ import annotations
@@ -142,10 +147,20 @@ class Orthoalgebra:
         return PredicateResult(True)
 
     def is_boolean(self) -> PredicateResult:
+        """True when p -> {atoms <= p} maps the order onto the atoms' subsets (by the
+        lemma, when n = 2^|atoms|; checked whole, as tables may skip the laws), else
+        the full scan's first failing pair or triple."""
         omp = self.is_omp()
         if not omp:
             return omp
-        n, up, down = len(self.reps), self.le, self._below
+        n, up, down, atoms = len(self.reps), self.le, self._below, self.atoms()
+        if n == 1 << len(atoms):
+            code = [sum(1 << i for i, a in enumerate(atoms) if up[a] >> p & 1) for p in range(n)]
+            if len(set(code)) == n and all(
+                u.bit_count() == n >> c.bit_count() and all(code[q] & c == c for q in _ids(u))
+                for u, c in zip(up, code)
+            ):
+                return omp
         joins = [[_least(up[p] & up[q], up) for q in range(n)] for p in range(n)]
         meets = [[_least(down[p] & down[q], down) for q in range(n)] for p in range(n)]
         for p, q in product(range(n), repeat=2):

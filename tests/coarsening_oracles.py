@@ -36,7 +36,7 @@ from orthokit.errors import (
 from orthokit.interference import DiagramReport, GAlgebra, _is_commutative
 from orthokit.logic import OrthoMap, build_logic
 from orthokit.testspace import PredicateResult, event_key
-from frozenset_oracles import validate_morphism
+from frozenset_oracles import event_product, validate_morphism
 from interchange_oracles import compositions, concat_product, concat_string_sets
 
 
@@ -255,7 +255,7 @@ def validate_g_algebra(model, sigma, sp, probe_depth=2, cap=None, states=None):
             counter.tick()
             ev_prod = word[0]
             for nxt in word[1:]:
-                ev_prod = prod.event_product(ev_prod, nxt)
+                ev_prod = event_product(prod, ev_prod, nxt)
                 if ev_prod is None:
                     break
             out_prod = prod.prod_string([table[ev] for ev in word])

@@ -48,6 +48,7 @@ from orthokit.compounding import (
 from orthokit.errors import CapCounter, EnumerationCapExceeded, LawViolation, UsageError
 from orthokit.states import Model, StateSpace, Weight
 from orthokit.testspace import TestSpace
+from frozenset_oracles import event_product
 
 
 def worklist_compound(
@@ -366,7 +367,7 @@ def exhaustive_inductivity(space: TestSpace, sp: SequentialProduct):
         for choice in iproduct(range(len(space.tests)), repeat=len(members)):
             image = set()
             for x, fi in zip(members, choice):
-                branch = sp.event_product((x,), space.tests[fi])
+                branch = event_product(sp, (x,), space.tests[fi])
                 if branch is None:
                     image = None
                     break

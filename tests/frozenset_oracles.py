@@ -7,7 +7,9 @@ pairwise antichain scan, the classes, sum table and atomic outcomes of
 the logic, the four morphism conditions with the derived flags and the
 image core, the componentwise perspectivity, marginals, unit-level and
 tower checks and nonatomicity witnesses of forward products and compounds,
-and the closed sets of the ortho-closure lattice.  The library decides the
+the closed sets of the ortho-closure lattice, and ``event_product``, the
+setwise product of two events under a sequential product, which the oracles
+of the other modules use.  The library decides the
 same questions on integer bitmasks; the oracle tests require both to agree
 on verdict, witness and whether the cap is exceeded.  ``support_by_perspectivity`` is a second
 criterion for ``TestSpace.is_support``, which decides supports by traces.
@@ -326,6 +328,12 @@ def marginal_weight(fp, w):
     return Weight(
         [sum((w[fp.pair(x, y)] for y in t0), start=0) for x in range(fp.left.space.n_outcomes)]
     )
+
+
+def event_product(sp, a, b):
+    """The setwise product of events a and b; None when a needed pair is out of window."""
+    out = sp.products(product(a, b))
+    return None if out is None else frozenset(out)
 
 
 def tests_as_strings(tc):

@@ -5,7 +5,7 @@ These are the versions of ``check_distributive_diagrams``,
 ``check_collapse_perspectivity``, ``check_left_equivariance`` and
 ``coarse_setwise_product`` that build every string set as a frozenset of
 tuples (``concat_product``, ``concat_string_sets``) and every setwise product
-through ``SequentialProduct.event_product``, deciding perspectivity with
+through ``frozenset_oracles.event_product``, deciding perspectivity with
 ``is_perspective``.  The library reads string sets as masks over string codes
 (``compounding.concat_masks``) and setwise products off one table of outcome
 products; the oracle tests require both sides to agree on reports, point
@@ -30,6 +30,7 @@ from orthokit.logic import build_logic
 from orthokit.morphisms import Morphism, validate_morphism
 from orthokit.states import Model
 from orthokit.testspace import PredicateResult, _ids, event_key, mask_event
+from frozenset_oracles import event_product
 
 
 def concat_product(events: Sequence[frozenset]) -> frozenset:
@@ -182,13 +183,13 @@ def check_commutative_boolean(g: GAlgebra, cap: int | None = None):
     prod = g.product
     for e in space.tests:
         for f in space.tests:
-            refined = prod.event_product(e, f)
+            refined = event_product(prod, e, f)
             if refined is None:
                 raise LawViolation("test product fell outside the window")
             if refined not in space.test_set:
                 raise LawViolation("test product is not a common refinement test")
             for y in sorted(f):
-                fiber = prod.event_product(e, frozenset([y]))
+                fiber = event_product(prod, e, frozenset([y]))
                 if fiber is None or not space.is_perspective(frozenset([y]), fiber):
                     raise LawViolation("refinement fiber is not perspective to its outcome")
     logic = build_logic(space, cap)
@@ -209,7 +210,7 @@ def check_collapse_perspectivity(g: GAlgebra) -> int:
     points = 0
     for a in sorted(table, key=event_key):
         for y in range(space.n_outcomes):
-            ay = prod.event_product(a, frozenset([y]))
+            ay = event_product(prod, a, frozenset([y]))
             cy = prod.prod(table[a], y)
             if ay is None or cy is None:
                 continue
@@ -232,7 +233,7 @@ def check_left_equivariance(
     table = sigma.table if isinstance(sigma, CheckedCoherence) else dict(sigma)
     for a in sorted(table, key=event_key):
         for x in range(model.space.n_outcomes):
-            xa = prod.event_product(frozenset([x]), a)
+            xa = event_product(prod, frozenset([x]), a)
             lhs = prod.prod(x, table[a])
             if xa is None or lhs is None:
                 continue
@@ -256,7 +257,7 @@ def coarse_setwise_product(
     events = list(map(mask_event, coarse.outcome_mask))
     for i, a in enumerate(events):
         for j, b in enumerate(events):
-            ev = sp.event_product(a, b)
+            ev = event_product(sp, a, b)
             if ev is None or not ev:
                 continue
             k = coarse.mask_outcome.get(space._mask_of(ev))

@@ -38,6 +38,7 @@ from orthokit.errors import (
 from orthokit.interference import GAlgebra, InterferenceWitness, _is_commutative
 from orthokit.states import Model, Weight
 from orthokit.testspace import PredicateResult, _ids, event_key
+from frozenset_oracles import event_product
 
 
 def validate_sequential(
@@ -102,7 +103,7 @@ def validate_sequential(
 
     # Inductivity, by counting distinct images (see the docstring).
     tests = space.tests
-    rows = [[sp.event_product((x,), s) for s in tests] for x in range(n)]
+    rows = [[event_product(sp, (x,), s) for s in tests] for x in range(n)]
     images = [set(row) - {None} for row in rows]
     regions = [frozenset().union(*distinct) for distinct in images]
     ind_checked = ind_skipped = 0
@@ -238,7 +239,7 @@ def validate_g_algebra(
     def fold(factors):  # None out of window, empty when impossible
         acc = factors[0]
         for nxt in factors[1:]:
-            acc = prod.event_product(acc, nxt)
+            acc = event_product(prod, acc, nxt)
             if acc is None:
                 break
         return acc

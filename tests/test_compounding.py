@@ -55,6 +55,7 @@ from orthokit.compounding import (
     validate_sequential,
 )
 from orthokit.corpus import corpus_models, named
+from orthokit.interference import validate_g_algebra
 from orthokit.morphisms import identity_morphism, validate_morphism
 from orthokit.quantum import classical_model
 from orthokit.states import (
@@ -328,6 +329,37 @@ class TestTruncation:
         assert w[tc.id_of((0, 1))] == 0
         assert w[tc.id_of((1, 0))] == F(1, 4)
         assert tc.model.contains_state(w)
+
+
+class TestHullTwins:
+    """The tower check and the string-evaluation probe read test families only,
+    so a model given as the hull of its vertices gets its full twin's answers,
+    also where the compound of the hull would pass ``COMPOUND_GENERATOR_CAP``."""
+
+    def test_sequential_and_g_algebra_reports(self):
+        """(evaluation_total, strings_checked, strings_skipped) of classical(n)
+        at probe depths 2, 2 and 1; the 3-point hull's compound needs 3^8
+        generators."""
+        counts = []
+        for n, depth in ((2, 2), (3, 2), (4, 1)):
+            cm = classical_model(n)
+            hull = Model(cm.model.space, StateSpace.hull(cm.model.state_vertices()))
+            report = validate_sequential(cm.model, cm.product, depth).report
+            assert validate_sequential(hull, cm.product, depth).report == report
+            g_algebras = [
+                validate_g_algebra(m, cm.sigma, cm.product, depth) for m in (cm.model, hull)
+            ]
+            strings = {(g.strings_checked, g.strings_skipped) for g in g_algebras}
+            assert len(strings) == 1
+            counts.append((report.evaluation_total, *strings.pop()))
+        assert counts == [(13, 18, 2), (57, 192, 18), (16, 51, 0)]
+
+    def test_tower_recursion(self):
+        """At depth 2 the hull's compound would need 2^13 generators."""
+        full = full_model(build_test_space([["a", "b"], ["b", "c"]]))
+        hull = Model(full.space, StateSpace.hull(full.state_vertices()[:2]))
+        for model in (full, hull):
+            assert [check_tower_recursion(model, depth) for depth in range(3)] == [3, 19, 723]
 
 
 class TestCompoundFunctor:

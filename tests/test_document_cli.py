@@ -118,6 +118,44 @@ class TestDocuments:
         with pytest.raises(ParseError):
             document_to_bundle(doc)
 
+    # Each entry a load would drop or overwrite, on the point masses of a test
+    # {a, b}: the section it goes in, and the key the refusal names.
+    DROPPED_ENTRIES = {
+        "stray generator key": (
+            {"states": {"kind": "generators", "generators": [{"a": "1", "x": "1"}, {"b": "1"}]}},
+            "generator key 'x' is not an outcome",
+        ),
+        "repeated coherence event": (
+            {"coherence": [[["a"], "a"], [["a"], "b"]]},
+            "coherence event ['a'] appears twice",
+        ),
+        "repeated product pair": (
+            {"product": {"unit": "a", "table": [["b", "b", "b"], ["b", "b", "a"]]}},
+            "product pair ('b', 'b') appears twice",
+        ),
+        "repeated follow-up": (
+            {"followups": {"tokens": ["t"], "table": [["a", "t", "b"], ["a", "t", "a"]]}},
+            "followup entry ('a', 't') appears twice",
+        ),
+        "repeated token": (
+            {"followups": {"tokens": ["t", "t"], "table": []}},
+            "followup token 't' appears twice",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", DROPPED_ENTRIES)
+    def test_entries_a_load_would_drop_are_refused(self, case, tmp_path, capsys):
+        sections, message = self.DROPPED_ENTRIES[case]
+        doc = {"format_version": "1", "outcomes": ["a", "b"], "tests": [["a", "b"]]}
+        doc |= {"states": {"kind": "full"}, **sections}
+        with pytest.raises(ParseError) as info:
+            document_to_bundle(doc)
+        assert str(info.value) == message
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--algebraic"]) == 2
+        assert message in capsys.readouterr().err
+
 
 @lru_cache(maxsize=None)
 def corpus_with_vertices():
@@ -313,6 +351,20 @@ class TestLawsCommand:
     def test_sequential(self):
         code, out, _ = run_cli(["laws", classical_path(), "sequential"])
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["sequential", "g-algebra"])
+    def test_hull_of_the_vertices_reports_like_the_full_model(self, suite, tmp_path, capsys):
+        """classical3 with its states given as the hull of its vertices: the
+        string-evaluation probe builds no compound state, so no generator limit
+        refuses the document, and the report is the full model's."""
+        bundle = load_document(classical_path())
+        hull = generator_model(bundle.model.space, bundle.model.state_vertices())
+        path = tmp_path / "c3hull.json"
+        save_document(DocumentBundle(hull, bundle.coherence, bundle.product), str(path))
+        assert main(["--cap", "100000000", "laws", classical_path(), suite]) == 0
+        want = capsys.readouterr().out
+        assert main(["--cap", "100000000", "laws", str(path), suite]) == 0
+        assert capsys.readouterr().out == want
 
     def test_missing_structure_exit_two(self):
         code, _, err = run_cli(["laws", wright_path(), "g-algebra"])

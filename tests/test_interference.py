@@ -3,6 +3,7 @@
 import pytest
 
 from coarsening_oracles import outcome_events
+from frozenset_oracles import event_product
 from orthokit.errors import HypothesisUnmet, NotGAlgebra, UsageError
 from orthokit.coarsening import coarsen
 from orthokit.compounding import (
@@ -262,12 +263,12 @@ class TestSequentialCoarsening:
         extension = frozenset([tc.id_of((0, 0)), tc.id_of((0, 1))])
         assert space.is_perspective(singleton, extension)
         # left multiplication keeps them perspective
-        left_a = sp.event_product(singleton, singleton)
-        left_b = sp.event_product(singleton, extension)
+        left_a = event_product(sp, singleton, singleton)
+        left_b = event_product(sp, singleton, extension)
         assert space.is_perspective(left_a, left_b)
         # right multiplication by the same event does not
-        right_a = sp.event_product(singleton, singleton)
-        right_b = sp.event_product(extension, singleton)
+        right_a = event_product(sp, singleton, singleton)
+        right_b = event_product(sp, extension, singleton)
         assert not space.is_perspective(right_a, right_b)
 
     def test_left_equivariance_for_classical(self):
@@ -292,8 +293,8 @@ def test_left_products_respect_event_classes():
                 if b is b2 or not space.is_perspective(b, b2):
                     continue
                 for a in events[:6]:
-                    ab = sp.event_product(a, b)
-                    ab2 = sp.event_product(a, b2)
+                    ab = event_product(sp, a, b)
+                    ab2 = event_product(sp, a, b2)
                     if ab is None or ab2 is None or not ab or not ab2:
                         continue
                     assert space.is_perspective(ab, ab2), (a, b, b2)

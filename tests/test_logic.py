@@ -10,6 +10,7 @@ from logic_oracles import PairOrder
 from orthokit.compounding import forward_product
 from orthokit.errors import LawViolation, NotAlgebraic, UnknownLabel
 from orthokit.corpus import corpus_models, enumerate_test_spaces, named
+from orthokit import logic as logic_module
 from orthokit.logic import (
     Orthoalgebra,
     atomic_outcomes,
@@ -437,6 +438,29 @@ def test_order_matches_pair_oracle_on_logics():
         assert (got.holds, got.witness) == (want.holds, want.witness)
         large += 1
     assert (len(verdicts), large) == (96, 3) and 0 < sum(verdicts) < 96
+
+
+# ``is_boolean`` on the logics over ``ORDER_ELEMENTS``, by size, as the full scan
+# gave it: the verdict and witness.
+LARGE_BOOLEAN_VERDICTS = {188: (False, (1, 17, 25)), 512: (True, None), 518: (False, (2, 5, 8))}
+
+
+def test_large_logics_decide_booleanness_by_their_atoms(monkeypatch):
+    """The Boolean logic is decided by its atom count, with no join or meet
+    built; the others keep the full scan's first failing triple."""
+    least_calls = []
+    real_least = logic_module._least
+    monkeypatch.setattr(
+        logic_module, "_least", lambda *args: least_calls.append(1) or real_least(*args)
+    )
+    got = {}
+    for _, logic in oracle_logics():
+        if len(logic) > ORDER_ELEMENTS:
+            least_calls.clear()
+            verdict = logic.is_boolean()
+            got[len(logic)] = (verdict.holds, verdict.witness)
+            assert bool(least_calls) != verdict.holds
+    assert got == LARGE_BOOLEAN_VERDICTS
 
 
 def test_order_matches_pair_oracle_on_orthopartition_algebras():

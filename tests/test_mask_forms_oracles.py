@@ -8,6 +8,9 @@ keep the versions that read the frozenset views.  Both sides must give the
 same values, the same exception class and message, and the same
 raise-or-not at the closed-set cap and one below it.  Inputs are the corpus
 models, their hulls of two vertices and float twins, and random spaces.
+``check_tower_recursion``, which builds test spaces only, is also compared at
+the caps one below and at each bound it checks, so each refusal comes in the
+oracle's order, and on a bad depth, a bad cap and a colliding unit label.
 
 Exact values must be equal.  A float sum over a test now adds in ascending
 id order, where the frozenset form followed hash-table order, so float
@@ -34,7 +37,7 @@ from orthokit.compounding import (
 )
 from orthokit.corpus import corpus_models
 from orthokit.errors import EnumerationCapExceeded, OrthokitError
-from orthokit.states import Model, StateSpace, Weight
+from orthokit.states import Model, StateSpace, Weight, full_model
 from orthokit.testspace import build_test_space
 
 FLOAT_SLACK = 1e-12
@@ -184,6 +187,41 @@ def test_compound_reads_match_oracle(depth):
     assert checked >= (200 if depth < 2 else 20)
 
 
+def tower_caps(space, depth):
+    """One below and at each bound the tower check meets, in its order: the
+    non-root tests at ``depth`` and ``depth`` + 1, then the forward-product tests
+    (the unit test branches into the n_d tests at ``depth``, each base test as
+    at ``depth`` + 1), up to ``BUILD_CAP``."""
+    n = [1]
+    for _ in range(depth + 1):
+        n.append(1 + sum(n[-1] ** m.bit_count() for m in space._test_masks))
+    bounds = (n[depth] - 1, n[depth + 1] - 1, n[depth] + n[depth + 1] - 1)
+    return sorted({c for b in bounds for c in (b - 1, b) if 0 <= c <= BUILD_CAP} | {BUILD_CAP})
+
+
+def assert_tower_matches(model, depth, cap):
+    got = outcome(check_tower_recursion, model, depth, cap)
+    assert got == outcome(oracle.check_tower_recursion, model, depth, cap), (model, depth, cap)
+    return got
+
+
+def test_tower_recursion_matches_oracle_at_every_cap():
+    """Every corpus model at depths 0 and 1, at the caps that trip each bound,
+    and the refusals of a bad depth, a bad cap and an outcome labelled like the
+    adjoined unit."""
+    seen = set()
+    for model in corpus():
+        for depth in (0, 1):
+            for cap in tower_caps(model.space, depth):
+                got = assert_tower_matches(model, depth, cap)
+                seen.add(got if isinstance(got, int) else got[1].split(":")[0])
+    collision = full_model(build_test_space([["@unit@", "b"]]))
+    for model, depth, cap in ((corpus()[0], -1, 0), (corpus()[0], 0, -1), (collision, 1, None)):
+        seen.add(assert_tower_matches(model, depth, cap)[0])
+    assert {"compound tests", "forward-product tests", "UsageError", "LabelCollision"} <= seen
+    assert len([v for v in seen if isinstance(v, int)]) > 10
+
+
 # -- closure lattice --------------------------------------------------------------------
 
 
@@ -243,3 +281,12 @@ def test_random_compound_reads_match_oracle(space):
     for depth in (0, 1):
         if fits(model, depth):
             compound_checks(model, depth)
+
+
+@given(random_spaces())
+@settings(max_examples=60, deadline=None)
+def test_random_tower_recursion_matches_oracle_at_every_cap(space):
+    model = Model(space, StateSpace.full())
+    for depth in (0, 1):
+        for cap in tower_caps(space, depth):
+            assert_tower_matches(model, depth, cap)

@@ -10,7 +10,10 @@ their types included) or exception class, message and witness on the
 classical models at probe depths 1 and 2, the beam presets and their exact
 twins, the ``classical3`` fixture, the concatenation products of truncated compounds,
 the missing-follow-up tables, products corrupted to break each law,
-hypothesis-random tables and exact states with nonzero gaps.
+hypothesis-random tables and exact states with nonzero gaps.  The
+string-evaluation probe is also compared at its ``compound tests`` cap and
+one below it, and on an evaluation that fails several compound tests, which
+pins its witness to the first of them.
 """
 
 from fractions import Fraction as F
@@ -177,6 +180,62 @@ def test_concatenation_products(depth):
             same_chain_rule(tc.model, sp, w)
         ran += 1
     assert ran >= (25 if depth == 1 else 10)
+
+
+# -- the string-evaluation probe -----------------------------------------------------------
+
+
+def test_probe_refuses_at_the_compound_tests_cap():
+    """One below and at the count of non-root compound tests, on the classical
+    models at probe depths 1 and 2."""
+    for n in (2, 3):
+        cm = classical(n)
+        states = cm.model.state_vertices()
+        tests = 1  # the compound tests at the probe depth
+        for depth in (1, 2):
+            tests = 1 + sum(tests ** t.bit_count() for t in cm.model.space._test_masks)
+            kwargs = {"probe_depth": depth, "states": states}
+            below = same_sequential(cm.model, cm.product, cap=tests - 2, **kwargs)
+            assert below[:2] == (
+                "EnumerationCapExceeded",
+                f"compound tests: needs ≥ {tests - 1}, enumeration exceeds cap {tests - 2}",
+            )
+            at = same_sequential(cm.model, cm.product, cap=tests - 1, **kwargs)
+            assert at[0] == cm.model.space.n_outcomes
+
+
+class LastLetterEvaluation:
+    """A classical product whose strings evaluate to their last letter, ε to the unit.
+
+    For a ``SequentialProduct`` the checks before the probe already make it
+    pass: orthogonality keeps the strings of one compound test apart, and
+    inductivity carries each level's evaluated tests to the next.  So only an
+    evaluation that is not the left fold of ``prod`` reaches the probe's raises.
+    """
+
+    def __init__(self, sp):
+        self.sp = sp
+
+    def __getattr__(self, name):
+        return getattr(self.sp, name)
+
+    def prod_string(self, xs):
+        return xs[-1] if xs else self.sp.unit
+
+
+def test_probe_witness_is_the_first_failing_compound_test():
+    """On classical(2) at probe depth 2 several compound tests collapse; the
+    witness is the first in the compound's canonical test order."""
+    cm = classical(2)
+    sp = LastLetterEvaluation(cm.product)
+    tc = truncated_compound(cm.model, 2)
+    failing = [
+        t for t in tc.model.space.tests
+        if len({sp.prod_string(tc.strings[i]) for i in t}) < len(t)
+    ]
+    assert len(failing) >= 2
+    got = same_sequential(cm.model, sp, probe_depth=2)
+    assert got == ("NotSequential", "string evaluation collapses a test", failing[0])
 
 
 # -- missing follow-ups, corrupted products, random tables --------------------------------

@@ -36,6 +36,12 @@ frozenset views ``tests``, ``test_set``, ``events_list``, ``events()`` or
 ``event_product``, and no coarsening carries an ``outcome_event`` table.
 The module list is read from the directory, so a new module falls under it.
 
+It checks test-family statements on test families: ``check_tower_recursion``
+and ``validate_sequential`` build the compounds and the forward product they
+compare as test spaces, and neither calls ``truncated_compound``,
+``forward_product``, ``adjoin_unit_model``, ``Model`` or ``StateSpace``, which
+build states the two never read.
+
 It stores record fields one way: no ``Record`` or ``Frozen`` class writes an
 ``__init__``, since ``Record.__init__`` binds every record's fields from its
 ``__slots__``, and only ``_record.py`` names ``setfield`` or
@@ -596,3 +602,59 @@ def test_records_store_fields_in_record_only():
         if hits:
             found[path.name] = hits
     assert not found, f"record fields stored outside _record.py: {found}"
+
+
+# -- test-family checks build no model ----------------------------------------------------
+
+TEST_FAMILY_CHECKS = {"check_tower_recursion", "validate_sequential"}
+MODEL_BUILDERS = {
+    "truncated_compound", "forward_product", "adjoin_unit_model", "Model", "StateSpace"
+}
+
+
+def model_builder_calls(source, filename="<string>"):
+    """(line, name, function) of every call inside a ``TEST_FAMILY_CHECKS``
+    function, nested scopes included, of a ``MODEL_BUILDERS`` name, of such an
+    attribute, or of a method of one (``StateSpace.hull``)."""
+    found = []
+    for node, scope in scoped_nodes(source, filename):
+        if not isinstance(node, ast.Call) or scope is None:
+            continue
+        if scope.split(".")[0] not in TEST_FAMILY_CHECKS:
+            continue
+        func = node.func
+        names = [getattr(func, "id", None), getattr(func, "attr", None)]
+        names.append(getattr(getattr(func, "value", None), "id", None))
+        found += [(node.lineno, name, scope) for name in names if name in MODEL_BUILDERS]
+    return sorted(found)
+
+
+def test_scanner_flags_model_builder_calls():
+    """The rule below cannot pass just because the scanner sees nothing."""
+    source = (
+        "def check_tower_recursion(model: Model, depth):\n"
+        "    tc = truncated_compound(model, depth)\n"
+        "    fp = compounding.forward_product(model, tc.model)\n"
+        "    def inner():\n"
+        "        return adjoin_unit_model(model)\n"
+        "    return Model(model.space, StateSpace.hull([]))\n"
+        "def validate_sequential(model, sp):\n"
+        "    return StateSpace.full(), model.space\n"
+        "def truncated_compound(model, depth):\n"
+        "    return Model(model.space, StateSpace.full())\n"
+    )
+    assert model_builder_calls(source) == [
+        (2, "truncated_compound", "check_tower_recursion"),
+        (3, "forward_product", "check_tower_recursion"),
+        (5, "adjoin_unit_model", "check_tower_recursion.inner"),
+        (6, "Model", "check_tower_recursion"),
+        (6, "StateSpace", "check_tower_recursion"),
+        (8, "StateSpace", "validate_sequential"),
+    ]
+
+
+def test_test_family_checks_build_no_model():
+    source = (SRC / "compounding.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert TEST_FAMILY_CHECKS <= defined
+    assert model_builder_calls(source) == []
