@@ -12,7 +12,7 @@ refinement.  Coherences satisfying the stronger substitution property
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ._record import Frozen
 from .errors import (
@@ -73,23 +73,28 @@ class Coarsening(Frozen):
 
     def collapse(self, outcomes: Iterable[int]) -> int:
         """The monad multiplication: the outcome whose event is the union of theirs."""
-        masks = self.outcome_mask
-        m = 0
-        for i in outcomes:
-            if i < 0:  # an id >= n fails the lookup; one comparison per id
-                raise _not_an_id(i)
-            try:
-                m |= masks[i]
-            except IndexError:
-                raise _not_an_id(i) from None
-        return self._outcome_of(m)
+        return _collapse(self.outcome_mask, self.mask_outcome, outcomes)
 
-    def _outcome_of(self, m: int) -> int:
-        """The outcome whose event has mask ``m``."""
+
+def _collapse(masks: Sequence[int], mask_outcome: Mapping, outcomes: Iterable[int]) -> int:
+    """``Coarsening.collapse`` on the outcome masks and their ids."""
+    m = 0
+    for i in outcomes:
+        if i < 0:  # an id >= n fails the lookup; one comparison per id
+            raise _not_an_id(i)
         try:
-            return self.mask_outcome[m]
-        except KeyError:
-            raise UsageError(f"{_ids(m)} is not a nonempty event of the base") from None
+            m |= masks[i]
+        except IndexError:
+            raise _not_an_id(i) from None
+    return _outcome_of(mask_outcome, m)
+
+
+def _outcome_of(mask_outcome: Mapping[int, int], m: int) -> int:
+    """The outcome whose event has mask ``m``."""
+    try:
+        return mask_outcome[m]
+    except KeyError:
+        raise UsageError(f"{_ids(m)} is not a nonempty event of the base") from None
 
 
 def _not_an_id(i) -> UsageError:
@@ -101,24 +106,27 @@ def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
     return Weight(tuple(w.of(ev) for ev in events))
 
 
-def coarsen(model: Model, cap: int | None = None) -> Coarsening:
-    """The coarsened model: outcomes are nonempty events, tests are partitions."""
-    space = model.space
+def _coarse_space(space: TestSpace, cap: int | None):
+    """The outcome masks, their ids and the partition tests of ``coarsen``."""
     masks = sorted(filter(None, space._checked_event_masks(cap)), key=mask_key)
     bell = _bell_numbers(max((t.bit_count() for t in space._test_masks), default=0))
     check_cap("coarsened tests", sum(bell[t.bit_count()] for t in space._test_masks), cap)
     mask_outcome = {m: i for i, m in enumerate(masks)}
-    members = list(map(_ids, masks))
-    labels = ["{" + ",".join([space.labels[x] for x in ids]) + "}" for ids in members]
+    labels = ["{" + ",".join([space.labels[x] for x in _ids(m)]) + "}" for m in masks]
     tests = set()
     for t in space._test_masks:
         for blocks in set_partitions([1 << x for x in _ids(t)]):
             tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
-    coarse_space = TestSpace(labels, tests)
+    return masks, mask_outcome, TestSpace(labels, tests)
+
+
+def coarsen(model: Model, cap: int | None = None) -> Coarsening:
+    """The coarsened model: outcomes are nonempty events, tests are partitions."""
+    masks, mask_outcome, coarse_space = _coarse_space(model.space, cap)
     if model.states.is_full:
         states = StateSpace.full()
     else:  # float weights add in frozenset order, which fixes the bits documents print
-        events = list(map(frozenset, members))
+        events = list(map(mask_event, masks))
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
     return Coarsening(model, coarse_model, tuple(masks), mask_outcome)
@@ -133,7 +141,8 @@ def functor_sharp(
     """Lift a morphism to the coarsenings by direct image of events."""
     sc = source_coarse if source_coarse is not None else coarsen(phi.source, cap)
     tc = target_coarse if target_coarse is not None else coarsen(phi.target, cap)
-    mapping = tuple(tc._outcome_of(_image_mask(phi.mapping, m)) for m in sc.outcome_mask)
+    images = (_image_mask(phi.mapping, m) for m in sc.outcome_mask)
+    mapping = tuple(_outcome_of(tc.mask_outcome, m) for m in images)
     return validate_morphism(sc.model, tc.model, mapping, cap)
 
 
@@ -153,15 +162,11 @@ def mult_mu(
     """Union collapse of the double coarsening onto the single one."""
     if double.base is not coarse.model:
         raise UsageError("second argument must be the coarsening of the first's model")
-    mu = validate_morphism(double.model, coarse.model, _union_collapse(coarse, double), cap)
+    mapping = tuple(coarse.collapse(_ids(d)) for d in double.outcome_mask)
+    mu = validate_morphism(double.model, coarse.model, mapping, cap)
     if not mu.test_preserving:
         raise LawViolation("the union collapse must be test-preserving")
     return mu
-
-
-def _union_collapse(coarse: Coarsening, double: Coarsening) -> tuple[int, ...]:
-    """mu on outcome ids: each outcome of the double coarsening to its union."""
-    return tuple(coarse.collapse(_ids(d)) for d in double.outcome_mask)
 
 
 class MonadLawReport(Frozen):
@@ -178,33 +183,28 @@ def check_monad_laws_sharp(model: Model, cap: int | None = None) -> MonadLawRepo
     its unions are those of i - 2^j, for j the top bit of i, OR the masks of
     mu(b_j) (left) and of b_j (right, then mu): no id list per point.
     """
-    coarse = coarsen(model, cap)
-    double = coarsen(coarse.model, cap)
-    tests = double.model.space._test_masks
+    cmask, cmo, space = _coarse_space(model.space, cap)
+    dmask, dmo, double = _coarse_space(space, cap)
+    tests = double._test_masks
     bound = sum((1 << t.bit_count()) - 1 for t in tests)
     check_cap("triple-coarsening outcomes", bound, cap)
-    mu = _union_collapse(coarse, double)
-    cmask, cmo = coarse.outcome_mask, coarse.mask_outcome
-    dmask, dmo = double.outcome_mask, double.mask_outcome
+    mu = [_collapse(cmask, cmo, _ids(d)) for d in dmask]
     for t in tests:
         blocks, left, right = _ids(t), [0], [0]
         for b in blocks:
             lb, rb = cmask[mu[b]], dmask[b]
             left += [u | lb for u in left]
             right += [v | rb for v in right]
-        try:
-            for i in range(1, len(left)):
-                if cmo[left[i]] != mu[dmo[right[i]]]:
-                    failed = [x for k, x in enumerate(blocks) if i >> k & 1]
-                    raise LawViolation(f"associativity square fails at {failed}")
-        except KeyError as exc:  # a union that is not an event
-            raise UsageError(f"{_ids(exc.args[0])} is not a nonempty event of the base") from None
+        for i in range(1, len(left)):
+            if _outcome_of(cmo, left[i]) != mu[_outcome_of(dmo, right[i])]:
+                failed = [x for k, x in enumerate(blocks) if i >> k & 1]
+                raise LawViolation(f"associativity square fails at {failed}")
     for i, m in enumerate(cmask):
         # mu after sharp(eta): split into singletons, then union.
-        if coarse.collapse(cmo[1 << x] for x in _ids(m)) != i:
+        if _collapse(cmask, cmo, (cmo[1 << x] for x in _ids(m))) != i:
             raise LawViolation("left unit triangle fails")
         # mu after eta of the coarsening: wrap as one block, then union.
-        if coarse._outcome_of(m) != i:
+        if _outcome_of(cmo, m) != i:
             raise LawViolation("right unit triangle fails")
     return MonadLawReport(bound, len(cmask))
 
@@ -260,7 +260,7 @@ def validate_coherence(
         fam = 0
         while fam := (fam - t) & t:  # the nonempty submasks of t, ascending
             union = coarse.collapse(_ids(fam))
-            inner = coarse._outcome_of(_image_mask(image, fam))
+            inner = _outcome_of(coarse.mask_outcome, _image_mask(image, fam))
             if image[union] != image[inner]:
                 raise NotCoherence(
                     "grouped refinement identity fails",

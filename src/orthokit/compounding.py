@@ -128,6 +128,18 @@ def _forward_space(ls: TestSpace, rs: TestSpace, cap: int | None):
     return pairs, pair_id, TestSpace(labels, _branch(lt, rt, lambda x, y: pair_id[x, y]))
 
 
+def _check_row_kind(left: Model, right: Model) -> None:
+    """Refuse generator rows of another kind than the first factor's.
+
+    Full models contribute exact vertices, so the rows are float exactly
+    when some factor is a float generator model; two full models have none.
+    """
+    float_rows = any(not m.exact and not m.states.is_full for m in (left, right))
+    if float_rows == left.exact and not (left.states.is_full and right.states.is_full):
+        kind = "float" if float_rows else "exact"
+        raise NumericKindMismatch(f"forward-product rows are {kind}, the first factor is not")
+
+
 def forward_product(left: Model, right: Model, cap: int | None = None) -> ForwardProduct:
     """All two-stage tests: a first test, then a chosen follow-up per outcome.
 
@@ -136,15 +148,10 @@ def forward_product(left: Model, right: Model, cap: int | None = None) -> Forwar
     the second; ``forward_unitality`` reads orthogonality this way.
     """
     pairs, pair_id, space = _forward_space(left.space, right.space, cap)
+    _check_row_kind(left, right)
     if left.states.is_full and right.states.is_full:
         states = StateSpace.full()
     else:
-        # Full models contribute exact vertices, so the rows are float exactly
-        # when some factor is a float generator model.
-        float_rows = any(not m.exact and not m.states.is_full for m in (left, right))
-        if float_rows == left.exact:
-            kind = "float" if float_rows else "exact"
-            raise NumericKindMismatch(f"forward-product rows are {kind}, the first factor is not")
         lgens = left.states.generators or tuple(left.state_vertices(cap))
         rgens = right.states.generators or tuple(right.state_vertices(cap))
         n_left = left.space.n_outcomes
@@ -846,7 +853,12 @@ def _certainty_test(tols: Sequence[float]) -> Callable[[object], bool]:
 
 
 def compound_unitality(tc: TruncatedCompound):
-    """Unitality and strong unitality of a truncated compound, by witness states.
+    """``_compound_unitality`` of a built compound."""
+    return _compound_unitality(tc.base, tc.strings)
+
+
+def _compound_unitality(base: Model, strings: Sequence[tuple]):
+    """Unitality and strong unitality of the compound of ``base``, by witness states.
 
     Transition rows are chosen independently per prefix, so a state certain
     of a string needs a certainty witness of the base model per letter, and
@@ -861,15 +873,14 @@ def compound_unitality(tc: TruncatedCompound):
     the read on t on s through (k, s[k]), or both on k alone when one string
     extends the other; each distinct read is checked once, in pair order.
     """
-    base = tc.base
     certain, positive, strong = _witness_tables(base)
-    certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, tc.strings)) + 1)]
+    certain_at = [_certainty_test((base.tol,) * k) for k in range(max(map(len, strings)) + 1)]
 
     def evaluate(rows: dict, s: tuple) -> object:
         return _prefix_product(rows.__getitem__, s, 1)
 
     unital_ok = True
-    for s in tc.strings:
+    for s in strings:
         pins = {s[:i]: certain[x] for i, x in enumerate(s)}
         if any(w is None for w in pins.values()):
             unital_ok = False
@@ -878,9 +889,9 @@ def compound_unitality(tc: TruncatedCompound):
     su_ok = True
     orth = base.space._orth_table()
     t_seen = set()  # (j, k, s[k]) or (j, k) whose read on string j passed
-    for i, s in enumerate(tc.strings):
+    for i, s in enumerate(strings):
         s_seen = set()  # (k, t[k]) or k whose read on s passed
-        for j, t in enumerate(tc.strings):
+        for j, t in enumerate(strings):
             k = 0
             while k < len(s) and k < len(t) and s[k] == t[k]:
                 k += 1
@@ -914,20 +925,24 @@ def compound_unitality(tc: TruncatedCompound):
 
 
 def forward_unitality(fp: ForwardProduct):
-    """Unitality predicates of a forward product, by explicit pair states.
+    """``_forward_unitality`` of a built forward product."""
+    return _forward_unitality(fp.left, fp.right, fp.outcome_pair)
+
+
+def _forward_unitality(left: Model, right: Model, outcome_pair: Sequence[tuple[int, int]]):
+    """Unitality predicates of the forward product of two models, by explicit pair states.
 
     Pairs are orthogonal by the factors (see ``forward_product``) and come in
     ``outcome_pair`` order, first outcome major.  With x = u both entries of
     (x, y), (u, v) read (x, y, v), which no other pair does; otherwise entry i
     reads (x, u, y) and entry j (x, u, v), and each distinct read is checked once.
     """
-    left, right = fp.left, fp.right
     certain_left, _, strong_left = _witness_tables(left)
     certain_right, positive_right, strong_right = _witness_tables(right)
     certain_pair = _certainty_test((left.tol, right.tol))
     unital_ok = all(
         certain_left[x] is not None and certain_right[y] is not None
-        for (x, y) in fp.outcome_pair
+        for (x, y) in outcome_pair
     )
     su_ok = True
 
@@ -937,7 +952,7 @@ def forward_unitality(fp: ForwardProduct):
     lorth, rorth = left.space._orth_table(), right.space._orth_table()
     outcomes_right = range(right.space.n_outcomes)
     j_seen = set()  # (x, u, v) with x ≠ u whose entry j passed
-    for x, y in fp.outcome_pair:
+    for x, y in outcome_pair:
         for u in range(left.space.n_outcomes):
             if x == u:
                 alpha = certain_left[x]
@@ -967,10 +982,10 @@ def forward_unitality(fp: ForwardProduct):
     return unital_ok, su_ok and unital_ok
 
 
-def _preservation(construction, inputs: list[Model], output: Model, cap, unitality):
+def _preservation(construction, inputs: list[Model], output: TestSpace, cap, unitality):
     # a square passes the same model twice; its properties are read once
     in_props = [_model_properties(m, cap) for m in dict.fromkeys(inputs)]
-    unital_got, su_got = unitality
+    read = dict(zip(_PROPERTY_ORDER, unitality))  # the unital and strongly_unital verdicts
     props = {}
     skipped = []
     for name in _PROPERTY_ORDER:
@@ -978,16 +993,7 @@ def _preservation(construction, inputs: list[Model], output: Model, cap, unitali
         # which is exactly what survives adding a unit outcome in compounds.
         premise = all(p[name] for p in in_props)
         try:
-            if name == "unital":
-                got = unital_got
-            elif name == "strongly_unital":
-                got = su_got
-            elif name == "regular":
-                got = bool(output.space.regular(cap))
-            elif name == "algebraic":
-                got = bool(output.space.algebraic(cap))
-            else:
-                got = bool(output.space.coherent(cap))
+            got = read[name] if name in read else bool(getattr(output, name)(cap))
         except EnumerationCapExceeded:
             skipped.append(name)
             props[name] = (premise, None)
@@ -1001,14 +1007,15 @@ def _preservation(construction, inputs: list[Model], output: Model, cap, unitali
 def preservation_forward(
     left: Model, right: Model, cap: int | None = None
 ) -> PreservationReport:
-    fp = forward_product(left, right, cap)
-    return _preservation("forward product", [left, right], fp.model, cap, forward_unitality(fp))
+    pairs, _, space = _forward_space(left.space, right.space, cap)
+    _check_row_kind(left, right)
+    unitality = _forward_unitality(left, right, pairs)
+    return _preservation("forward product", [left, right], space, cap, unitality)
 
 
 def preservation_compound(
     model: Model, depth: int, cap: int | None = None
 ) -> PreservationReport:
-    tc = truncated_compound(model, depth, cap)
-    return _preservation(
-        f"compound depth {depth}", [model], tc.model, cap, compound_unitality(tc)
-    )
+    strings, _, space = _compound_space(model.space, depth, cap)
+    unitality = _compound_unitality(model, strings)
+    return _preservation(f"compound depth {depth}", [model], space, cap, unitality)

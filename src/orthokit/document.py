@@ -78,6 +78,13 @@ def _once(what: str, entries) -> dict:
     return out
 
 
+def _list_of(kind: type, section: str, value) -> list:
+    """``value`` if it is a list of ``kind`` items, else a ParseError naming ``section``."""
+    if isinstance(value, list) and all(isinstance(v, kind) for v in value):
+        return value
+    raise ParseError(f"{section} must be a list of {'strings' if kind is str else 'lists'}")
+
+
 def bundle_to_document(bundle: DocumentBundle) -> dict:
     """Serialize a bundle to a canonical plain-JSON document."""
     model = bundle.model
@@ -191,7 +198,8 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
     if "coherence" in doc:
         try:
             coherence = _once("coherence event", [
-                (space.event_of(ev), space.outcome(target), ev) for ev, target in doc["coherence"]
+                (space.event_of(_list_of(str, "each coherence event", ev)), space.outcome(target), ev)
+                for ev, target in _list_of(list, "the coherence section", doc["coherence"])
             ])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"coherence entries must be [event, outcome]: {exc}") from exc
@@ -208,7 +216,7 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
                 raise ParseError(f"unknown product semantics {semantics!r}")
             table = _once("product pair", [
                 ((space.outcome(x), space.outcome(y)), space.outcome(z), (x, y))
-                for x, y, z in sec["table"]
+                for x, y, z in _list_of(list, "product.table", sec["table"])
             ])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed product section: {exc}") from exc
@@ -219,11 +227,11 @@ def document_to_bundle(doc: dict) -> DocumentBundle:
         if not isinstance(sec, dict):
             raise ParseError("the followups section must be an object")
         try:
-            tokens = tuple(sec.get("tokens", []))
+            tokens = tuple(_list_of(str, "followups.tokens", sec.get("tokens", [])))
             token_id = _once("followup token", [(t, i, t) for i, t in enumerate(tokens)])
             table = _once("followup entry", [
                 ((space.outcome(x), token_id[tok]), space.outcome(p), (x, tok))
-                for x, tok, p in sec.get("table", [])
+                for x, tok, p in _list_of(list, "followups.table", sec.get("table", []))
             ])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed followups section: {exc}") from exc

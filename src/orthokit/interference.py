@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import Frozen
 from .coarsening import CheckedCoherence, Coarsening, coarsen, validate_coherence
+from .coarsening import _coarse_space, _outcome_of
 from .compounding import (
     CheckedSequential,
     SequentialProduct,
@@ -73,11 +74,10 @@ def check_distributive_diagrams(
     """
     if depth < 0:
         raise UsageError("depth must be nonnegative")
-    coarse = coarsen(model, cap)
-    events = coarse.outcome_mask  # sorted by mask_key
+    events, _, coarse = _coarse_space(model.space, cap)  # events sorted by mask_key
     families = [  # each double-coarse outcome: its member outcomes and their union
         (_ids(d), reduce(or_, (events[i] for i in _ids(d))))
-        for d in filter(None, coarse.model.space._checked_event_masks(cap))
+        for d in filter(None, coarse._checked_event_masks(cap))
     ]
     n = model.space.n_outcomes
     # One point per word of each square and triangle; a word of length k has
@@ -165,7 +165,7 @@ def distributive_ell(model: Model, depth: int, cap: int | None = None) -> Distri
     mapping = []
     for s in source.strings:  # the length-k strings have the compound ids from that of (0,) * k on
         strings = _string_set((events[i] for i in s), n) << compound.id_of((0,) * len(s))
-        mapping.append(target._outcome_of(strings))
+        mapping.append(_outcome_of(target.mask_outcome, strings))
     phi = validate_morphism(source.model, target.model, mapping, cap)
     if not phi.embedding:
         raise LawViolation("the interchange map must be an embedding")

@@ -145,18 +145,17 @@ def test_tampered_coarsening_fails_like_the_oracle(index, monkeypatch):
     the next outcome: the library walk and the oracle fail alike, with a
     ``LawViolation`` at the same points or a ``UsageError`` at the same union."""
     m = corpus()[index]
-    build = coarsening.coarsen
-    single = build(m)
+    build = coarsening._coarse_space
+    masks, single, space = build(m.space, None)
     kinds = set()
-    for key, i in single.mask_outcome.items():
-        table = {**single.mask_outcome, key: (i + 1) % len(single.outcome_mask)}
-        tampered = coarsening.Coarsening(single.base, single.model, single.outcome_mask, table)
+    for key, i in single.items():
+        tampered = (masks, {**single, key: (i + 1) % len(masks)}, space)
 
-        def patched(model, cap=None):
-            return tampered if model is m else build(model, cap)
+        def patched(base, cap=None):
+            return tampered if base is m.space else build(base, cap)
 
-        monkeypatch.setattr(coarsening, "coarsen", patched)
-        monkeypatch.setattr(oracle, "coarsen", patched)
+        # the oracle's ``coarsen`` reads the same seam
+        monkeypatch.setattr(coarsening, "_coarse_space", patched)
         got = outcome(lambda: check_monad_laws_sharp(m), repr)
         assert got == outcome(lambda: oracle.check_monad_laws_sharp(m), repr)
         kinds.add(got[0])
@@ -325,12 +324,12 @@ def test_cohesion_of_unvalidated_tables_matches_oracle():
 
 
 class _CountingCoarsen:
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, build=coarsen):
+        self.build, self.calls = build, 0
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return coarsen(*args, **kwargs)
+        return self.build(*args, **kwargs)
 
 
 def test_sharp_algebra_laws_build_no_coarsening(monkeypatch):
@@ -343,9 +342,9 @@ def test_sharp_algebra_laws_build_no_coarsening(monkeypatch):
 
 
 def test_distributive_diagrams_build_one_coarsening(monkeypatch):
-    counting = _CountingCoarsen()
-    monkeypatch.setattr(interference, "coarsen", counting)
-    monkeypatch.setattr(coarsening, "coarsen", counting)
+    counting = _CountingCoarsen(coarsening._coarse_space)
+    monkeypatch.setattr(interference, "_coarse_space", counting)
+    monkeypatch.setattr(coarsening, "_coarse_space", counting)
     rep = check_distributive_diagrams(fixture_model("wright"), 2)
     assert rep.multiplication_outer > 0
     assert counting.calls == 1

@@ -601,14 +601,19 @@ class TestPreservation:
             assert m not in solved
 
     def test_preservation_enumerates_no_vertex(self, monkeypatch):
+        """Neither suite enumerates vertices, not even of a full factor paired
+        with the hull of its vertices, where ``forward_product`` needs them."""
         def refuse(self, cap=None):
             raise LawViolation("a preservation check enumerated state vertices")
 
         models = list(corpus_models(6, 3))[::8]
+        hulls = [Model(m.space, StateSpace.hull(m.state_vertices())) for m in models]
         monkeypatch.setattr(Model, "state_vertices", refuse)
-        for m in models:
+        for m, hull in zip(models, hulls):
             preservation_compound(m, 2, cap=100_000)
             preservation_forward(m, m, cap=100_000)
+            full_first = preservation_forward(m, hull, cap=100_000)
+            assert preservation_forward(hull, m, cap=100_000) == full_first
 
     def test_float_witnesses_below_one_compound(self):
         """Float witnesses may sit up to tol below 1, and both constructions

@@ -37,7 +37,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from orthokit import quantum, testspace
 from orthokit.coarsening import coarsen
-from orthokit.compounding import adjoin_unit_model, forward_product, truncated_compound
+from orthokit.compounding import (
+    adjoin_unit_model, forward_product, preservation_forward, truncated_compound
+)
 from orthokit.corpus import corpus_models, enumerate_test_spaces
 from orthokit.errors import EnumerationCapExceeded, NumericKindMismatch, PositivityViolation
 from orthokit.states import Weight, adjoin_failure_outcome, full_model, generator_model
@@ -308,3 +310,19 @@ def test_forward_product_kind_table(left, right, want):
     assert ("exact" if product.exact else "float", product.states.kind) == want
     if not product.states.is_full:
         revalidate(product)
+
+
+@pytest.mark.parametrize("left, right, want", KIND_TABLE)
+def test_preservation_forward_kind_table(left, right, want):
+    """``preservation_forward`` builds no pair state, yet refuses the pairs
+    that ``forward_product`` refuses, with the same message."""
+    models = kind_models()
+    if want != MISMATCH:
+        preservation_forward(models[left], models[right])
+        return
+    messages = []
+    for construction in (forward_product, preservation_forward):
+        with pytest.raises(NumericKindMismatch) as info:
+            construction(models[left], models[right])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

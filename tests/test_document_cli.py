@@ -605,6 +605,15 @@ class TestOutsideInput:
             ),
             {"outcomes": "abc"},
             {"tests": ["ab", "bc"]},
+            {"coherence": {"ab": 0}},
+            {"coherence": [["ab", "a"]]},
+            {"coherence": ["ab"]},
+            {"product": {"unit": "a", "table": {"bbc": 0}}},
+            {"product": {"unit": "a", "table": ["bbc"]}},
+            {"followups": {"tokens": "tu"}},
+            {"followups": {"tokens": [1, "x"]}},
+            {"followups": {"tokens": ["t"], "table": {"ata": 0}}},
+            {"followups": {"tokens": ["t"], "table": ["ata"]}},
             {
                 "states": {
                     "kind": "generators",
@@ -634,6 +643,15 @@ class TestOutsideInput:
             "tolerance-inf",
             "outcomes-string",
             "tests-strings",
+            "coherence-object",
+            "coherence-event-string",
+            "coherence-entry-string",
+            "product-table-object",
+            "product-row-string",
+            "followup-tokens-string",
+            "followup-token-number",
+            "followups-table-object",
+            "followups-row-string",
             "scalar-unknown",
         ],
     )

@@ -38,9 +38,13 @@ The module list is read from the directory, so a new module falls under it.
 
 It checks test-family statements on test families: ``check_tower_recursion``
 and ``validate_sequential`` build the compounds and the forward product they
-compare as test spaces, and neither calls ``truncated_compound``,
-``forward_product``, ``adjoin_unit_model``, ``Model`` or ``StateSpace``, which
-build states the two never read.
+compare as test spaces, ``check_monad_laws_sharp`` and
+``check_distributive_diagrams`` the coarse spaces, and ``preservation_compound``
+and ``preservation_forward`` the output space.  None of the six, in
+``compounding.py``, ``coarsening.py`` or ``interference.py``, calls
+``truncated_compound``, ``forward_product``, ``adjoin_unit_model``,
+``coarsen``, ``lift_weight``, ``Model`` or ``StateSpace``, which build states
+they never read.
 
 It stores record fields one way: no ``Record`` or ``Frozen`` class writes an
 ``__init__``, since ``Record.__init__`` binds every record's fields from its
@@ -606,9 +610,14 @@ def test_records_store_fields_in_record_only():
 
 # -- test-family checks build no model ----------------------------------------------------
 
-TEST_FAMILY_CHECKS = {"check_tower_recursion", "validate_sequential"}
+TEST_FAMILY_MODULES = ("compounding.py", "coarsening.py", "interference.py")
+TEST_FAMILY_CHECKS = {
+    "check_tower_recursion", "validate_sequential", "check_monad_laws_sharp",
+    "check_distributive_diagrams", "preservation_compound", "preservation_forward",
+}
 MODEL_BUILDERS = {
-    "truncated_compound", "forward_product", "adjoin_unit_model", "Model", "StateSpace"
+    "truncated_compound", "forward_product", "adjoin_unit_model", "coarsen", "lift_weight",
+    "Model", "StateSpace",
 }
 
 
@@ -642,6 +651,10 @@ def test_scanner_flags_model_builder_calls():
         "    return StateSpace.full(), model.space\n"
         "def truncated_compound(model, depth):\n"
         "    return Model(model.space, StateSpace.full())\n"
+        "def check_monad_laws_sharp(model):\n"
+        "    return coarsening.coarsen(coarsen(model).model)\n"
+        "def preservation_compound(model, depth):\n"
+        "    return [lift_weight(events, g) for g in model.states.generators]\n"
     )
     assert model_builder_calls(source) == [
         (2, "truncated_compound", "check_tower_recursion"),
@@ -650,11 +663,19 @@ def test_scanner_flags_model_builder_calls():
         (6, "Model", "check_tower_recursion"),
         (6, "StateSpace", "check_tower_recursion"),
         (8, "StateSpace", "validate_sequential"),
+        (12, "coarsen", "check_monad_laws_sharp"),
+        (12, "coarsen", "check_monad_laws_sharp"),
+        (14, "lift_weight", "preservation_compound"),
     ]
 
 
 def test_test_family_checks_build_no_model():
-    source = (SRC / "compounding.py").read_text(encoding="utf-8")
-    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    defined, found = set(), {}
+    for name in TEST_FAMILY_MODULES:
+        source = (SRC / name).read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        defined |= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if hits := model_builder_calls(source, name):
+            found[name] = hits
     assert TEST_FAMILY_CHECKS <= defined
-    assert model_builder_calls(source) == []
+    assert not found, f"test-family checks build states: {found}"
