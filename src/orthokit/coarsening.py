@@ -107,17 +107,21 @@ def lift_weight(events: Iterable[frozenset], w: Weight) -> Weight:
 
 
 def _coarse_space(space: TestSpace, cap: int | None):
-    """The outcome masks, their ids and the partition tests of ``coarsen``."""
-    masks = sorted(filter(None, space._checked_event_masks(cap)), key=mask_key)
+    """The outcome masks, their ids and the partition tests of ``coarsen``, built
+    once per space (``TestSpace._derived``), returned after this call's cap checks."""
+    events = space._checked_event_masks(cap)
     bell = _bell_numbers(max((t.bit_count() for t in space._test_masks), default=0))
     check_cap("coarsened tests", sum(bell[t.bit_count()] for t in space._test_masks), cap)
-    mask_outcome = {m: i for i, m in enumerate(masks)}
-    labels = ["{" + ",".join([space.labels[x] for x in _ids(m)]) + "}" for m in masks]
-    tests = set()
-    for t in space._test_masks:
-        for blocks in set_partitions([1 << x for x in _ids(t)]):
-            tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
-    return masks, mask_outcome, TestSpace(labels, tests)
+    if "coarse" not in space._derived:
+        masks = tuple(sorted(filter(None, events), key=mask_key))
+        mask_outcome = {m: i for i, m in enumerate(masks)}
+        labels = ["{" + ",".join([space.labels[x] for x in _ids(m)]) + "}" for m in masks]
+        tests = set()
+        for t in space._test_masks:
+            for blocks in set_partitions([1 << x for x in _ids(t)]):
+                tests.add(sum(1 << mask_outcome[sum(b)] for b in blocks))
+        space._derived.setdefault("coarse", (masks, mask_outcome, TestSpace(labels, tests)))
+    return space._derived["coarse"]
 
 
 def coarsen(model: Model, cap: int | None = None) -> Coarsening:
@@ -129,7 +133,7 @@ def coarsen(model: Model, cap: int | None = None) -> Coarsening:
         events = list(map(mask_event, masks))
         states = StateSpace.hull(lift_weight(events, g) for g in model.states.generators)
     coarse_model = Model(coarse_space, states, exact=model.exact, tol=model.tol)
-    return Coarsening(model, coarse_model, tuple(masks), mask_outcome)
+    return Coarsening(model, coarse_model, masks, dict(mask_outcome))
 
 
 def functor_sharp(

@@ -12,12 +12,12 @@ their generators.  Float models are rationalized on the way in and
 re-validated against the model tolerance on the way out, because predicates
 like "alpha(x) = 1 exactly" are brittle under floating point.
 
-Only the right-hand side and the pins change from one LP of a model to the
-next, so each model reduces each of its constraint systems once, when an
-LP first asks for it (``linprog.factor``): the polytope rows (one 0/1 row
-per test, rhs 1) for the state LPs and ``state_vertices``, and the
-generator table of hull membership, one per ``conic`` flag.  A query
-applies the stored row operations to its right-hand side.
+Only the right-hand side and the pins change from one LP to the next, so
+each constraint system is reduced once, when an LP first asks for it
+(``linprog.factor``): the polytope rows (one 0/1 row per test, rhs 1) once
+per test space, shared by its full models (``_Polytope``), and a hull
+model's generator table, one per ``conic`` flag.  A query applies the
+stored row operations to its right-hand side.
 
 Hull membership tries a candidate mixture first: a float least-squares
 mixture whose exact residual can confirm membership on its own (see
@@ -40,6 +40,7 @@ from .errors import (
     PositivityViolation,
     UsageError,
     check_tolerance,
+    resolve_cap,
 )
 # ``solve_lp`` has no caller here; it stays importable as ``states.solve_lp``,
 # the name the benchmark's traced run wraps.
@@ -116,6 +117,21 @@ class StateReport(Frozen):
     _defaults = {"failures": ()}
 
 
+class _Polytope:
+    """What the full models on one space share (``TestSpace._derived``): the
+    reduced polytope rows, each kept LP optimum (in insertion order) with its
+    support mask and its mask of weight-1 outcomes, and the vertex list with
+    the resolved cap it was enumerated under."""
+
+    __slots__ = ("system", "optima", "vertices")
+
+    def __init__(self, space: TestSpace):
+        n = space.n_outcomes
+        self.system = factor([[t >> x & 1 for x in range(n)] for t in space._test_masks], n)
+        self.optima: dict[Weight, tuple[int, int]] = {}
+        self.vertices: tuple[int, list[Weight]] | None = None
+
+
 class Model:
     """A test space together with a designated state space.
 
@@ -125,9 +141,14 @@ class Model:
     ``full_model`` and ``generator_model`` check both for data from outside;
     the constructions (coarsening, products, compounding, adjunctions) build
     models that satisfy them whenever their inputs do.
+
+    A full model's polytope record (``_Polytope``) lives on its space, shared
+    by every full model there: the test rows are exact equalities in every
+    state LP, so a kept optimum meeting a model's pin and floor is feasible in
+    its own LP.  The answers (``_covers``) depend on ``exact`` and ``tol``.
     """
 
-    __slots__ = ("space", "states", "exact", "tol", "_systems", "_witnesses", "_covers")
+    __slots__ = ("space", "states", "exact", "tol", "_systems", "_covers")
 
     def __init__(
         self,
@@ -140,14 +161,10 @@ class Model:
         self.states = states
         self.exact = exact
         self.tol = DEFAULT_FLOAT_TOL if (tol is None and not exact) else (tol or 0.0)
-        # reduced constraint systems: "polytope", and the hull tables by
-        # their ``conic`` flag, built when an LP first asks; and the tables
-        # of the candidate mixtures, ("mixture", conic), built on first use
+        # a hull model's reduced tables by their ``conic`` flag, built when an LP
+        # first asks, and its candidate mixtures' tables, ("mixture", conic)
         self._systems: dict = {}
-        # LP optima kept as witness states, in insertion order, and the
-        # memoised answers of ``_cover``
-        self._witnesses: dict[Weight, None] = {}
-        self._covers: dict[int | None, dict] = {}
+        self._covers: dict[int | None, dict] = {}  # the answers of ``_cover``
 
     # -- scalar plumbing -------------------------------------------------------
 
@@ -184,14 +201,10 @@ class Model:
 
     # -- LP scaffolding ----------------------------------------------------------
 
-    def _polytope(self):
-        """The reduced polytope rows: one 0/1 row per test, rhs 1."""
-        system = self._systems.get("polytope")
-        if system is None:
-            n = self.space.n_outcomes
-            rows = [[t >> x & 1 for x in range(n)] for t in self.space._test_masks]
-            system = self._systems["polytope"] = factor(rows, n)
-        return system
+    def _polytope(self) -> _Polytope:
+        """The record of the full models on this model's space, built on first use."""
+        derived = self.space._derived
+        return derived.get("polytope") or derived.setdefault("polytope", _Polytope(self.space))
 
     def optimize_over_states(
         self, objective: Sequence, fix: Sequence[tuple[int, object]] = (), maximize=True
@@ -221,7 +234,7 @@ class Model:
                 rows.append(([0] * (base + extra) + [1, 1, 1], slack))
                 extra += 3
         ones = [1] * len(self.space._test_masks)
-        return self._polytope().solve(ones, obj + [ZERO] * extra, maximize, rows)
+        return self._polytope().system.solve(ones, obj + [ZERO] * extra, maximize, rows)
 
     # -- membership --------------------------------------------------------------
 
@@ -382,9 +395,9 @@ class Model:
     # ``_eq`` and floor, one generator at a time.
     #
     # A full model finds witnesses by ``_cover``.  Every LP optimum it solves
-    # is kept on the model.  A kept optimum that meets a query's pin is a
-    # feasible point of that query's LP, so a scan hit says "holds" only
-    # where the LP would, and every failure comes from an LP.
+    # is kept on its space's record.  A kept optimum that meets a query's pin
+    # is a feasible point of that query's LP, so a scan hit says "holds" only
+    # where the model's own LP would, and every failure comes from its own LP.
 
     def _indicator(self, *outcomes: int) -> list[Fraction]:
         obj = [ZERO] * self.space.n_outcomes
@@ -392,13 +405,16 @@ class Model:
             obj[x] = Fraction(1)
         return obj
 
-    def _kept_optimum(self, objective, fix=()) -> Weight | None:
+    def _kept_optimum(self, objective, fix=()) -> tuple[Weight, tuple[int, int]] | None:
+        """An LP optimum and its (support, certain) masks, kept on the space's record."""
         res = self.optimize_over_states(objective, fix=fix)
         if not res.optimal:
             return None
         w = Weight(res.x[: self.space.n_outcomes])
-        self._witnesses[w] = None
-        return w
+        support = sum(1 << x for x, v in enumerate(w.values) if v > 0)
+        masks = (support, sum(1 << x for x, v in enumerate(w.values) if v == 1))
+        self._polytope().optima.setdefault(w, masks)
+        return w, masks
 
     def _cover(self, certain: int | None) -> dict:
         """Map each target outcome to a witness state, or to None where none exists.
@@ -409,40 +425,47 @@ class Model:
         it and every outcome not orthogonal to it, and a witness puts weight
         above a floor there: 0 on exact models, the tolerance on float ones.
 
-        Kept optima that meet the pin come first.  Then one LP maximizes the
-        total weight of the open targets: if the pin is infeasible, or the
+        Kept optima that meet the pin come first, from a snapshot of the
+        space's record, by bit tests where they decide.  Then one LP maximizes
+        the total weight of the open targets: if the pin is infeasible, or the
         total is at most the floor, no open target can clear it (weights are
-        nonnegative); otherwise its optimum covers some of them and the loop
-        goes on.  Only the float floor can leave every open target at or below
-        it while their total clears it; then each gets its own LP.
+        nonnegative); otherwise its optimum covers some and the loop goes on.
+        Only the float floor can leave every open target at or below it while
+        their total clears it; then each gets its own LP.
         """
         if certain in self._covers:
             return self._covers[certain]
         n = self.space.n_outcomes
+        kept = list(self._polytope().optima.items())  # siblings may add while this scans
         if certain is None:
             fix, targets, floor = (), range(n), 0
         else:
             fix = ((certain, 1),)
             targets = [y for y in range(n) if not self.space.orthogonal(certain, y)]
-            floor = 0 if self.exact else self.tol
-        slack = 0 if self.exact else Fraction(self.tol)
+            floor, slack = (0 if self.exact else self.tol), Fraction(self.tol)
+            bit = 1 << certain  # weight exactly 1 by its bit, else within the tolerance
+            kept = [(w, m) for w, m in kept if m[1] & bit or slack and abs(w[certain] - 1) <= slack]
+
+        def hit(entry, y):
+            return _clears(entry[0][y], floor) if floor else entry[1][0] >> y & 1
+
         found = dict.fromkeys(targets)
         todo = list(targets)
-        kept = iter([w for w in self._witnesses if all(abs(w[x] - v) <= slack for x, v in fix)])
+        kept = iter(kept)
         while todo:
-            w = next(kept, None)
-            if w is None:
-                w = self._kept_optimum(self._indicator(*todo), fix)
-                if w is None or not _clears(sum(w[y] for y in todo), floor):
+            entry = next(kept, None)
+            if entry is None:
+                entry = self._kept_optimum(self._indicator(*todo), fix)
+                if entry is None or not _clears(sum(entry[0][y] for y in todo), floor):
                     break
-                if not any(_clears(w[y], floor) for y in todo):
+                if not any(hit(entry, y) for y in todo):
                     for y in todo:
-                        w = self._kept_optimum(self._indicator(y), fix)
-                        found[y] = w if w is not None and _clears(w[y], floor) else None
+                        entry = self._kept_optimum(self._indicator(y), fix)
+                        found[y] = entry[0] if entry is not None and hit(entry, y) else None
                     break
             for y in todo:
-                if _clears(w[y], floor):
-                    found[y] = w
+                if hit(entry, y):
+                    found[y] = entry[0]
             todo = [y for y in todo if found[y] is None]
         self._covers[certain] = found
         return found
@@ -548,14 +571,22 @@ class Model:
     # -- vertex access ------------------------------------------------------------------
 
     def state_vertices(self, cap: int | None = None) -> list[Weight]:
-        """Vertices of the state space (generators for hull models)."""
+        """Vertices of the state space (generators for hull models), as a new list.
+
+        A full model reads its space's list if this cap is at least the one it
+        was enumerated under, else enumerates again: every refusal is fresh."""
         if self.states.kind == GENERATORS:
             return list(self.states.generators)
-        rows = self._polytope().reduced([1] * len(self.space._test_masks))
+        record = self._polytope()
+        if record.vertices is not None and resolve_cap(cap) >= record.vertices[0]:
+            return list(record.vertices[1])
+        rows = record.system.reduced([1] * len(self.space._test_masks))
         if rows is None:
             return []
         a = [nums[:-1] for nums, _ in rows]
-        return [Weight(v) for v in enumerate_vertices(a, [nums[-1] for nums, _ in rows], cap)]
+        verts = [Weight(v) for v in enumerate_vertices(a, [nums[-1] for nums, _ in rows], cap)]
+        record.vertices = (resolve_cap(cap), verts)
+        return list(verts)
 
 
 _HALF_ULP = Fraction(1, 2**53)

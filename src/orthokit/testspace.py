@@ -14,10 +14,11 @@ outcome has the bitset of the tests holding it: a set is an event when the
 AND of its outcomes' bitsets is nonzero.  At the public API events are
 frozensets of ids.  ``build_test_space`` validates; constructions pass
 masks to the trusted constructor.  All objects are immutable after
-construction and every operation is a pure function, so concurrent use is
-safe.  Witness-producing predicates break ties lexicographically on sorted
-id sequences so results are reproducible, and check their cap bound before
-they enumerate.
+construction but for memos of what depends on the tests alone, read from
+snapshots where they grow, and every operation is a pure function, so
+concurrent use is safe.  Witness-producing predicates break ties
+lexicographically on sorted id sequences so results are reproducible, and
+check their cap bound before they enumerate.
 
 Ties are broken on masks.  At the least outcome d in just one of two masks,
 the holder of d has the smaller id sequence unless the other's is a prefix.
@@ -160,6 +161,7 @@ class TestSpace:
         "_events_cache",
         "_event_masks",
         "_perp_masks",
+        "_derived",
     )
 
     def __init__(self, labels: Sequence[str], test_masks: Iterable[int]):
@@ -178,6 +180,7 @@ class TestSpace:
         self._events_cache: list[frozenset] | None = None
         self._event_masks: list[int] | None = None
         self._perp_masks: dict[int, int] = {}
+        self._derived: dict = {}  # by layer: ``states._Polytope``, ``_coarse_space``'s family
 
     # -- basics ---------------------------------------------------------------
 
@@ -280,11 +283,12 @@ class TestSpace:
         return self._events_cache
 
     def _checked_event_masks(self, cap: int | None = None) -> list[int]:
-        """Mask form of :meth:`events_list`, with the same two cap checks."""
+        """Mask form of :meth:`events_list`, with the same two cap checks; past the
+        cap the count reads cap + 1, where a first listing stops, on every call."""
         top = 1 << max(m.bit_count() for m in self._test_masks)
         cap = check_cap("events", top, cap)
         masks = self._event_mask_list(cap)
-        check_cap("events", len(masks), cap)
+        check_cap("events", min(len(masks), cap + 1), cap)
         return masks
 
     def _event_mask_list(self, limit: int) -> list[int]:

@@ -16,7 +16,7 @@ sorted scan.
 
 ``polytope_rows`` writes a model's state polytope as ``Fraction`` rows, one
 per test, with right-hand side 1: the system the library reduces once per
-model from the test masks.
+test space from the test masks, for every full model on that space.
 
 ``transversal_weights`` finds the 0/1 vertices of a state polytope by a
 search over transversals, sets that meet every test exactly once.

@@ -12,6 +12,11 @@ have no closed form, so a ``CapCounter`` counts them and B is read off a
 run at the default cap.  ``regular`` and ``algebraic`` are the other: B is
 the complement-bucket pass that their check per intersection of two tests
 replaced, so their test counts the submask enumerations that are left.
+
+A space keeps its vertex list and its coarse family once built.  At B - 1
+and B, for every bound B the calls that read them meet, a call on a space
+that holds them must return or raise exactly what the call does on a fresh
+copy of the space.
 """
 
 from functools import lru_cache
@@ -21,8 +26,24 @@ from math import comb
 import pytest
 
 from lp_oracles import polytope_rows
-from orthokit import coarsening, corpus, errors, interference, linprog, logic, quantum, testspace
-from orthokit.coarsening import _bell_numbers, coarsen, is_cohesion, validate_coherence
+from orthokit import (
+    coarsening,
+    corpus,
+    errors,
+    interference,
+    linprog,
+    logic,
+    quantum,
+    states,
+    testspace,
+)
+from orthokit.coarsening import (
+    _bell_numbers,
+    check_monad_laws_sharp,
+    coarsen,
+    is_cohesion,
+    validate_coherence,
+)
 from orthokit.compounding import SequentialProduct, truncated_compound, validate_sequential
 from orthokit.corpus import corpus_models, named
 from orthokit.errors import EnumerationCapExceeded
@@ -132,6 +153,96 @@ def test_enumerate_vertices(index, monkeypatch):
         "polytope vertices", bound, bound - 1
     )
     assert linprog.enumerate_vertices(rows, rhs, bound) == want
+
+
+def fresh_model(model):
+    """A full model on a copy of ``model``'s space, which holds nothing yet."""
+    space = testspace.TestSpace(model.space.labels, model.space._test_masks)
+    return states.Model(space, states.StateSpace.full())
+
+
+def outcome(call, cap):
+    """("returned", what ``call(cap)`` returns), or ("refused", what, cap, bound)."""
+    try:
+        return "returned", call(cap)
+    except EnumerationCapExceeded as exc:
+        return "refused", exc.what, exc.cap, exc.bound
+
+
+@pytest.mark.parametrize("index", range(len(vertex_cases())))
+def test_kept_vertices_refuse_below_their_cap(index, record):
+    """A kept list answers a cap at least the one it was enumerated under with
+    no enumeration; a smaller cap enumerates again and refuses as a fresh space
+    does.  Each call returns a list of its own."""
+    model = vertex_cases()[index]
+
+    def listed(m):
+        return lambda cap: [w.values for w in m.state_vertices(cap)]
+
+    want = outcome(listed(fresh_model(model)), None)
+    bound = next(c for c in range(10_000) if outcome(listed(fresh_model(model)), c) == want)
+    below = outcome(listed(fresh_model(model)), bound - 1)
+    assert below[:3] == ("refused", "polytope vertices", bound - 1)
+    m = fresh_model(model)
+    m.state_vertices().clear()  # kept at the default cap; the caller's list is its own
+    calls = record(states, "enumerate_vertices")
+    # (cap, its outcome, whether it enumerates): below the kept cap each call
+    # enumerates, and a success keeps its cap; from then on B reads the list
+    steps = [(bound - 1, below, 1), (bound, want, 1), (bound - 1, below, 1), (bound, want, 0)]
+    for cap, got, enumerations in steps + [(None, want, 0), (bound + 1, want, 0)]:
+        calls.clear()
+        assert outcome(listed(m), cap) == got, cap
+        assert len(calls) == enumerations, cap
+
+
+def _coarse_family(m, cap):
+    masks, mask_outcome, space = coarsening._coarse_space(m.space, cap)
+    return masks, dict(mask_outcome), space._test_masks
+
+
+def _coarsening(m, cap):
+    c = coarsen(m, cap)
+    return c.outcome_mask, c.mask_outcome, c.model.space._test_masks
+
+
+COARSE_CALLS = {
+    "_coarse_space": _coarse_family,
+    "coarsen": _coarsening,
+    "check_monad_laws_sharp": check_monad_laws_sharp,
+    "check_distributive_diagrams": lambda m, cap: check_distributive_diagrams(m, 1, cap),
+}
+
+
+@pytest.mark.parametrize(
+    "tests, met",
+    [
+        ([["x", "y", "z"], ["q", "z"]], {"events", "triple-coarsening outcomes"}),
+        ([["a", "b"], ["a", "c"], ["b", "c"]], {"events", "triple-coarsening outcomes"}),
+        ([["a", "b", "c", "d", "e"], ["e", "f"]], {"events", "coarsened tests"}),
+    ],
+)
+def test_kept_coarse_family_refuses_as_a_fresh_space(tests, met, record):
+    """Once a space holds its coarse family, and its coarse space the double
+    family, each call that reads them returns or refuses at B - 1 and B, for
+    every bound B it meets as the cap rises, what it does on a fresh copy,
+    and builds no set partition."""
+    model = states.full_model(build_test_space(tests))
+    warm = fresh_model(model)
+    check_monad_laws_sharp(warm)
+    check_distributive_diagrams(warm, 1)
+    partitions = record(coarsening, "set_partitions")
+    seen = set()
+    for label, call in COARSE_CALLS.items():
+        bounds, cap = [], 0
+        while (got := outcome(lambda c: call(fresh_model(model), c), cap))[0] == "refused":
+            seen.add(got[1])
+            bounds.append(cap := got[3])
+        for cap in sorted({c for b in bounds for c in (b - 1, b)}):
+            want = outcome(lambda c: call(fresh_model(model), c), cap)
+            partitions.clear()
+            assert outcome(lambda c: call(warm, c), cap) == want, (label, cap)
+            assert partitions == [], (label, cap)
+    assert met <= seen
 
 
 # -- regular and algebraic -----------------------------------------------------------------

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from coarsening_oracles import outcome_events
-from orthokit import coarsening
+from orthokit import coarsening, testspace
 from orthokit.errors import EnumerationCapExceeded, HypothesisUnmet, NotCoherence, UsageError
 from orthokit.coarsening import (
     _bell_numbers,
@@ -35,7 +35,7 @@ from orthokit.morphisms import (
     validate_morphism,
 )
 from orthokit.quantum import classical_model
-from orthokit.states import Weight, full_model, generator_model
+from orthokit.states import Model, Weight, full_model, generator_model
 from orthokit.testspace import build_test_space, mask_event
 
 
@@ -128,6 +128,9 @@ class TestCoarsenCap:
     def test_cap_at_the_bound(self, monkeypatch):
         cases = []
         for m in corpus_models(6, 3):
+            # a fresh copy: a space keeps its coarse family once built, and
+            # an earlier test may have built it
+            m = Model(testspace.TestSpace(m.space.labels, m.space._test_masks), m.states)
             bound = sum(len(list(set_partitions(sorted(t)))) for t in m.space.tests)
             # below the bound, the event-list check must not fire first
             if max(len(m.space.events_list()), 2 ** max(map(len, m.space.tests))) < bound:

@@ -66,6 +66,7 @@ from orthokit.states import (
     generator_model,
     weight_from_labels,
 )
+from orthokit import testspace
 from orthokit.testspace import build_test_space
 
 # Corpus models whose compound and forward square cover every property
@@ -591,7 +592,11 @@ class TestPreservation:
 
         monkeypatch.setattr(Model, "optimize_over_states", counting)
         triangle = build_test_space([["a", "b"], ["a", "c"], ["b", "c"]])
-        for space in (build_test_space([["a", "b"]]), named("wright").space, triangle):
+        # a copy: ``named`` built the space's first model, and the full
+        # models on one space share the LP optima each of them solves
+        wright = named("wright").space
+        wright = testspace.TestSpace(wright.labels, wright._test_masks)
+        for space in (build_test_space([["a", "b"]]), wright, triangle):
             m = Model(space, StateSpace.full())
             preservation_forward(m, m)
             assert m in solved

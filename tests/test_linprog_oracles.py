@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracles as oracle
-from orthokit import linprog, quantum, states
+from orthokit import linprog, quantum, states, testspace
 from orthokit.coarsening import coarsen
 from orthokit.compounding import forward_product
 from orthokit.corpus import enumerate_test_spaces
@@ -139,7 +139,8 @@ SPACES = list(enumerate_test_spaces(6, 3))
 @pytest.mark.parametrize("index", range(len(SPACES)))
 def test_corpus_model_lps_match_oracle(index, posed):
     lps, polytopes = posed
-    model = full_model(SPACES[index])
+    # a fresh copy: the full models on one space share its factored rows and LP optima
+    model = full_model(testspace.TestSpace(SPACES[index].labels, SPACES[index]._test_masks))
     twin = full_model(model.space, exact=False)
     for m in (model, twin):
         pose_state_lps(m)

@@ -1,11 +1,14 @@
 """States: weights, membership, positivity, unitality, certainty forcing."""
 
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 import lp_oracles
+from orthokit import states, testspace
 from orthokit.coarsening import coarsen
 from orthokit.compounding import preservation_compound
 from orthokit.errors import (
@@ -13,7 +16,7 @@ from orthokit.errors import (
     PositivityViolation,
     UsageError,
 )
-from orthokit.corpus import corpus_models, named
+from orthokit.corpus import corpus_models, enumerate_test_spaces, named
 from orthokit.states import (
     Model,
     StateSpace,
@@ -272,8 +275,10 @@ def lp_log(monkeypatch):
 
 
 def cold(space, exact=True):
-    """A full model that has solved no LP yet."""
-    return Model(space, StateSpace.full(), exact=exact)
+    """A full model that has solved no LP yet, on a fresh copy of ``space``:
+    the full models on one space share its LP optima."""
+    fresh = testspace.TestSpace(space.labels, space._test_masks)
+    return Model(fresh, StateSpace.full(), exact=exact)
 
 
 def test_cover_infeasible_pin_fails_after_one_lp(lp_log):
@@ -336,6 +341,71 @@ def test_cover_repeated_query_solves_no_lp(lp_log, wright_model):
         assert [m.positivity_failures(), m.check_unital(), m.check_strongly_unital()] == first
         assert len(lp_log) == solved
         lp_log.clear()
+
+
+@pytest.mark.parametrize("index", [0, 33, 94, 111])
+def test_twin_shares_the_exact_models_polytope(index, lp_log, monkeypatch):
+    """An exact model and its float twin on one space factor the polytope once
+    and enumerate its vertices once, and the twin's positivity solves no LP:
+    the exact model's optima already cover every outcome."""
+    made = []
+    for name in ("factor", "enumerate_vertices"):
+        inner = getattr(states, name)
+        monkeypatch.setattr(states, name, lambda *a, _f=inner, _n=name: made.append(_n) or _f(*a))
+    space = list(enumerate_test_spaces(6, 3))[index]
+    exact = full_model(testspace.TestSpace(space.labels, space._test_masks))
+    exact.check_unital()
+    exact.check_strongly_unital()
+    vertices = exact.state_vertices()
+    twin = Model(exact.space, StateSpace.full(), exact=False)
+    solved = len(lp_log)
+    assert twin.positivity_failures() == [] and len(lp_log) == solved
+    assert twin.state_vertices() == vertices
+    assert made == ["factor", "enumerate_vertices"]
+
+
+def test_sibling_models_on_threads_answer_as_alone():
+    """Threads that build exact and float models on shared spaces and query them
+    at once, each space in its own order, get what a lone model on a fresh
+    space gets: a scan reads a snapshot of the optima the others add."""
+    spaces = list(enumerate_test_spaces(6, 3))[::8]
+    kinds = [{}, {"exact": False}, {"exact": False, "tol": 1e-3}]
+
+    def answers(space, kind):
+        m = Model(space, StateSpace.full(), **kind)
+        preds = [m.positivity_failures(), m.check_unital(), m.check_strongly_unital()]
+        return preds + [m.state_vertices()]
+
+    def copy(space):
+        return testspace.TestSpace(space.labels, space._test_masks)
+
+    want = [[answers(copy(s), kind) for kind in kinds] for s in spaces]
+    shared = [copy(s) for s in spaces]
+    got, errors = {}, []
+
+    def work(t):
+        try:
+            for i in range(len(spaces)):
+                i = (i + t * 5) % len(spaces)
+                for k in [(t + j) % 3 for j in range(3)]:
+                    got[t, i, k] = answers(shared[i], kinds[k])
+        except Exception as exc:  # a thread's error fails the test below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == 4 * len(spaces) * 3
+    assert all(got[t, i, k] == want[i][k] for t, i, k in got)
 
 
 def test_float_certainty_witness_below_one_compounds():

@@ -16,6 +16,13 @@ and of vertex subsets), ``classical_model(2..4)``, the failure-outcome
 extensions of corpus and preset models, float hulls at the tolerance
 boundary, and random small spaces.  The generator scan of exact hulls is
 also checked against an LP over the mixture weights.
+
+The full models on one space share the LP optima each of them keeps, so
+sibling models are checked too: an exact model, its float twin and a float
+model at another tolerance on one space, the three predicates in every
+order, interleaved across the siblings, cold and then warm, on the corpus
+spaces, the space with an outcome no state reaches, and spaces where the
+float floor and pin decide (where exact and float verdicts differ).
 """
 
 from functools import lru_cache
@@ -28,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 import lp_oracles as oracle
 from orthokit import quantum, states, testspace
+from orthokit.coarsening import coarsen
 from orthokit.corpus import corpus_models
 from orthokit.errors import UsageError
 from orthokit.states import (
@@ -43,10 +51,11 @@ PREDICATES = ("positivity_failures", "check_unital", "check_strongly_unital")
 
 
 def cold_copy(model, states=None):
-    """The same model with an empty witness cache (no positivity LPs at build)."""
+    """The same model with an empty witness cache (no positivity LPs at build),
+    on a fresh copy of its space: the full models on one space share its LP optima."""
     return Model(
-        model.space, states or model.states, exact=model.exact,
-        tol=(model.tol or None),
+        testspace.TestSpace(model.space.labels, model.space._test_masks),
+        states or model.states, exact=model.exact, tol=(model.tol or None),
     )
 
 
@@ -98,6 +107,94 @@ def test_non_positive_model_matches_oracle(dead):
         model = Model(space, StateSpace.full(), exact=exact)
         want = assert_agrees(model, orders=tuple(permutations(PREDICATES)))
         assert want["positivity_failures"] == [dead]
+
+
+# -- sibling models on one space -------------------------------------------------
+
+SIBLING_TOL = 1e-3
+
+
+def siblings(space):
+    """An exact model, its float twin and a float model at ``SIBLING_TOL``, on
+    one fresh copy of ``space``."""
+    fresh = testspace.TestSpace(space.labels, space._test_masks)
+    return [
+        Model(fresh, StateSpace.full()),
+        Model(fresh, StateSpace.full(), exact=False),
+        Model(fresh, StateSpace.full(), exact=False, tol=SIBLING_TOL),
+    ]
+
+
+def assert_witnesses_are_the_models_own(model):
+    """Each witness meets the model's own pin and floor, and every optimum kept on
+    the space carries its support and weight-exactly-1 masks."""
+    floor = 0 if model.exact else model.tol
+    n = model.space.n_outcomes
+    for x in range(n):
+        w = model.positive_witness(x)
+        assert w is None or w[x] > 0
+        w = model.certainty_witness(x)
+        assert w is None or model._eq(w[x], 1)
+        for y in range(n):
+            w = model.strong_witness(x, y)
+            assert w is None or model._eq(w[x], 1) and states._clears(w[y], floor)
+    for w, masks in model._polytope().optima.items():
+        assert masks == tuple(
+            sum(1 << x for x, v in enumerate(w.values) if keep(v))
+            for keep in (lambda v: v > 0, lambda v: v == 1)
+        )
+
+
+def assert_siblings_agree(space):
+    """Every order of the predicates on fresh siblings, cold then warm, with the
+    siblings interleaved per predicate and each of them first in turn."""
+    wants = [oracle_reports(m) for m in siblings(space)]
+    for i, order in enumerate(permutations(PREDICATES)):
+        models = siblings(space)
+        turn = [(i + k) % 3 for k in range(3)]
+        for rnd in range(2):  # cold, then warm
+            for name in order:
+                for k in turn:
+                    got = getattr(models[k], name)()
+                    assert got == wants[k][name], (repr(space), order, rnd, name, k)
+        for m in models:
+            assert_witnesses_are_the_models_own(m)
+    return wants
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_corpus_siblings_match_oracle(index):
+    assert_siblings_agree(CORPUS[index].space)
+
+
+@pytest.mark.parametrize("dead", range(5))
+def test_non_positive_siblings_match_oracle(dead):
+    a, b, c, d = (i for i in range(5) if i != dead)
+    masks = [sum(1 << x for x in t) for t in ({a, b}, {c, d}, {b, d}, {a, c, dead})]
+    wants = assert_siblings_agree(testspace.TestSpace([f"o{i}" for i in range(5)], masks))
+    assert all(want["positivity_failures"] == [dead] for want in wants)
+
+
+def test_siblings_at_the_float_floor_match_oracle():
+    """Spaces where the float pin and floor decide.
+
+    The coarsening of corpus model 33, where strong witnesses fail only after
+    one LP per target; a space whose float certainty witnesses sit 1 - tol
+    below 1; and tests {x,a}, {x,b}, {a,b,c}, {c,y}, where certainty of x
+    leaves y nothing, but x = 1 - tol leaves it 2 tol, above the float floor:
+    there (x, y) fails strong unitality on the exact model alone.
+    """
+    spaces = [
+        coarsen(CORPUS[33]).model.space,
+        testspace.build_test_space([["a", "b"], ["a", "c", "d"], ["c", "d", "e"]]),
+        testspace.build_test_space([["x", "a"], ["x", "b"], ["a", "b", "c"], ["c", "y"]]),
+    ]
+    for space in spaces:
+        wants = assert_siblings_agree(space)
+    x, y = spaces[-1].outcome("x"), spaces[-1].outcome("y")
+    assert [(x, y) in want["check_strongly_unital"].failures for want in wants] == [
+        True, False, False
+    ]
 
 
 def test_corpus_covers_both_verdicts():
