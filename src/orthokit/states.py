@@ -120,8 +120,9 @@ class StateReport(Frozen):
 class _Polytope:
     """What the full models on one space share (``TestSpace._derived``): the
     reduced polytope rows, each kept LP optimum (in insertion order) with its
-    support mask and its mask of weight-1 outcomes, and the vertex list with
-    the resolved cap it was enumerated under."""
+    support and weight-1 masks, and the vertex list with the resolved cap it
+    was enumerated under.  The optima grow by each LP no kept one answered,
+    so by each float tolerance first queried (pinned optima at 1 - tol)."""
 
     __slots__ = ("system", "optima", "vertices")
 

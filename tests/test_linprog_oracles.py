@@ -139,9 +139,12 @@ SPACES = list(enumerate_test_spaces(6, 3))
 @pytest.mark.parametrize("index", range(len(SPACES)))
 def test_corpus_model_lps_match_oracle(index, posed):
     lps, polytopes = posed
-    # a fresh copy: the full models on one space share its factored rows and LP optima
-    model = full_model(testspace.TestSpace(SPACES[index].labels, SPACES[index]._test_masks))
-    twin = full_model(model.space, exact=False)
+    # fresh copies, one per model: the full models on one space share its factored
+    # rows and LP optima, and each model here must pose all of its own LPs
+    space = SPACES[index]
+    model, twin = (
+        full_model(testspace.TestSpace(space.labels, space._test_masks), exact=e) for e in (True, False)
+    )
     for m in (model, twin):
         pose_state_lps(m)
     assert lps

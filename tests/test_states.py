@@ -364,6 +364,28 @@ def test_twin_shares_the_exact_models_polytope(index, lp_log, monkeypatch):
     assert made == ["factor", "enumerate_vertices"]
 
 
+@pytest.mark.parametrize(
+    "tests",
+    [
+        [["a", "b"], ["a", "c", "d"], ["c", "d", "e"]],
+        [["x", "a"], ["x", "b"], ["a", "b", "c"], ["c", "y"]],
+    ],
+)
+def test_kept_optima_grow_only_with_new_tolerances(tests):
+    """The optima a space keeps grow with each float tolerance first queried
+    there, whose certainty witnesses sit at 1 - tol; models at a tolerance
+    already queried add none."""
+    space = build_test_space(tests)
+    sizes = []
+    for _ in range(2):
+        for tol in (None, 1e-9, 1e-6, 1e-3):
+            m = Model(space, StateSpace.full(), exact=tol is None, tol=tol)
+            m.positivity_failures(), m.check_unital(), m.check_strongly_unital()
+            sizes.append(len(m._polytope().optima))
+    assert sizes[:4] == sorted(set(sizes[:4]))
+    assert sizes[4:] == [sizes[3]] * 4
+
+
 def test_sibling_models_on_threads_answer_as_alone():
     """Threads that build exact and float models on shared spaces and query them
     at once, each space in its own order, get what a lone model on a fresh

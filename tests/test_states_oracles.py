@@ -127,7 +127,8 @@ def siblings(space):
 
 def assert_witnesses_are_the_models_own(model):
     """Each witness meets the model's own pin and floor, and every optimum kept on
-    the space carries its support and weight-exactly-1 masks."""
+    the space is an exact point of its polytope, as sharing them needs, and
+    carries its support and weight-exactly-1 masks."""
     floor = 0 if model.exact else model.tol
     n = model.space.n_outcomes
     for x in range(n):
@@ -139,6 +140,8 @@ def assert_witnesses_are_the_models_own(model):
             w = model.strong_witness(x, y)
             assert w is None or model._eq(w[x], 1) and states._clears(w[y], floor)
     for w, masks in model._polytope().optima.items():
+        assert all(isinstance(v, Fraction) and v >= 0 for v in w.values)
+        assert all(sum(w[x] for x in t) == 1 for t in model.space.tests)
         assert masks == tuple(
             sum(1 << x for x, v in enumerate(w.values) if keep(v))
             for keep in (lambda v: v > 0, lambda v: v == 1)
