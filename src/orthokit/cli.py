@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help="enumeration cap override; check --unital/--strongly-unital enumerate nothing and ignore it",
+        help="enumeration cap override; check --unital/--strongly-unital ignore it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

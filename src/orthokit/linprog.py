@@ -15,7 +15,9 @@ common denominator, kept in lowest terms by one ``gcd`` per row operation;
 every entry is exactly the rational the textbook ``Fraction`` tableau would
 hold, so the pivots are the same.  Vertex enumeration starts from the same
 reduced rows and runs the double description method on primitive ``int``
-rays.  ``Fraction``s appear only where values enter and leave.
+rays, under a cap that refuses (``enumerate_vertices``) or a budget that
+stops the run and returns None (``vertices_within``).  ``Fraction``s
+appear only where values enter and leave.
 
 A caller that poses many LPs over one A with different right-hand sides
 reduces A once: ``factor(A, n)`` reduces [A | I] on A's columns and keeps
@@ -359,26 +361,48 @@ def enumerate_vertices(
     tuples, each with the bitmask of the inequalities it is tight on.  The
     cap counts the rays created.
     """
+    counter = CapCounter("polytope vertices", cap)
+    verts, created = _double_description(a_rows, b_rhs, counter.cap)
+    counter.tick(created)  # raises past the cap, where created is cap + 1
+    return verts
+
+
+def vertices_within(
+    a_rows: Sequence[Sequence[Fraction]], b_rhs: Sequence[Fraction], budget: int
+) -> list[list[Fraction]] | None:
+    """``enumerate_vertices`` under a budget of rays created, or None past it.
+
+    The run stops before it would create ray ``budget`` + 1, and nothing is
+    raised: past the budget is an answer, not a refusal.
+    """
+    return _double_description(a_rows, b_rhs, budget)[0]
+
+
+def _double_description(a_rows, b_rhs, limit: int) -> tuple[list[list[Fraction]] | None, int]:
+    """(the sorted vertices, rays created), or (None, limit + 1) when the run
+    would create more than ``limit`` rays."""
     rows = _int_rows(a_rows, b_rhs)
     n = len(rows[0][0]) - 1 if rows else 0  # read before zero rows reduce away
     if not _row_reduce(rows):
-        return []
-    counter = CapCounter("polytope vertices", cap)
+        return [], 0
     lineality = _nullspace(rows, n)
     dim = len(lineality)
     rays: list[tuple[tuple[int, ...], int]] = []
+    created = 0
     done = 0
     for k in (n, *range(n)):
         bit = 1 << k
         i = next((i for i, v in enumerate(lineality) if v[k]), None)
         if i is not None:
+            created += 1
+            if created > limit:
+                return None, created
             pivot = lineality.pop(i)
             if pivot[k] < 0:
                 pivot = tuple([-v for v in pivot])
             lineality = [_combine(pivot, v, k) if v[k] else v for v in lineality]
             rays = [(_combine(pivot, v, k) if v[k] else v, z | bit) for v, z in rays]
             rays.append((pivot, done))
-            counter.tick()
         else:
             # A pair on opposite sides spans an edge when no third ray is tight
             # on every inequality both are; sharing fewer than
@@ -393,7 +417,9 @@ def enumerate_vertices(
                 for q, zq in neg:
                     z = zp & zq
                     if z.bit_count() >= need and countOf(map(z.__and__, masks), z) == 2:
-                        counter.tick()
+                        created += 1
+                        if created > limit:
+                            return None, created
                         new.append((_combine(p, q, k), z | bit))
             rays = [(v, z if v[k] else z | bit) for v, z in rays if v[k] >= 0]
             rays += new
@@ -403,7 +429,7 @@ def enumerate_vertices(
     den = math.lcm(*[x[n] for x in verts])
     keys = sorted([v * (den // x[n]) for v in x[:n]] for x in verts)
     value = {v: Fraction(v, den) for v in set().union(*keys)}
-    return [[value[v] for v in key] for key in keys]
+    return [[value[v] for v in key] for key in keys], created
 
 
 def _primitive(w: list[int]) -> tuple[int, ...]:

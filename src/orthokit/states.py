@@ -5,12 +5,34 @@ of probability weights or the convex hull of finitely many generator
 weights.  A model is exact (Fraction-valued weights) or float-valued with a
 per-model tolerance; the two never mix inside one model.
 
-Membership questions (is this weight a state?) and, on full models, the
-state predicates (does some state put weight 1 on x?) route through the
-exact simplex in ``linprog``; hull models answer the predicates by scanning
-their generators.  Float models are rationalized on the way in and
+Membership questions (is this weight a state?) route through the exact
+simplex in ``linprog``.  Float models are rationalized on the way in and
 re-validated against the model tolerance on the way out, because predicates
 like "alpha(x) = 1 exactly" are brittle under floating point.
+
+The state predicates (positivity, unitality, strong unitality) ask for
+witness states.  A hull model scans its generators.  A full model scans
+the vertices of its polytope, by this lemma:
+
+- P = {w >= 0 : sum of w_x over t = 1 for every test t} is bounded (every
+  outcome lies in a test, so w_x <= 1) and is the hull of its vertices.  So
+  some state has w_x > 0 exactly when some vertex does.
+- Since w_x <= 1 on P, F_x = P with w_x = 1 is a face, and its vertices are
+  the vertices of P with v_x = 1.  So a state certain of x that weighs y
+  exists exactly when such a vertex has v_y > 0.
+- A float pin |w_x - 1| <= tol is feasible exactly when the largest v_x
+  over the vertices is at least 1 - Fraction(tol).
+
+An exact model thus decides all three by bit tests on per-vertex masks,
+with no LP.  A float model decides positivity and the pin's feasibility the
+same way, and a vertex that meets the pin and clears the floor (the
+tolerance) is a witness; a target that no vertex clears under a feasible
+pin gets an LP, because the slice of P with w_x >= 1 - tol has vertices
+that are not vertices of P.  The vertices are enumerated once per space
+under a budget of (n + 1)(2n + 1) rays for n outcomes, the most LPs the
+LP cover (``Model._cover``) can pose on the space: n + 1 covers of at most
+2n + 1 LPs each.  Past the budget the enumeration stops, and the space's
+models answer through the LP cover.
 
 Only the right-hand side and the pins change from one LP to the next, so
 each constraint system is reduced once, when an LP first asks for it
@@ -44,7 +66,14 @@ from .errors import (
 )
 # ``solve_lp`` has no caller here; it stays importable as ``states.solve_lp``,
 # the name the benchmark's traced run wraps.
-from .linprog import ZERO, LPResult, enumerate_vertices, factor, solve_lp  # noqa: F401
+from .linprog import (  # noqa: F401
+    ZERO,
+    LPResult,
+    enumerate_vertices,
+    factor,
+    solve_lp,
+    vertices_within,
+)
 from .testspace import TestSpace, _ids
 
 FULL = "full"
@@ -120,9 +149,15 @@ class StateReport(Frozen):
 class _Polytope:
     """What the full models on one space share (``TestSpace._derived``): the
     reduced polytope rows, each kept LP optimum (in insertion order) with its
-    support and weight-1 masks, and the vertex list with the resolved cap it
-    was enumerated under.  The optima grow by each LP no kept one answered,
-    so by each float tolerance first queried (pinned optima at 1 - tol)."""
+    support and weight-1 masks, and the vertices with the same masks.
+
+    ``vertices`` is (the cap or budget they were enumerated under, the list),
+    or (the budget, None) once an enumeration under it stopped; the list is
+    then read by any cap at least that one.  The predicates enumerate under
+    the budget (n + 1)(2n + 1) for n outcomes, once: past it they answer
+    through the LP cover and never enumerate again.  The optima grow by each
+    LP no vertex or kept optimum answered: past the budget, or a float
+    target that no vertex clears (pinned optima at 1 - tol)."""
 
     __slots__ = ("system", "optima", "vertices")
 
@@ -395,10 +430,12 @@ class Model:
     # of x has weight at y.  Float hulls run the same scan with the model's
     # ``_eq`` and floor, one generator at a time.
     #
-    # A full model finds witnesses by ``_cover``.  Every LP optimum it solves
-    # is kept on its space's record.  A kept optimum that meets a query's pin
-    # is a feasible point of that query's LP, so a scan hit says "holds" only
-    # where the model's own LP would, and every failure comes from its own LP.
+    # A full model finds witnesses by ``_cover``: a scan of its space's
+    # vertices (the lemma in the module docstring), then of the LP optima kept
+    # on its space's record, then LPs.  A vertex or kept optimum that meets a
+    # query's pin is a feasible point of that query's LP, so a scan hit says
+    # "holds" only where the model's own LP would.  A failure comes from the
+    # vertex scan where the lemma decides, else from the model's own LP.
 
     def _indicator(self, *outcomes: int) -> list[Fraction]:
         obj = [ZERO] * self.space.n_outcomes
@@ -412,10 +449,29 @@ class Model:
         if not res.optimal:
             return None
         w = Weight(res.x[: self.space.n_outcomes])
-        support = sum(1 << x for x, v in enumerate(w.values) if v > 0)
-        masks = (support, sum(1 << x for x, v in enumerate(w.values) if v == 1))
+        masks = _masks(w)
         self._polytope().optima.setdefault(w, masks)
         return w, masks
+
+    def _enumerate(self, run, cap: int) -> list[tuple[Weight, tuple[int, int]]] | None:
+        """The space's vertices with their masks by ``run`` (``enumerate_vertices``
+        or ``vertices_within``) under ``cap``, kept on its record when found."""
+        record = self._polytope()
+        rows = record.system.reduced([1] * len(self.space._test_masks))
+        verts = [] if rows is None else run([r[:-1] for r, _ in rows], [r[-1] for r, _ in rows], cap)
+        if verts is not None:
+            verts = [(w, _masks(w)) for w in map(Weight, verts)]
+        record.vertices = (cap, verts)
+        return verts
+
+    def _vertex_scan(self) -> list[tuple[Weight, tuple[int, int]]] | None:
+        """The space's vertices with their masks, enumerated once under the
+        budget if none are kept; None past it."""
+        kept = self._polytope().vertices
+        if kept is not None:
+            return kept[1]
+        n = self.space.n_outcomes
+        return self._enumerate(vertices_within, (n + 1) * (2 * n + 1))
 
     def _cover(self, certain: int | None) -> dict:
         """Map each target outcome to a witness state, or to None where none exists.
@@ -426,17 +482,24 @@ class Model:
         it and every outcome not orthogonal to it, and a witness puts weight
         above a floor there: 0 on exact models, the tolerance on float ones.
 
-        Kept optima that meet the pin come first, from a snapshot of the
-        space's record, by bit tests where they decide.  Then one LP maximizes
-        the total weight of the open targets: if the pin is infeasible, or the
+        The space's vertices that meet the pin come first, by bit tests where
+        they decide.  With a zero floor, or with no vertex meeting the pin
+        (the pin is infeasible), they decide every target.  Otherwise (a
+        float floor under a feasible pin), and on a space past the vertex
+        budget, the LP cover goes on: the kept optima that meet the pin, from
+        a snapshot of the space's record, then one LP that maximizes the
+        total weight of the open targets: if the pin is infeasible, or the
         total is at most the floor, no open target can clear it (weights are
         nonnegative); otherwise its optimum covers some and the loop goes on.
         Only the float floor can leave every open target at or below it while
-        their total clears it; then each gets its own LP.
+        their total clears it; then each gets its own LP.  One cover poses at
+        most 2n + 1 LPs for n outcomes: at most one total LP per target and
+        one more, then at most one LP per target.
         """
         if certain in self._covers:
             return self._covers[certain]
         n = self.space.n_outcomes
+        vertices = self._vertex_scan()
         kept = list(self._polytope().optima.items())  # siblings may add while this scans
         if certain is None:
             fix, targets, floor = (), range(n), 0
@@ -445,17 +508,27 @@ class Model:
             targets = [y for y in range(n) if not self.space.orthogonal(certain, y)]
             floor, slack = (0 if self.exact else self.tol), Fraction(self.tol)
             bit = 1 << certain  # weight exactly 1 by its bit, else within the tolerance
-            kept = [(w, m) for w, m in kept if m[1] & bit or slack and abs(w[certain] - 1) <= slack]
+
+            def pinned(entries):
+                return [
+                    (w, m) for w, m in entries if m[1] & bit or slack and abs(w[certain] - 1) <= slack
+                ]
+
+            kept = pinned(kept)
+            vertices = None if vertices is None else pinned(vertices)
 
         def hit(entry, y):
             return _clears(entry[0][y], floor) if floor else entry[1][0] >> y & 1
 
+        decided = vertices is not None and not (floor and vertices)
         found = dict.fromkeys(targets)
         todo = list(targets)
-        kept = iter(kept)
+        entries = iter(vertices if decided else [*(vertices or ()), *kept])
         while todo:
-            entry = next(kept, None)
+            entry = next(entries, None)
             if entry is None:
+                if decided:
+                    break
                 entry = self._kept_optimum(self._indicator(*todo), fix)
                 if entry is None or not _clears(sum(entry[0][y] for y in todo), floor):
                     break
@@ -574,20 +647,18 @@ class Model:
     def state_vertices(self, cap: int | None = None) -> list[Weight]:
         """Vertices of the state space (generators for hull models), as a new list.
 
-        A full model reads its space's list if this cap is at least the one it
-        was enumerated under, else enumerates again: every refusal is fresh."""
+        A full model reads its space's list if this cap is at least the cap or
+        budget it was enumerated under, else enumerates again under this cap:
+        every refusal is fresh.  A space whose budgeted enumeration stopped
+        enumerates under every cap until one succeeds."""
         if self.states.kind == GENERATORS:
             return list(self.states.generators)
-        record = self._polytope()
-        if record.vertices is not None and resolve_cap(cap) >= record.vertices[0]:
-            return list(record.vertices[1])
-        rows = record.system.reduced([1] * len(self.space._test_masks))
-        if rows is None:
-            return []
-        a = [nums[:-1] for nums, _ in rows]
-        verts = [Weight(v) for v in enumerate_vertices(a, [nums[-1] for nums, _ in rows], cap)]
-        record.vertices = (resolve_cap(cap), verts)
-        return list(verts)
+        cap = resolve_cap(cap)
+        kept = self._polytope().vertices
+        verts = kept[1] if kept is not None and cap >= kept[0] else None
+        if verts is None:
+            verts = self._enumerate(enumerate_vertices, cap)
+        return [w for w, _ in verts]
 
 
 _HALF_ULP = Fraction(1, 2**53)
@@ -628,6 +699,12 @@ def _least_squares(gram: list[list[float]], rhs: list[float]) -> list[float]:
         row = rows[r]
         lam[col] = (row[m] - math.fsum(row[j] * lam[j] for j in range(col + 1, m))) / row[col]
     return lam
+
+
+def _masks(w: Weight) -> tuple[int, int]:
+    """The (support, weight exactly 1) masks of an exact state."""
+    support = sum(1 << x for x, v in enumerate(w.values) if v > 0)
+    return support, sum(1 << x for x, v in enumerate(w.values) if v == 1)
 
 
 def _clears(v, floor) -> bool:

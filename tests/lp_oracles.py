@@ -30,10 +30,15 @@ they give with ``hull_membership`` in its place.
 ``positivity_failures``, ``check_unital`` and ``check_strongly_unital`` are
 the straightforward versions of the ``Model`` predicates: on full models one
 fresh LP per outcome or per non-orthogonal pair, with nothing remembered
-between LPs; on hull models a scan of every generator.  The library covers
-many outcomes with one LP that maximizes their total weight, scans the LP
-optima it kept first and memoises the answers; the oracle tests require
-both to report the same verdict and the same ordered failures.
+between LPs; on hull models a scan of every generator.  The library scans
+the vertices of a full model's polytope, and covers what they leave open
+with its LP cover: one LP that maximizes the total weight of many
+outcomes, after a scan of the LP optima it kept, with the answers
+memoised; the oracle tests require both to report the same verdict and the
+same ordered failures.
+
+``lp_cover`` copies a space so that its full models answer through the LP
+cover alone, as on a space past the vertex budget.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from itertools import combinations
 
 from orthokit.errors import CapCounter, check_cap
 from orthokit.linprog import ZERO, LPResult, dedupe_rows, factor
-from orthokit.states import StateReport, Weight
-from orthokit.testspace import _ids
+from orthokit.states import Model, StateReport, StateSpace, Weight
+from orthokit.testspace import TestSpace, _ids
 
 ONE = Fraction(1)
 
@@ -61,6 +66,18 @@ def polytope_rows(model):
             row[x] = ONE
         rows.append(row)
     return rows, [ONE] * len(rows)
+
+
+def lp_cover(space):
+    """A fresh copy of ``space`` whose full models answer through the LP cover.
+
+    Its polytope record is marked as a space past the vertex budget is, so
+    the predicates scan no vertex and never enumerate them; ``state_vertices``
+    still enumerates under its caller's cap.
+    """
+    fresh = TestSpace(space.labels, space._test_masks)
+    Model(fresh, StateSpace.full())._polytope().vertices = (0, None)
+    return fresh
 
 
 def fraction_row_reduce(a, b):

@@ -22,6 +22,7 @@ from orthokit.errors import (
     PositivityViolation,
     ZeroMarginal,
 )
+import lp_oracles
 from compound_oracles import (
     _pool_strongly_unital,
     _pool_unital,
@@ -66,7 +67,7 @@ from orthokit.states import (
     generator_model,
     weight_from_labels,
 )
-from orthokit import testspace
+from orthokit import compounding, testspace
 from orthokit.testspace import build_test_space
 
 # Corpus models whose compound and forward square cover every property
@@ -580,8 +581,9 @@ class TestPreservation:
     def test_witnesses_found_once_per_model(self, monkeypatch):
         """A repeated preservation check, and then the premise itself, solve no LP.
 
-        The triangle is not unital, so every failure it reports needs an LP
-        unless the model remembers the answer.
+        The models answer through the LP cover (``lp_oracles.lp_cover``), as
+        past the vertex budget.  The triangle is not unital, so every failure
+        it reports needs an LP unless the model remembers the answer.
         """
         solved = []
         solve = Model.optimize_over_states
@@ -592,12 +594,10 @@ class TestPreservation:
 
         monkeypatch.setattr(Model, "optimize_over_states", counting)
         triangle = build_test_space([["a", "b"], ["a", "c"], ["b", "c"]])
-        # a copy: ``named`` built the space's first model, and the full
+        # fresh copies: ``named`` built the space's first model, and the full
         # models on one space share the LP optima each of them solves
-        wright = named("wright").space
-        wright = testspace.TestSpace(wright.labels, wright._test_masks)
-        for space in (build_test_space([["a", "b"]]), wright, triangle):
-            m = Model(space, StateSpace.full())
+        for space in (build_test_space([["a", "b"]]), named("wright").space, triangle):
+            m = Model(lp_oracles.lp_cover(space), StateSpace.full())
             preservation_forward(m, m)
             assert m in solved
             solved.clear()
@@ -606,19 +606,34 @@ class TestPreservation:
             assert m not in solved
 
     def test_preservation_enumerates_no_vertex(self, monkeypatch):
-        """Neither suite enumerates vertices, not even of a full factor paired
-        with the hull of its vertices, where ``forward_product`` needs them."""
-        def refuse(self, cap=None):
-            raise LawViolation("a preservation check enumerated state vertices")
+        """Neither suite asks for vertices at the caller's cap, not even of a
+        full factor paired with the hull of its vertices, where
+        ``forward_product`` needs them, and neither builds an output state.
+        The premises enumerate a full input's vertices once, under its
+        space's budget (n + 1)(2n + 1)."""
+        def refuse(*args, **kwargs):
+            raise LawViolation("a preservation check asked for state vertices or output states")
 
-        models = list(corpus_models(6, 3))[::8]
-        hulls = [Model(m.space, StateSpace.hull(m.state_vertices())) for m in models]
+        spaces = [m.space for m in list(corpus_models(6, 3))[::8]]
+        models = [Model(testspace.TestSpace(sp.labels, sp._test_masks), StateSpace.full()) for sp in spaces]
+        hulls = [Model(sp, StateSpace.hull(full_model(sp).state_vertices())) for sp in spaces]
         monkeypatch.setattr(Model, "state_vertices", refuse)
+        for name in ("forward_product", "truncated_compound", "_pair_weight", "transition_state"):
+            monkeypatch.setattr(compounding, name, refuse)
+        built = []
+        init = Model.__init__
+        monkeypatch.setattr(
+            Model, "__init__", lambda self, *a, **k: built.append(self) or init(self, *a, **k)
+        )
         for m, hull in zip(models, hulls):
+            assert m._polytope().vertices is None
             preservation_compound(m, 2, cap=100_000)
             preservation_forward(m, m, cap=100_000)
             full_first = preservation_forward(m, hull, cap=100_000)
             assert preservation_forward(hull, m, cap=100_000) == full_first
+            n = m.space.n_outcomes
+            assert m._polytope().vertices[0] == (n + 1) * (2 * n + 1)
+        assert built == []
 
     def test_float_witnesses_below_one_compound(self):
         """Float witnesses may sit up to tol below 1, and both constructions

@@ -746,6 +746,29 @@ def test_cap_env_override(tmp_path):
     assert "cap" in proc.stderr
 
 
+@pytest.mark.parametrize("name", ["wright", "triangle"])
+def test_unitality_checks_ignore_the_cap(name):
+    """``check --unital --strongly-unital`` enumerates a full model's vertices
+    under its space's own budget, never under the caller's cap, so cap 0, by
+    flag or by ORTHOKIT_CAP, gives the exit code and report of no cap."""
+    args = ["check", fixture_path(name), "--unital", "--strongly-unital"]
+    env = {k: v for k, v in os.environ.items() if k != "ORTHOKIT_CAP"}
+
+    def run(extra, **more):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orthokit.cli", *extra, *args],
+            capture_output=True,
+            text=True,
+            env={**env, **more},
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    want = run([])
+    assert want[0] == 0 and '"holds": true' in want[1]
+    assert run(["--cap", "0"]) == want
+    assert run([], ORTHOKIT_CAP="0") == want
+
+
 def test_main_entry_usage_error():
     assert main(["transform", wright_path(), "product"]) == 2
 

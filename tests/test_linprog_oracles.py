@@ -7,7 +7,8 @@ must a ``factor``-ed system solved against each right-hand side;
 list of ``fraction_enumerate_vertices`` (the basis scan); ``row_reduce``
 must return ``fraction_row_reduce``'s rows.  The LPs are the ones the
 library itself poses: every LP of building the 112 corpus models and their
-float twins and of their per-query state predicates, hull membership on
+float twins on the LP cover (``lp_oracles.lp_cover``) and of their
+per-query state predicates, hull membership on
 the quantum presets (posed through the LP fallback, since a candidate
 mixture confirms those points with no LP), the vertex enumerations of
 ``state_vertices``, plus hypothesis-random LPs.  The state layer solves
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_oracles as oracle
-from orthokit import linprog, quantum, states, testspace
+from orthokit import linprog, quantum, states
 from orthokit.coarsening import coarsen
 from orthokit.compounding import forward_product
 from orthokit.corpus import enumerate_test_spaces
@@ -139,12 +140,11 @@ SPACES = list(enumerate_test_spaces(6, 3))
 @pytest.mark.parametrize("index", range(len(SPACES)))
 def test_corpus_model_lps_match_oracle(index, posed):
     lps, polytopes = posed
-    # fresh copies, one per model: the full models on one space share its factored
-    # rows and LP optima, and each model here must pose all of its own LPs
+    # fresh copies on the LP cover, one per model: the full models on one space
+    # share its factored rows and LP optima, and each model here must pose all
+    # of its own LPs, which a vertex scan would answer
     space = SPACES[index]
-    model, twin = (
-        full_model(testspace.TestSpace(space.labels, space._test_masks), exact=e) for e in (True, False)
-    )
+    model, twin = (full_model(oracle.lp_cover(space), exact=e) for e in (True, False))
     for m in (model, twin):
         pose_state_lps(m)
     assert lps

@@ -256,8 +256,11 @@ def test_model_entry_points_refuse_bad_tolerances(tol):
 
 # -- witness covers ---------------------------------------------------------------------
 #
-# ``Model._cover`` answers positivity, certainty and strong unitality with
-# covering LPs.  These tests pin each of its branches by the LPs it solves.
+# ``Model._cover`` answers positivity, certainty and strong unitality by a
+# scan of the space's vertices, and with covering LPs where the vertices do
+# not decide (a float floor under a feasible pin) or are past the budget.
+# The LP-cover tests run on ``lp_oracles.lp_cover`` copies, so they pin each
+# branch of the cover by the LPs it solves.
 
 
 @pytest.fixture
@@ -275,10 +278,10 @@ def lp_log(monkeypatch):
 
 
 def cold(space, exact=True):
-    """A full model that has solved no LP yet, on a fresh copy of ``space``:
-    the full models on one space share its LP optima."""
-    fresh = testspace.TestSpace(space.labels, space._test_masks)
-    return Model(fresh, StateSpace.full(), exact=exact)
+    """A full model that answers through the LP cover and has solved no LP
+    yet, on a fresh copy of ``space``: the full models on one space share its
+    LP optima."""
+    return Model(lp_oracles.lp_cover(space), StateSpace.full(), exact=exact)
 
 
 def test_cover_infeasible_pin_fails_after_one_lp(lp_log):
@@ -346,10 +349,11 @@ def test_cover_repeated_query_solves_no_lp(lp_log, wright_model):
 @pytest.mark.parametrize("index", [0, 33, 94, 111])
 def test_twin_shares_the_exact_models_polytope(index, lp_log, monkeypatch):
     """An exact model and its float twin on one space factor the polytope once
-    and enumerate its vertices once, and the twin's positivity solves no LP:
-    the exact model's optima already cover every outcome."""
+    and enumerate its vertices once, under the budget, and neither model's
+    positivity, nor the exact model's unitality, solves an LP: the vertices
+    decide them, and ``state_vertices`` at the default cap reads the list."""
     made = []
-    for name in ("factor", "enumerate_vertices"):
+    for name in ("factor", "vertices_within", "enumerate_vertices"):
         inner = getattr(states, name)
         monkeypatch.setattr(states, name, lambda *a, _f=inner, _n=name: made.append(_n) or _f(*a))
     space = list(enumerate_test_spaces(6, 3))[index]
@@ -358,10 +362,9 @@ def test_twin_shares_the_exact_models_polytope(index, lp_log, monkeypatch):
     exact.check_strongly_unital()
     vertices = exact.state_vertices()
     twin = Model(exact.space, StateSpace.full(), exact=False)
-    solved = len(lp_log)
-    assert twin.positivity_failures() == [] and len(lp_log) == solved
+    assert twin.positivity_failures() == [] and lp_log == []
     assert twin.state_vertices() == vertices
-    assert made == ["factor", "enumerate_vertices"]
+    assert made == ["factor", "vertices_within"]
 
 
 @pytest.mark.parametrize(
@@ -433,8 +436,8 @@ def test_sibling_models_on_threads_answer_as_alone():
 def test_float_certainty_witness_below_one_compounds():
     """A pinned LP may spend the float slack at the pinned outcome.
 
-    On this space a cold float model has a certainty witness with weight
-    1 - tol at its outcome.  The compound multiplies two such factors on the
+    On this space a cold float model on the LP cover has a certainty witness
+    with weight 1 - tol at its outcome (a vertex scan finds vertices at 1).  The compound multiplies two such factors on the
     string (d, d): not within tol of 1, but within one tol per factor, which
     is what its re-verification allows.
     """
