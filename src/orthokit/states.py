@@ -66,14 +66,7 @@ from .errors import (
 )
 # ``solve_lp`` has no caller here; it stays importable as ``states.solve_lp``,
 # the name the benchmark's traced run wraps.
-from .linprog import (  # noqa: F401
-    ZERO,
-    LPResult,
-    enumerate_vertices,
-    factor,
-    solve_lp,
-    vertices_within,
-)
+from .linprog import ZERO, LPResult, enumerate_vertices, factor, solve_lp, vertices_within  # noqa: F401
 from .testspace import TestSpace, _ids
 
 FULL = "full"
@@ -510,9 +503,7 @@ class Model:
             bit = 1 << certain  # weight exactly 1 by its bit, else within the tolerance
 
             def pinned(entries):
-                return [
-                    (w, m) for w, m in entries if m[1] & bit or slack and abs(w[certain] - 1) <= slack
-                ]
+                return [(w, m) for w, m in entries if m[1] & bit or slack and abs(w[certain] - 1) <= slack]
 
             kept = pinned(kept)
             vertices = None if vertices is None else pinned(vertices)
